@@ -5,8 +5,8 @@ The scalar engine advances a fleet one session at a time: per frame it walks
 scalar calls into the WPP, complexity, rate-distortion and power models.
 That per-session Python work caps cluster experiments at tens of servers.
 
-The :class:`BatchStepper` replaces the per-session math with one fused NumPy
-evaluation per cluster step:
+The :class:`BatchStepper` replaces the per-session math with one batched
+NumPy evaluation per cluster step:
 
 1. **Gather** — every active session's next (QP, threads, frequency)
    decision plus per-frame content descriptors are packed into contiguous
@@ -21,10 +21,17 @@ evaluation per cluster step:
    (each session's exploration RNG draws stay in its own scalar order).
    Every other controller is asked per session via
    :meth:`~repro.manager.session.TranscodingSession.peek_decision`.
-2. **Evaluate** — WPP speedup/efficiency, server thread allocation and
-   contention, package power, decode/encode cycles and times, PSNR and
-   bitrate are computed for the whole fleet in a handful of array
-   expressions that mirror the scalar formulas operation for operation.
+2. **Evaluate** — WPP speedup, busy-core power, decode cycles, encode time,
+   PSNR and bitrate come from the models' own ``*_batch`` methods
+   (:meth:`~repro.hevc.wpp.WppModel.speedup_batch`,
+   :meth:`~repro.platform.power.PowerModel.busy_core_power_batch`,
+   :meth:`~repro.hevc.complexity.ComplexityModel.encode_time_seconds_batch`,
+   ...), called once per distinct set of model parameters: lanes are
+   grouped by their transcoder's models plus delivery rate, and by their
+   server's power model plus voltage table.  What lives here is only the
+   composition around those calls: the thread allocation and contention of
+   :meth:`~repro.platform.server.MulticoreServer.allocate` (its one
+   vectorized form) and the decode-plus-encode timing of the transcoder.
 3. **Scatter** — per-session results are written back through
    :meth:`~repro.manager.session.TranscodingSession.commit_step_result`
    (or :meth:`~repro.manager.session.TranscodingSession.commit_driven_step`
@@ -35,11 +42,14 @@ evaluation per cluster step:
 **Equivalence guarantee.**  For the same ``(workload seed, policies, cluster
 seed)`` the batch engine produces *bitwise identical* results to the scalar
 engine — same frame records, same power samples, same admission ledger, same
-``ClusterSummary``.  This holds because the shared models evaluate the same
-IEEE-754 operations in the same order (transcendental factors go through
-per-QP lookup tables shared between the scalar and batch paths), and float
-reductions (per-server power and duration sums) are applied in the scalar
-engine's accumulation order.  Fault injection preserves the guarantee:
+``ClusterSummary``.  This holds because each model's batch methods evaluate
+the same IEEE-754 operations in the same order as its scalar methods
+(transcendental factors go through per-QP lookup tables shared between the
+two forms; ``tests/test_batch_models.py`` pins every pair the engine calls),
+the composition here follows ``MulticoreServer.allocate`` and the
+transcoder pipeline operation for operation, and float reductions
+(per-server power and duration sums) are applied in the scalar engine's
+accumulation order.  Fault injection preserves the guarantee:
 fault draws, session salvage and retries all happen in orchestrator code
 outside the stepper, and a crash or recovery changes the live roster
 exactly like an autoscaling resize — the stepper is flushed
@@ -55,17 +65,18 @@ Two deliberate deviations from the scalar path, neither observable in the
 results: the in-memory DVFS driver mirror (``MulticoreServer``'s
 ``_apply_to_driver`` bookkeeping) is not maintained, and intermediate
 ``SessionDemand``/``ServerAllocation``/``TranscodeResult`` objects are never
-materialised.  The batch engine also assumes the stock analytic models:
-custom *parameters* are honoured (they are gathered per session), but
-subclasses that override model *methods* need the scalar engine.  The same
-rule applies to controllers: exactly ``MamutController`` (not subclasses) is
-driven through the vectorized activation path, everything else falls back to
-the per-session ``peek_decision`` protocol.
+materialised.  Each engine calls only its own form of a model method, so a
+model subclass must override a scalar method and its ``*_batch`` form
+together (lanes are grouped by model class as well as parameters, so such a
+subclass gets its own calls).  Controllers follow a different rule: exactly
+``MamutController`` (not subclasses) is driven through the vectorized
+activation path, everything else falls back to the per-session
+``peek_decision`` protocol.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -73,8 +84,6 @@ from repro.constants import TARGET_FPS
 from repro.core.mamut import MamutController
 from repro.core.observation import Observation
 from repro.core.states import SystemState
-from repro.errors import EncodingError
-from repro.hevc.params import QP_MAX, QP_MIN
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.metrics.records import FrameRecord, PowerSample
@@ -92,32 +101,34 @@ class _ServerStatic:
         "hw_threads",
         "smt_efficiency",
         "base_power_w",
-        "core_leakage_w",
-        "core_dynamic_w",
-        "core_dynamic_smt2_w",
         "power_model",
+        "power_group",
         "min_frequency_ghz",
         "idle_core_power_min_w",
         "idle_core_power_cache",
         "idle_total_power_w",
-        "vt_group",
     )
 
-    def __init__(self, orchestrator: Orchestrator, vt_group: int) -> None:
+    def __init__(
+        self, orchestrator: Orchestrator, group_id: Callable[[tuple], int]
+    ) -> None:
         server = orchestrator.server
         topo = server.topology
-        params = server.power_model.params
+        power_model = server.power_model
+        table = power_model.voltage_table
         self.cores = topo.physical_cores
         self.hw_threads = topo.hardware_threads
         self.smt_efficiency = topo.smt_efficiency
-        self.base_power_w = params.base_power_w
-        self.core_leakage_w = params.core_leakage_w
-        self.core_dynamic_w = params.core_dynamic_w
-        # Matches the scalar ``core_dynamic_w * (1.0 + bonus * (2 - 1))``.
-        self.core_dynamic_smt2_w = params.core_dynamic_w * (
-            1.0 + params.smt_activity_bonus
+        self.base_power_w = power_model.params.base_power_w
+        self.power_model = power_model
+        self.power_group = group_id(
+            (
+                type(power_model),
+                power_model.params,
+                tuple(table._freqs),
+                tuple(table._volts),
+            )
         )
-        self.power_model = server.power_model
         self.min_frequency_ghz = server.dvfs.min_frequency_ghz
         self.idle_core_power_min_w = server.power_model.idle_core_power(
             self.min_frequency_ghz
@@ -128,11 +139,10 @@ class _ServerStatic:
         # allocate([]) is side-effect free and deterministic, so this equals
         # what Orchestrator.idle_step would compute on every idle step.
         self.idle_total_power_w = server.allocate([]).total_power_w
-        self.vt_group = vt_group
 
 
 class _SessionLane:
-    """Per-session constants plus the current video's content columns."""
+    """Per-session identity plus the current video's content columns."""
 
     __slots__ = (
         "session",
@@ -142,31 +152,11 @@ class _SessionLane:
         "step_counter",
         "video_name",
         "resolution_class",
-        # session-static model constants
-        "comp_key",
-        "rd_key",
-        "base_cycles_per_pixel",
-        "complexity_weight",
-        "one_minus_complexity_weight",
-        "motion_weight",
-        "intra_cost_factor",
-        "decode_base",
-        "psnr_at_ref_qp",
-        "psnr_slope",
-        "psnr_ref_qp",
-        "psnr_complexity_penalty",
-        "psnr_motion_penalty",
-        "psnr_floor",
-        "psnr_ceiling",
-        "bpp_at_ref_qp",
-        "intra_rate_factor",
-        "sync_overhead",
-        "delivery_fps",
+        "model_group",
         # video-static values (refreshed at playlist transitions)
         "pixels",
-        "rows",
-        "cols",
-        "serial_units",
+        "width",
+        "height",
         "effort_factor",
         "quality_gain_db",
         "compression_gain",
@@ -175,38 +165,30 @@ class _SessionLane:
         "scene_col",
     )
 
-    def __init__(self, session: TranscodingSession) -> None:
+    def __init__(
+        self, session: TranscodingSession, group_id: Callable[[tuple], int]
+    ) -> None:
         self.session = session
         self.session_id = session.session_id
         self.target_fps = session.request.target_fps
         self.step_counter = session.step
 
-        encoder = session.transcoder.encoder
-        comp = encoder.complexity_model.params
-        rd = encoder.rd_model.params
-        wpp = encoder.wpp_model.params
-        decode = session.transcoder.decoder.complexity_model.params
-
-        self.comp_key = comp
-        self.rd_key = rd
-        self.base_cycles_per_pixel = comp.base_cycles_per_pixel
-        self.complexity_weight = comp.complexity_weight
-        self.one_minus_complexity_weight = 1.0 - comp.complexity_weight
-        self.motion_weight = comp.motion_weight
-        self.intra_cost_factor = comp.intra_cost_factor
-        # First product of the scalar decode-cycles chain.
-        self.decode_base = decode.decode_fraction * decode.base_cycles_per_pixel
-        self.psnr_at_ref_qp = rd.psnr_at_ref_qp
-        self.psnr_slope = rd.psnr_slope_db_per_qp
-        self.psnr_ref_qp = rd.ref_qp
-        self.psnr_complexity_penalty = rd.psnr_complexity_penalty_db
-        self.psnr_motion_penalty = rd.psnr_motion_penalty_db
-        self.psnr_floor = rd.psnr_floor_db
-        self.psnr_ceiling = rd.psnr_ceiling_db
-        self.bpp_at_ref_qp = rd.bpp_at_ref_qp
-        self.intra_rate_factor = rd.intra_rate_factor
-        self.sync_overhead = wpp.sync_overhead_per_thread
-        self.delivery_fps = encoder.delivery_fps
+        # Lanes in one group share each model call; the class is part of
+        # the key so a subclass is evaluated by its own *_batch methods.
+        transcoder = session.transcoder
+        encoder = transcoder.encoder
+        models = (
+            encoder.wpp_model,
+            encoder.complexity_model,
+            encoder.rd_model,
+            transcoder.decoder.complexity_model,
+        )
+        self.model_group = group_id(
+            (
+                tuple((type(model), model.params) for model in models),
+                encoder.delivery_fps,
+            )
+        )
 
         self.refresh_video()
 
@@ -214,14 +196,12 @@ class _SessionLane:
         """Re-gather the values that depend on the current playlist video."""
         session = self.session
         video = session.current_video
-        encoder = session.transcoder.encoder
         self.video_index = session.video_index
         self.video_name = video.name
         self.resolution_class = video.resolution_class
         self.pixels = video.pixels_per_frame
-        self.rows = encoder.wpp_model.ctu_rows(video.height)
-        self.cols = encoder.wpp_model.ctu_cols(video.width)
-        self.serial_units = self.rows * self.cols
+        self.width = video.width
+        self.height = video.height
         preset = session.preset_for(video)
         self.effort_factor = preset.effort_factor
         self.quality_gain_db = preset.quality_gain_db
@@ -235,34 +215,36 @@ class _SessionLane:
 #: Names of the video-static per-lane float columns, in array order.
 _VIDEO_COLUMNS = (
     "pixels",
-    "rows",
-    "cols",
-    "serial_units",
+    "width",
+    "height",
     "effort_factor",
     "quality_gain_db",
     "compression_gain",
 )
 
-#: Names of the session-static per-lane float columns, in array order.
-_STATIC_COLUMNS = (
-    "base_cycles_per_pixel",
-    "complexity_weight",
-    "one_minus_complexity_weight",
-    "motion_weight",
-    "intra_cost_factor",
-    "decode_base",
-    "psnr_at_ref_qp",
-    "psnr_slope",
-    "psnr_ref_qp",
-    "psnr_complexity_penalty",
-    "psnr_motion_penalty",
-    "psnr_floor",
-    "psnr_ceiling",
-    "bpp_at_ref_qp",
-    "intra_rate_factor",
-    "sync_overhead",
-    "delivery_fps",
-)
+#: ``smt_threads`` as a column: one busy_core_power_batch call returns each
+#: lane's per-core power with one busy SMT sibling (row 0) and two (row 1).
+_SMT_OCCUPANCIES = np.array([[1], [2]])
+
+
+def _group_lanes(tagged: list[tuple]) -> list[tuple]:
+    """Partition lane positions by group id for one model call per group.
+
+    ``tagged`` holds one ``(group id, models)`` pair per lane; each group
+    keeps the models of its first lane.  A group that spans every lane
+    indexes with a basic slice, so its arrays are views rather than copies.
+    """
+    groups: dict = {}
+    for position, (group, models) in enumerate(tagged):
+        groups.setdefault(group, (models, []))[1].append(position)
+    if len(groups) == 1:
+        ((models, _),) = groups.values()
+        return [(models, slice(None))]
+    return [
+        (models, np.array(positions, dtype=np.int64))
+        for models, positions in groups.values()
+    ]
+
 
 #: Memoised per-schedule activation tables keyed by the schedule's slot
 #: triples: (hyper_period, agent names, frame % hyper -> local agent id | -1).
@@ -618,32 +600,17 @@ class BatchStepper:
         self.orchestrators = list(orchestrators)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
 
-        # Group identical voltage tables so heterogeneous fleets still
-        # evaluate each distinct table in one vectorized call.
-        self._voltage_tables: list = []
-        vt_keys: dict[tuple, int] = {}
-        self._servers: list[_ServerStatic] = []
-        for orch in self.orchestrators:
-            table = orch.server.power_model.voltage_table
-            key = (tuple(table._freqs), tuple(table._volts))
-            group = vt_keys.setdefault(key, len(self._voltage_tables))
-            if group == len(self._voltage_tables):
-                self._voltage_tables.append(table)
-            self._servers.append(_ServerStatic(orch, group))
-
+        # Model keys interned to small ints, so regrouping lanes after a
+        # roster change hashes ints rather than parameter dataclasses.
+        self._group_ids: dict[tuple, int] = {}
+        self._servers = [
+            _ServerStatic(orch, self._group_id) for orch in self.orchestrators
+        ]
         self._srv_cores = np.array([s.cores for s in self._servers], dtype=np.int64)
         self._srv_hw = np.array(
             [s.hw_threads for s in self._servers], dtype=np.int64
         )
         self._srv_smt_eff = np.array([s.smt_efficiency for s in self._servers])
-        self._srv_leak = np.array([s.core_leakage_w for s in self._servers])
-        self._srv_dyn = np.array([s.core_dynamic_w for s in self._servers])
-        self._srv_dyn_smt2 = np.array(
-            [s.core_dynamic_smt2_w for s in self._servers]
-        )
-        self._srv_vt_group = np.array(
-            [s.vt_group for s in self._servers], dtype=np.int64
-        )
 
         # Roster state (rebuilt whenever fleet membership changes).
         self._roster: list[TranscodingSession] = []
@@ -654,31 +621,14 @@ class BatchStepper:
         self._legacy_pos: list[int] = []
         self._counts: list[int] = []
         self._starts: list[int] = []
-        self._static = {}
         self._video_static = {}
-        self._comp_rows: dict = {}
-        self._rd_rows: dict = {}
-        self._comp_tables: Optional[np.ndarray] = None
-        self._rd_tables: Optional[np.ndarray] = None
-        self._comp_row_idx = np.empty(0, dtype=np.int64)
-        self._rd_row_idx = np.empty(0, dtype=np.int64)
-        self._leak_s = np.empty(0)
-        self._dyn_s = np.empty(0)
-        self._dyn_smt2_s = np.empty(0)
-        self._vt_group_s = np.empty(0, dtype=np.int64)
+        self._model_groups: list[tuple] = []
+        self._power_groups: list[tuple] = []
 
     # -- roster maintenance --------------------------------------------------------
 
-    def _qp_table_row(
-        self, tables: dict, model, build
-    ) -> int:
-        key = model.params
-        row = tables.get(key)
-        if row is None:
-            row = len(tables)
-            tables[key] = (row, np.array(build(model)))
-            return row
-        return row[0]
+    def _group_id(self, key: tuple) -> int:
+        return self._group_ids.setdefault(key, len(self._group_ids))
 
     def _rebuild_roster(self, actives: list[list[TranscodingSession]]) -> None:
         """Re-gather per-session static columns after a membership change."""
@@ -693,7 +643,7 @@ class BatchStepper:
             for session in sessions:
                 lane = self._lane_by_session.get(session)
                 if lane is None:
-                    lane = _SessionLane(session)
+                    lane = _SessionLane(session, self._group_id)
                 lanes.append(lane)
                 lane_map[session] = lane
                 roster.append(session)
@@ -707,61 +657,20 @@ class BatchStepper:
             starts.append(starts[-1] + count)
         self._starts = starts
 
-        self._static = {
-            name: np.array([getattr(lane, name) for lane in lanes])
-            for name in _STATIC_COLUMNS
-        }
         self._video_static = {
             name: np.array([float(getattr(lane, name)) for lane in lanes])
             for name in _VIDEO_COLUMNS
         }
-
-        # Stacked per-QP lookup tables, one row per distinct parameter set.
-        for lane in lanes:
-            encoder = lane.session.transcoder.encoder
-            self._qp_table_row(
-                self._comp_rows,
-                encoder.complexity_model,
-                lambda model: model._qp_factor_table(),
-            )
-            self._qp_table_row(
-                self._rd_rows,
-                encoder.rd_model,
-                lambda model: model._qp_rate_table(),
-            )
-        # Row order is dict insertion order, matching the indices handed out.
-        self._comp_tables = (
-            np.vstack([entry[1] for entry in self._comp_rows.values()])
-            if self._comp_rows
-            else None
+        self._model_groups = _group_lanes(
+            [(lane.model_group, lane.session.transcoder) for lane in lanes]
         )
-        self._rd_tables = (
-            np.vstack([entry[1] for entry in self._rd_rows.values()])
-            if self._rd_rows
-            else None
-        )
-        self._comp_row_idx = np.array(
+        self._power_groups = _group_lanes(
             [
-                self._comp_rows[
-                    lane.session.transcoder.encoder.complexity_model.params
-                ][0]
-                for lane in lanes
-            ],
-            dtype=np.int64,
+                (server.power_group, server.power_model)
+                for server, count in zip(self._servers, counts)
+                for _ in range(count)
+            ]
         )
-        self._rd_row_idx = np.array(
-            [
-                self._rd_rows[lane.session.transcoder.encoder.rd_model.params][0]
-                for lane in lanes
-            ],
-            dtype=np.int64,
-        )
-
-        counts_arr = np.array(counts, dtype=np.int64)
-        self._leak_s = np.repeat(self._srv_leak, counts_arr)
-        self._dyn_s = np.repeat(self._srv_dyn, counts_arr)
-        self._dyn_smt2_s = np.repeat(self._srv_dyn_smt2, counts_arr)
-        self._vt_group_s = np.repeat(self._srv_vt_group, counts_arr)
 
         # Partition lanes into driver-managed MAMUT controllers and everything
         # else (exactly MamutController; subclasses keep the scalar protocol).
@@ -806,23 +715,6 @@ class BatchStepper:
         return advanced, finished
 
     # -- stepping -------------------------------------------------------------------
-
-    def _voltage_arrays(self, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if len(self._voltage_tables) == 1:
-            table = self._voltage_tables[0]
-            return (
-                table.relative_voltage_batch(freq),
-                table.relative_dynamic_batch(freq),
-            )
-        v_rel = np.empty_like(freq)
-        dyn_rel = np.empty_like(freq)
-        for group, table in enumerate(self._voltage_tables):
-            mask = self._vt_group_s == group
-            if mask.any():
-                sub = freq[mask]
-                v_rel[mask] = table.relative_voltage_batch(sub)
-                dyn_rel[mask] = table.relative_dynamic_batch(sub)
-        return v_rel, dyn_rel
 
     def _idle_sample(self, server_index: int, step: int) -> PowerSample:
         static = self._servers[server_index]
@@ -894,32 +786,18 @@ class BatchStepper:
                 mo_l.append(lane.motion_col[frame_index])
                 sc_l.append(lane.scene_col[frame_index])
 
-            # Decision.__post_init__ already enforces threads >= 1 and a
-            # positive frequency; QP is only range-checked by EncoderConfig,
-            # which the batch path never builds — enforce it here so a
-            # misbehaving custom controller fails exactly like it would on
-            # the scalar engine.
-            if qp.min() < QP_MIN or qp.max() > QP_MAX:
-                raise EncodingError(f"QP must be in [{QP_MIN}, {QP_MAX}]")
             complexity = np.array(cx_l)
             motion = np.array(mo_l)
             scene = np.array(sc_l, dtype=bool)
 
         with profiler.phase("evaluate"):
-            static = self._static
             video = self._video_static
-            rows = video["rows"]
-            cols = video["cols"]
-            serial_units = video["serial_units"]
-            pixels = video["pixels"]
-
-            # -- WPP speedup and thread efficiency (mirrors WppModel.speedup) ---
-            usable = np.minimum(threads, rows)
-            parallel_units = (rows / usable) * cols + 2 * (usable - 1)
-            raw_speedup = serial_units / parallel_units
-            overhead = 1.0 + static["sync_overhead"] * (threads - 1)
-            speedup = np.maximum(1.0, raw_speedup / overhead)
-            speedup = np.where(threads > 1, speedup, 1.0)
+            speedup = np.empty(n)
+            for transcoder, s in self._model_groups:
+                speedup[s] = transcoder.encoder.wpp_model.speedup_batch(
+                    threads[s], video["width"][s], video["height"][s]
+                )
+            # WppModel.efficiency: the busy fraction of each allocated thread.
             activity = speedup / threads
 
             # -- per-server allocation (mirrors MulticoreServer.allocate) -------
@@ -956,65 +834,37 @@ class BatchStepper:
             smt_rep = np.repeat(smt_cores, busy_counts)
 
             effective_activity = np.minimum(1.0, activity / scale_rep)
-            v_rel, dyn_rel = self._voltage_arrays(freq)
-            leakage = self._leak_s * v_rel
-            per_single = leakage + (self._dyn_s * dyn_rel) * effective_activity
-            per_smt = leakage + (self._dyn_smt2_s * dyn_rel) * effective_activity
+            core_power = np.empty((2, n))
+            for power_model, s in self._power_groups:
+                core_power[:, s] = power_model.busy_core_power_batch(
+                    freq[s], effective_activity[s], _SMT_OCCUPANCIES
+                )
+            per_single, per_smt = core_power
 
             share = threads / total_rep
             own_single = share * single_rep
             own_smt = share * smt_rep
             session_power = own_single * per_single + own_smt * per_smt
 
-            # -- transcode math (mirrors HevcDecoder/HevcEncoder) ---------------
-            decode_cycles = (static["decode_base"] * pixels) * (
-                0.7 + 0.3 * complexity
-            )
-            decode_time = decode_cycles / (freq * 1e9)
-
-            qp_factor = self._comp_tables[self._comp_row_idx, qp - QP_MIN]
-            content_factor = (
-                static["one_minus_complexity_weight"]
-                + static["complexity_weight"] * complexity
-            )
-            motion_factor = 1.0 + static["motion_weight"] * motion
-            intra_factor = np.where(scene, static["intra_cost_factor"], 1.0)
-            encode_cycles = (
-                static["base_cycles_per_pixel"]
-                * pixels
-                * video["effort_factor"]
-                * qp_factor
-                * content_factor
-                * motion_factor
-                * intra_factor
-            )
+            # -- transcode (composed as in HevcDecoder/HevcEncoder/Transcoder) --
             effective = np.maximum(1.0, speedup * scale_rep)
-            encode_time = encode_cycles / (freq * 1e9 * effective)
-
-            psnr = (
-                static["psnr_at_ref_qp"]
-                - static["psnr_slope"] * (qp - static["psnr_ref_qp"])
-                - static["psnr_complexity_penalty"] * (complexity - 1.0)
-                - static["psnr_motion_penalty"] * motion
-                + video["quality_gain_db"]
-            )
-            psnr = np.minimum(
-                np.maximum(psnr, static["psnr_floor"]), static["psnr_ceiling"]
-            )
-
-            qp_scale = self._rd_tables[self._rd_row_idx, qp - QP_MIN]
-            content_scale = complexity * (0.8 + 0.4 * motion)
-            intra_scale = np.where(scene, static["intra_rate_factor"], 1.0)
-            bpp = (
-                static["bpp_at_ref_qp"]
-                * qp_scale
-                * content_scale
-                * intra_scale
-                * video["compression_gain"]
-            )
-            bits = bpp * pixels
-            bitrate = bits * static["delivery_fps"] / 1e6
-
+            decode_cycles, encode_time, psnr, bitrate = np.empty((4, n))
+            for transcoder, s in self._model_groups:
+                encoder = transcoder.encoder
+                q, cx, mo, sc = qp[s], complexity[s], motion[s], scene[s]
+                px = video["pixels"][s]
+                decoder_model = transcoder.decoder.complexity_model
+                decode_cycles[s] = decoder_model.decode_cycles_batch(px, cx)
+                encode_time[s] = encoder.complexity_model.encode_time_seconds_batch(
+                    q, px, cx, mo, sc, freq[s], effective[s], video["effort_factor"][s]
+                )
+                psnr[s] = encoder.rd_model.psnr_db_batch(
+                    q, cx, mo, video["quality_gain_db"][s]
+                )
+                bitrate[s] = encoder.rd_model.bitrate_mbps_batch(
+                    q, cx, mo, sc, px, encoder.delivery_fps, video["compression_gain"][s]
+                )
+            decode_time = decode_cycles / (freq * 1e9)
             total_time = decode_time + encode_time
             fps = 1.0 / total_time
 

@@ -11,11 +11,13 @@ Calibration anchor: a 1080p frame of average complexity at QP 27 with the
 ultrafast preset costs ~6e8 cycles, i.e. ~5 FPS single-threaded at 3.2 GHz,
 consistent with the single-thread points of the paper's Fig. 2.
 
-Every cost also has a *batch* entry point (``encode_cycles_batch``, ...)
-evaluating whole NumPy arrays at once.  The scalar and batch paths share the
-same per-QP lookup table for the exponential QP factor and apply the rest of
-the arithmetic in the same order, so their outputs are bitwise identical
-elementwise (the vectorized stepping engine's equivalence guarantee).
+The scalar methods serve the scalar stepping engine.  Their ``*_batch``
+forms evaluate whole NumPy arrays at once and are what the batch stepping
+engine (:mod:`repro.cluster.batch`) calls for every session's decode cycles
+and encode time.  Both forms share the same per-QP lookup table for the
+exponential QP factor and apply the rest of the arithmetic in the same
+order, so their outputs are bitwise identical elementwise: the two engines'
+equivalence guarantee rests on it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import EncodingError
 from repro.hevc.params import EncoderConfig, QP_MAX, QP_MIN
 from repro.video.sequence import Frame
 
@@ -98,7 +101,7 @@ class ComplexityModel:
     def _validate_qp_array(qp: np.ndarray) -> np.ndarray:
         qp = np.asarray(qp, dtype=np.int64)
         if qp.size and (qp.min() < QP_MIN or qp.max() > QP_MAX):
-            raise ValueError(f"QP values must be in [{QP_MIN}, {QP_MAX}]")
+            raise EncodingError(f"QP values must be in [{QP_MIN}, {QP_MAX}]")
         return qp
 
     def encode_cycles(self, frame: Frame, config: EncoderConfig) -> float:
@@ -136,9 +139,9 @@ class ComplexityModel:
     ) -> float:
         """Wall-clock encode time given frequency (GHz) and parallel speedup."""
         if frequency_ghz <= 0:
-            raise ValueError(f"frequency_ghz must be positive, got {frequency_ghz}")
+            raise EncodingError(f"frequency_ghz must be positive, got {frequency_ghz}")
         if speedup <= 0:
-            raise ValueError(f"speedup must be positive, got {speedup}")
+            raise EncodingError(f"speedup must be positive, got {speedup}")
         cycles = self.encode_cycles(frame, config)
         return cycles / (frequency_ghz * 1e9 * speedup)
 
@@ -205,9 +208,9 @@ class ComplexityModel:
         frequency_ghz = np.asarray(frequency_ghz)
         speedup = np.asarray(speedup)
         if np.any(frequency_ghz <= 0):
-            raise ValueError("frequency_ghz values must be positive")
+            raise EncodingError("frequency_ghz values must be positive")
         if np.any(speedup <= 0):
-            raise ValueError("speedup values must be positive")
+            raise EncodingError("speedup values must be positive")
         cycles = self.encode_cycles_batch(
             qp, pixels, complexity, motion, scene_change, effort_factor
         )

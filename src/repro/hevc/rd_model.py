@@ -13,13 +13,15 @@ Absolute values are calibrated so that a 1080p sequence of average complexity
 spans roughly 32-40 dB and 1-10 Mbit/s over QP 22..37 with the ultrafast
 preset, matching the ranges of Fig. 2.
 
-Every quantity also has a *batch* entry point (``psnr_db_batch``,
-``bits_per_pixel_batch``, ...) that evaluates whole NumPy arrays at once.
-The batch and scalar paths share the same per-QP lookup table for the one
-transcendental factor (the ``2^((ref-qp)/6)`` rate scale) and apply the
-remaining arithmetic in the same order, so their outputs are *bitwise
-identical* elementwise — the property the vectorized cluster stepping engine
-relies on for seed-for-seed equivalence with the scalar engine.
+The scalar methods serve the scalar stepping engine.  Their ``*_batch``
+forms (``psnr_db_batch``, ``bitrate_mbps_batch``, ...) evaluate whole NumPy
+arrays at once and are what the batch stepping engine
+(:mod:`repro.cluster.batch`) calls for every session's PSNR and bitrate.
+Both forms share the same per-QP lookup table for the one transcendental
+factor (the ``2^((ref-qp)/6)`` rate scale) and apply the remaining
+arithmetic in the same order, so their outputs are *bitwise identical*
+elementwise — the property the batch engine relies on for seed-for-seed
+equivalence with the scalar engine.
 """
 
 from __future__ import annotations

@@ -137,18 +137,6 @@ class WppModel:
         result = np.maximum(1.0, raw_speedup / overhead)
         return np.where(np.logical_and(wpp, threads > 1), result, 1.0)
 
-    def efficiency_batch(
-        self,
-        threads: np.ndarray,
-        width: np.ndarray,
-        height: np.ndarray,
-        wpp: np.ndarray | bool = True,
-    ) -> np.ndarray:
-        """Vectorized :meth:`efficiency` over parallel arrays."""
-        return self.speedup_batch(threads, width, height, wpp) / np.asarray(
-            threads, dtype=np.int64
-        )
-
     def saturation_threads(
         self, width: int, height: int, gain_threshold: float = 0.03
     ) -> int:

@@ -248,16 +248,6 @@ class PowerModel:
         dynamic = p.core_dynamic_w * smt_factor * dyn_rel * activity
         return leakage + dynamic
 
-    def idle_core_power_batch(self, frequency_ghz: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`idle_core_power` over an array of frequencies."""
-        p = self.params
-        v_rel = self.voltage_table.relative_voltage_batch(frequency_ghz)
-        dyn_rel = self.voltage_table.relative_dynamic_batch(frequency_ghz)
-        return (
-            p.core_leakage_w * v_rel
-            + p.idle_activity_fraction * p.core_dynamic_w * dyn_rel
-        )
-
     def package_power(
         self,
         busy_cores: list[tuple[float, float, int]],

@@ -1,7 +1,11 @@
 """Elementwise equivalence of the batch model entry points vs. the scalar ones.
 
-The vectorized stepping engine's seed-for-seed guarantee rests on the batch
-methods producing *bitwise identical* doubles; these property tests pin that
+These are the methods :class:`~repro.cluster.batch.BatchStepper` calls each
+step: WPP speedup, busy-core power, decode cycles, encode time, PSNR and
+bitrate (and the rate, cycle and voltage helpers behind them), plus the
+MAMUT driver's state discretisation and reward.  The batch engine's
+seed-for-seed guarantee rests on them producing *bitwise identical* doubles
+to the scalar methods the scalar engine calls; these property tests pin that
 down model by model over randomized inputs (including bin edges and
 operating-point grid values, where off-by-one-ULP bugs would hide).  The
 reward batch is the one documented exception: its in-range PSNR term goes
@@ -21,7 +25,7 @@ from repro.hevc.complexity import ComplexityModel, ComplexityModelParameters
 from repro.hevc.params import EncoderConfig, Preset
 from repro.hevc.rd_model import RateDistortionModel, RdModelParameters
 from repro.hevc.wpp import WppModel
-from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
+from repro.platform.power import PowerModel, VoltageTable
 from repro.video.content import FrameContent
 from repro.video.sequence import Frame
 
@@ -219,7 +223,7 @@ class TestComplexityModelBatch:
         assert batch.tolist() == scalar
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EncodingError):
             self.model.encode_time_seconds_batch(
                 np.array([32]), np.array([100]), np.array([1.0]),
                 np.array([0.0]), np.array([False]),
@@ -239,11 +243,11 @@ class TestWppModelBatch:
         width = np.array([w for _, w, _ in cases])
         height = np.array([h for _, _, h in cases])
         batch_speedup = model.speedup_batch(threads, width, height)
-        batch_eff = model.efficiency_batch(threads, width, height)
         scalar_speedup = [model.speedup(t, w, h) for t, w, h in cases]
         scalar_eff = [model.efficiency(t, w, h) for t, w, h in cases]
         assert batch_speedup.tolist() == scalar_speedup
-        assert batch_eff.tolist() == scalar_eff
+        # The batch engine derives thread activity as speedup / threads.
+        assert (batch_speedup / threads).tolist() == scalar_eff
 
     def test_wpp_disabled_is_unity(self):
         model = WppModel()
@@ -286,13 +290,12 @@ class TestPowerModelBatch:
             for f, a, s in zip(freqs, activity, smt)
         ]
         assert batch.tolist() == scalar
-
-    def test_idle_core_power_batch_bitwise_equals_scalar(self):
-        model = PowerModel(PowerModelParameters(idle_activity_fraction=0.5))
-        freqs = RNG.uniform(1.2, 3.2, size=100)
-        batch = model.idle_core_power_batch(freqs)
-        scalar = [model.idle_core_power(float(f)) for f in freqs]
-        assert batch.tolist() == scalar
+        # A column of SMT occupancies evaluates every core at both at once.
+        both = model.busy_core_power_batch(freqs, activity, np.array([[1], [2]]))
+        assert both.tolist() == [
+            [model.busy_core_power(float(f), float(a), s) for f, a in zip(freqs, activity)]
+            for s in (1, 2)
+        ]
 
     def test_invalid_activity_rejected(self):
         with pytest.raises(PlatformError):

@@ -9,6 +9,8 @@ objects with plain ``==`` (dataclass equality → exact float equality).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.cluster import (
@@ -26,6 +28,12 @@ from repro.cluster import (
 from repro.cluster.brownout import BrownoutController
 from repro.cluster.dispatch import PowerAware
 from repro.errors import ClusterError, ScenarioError
+from repro.hevc.complexity import ComplexityModel, ComplexityModelParameters
+from repro.hevc.decoder import HevcDecoder
+from repro.hevc.encoder import HevcEncoder
+from repro.hevc.rd_model import RateDistortionModel, RdModelParameters
+from repro.hevc.transcoder import Transcoder
+from repro.hevc.wpp import WppModel, WppModelParameters
 from repro.manager.factories import (
     heuristic_factory,
     mamut_factory,
@@ -34,6 +42,7 @@ from repro.manager.factories import (
 )
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
+from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
 from repro.platform.server import MulticoreServer
 from repro.platform.topology import CpuTopology
 from repro.video.catalog import random_sequence
@@ -281,6 +290,98 @@ class TestOrchestratorBatchRun:
     def test_run_rejects_unknown_engine(self):
         with pytest.raises(ScenarioError):
             Orchestrator(self.make_sessions(1)).run(engine="vector")
+
+
+class TestMixedModelParameters:
+    """Sessions and servers whose model parameters differ stay bitwise equal.
+
+    The batch engine evaluates each distinct set of model parameters with
+    its own models; these fleets mix several sets on one step.
+    """
+
+    @staticmethod
+    def custom_transcoder(psnr_at_ref_qp):
+        encoder = HevcEncoder(
+            rd_model=RateDistortionModel(
+                RdModelParameters(
+                    psnr_at_ref_qp=psnr_at_ref_qp,
+                    ref_qp=30,
+                    qp_per_rate_halving=5.5,
+                    intra_rate_factor=2.0,
+                )
+            ),
+            complexity_model=ComplexityModel(
+                ComplexityModelParameters(
+                    base_cycles_per_pixel=260.0,
+                    qp_sensitivity=0.04,
+                    complexity_weight=0.5,
+                    motion_weight=0.45,
+                )
+            ),
+            wpp_model=WppModel(
+                WppModelParameters(ctu_size=32, sync_overhead_per_thread=0.01)
+            ),
+            delivery_fps=30,
+        )
+        decoder = HevcDecoder(
+            ComplexityModel(ComplexityModelParameters(decode_fraction=0.03))
+        )
+        return Transcoder(encoder=encoder, decoder=decoder)
+
+    def make_sessions(self):
+        # (controller factory, transcoder) per user; None keeps the default
+        # transcoder.  Users 1 and 2 share one custom parameter set.
+        plan = [
+            (mamut_factory(), None),
+            (mamut_factory(), self.custom_transcoder(37.0)),
+            (heuristic_factory(), self.custom_transcoder(37.0)),
+            (mamut_factory(), self.custom_transcoder(39.5)),
+            (static_factory(qp=30, threads=5, frequency_ghz=2.6), None),
+        ]
+        sessions = []
+        for i, (factory, transcoder) in enumerate(plan):
+            resolution = ResolutionClass.HR if i % 2 == 0 else ResolutionClass.LR
+            sequence = random_sequence(resolution, rng=i, num_frames=12)
+            request = TranscodingRequest(user_id=f"user-{i}", sequence=sequence)
+            sessions.append(
+                TranscodingSession(
+                    request=request,
+                    controller=factory(request, seed=i),
+                    transcoder=transcoder,
+                )
+            )
+        return sessions
+
+    def test_orchestrator_mixed_transcoder_parameters(self):
+        scalar = Orchestrator(self.make_sessions()).run()
+        batch = Orchestrator(self.make_sessions()).run(engine="batch")
+        assert scalar.records_by_session == batch.records_by_session
+        assert list(scalar.power_samples) == list(batch.power_samples)
+        assert scalar.summary() == batch.summary()
+
+    @staticmethod
+    def custom_server():
+        return MulticoreServer(
+            power_model=PowerModel(
+                PowerModelParameters(
+                    base_power_w=28.0,
+                    core_dynamic_w=4.6,
+                    core_leakage_w=1.2,
+                    smt_activity_bonus=0.3,
+                    idle_activity_fraction=0.25,
+                ),
+                VoltageTable({1.2: 0.78, 1.6: 0.84, 2.0: 0.92, 2.6: 1.02, 3.2: 1.18}),
+            )
+        )
+
+    def test_cluster_mixed_power_models(self):
+        def kwargs():
+            kinds = itertools.cycle([MulticoreServer, self.custom_server])
+            return dict(servers=4, rate=1.5, server_factory=lambda: next(kinds)())
+
+        assert_identical(
+            run_cluster("scalar", **kwargs()), run_cluster("batch", **kwargs())
+        )
 
 
 class TestBatchStepperProtocol:

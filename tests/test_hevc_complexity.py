@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import EncodingError
 from repro.hevc.complexity import ComplexityModel
 from repro.hevc.params import EncoderConfig, Preset
 from repro.video.content import FrameContent
@@ -101,7 +102,7 @@ class TestEncodeTime:
     def test_invalid_inputs_raise(self, model):
         frame = frame_with()
         config = EncoderConfig(qp=32, threads=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(EncodingError):
             model.encode_time_seconds(frame, config, 0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(EncodingError):
             model.encode_time_seconds(frame, config, 3.2, 0.0)
