@@ -206,10 +206,9 @@ class _SessionLane:
         self.effort_factor = preset.effort_factor
         self.quality_gain_db = preset.quality_gain_db
         self.compression_gain = preset.compression_gain
-        frames = video.frames
-        self.complexity_col = [f.complexity for f in frames]
-        self.motion_col = [f.motion for f in frames]
-        self.scene_col = [f.is_scene_change for f in frames]
+        self.complexity_col = video.complexity_column
+        self.motion_col = video.motion_column
+        self.scene_col = video.scene_change_column
 
 
 #: Names of the video-static per-lane float columns, in array order.

@@ -9,10 +9,14 @@ controller:
   frame by frame, which is exactly the "noise" the multi-agent learner has to
   cope with (paper Sec. IV-A).
 
-The :class:`ContentModel` generates a per-frame stream of
-:class:`FrameContent` samples from a first-order autoregressive process with
-occasional scene changes.  The process is fully determined by a seed so that
-experiments are reproducible.
+The :class:`ContentModel` draws a sequence's content from a first-order
+autoregressive process with occasional scene changes, fully determined by a
+seed so that experiments are reproducible.  :meth:`ContentModel.columns` is
+the one implementation of that process: a single loop that returns the
+content as three columns (complexity, motion, scene change), which is how
+:class:`~repro.video.sequence.VideoSequence` stores it.
+:meth:`ContentModel.generate` wraps the same loop and returns one
+:class:`FrameContent` per frame.
 """
 
 from __future__ import annotations
@@ -53,12 +57,16 @@ class ContentProfile:
     scene_change_rate: float = 0.004
 
     def __post_init__(self) -> None:
-        if self.complexity <= 0:
-            raise VideoError(f"complexity must be positive, got {self.complexity}")
+        if not (math.isfinite(self.complexity) and self.complexity > 0):
+            raise VideoError(
+                f"complexity must be positive and finite, got {self.complexity}"
+            )
         if not 0.0 <= self.motion <= 1.0:
             raise VideoError(f"motion must be in [0, 1], got {self.motion}")
-        if self.variability < 0:
-            raise VideoError(f"variability must be >= 0, got {self.variability}")
+        if not (math.isfinite(self.variability) and self.variability >= 0):
+            raise VideoError(
+                f"variability must be >= 0 and finite, got {self.variability}"
+            )
         if not 0.0 <= self.scene_change_rate <= 1.0:
             raise VideoError(
                 f"scene_change_rate must be in [0, 1], got {self.scene_change_rate}"
@@ -86,11 +94,13 @@ class FrameContent:
 
 
 class ContentModel:
-    """Seeded generator of per-frame :class:`FrameContent` samples.
+    """Seeded generator of per-frame content.
 
     The spatial complexity follows a mean-reverting AR(1) process around the
     profile mean; a scene change re-centres the process at a freshly drawn
     level.  Motion follows a slower AR(1) process bounded to ``[0, 1]``.
+    Consecutive calls continue one stream: generating 30 frames and then 42
+    yields the same content as generating 72 at once.
 
     Parameters
     ----------
@@ -109,57 +119,65 @@ class ContentModel:
     def __init__(self, profile: ContentProfile | None = None, seed: int = 0) -> None:
         self.profile = profile if profile is not None else ContentProfile()
         self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
-        self._level = self.profile.complexity
-        self._current = self.profile.complexity
-        self._motion = self.profile.motion
+        self.reset()
 
     def reset(self) -> None:
         """Rewind the generator to its initial, seed-determined state."""
         self._rng = np.random.default_rng(self.seed)
-        self._level = self.profile.complexity
-        self._current = self.profile.complexity
-        self._motion = self.profile.motion
+        self._level = self._current = float(self.profile.complexity)
+        self._motion = float(self.profile.motion)
 
-    def next_frame(self) -> FrameContent:
-        """Generate the content descriptors of the next frame."""
+    def columns(
+        self, num_frames: int
+    ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...]]:
+        """Generate the next ``num_frames`` frames as content columns.
+
+        Returns ``(complexity, motion, scene_change)``, one entry per frame.
+        Each frame draws, in order: a uniform for the scene change, a new
+        level if the scene changes, the complexity noise and the motion
+        noise.  Every seeded result depends on that order.  The clamps are
+        ``min``/``max`` on Python floats, which give the values ``np.clip``
+        gives at a small fraction of its per-call cost.
+        """
+        if num_frames < 0:
+            raise VideoError(f"num_frames must be >= 0, got {num_frames}")
         profile = self.profile
-        scene_change = bool(self._rng.random() < profile.scene_change_rate)
-        if scene_change:
-            # A new scene re-draws the local complexity level around the mean.
-            self._level = float(
-                np.clip(
-                    self._rng.normal(profile.complexity, 3.0 * profile.variability),
-                    0.4,
-                    2.0,
-                )
-            )
-            self._current = self._level
+        # Python floats throughout, so the columns hold plain floats and bools.
+        mean = float(profile.complexity)
+        variability = float(profile.variability)
+        scene_change_rate = float(profile.scene_change_rate)
+        level_sigma = 3.0 * variability
+        motion_sigma = 0.02 + 0.05 * variability
+        rho_c = self._RHO_COMPLEXITY
+        pull_c = 1.0 - rho_c
+        noise_scale = math.sqrt(1.0 - rho_c**2)
+        rho_m = self._RHO_MOTION
+        pull_m = (1.0 - rho_m) * float(profile.motion)
+        random = self._rng.random
+        normal = self._rng.normal
 
-        noise = self._rng.normal(0.0, profile.variability)
-        self._current = (
-            self._RHO_COMPLEXITY * self._current
-            + (1.0 - self._RHO_COMPLEXITY) * self._level
-            + noise * math.sqrt(1.0 - self._RHO_COMPLEXITY**2)
-        )
-        self._current = float(np.clip(self._current, 0.4, 2.0))
-
-        motion_noise = self._rng.normal(0.0, 0.02 + 0.05 * profile.variability)
-        self._motion = (
-            self._RHO_MOTION * self._motion
-            + (1.0 - self._RHO_MOTION) * profile.motion
-            + motion_noise
-        )
-        self._motion = float(np.clip(self._motion, 0.0, 1.0))
-
-        return FrameContent(
-            complexity=self._current,
-            motion=self._motion,
-            scene_change=scene_change,
-        )
+        level, current, motion = self._level, self._current, self._motion
+        complexity_col: list[float] = []
+        motion_col: list[float] = []
+        scene_col: list[bool] = []
+        for _ in range(num_frames):
+            scene_change = random() < scene_change_rate
+            if scene_change:
+                # A new scene re-draws the local complexity level around the mean.
+                level = current = min(max(normal(mean, level_sigma), 0.4), 2.0)
+            current = rho_c * current + pull_c * level + normal(0.0, variability) * noise_scale
+            current = min(max(current, 0.4), 2.0)
+            motion = rho_m * motion + pull_m + normal(0.0, motion_sigma)
+            motion = min(max(motion, 0.0), 1.0)
+            complexity_col.append(current)
+            motion_col.append(motion)
+            scene_col.append(scene_change)
+        self._level, self._current, self._motion = level, current, motion
+        return tuple(complexity_col), tuple(motion_col), tuple(scene_col)
 
     def generate(self, num_frames: int) -> list[FrameContent]:
         """Generate ``num_frames`` consecutive frame descriptors."""
-        if num_frames < 0:
-            raise VideoError(f"num_frames must be >= 0, got {num_frames}")
-        return [self.next_frame() for _ in range(num_frames)]
+        return [
+            FrameContent(complexity=c, motion=m, scene_change=s)
+            for c, m, s in zip(*self.columns(num_frames))
+        ]

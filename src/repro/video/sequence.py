@@ -1,8 +1,9 @@
 """Video sequences and frames.
 
-A :class:`VideoSequence` is the unit of work a transcoding user submits.  It
-is a fully materialised list of :class:`Frame` objects (resolution + per-frame
-content descriptors), mirroring a decoded JCT-VC test sequence.
+A :class:`VideoSequence` is the unit of work a transcoding user submits,
+mirroring a decoded JCT-VC test sequence.  Its per-frame content is generated
+up front and stored as three columns (complexity, motion, scene change); a
+:class:`Frame` object is built only when the sequence is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ class VideoSequence:
         Content profile used to generate per-frame descriptors.
     seed:
         Seed for the content model, making the sequence reproducible.
+
+    Integer indexing and iteration build :class:`Frame` objects on demand,
+    with the semantics of a list.  :attr:`complexity_column`,
+    :attr:`motion_column` and :attr:`scene_change_column` expose the same
+    content without building frames.
     """
 
     def __init__(
@@ -124,22 +130,30 @@ class VideoSequence:
         self.profile = profile if profile is not None else ContentProfile()
         self.seed = int(seed)
 
-        model = ContentModel(self.profile, seed=self.seed)
-        self._frames: list[Frame] = [
-            Frame(index=i, width=self.width, height=self.height, content=model.next_frame())
-            for i in range(num_frames)
-        ]
+        self._complexity, self._motion, self._scene_change = ContentModel(
+            self.profile, seed=self.seed
+        ).columns(num_frames)
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._complexity)
 
     def __iter__(self) -> Iterator[Frame]:
-        return iter(self._frames)
+        return map(self._frame, range(len(self)))
 
     def __getitem__(self, index: int) -> Frame:
-        return self._frames[index]
+        # range() indexing gives list semantics: negative indices count from
+        # the end and an out-of-range index raises IndexError.
+        return self._frame(range(len(self))[index])
+
+    def _frame(self, index: int) -> Frame:
+        content = FrameContent(
+            complexity=self._complexity[index],
+            motion=self._motion[index],
+            scene_change=self._scene_change[index],
+        )
+        return Frame(index=index, width=self.width, height=self.height, content=content)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -152,7 +166,22 @@ class VideoSequence:
     @property
     def frames(self) -> Sequence[Frame]:
         """Immutable view of the frames of this sequence."""
-        return tuple(self._frames)
+        return tuple(self)
+
+    @property
+    def complexity_column(self) -> tuple[float, ...]:
+        """Spatial complexity of every frame, in frame order."""
+        return self._complexity
+
+    @property
+    def motion_column(self) -> tuple[float, ...]:
+        """Temporal activity of every frame, in frame order."""
+        return self._motion
+
+    @property
+    def scene_change_column(self) -> tuple[bool, ...]:
+        """Scene-change flag of every frame, in frame order."""
+        return self._scene_change
 
     @property
     def resolution_class(self) -> ResolutionClass:
@@ -172,9 +201,9 @@ class VideoSequence:
     @property
     def mean_complexity(self) -> float:
         """Average spatial complexity over the whole sequence."""
-        return sum(f.complexity for f in self._frames) / len(self._frames)
+        return sum(self._complexity) / len(self)
 
     @property
     def mean_motion(self) -> float:
         """Average temporal activity over the whole sequence."""
-        return sum(f.motion for f in self._frames) / len(self._frames)
+        return sum(self._motion) / len(self)

@@ -2,10 +2,46 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import VideoError
+from repro.video.catalog import SEQUENCE_CATALOG
 from repro.video.content import ContentModel, ContentProfile, FrameContent
+
+
+def reference_columns(profile: ContentProfile, seed: int, num_frames: int) -> tuple:
+    """Frozen reference for :meth:`ContentModel.columns`.
+
+    The per-frame AR(1) step the columnar loop replaced, frozen: the same
+    arithmetic and draw order, ``np.clip`` clamps, constants written out.
+    """
+    rng = np.random.default_rng(seed)
+    level = current = profile.complexity
+    motion = profile.motion
+    complexity_col, motion_col, scene_col = [], [], []
+    for _ in range(num_frames):
+        scene_change = bool(rng.random() < profile.scene_change_rate)
+        if scene_change:
+            level = float(
+                np.clip(rng.normal(profile.complexity, 3.0 * profile.variability), 0.4, 2.0)
+            )
+            current = level
+
+        noise = rng.normal(0.0, profile.variability)
+        current = 0.92 * current + (1.0 - 0.92) * level + noise * math.sqrt(1.0 - 0.92**2)
+        current = float(np.clip(current, 0.4, 2.0))
+
+        motion_noise = rng.normal(0.0, 0.02 + 0.05 * profile.variability)
+        motion = 0.97 * motion + (1.0 - 0.97) * profile.motion + motion_noise
+        motion = float(np.clip(motion, 0.0, 1.0))
+
+        complexity_col.append(current)
+        motion_col.append(motion)
+        scene_col.append(scene_change)
+    return tuple(complexity_col), tuple(motion_col), tuple(scene_col)
 
 
 class TestContentProfile:
@@ -33,6 +69,19 @@ class TestContentProfile:
     def test_rejects_invalid_scene_change_rate(self):
         with pytest.raises(VideoError):
             ContentProfile(scene_change_rate=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("complexity", math.nan),
+            ("complexity", math.inf),
+            ("variability", math.nan),
+            ("variability", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(VideoError, match=field):
+            ContentProfile(**{field: value})
 
 
 class TestContentModel:
@@ -87,3 +136,62 @@ class TestContentModel:
         content = FrameContent(complexity=1.0, motion=0.5)
         with pytest.raises(Exception):
             content.complexity = 2.0  # type: ignore[misc]
+
+
+class TestColumnsMatchReference:
+    """``columns`` reproduces the frozen reference exactly (``==``, no tolerance)."""
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCE_CATALOG))
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_catalog_profiles(self, name, seed):
+        profile = SEQUENCE_CATALOG[name].profile
+        assert ContentModel(profile, seed=seed).columns(600) == reference_columns(
+            profile, seed, 600
+        )
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            ContentProfile(variability=0.0),
+            ContentProfile(scene_change_rate=0.0),
+            ContentProfile(scene_change_rate=1.0),
+            ContentProfile(motion=0.0),
+            ContentProfile(motion=1.0),
+        ],
+        ids=["variability=0", "scene_rate=0", "scene_rate=1", "motion=0", "motion=1"],
+    )
+    def test_edge_profiles(self, profile):
+        assert ContentModel(profile, seed=3).columns(400) == reference_columns(
+            profile, 3, 400
+        )
+
+    def test_every_clamp_binds(self):
+        profile = ContentProfile(motion=0.6, variability=0.5)
+        columns = ContentModel(profile, seed=0).columns(500)
+        complexity, motion, _ = columns
+        # Both bounds of both clamps are hit, so the clamps are exercised.
+        assert (min(complexity), max(complexity)) == (0.4, 2.0)
+        assert (min(motion), max(motion)) == (0.0, 1.0)
+        assert columns == reference_columns(profile, 0, 500)
+
+    def test_chunked_generation_carries_the_ar_state(self):
+        profile = ContentProfile(variability=0.1, scene_change_rate=0.05)
+        chunked = ContentModel(profile, seed=11)
+        first = chunked.columns(30)
+        second = chunked.columns(42)
+        joined = tuple(a + b for a, b in zip(first, second))
+        assert joined == ContentModel(profile, seed=11).columns(72)
+        assert joined == reference_columns(profile, 11, 72)
+
+        model = ContentModel(profile, seed=11)
+        assert model.generate(30) + model.generate(42) == ContentModel(
+            profile, seed=11
+        ).generate(72)
+
+    def test_columns_hold_plain_floats_and_bools(self):
+        profile = ContentProfile(
+            complexity=np.float64(1.1), motion=np.float64(0.5), scene_change_rate=np.float64(0.5)
+        )
+        complexity, motion, scene_change = ContentModel(profile, seed=0).columns(50)
+        assert all(type(value) is float for value in complexity + motion)
+        assert all(type(value) is bool for value in scene_change)

@@ -100,3 +100,42 @@ class TestVideoSequence:
         frames = sequence.frames
         assert isinstance(frames, tuple)
         assert len(frames) == len(sequence)
+
+    def test_integer_indexing_has_list_semantics(self):
+        sequence = self.make(num_frames=12)
+        assert sequence[-1].index == len(sequence) - 1
+        assert sequence[-len(sequence)].index == 0
+        assert sequence[-1] == sequence[len(sequence) - 1]
+        with pytest.raises(IndexError):
+            sequence[len(sequence)]
+        with pytest.raises(IndexError):
+            sequence[-len(sequence) - 1]
+
+    def test_iteration_matches_frames(self):
+        sequence = self.make()
+        assert list(sequence) == list(sequence.frames)
+        assert [f.index for f in sequence] == list(range(len(sequence)))
+
+    def test_frames_match_columns(self):
+        sequence = self.make(profile=ContentProfile(scene_change_rate=0.2))
+        for i, frame in enumerate(sequence):
+            assert frame.content == FrameContent(
+                complexity=sequence.complexity_column[i],
+                motion=sequence.motion_column[i],
+                scene_change=sequence.scene_change_column[i],
+            )
+
+    def test_columns_are_tuples_of_num_frames(self):
+        sequence = self.make(num_frames=17)
+        for column in (
+            sequence.complexity_column,
+            sequence.motion_column,
+            sequence.scene_change_column,
+        ):
+            assert isinstance(column, tuple)
+            assert len(column) == 17
+
+    def test_same_seed_sequences_are_equal_frame_by_frame(self):
+        a = self.make(seed=5, profile=ContentProfile(scene_change_rate=0.1))
+        b = self.make(seed=5, profile=ContentProfile(scene_change_rate=0.1))
+        assert list(a) == list(b)
