@@ -30,7 +30,7 @@ from repro.core.learning_rate import LearningRateParameters
 from repro.core.observation import Observation, average_observations
 from repro.core.phases import Phase
 from repro.core.rewards import RewardConfig, RewardFunction
-from repro.core.states import StateSpace, SystemState
+from repro.core.states import StateSpace
 from repro.errors import ConfigurationError
 from repro.platform.dvfs import DvfsPolicy
 from repro.video.request import TranscodingRequest
@@ -161,7 +161,7 @@ class MonoAgentController(Controller):
             state_space=self.state_space,
         )
         self._current_index = self._initial_action_index(actions)
-        self._pending: Optional[tuple[SystemState, int]] = None
+        self._pending: Optional[tuple[int, int]] = None
         self._observations: list[Observation] = []
 
     @property
@@ -186,7 +186,7 @@ class MonoAgentController(Controller):
 
     def _act(self) -> None:
         averaged = average_observations(self._observations)
-        state = self.state_space.discretize(averaged)
+        state = self.state_space.state_index(self.state_space.discretize(averaged))
 
         if self._pending is not None:
             previous_state, previous_action = self._pending

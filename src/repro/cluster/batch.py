@@ -14,11 +14,13 @@ NumPy evaluation per cluster step:
    :class:`~repro.core.mamut.MamutController` are advanced by the vectorized
    MAMUT driver (:class:`_MamutDriver` below): their observation windows
    live in fleet-wide struct-of-arrays running sums, and on activation steps
-   the window averaging, :meth:`~repro.core.states.StateSpace.discretize_batch`
-   and :meth:`~repro.core.rewards.RewardFunction.total_batch` (exact mode)
-   run across every activating session in one shot before the grouped
-   per-agent Q updates and action selections are applied session by session
-   (each session's exploration RNG draws stay in its own scalar order).
+   the window averaging, :meth:`~repro.core.states.StateSpace.discretize_batch`,
+   :meth:`~repro.core.states.StateSpace.state_index_batch` and
+   :meth:`~repro.core.rewards.RewardFunction.total_batch` (exact mode) run
+   across every activating session in one shot before the grouped per-agent
+   Q updates and action selections are applied session by session, each
+   agent receiving its dense integer state directly (each session's
+   exploration RNG draws stay in its own scalar order).
    Every other controller is asked per session via
    :meth:`~repro.manager.session.TranscodingSession.peek_decision`.
 2. **Evaluate** — WPP speedup, busy-core power, decode cycles, encode time,
@@ -83,7 +85,6 @@ import numpy as np
 from repro.constants import TARGET_FPS
 from repro.core.mamut import MamutController
 from repro.core.observation import Observation
-from repro.core.states import SystemState
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.metrics.records import FrameRecord, PowerSample
@@ -276,7 +277,8 @@ class _MamutDriver:
     discretisation, reward, Eq. 3, Q update).  The driver keeps the
     per-session observation windows as struct-of-arrays running sums and, on
     activation steps, performs the averaging,
-    :meth:`~repro.core.states.StateSpace.discretize_batch` and
+    :meth:`~repro.core.states.StateSpace.discretize_batch`,
+    :meth:`~repro.core.states.StateSpace.state_index_batch` and
     :meth:`~repro.core.rewards.RewardFunction.total_batch` (exact mode, so
     rewards are bitwise those of the scalar path) across *all* activating
     sessions at once — grouped by identical (state space, reward config)
@@ -284,7 +286,8 @@ class _MamutDriver:
     per-session work — the grouped-per-agent Q updates and the action
     selection, whose exploration randomness must consume each session's RNG
     in its own scalar order — goes through
-    :meth:`~repro.core.mamut.MamutController.apply_external_activation`.
+    :meth:`~repro.core.mamut.MamutController.apply_external_activation`,
+    which takes the dense state index as it is.
 
     The controllers' canonical window state (running sums + count) is
     mirrored into the arrays here; :meth:`flush` writes it back so the state
@@ -313,7 +316,6 @@ class _MamutDriver:
         "schedule_groups",
         "vgid",
         "vector_members",
-        "state_interns",
     )
 
     def __init__(self, lanes: list[_SessionLane], positions: list[int]) -> None:
@@ -425,12 +427,6 @@ class _MamutDriver:
                 members_by_key[key] = gid
                 self.vector_members.append((space, ctl.reward_function))
             self.vgid[k] = gid
-        # Interned SystemState per dense index, one pool per vector group:
-        # activations hitting a previously seen state reuse the object
-        # instead of re-constructing the frozen dataclass.
-        self.state_interns = [
-            [None] * space.size for space, _ in self.vector_members
-        ]
 
     # -- per-step operation ------------------------------------------------------------
 
@@ -471,7 +467,7 @@ class _MamutDriver:
         avg_power = self.win_power[pos] / counts
 
         rewards = np.empty(len(pos))
-        states: list = [None] * len(pos)
+        state_array = np.empty(len(pos), dtype=np.int64)
         vgid = self.vgid[pos]
         for gid, (space, reward_function) in enumerate(self.vector_members):
             mask = vgid == gid
@@ -487,18 +483,9 @@ class _MamutDriver:
                 avg_power[mask],
                 exact=True,
             )
-            indices = space.state_index_batch(bins).tolist()
-            interns = self.state_interns[gid]
-            for offset, k in enumerate(np.nonzero(mask)[0]):
-                state_index = indices[offset]
-                state = interns[state_index]
-                if state is None:
-                    row = bins[offset]
-                    state = SystemState(
-                        int(row[0]), int(row[1]), int(row[2]), int(row[3])
-                    )
-                    interns[state_index] = state
-                states[k] = state
+            state_array[mask] = space.state_index_batch(bins)
+        # Dense state indices as Python ints: the agents' native state form.
+        states = state_array.tolist()
 
         # Grouped per-agent Q updates + action selections.  Sessions only
         # ever touch their own agents and RNGs, so the cross-session order

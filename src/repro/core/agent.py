@@ -1,8 +1,10 @@
 """Q-learning agent: one design-space subset, one Q-table.
 
 A :class:`QLearningAgent` owns an action subset (QP values, thread counts, or
-frequencies), its Q-table, its empirical transition model, per-action and
-per-(state, action) visit counters, and the learning-rate function of Eq. 3.
+frequencies), its Q-table, its empirical transition model (whose per-pair
+totals are the per-(state, action) visit counts), per-action visit counters,
+and the learning-rate function of Eq. 3.  States are the dense integers of
+:meth:`~repro.core.states.StateSpace.state_index`.
 The multi-agent coordination (who acts when, chained exploitation, reward
 distribution) lives in :mod:`repro.core.mamut`; the agent itself only knows
 how to pick actions for a given phase and how to apply the Q update.
@@ -10,8 +12,7 @@ how to pick actions for a given phase and how to apply the Q update.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.core.actions import ActionSet
 from repro.core.learning_rate import LearningRateFunction, LearningRateParameters
 from repro.core.phases import Phase
 from repro.core.qtable import QTable
-from repro.core.states import StateSpace, SystemState
+from repro.core.states import StateSpace
 from repro.core.transitions import TransitionModel
 from repro.errors import LearningError
 
@@ -53,11 +54,11 @@ class QLearningAgent:
         the run-time traces the paper reports (Fig. 5).  Set to 1.0 for pure
         least-tried exploration.
     state_space:
-        When given, the agent's Q-table uses the dense array mode addressed
-        by the space's integer state encoding (see
-        :class:`~repro.core.qtable.QTable`); every state handed to the agent
-        must then belong to the space.  Values are identical either way —
-        the array mode just makes lookups and fleet-batched updates O(1).
+        The space the agent's states come from.  Every state handed to the
+        agent is its dense :meth:`~repro.core.states.StateSpace.state_index`
+        integer, which addresses the Q-table rows, the transition counts and
+        the visit counters.  Persistence uses the space to write states as
+        bin tuples.
     """
 
     def __init__(
@@ -68,7 +69,7 @@ class QLearningAgent:
         learning_rate_params: LearningRateParameters | None = None,
         seed: int = 0,
         exploration_epsilon: float = 0.25,
-        state_space: StateSpace | None = None,
+        state_space: StateSpace = StateSpace(),
     ) -> None:
         if not 0.0 <= gamma < 1.0:
             raise LearningError(f"gamma must be in [0, 1), got {gamma}")
@@ -81,12 +82,12 @@ class QLearningAgent:
         self.gamma = float(gamma)
         self.exploration_epsilon = float(exploration_epsilon)
         self.learning_rate = LearningRateFunction(learning_rate_params)
-        self.q_table = QTable(num_actions=len(actions), state_space=state_space)
-        self.transitions = TransitionModel(num_actions=len(actions))
+        self.state_space = state_space
+        self.q_table = QTable(len(actions), state_space.size)
+        #: Also holds Num(s, a), as each pair's transition total.
+        self.transitions = TransitionModel(len(actions), state_space.size)
         self._rng = np.random.default_rng(seed)
 
-        #: Num(s, a): how often each (state, action) pair has been taken.
-        self._state_action_counts: Dict[Tuple[SystemState, int], int] = defaultdict(int)
         #: Num(a): how often each action has been taken overall (any state).
         self._action_counts: Dict[int, int] = {a: 0 for a in actions.indices()}
         # Caches over the counters, so the per-activation hot path (Eq. 3 and
@@ -96,13 +97,13 @@ class QLearningAgent:
         self._min_action_count: int | None = 0
         #: max_a Num(s, a) per state — the visit count whose Eq. 3 learning
         #: rate is the *smallest* over the state's actions.
-        self._state_max_counts: Dict[SystemState, int] = {}
+        self._state_max_counts: Dict[int, int] = {}
 
     # -- counters ------------------------------------------------------------------
 
-    def state_action_count(self, state: SystemState, action: int) -> int:
+    def state_action_count(self, state: int, action: int) -> int:
         """``Num(s, a)`` for this agent."""
-        return self._state_action_counts.get((state, action), 0)
+        return self.transitions.total(state, action)
 
     def action_count(self, action: int) -> int:
         """``Num(a)``: total times this agent has taken the given action."""
@@ -120,23 +121,26 @@ class QLearningAgent:
             self._min_action_count = min(self._action_counts.values())
         return self._min_action_count
 
-    def max_state_count(self, state: SystemState) -> int:
+    def max_state_count(self, state: int) -> int:
         """``max_a Num(s, a)`` — the most-tried action count in ``state``."""
+        num_states = self.q_table.num_states
+        if not 0 <= state < num_states:
+            raise LearningError(f"state index {state} out of range [0, {num_states})")
         return self._state_max_counts.get(state, 0)
 
-    def known_states(self) -> set[SystemState]:
+    def known_states(self) -> set[int]:
         """States in which this agent has taken at least one action."""
-        return {state for state, _ in self._state_action_counts}
+        return set(self._state_max_counts)
 
     # -- learning rate / phase --------------------------------------------------------
 
-    def alpha(self, state: SystemState, action: int, peer_min_counts: Sequence[int]) -> float:
+    def alpha(self, state: int, action: int, peer_min_counts: Sequence[int]) -> float:
         """Learning rate (Eq. 3) of a (state, action) pair."""
         return self.learning_rate.alpha(
             self.state_action_count(state, action), peer_min_counts
         )
 
-    def phase(self, state: SystemState, peer_min_counts: Sequence[int]) -> Phase:
+    def phase(self, state: int, peer_min_counts: Sequence[int]) -> Phase:
         """Learning phase of this agent for ``state``.
 
         A state leaves pure exploration once the learning rate of a
@@ -166,7 +170,7 @@ class QLearningAgent:
 
     # -- action selection ---------------------------------------------------------------
 
-    def select_exploration_action(self, state: SystemState, current: int | None = None) -> int:
+    def select_exploration_action(self, state: int, current: int | None = None) -> int:
         """Exploration action for ``state``.
 
         With probability ``exploration_epsilon`` a random action is drawn,
@@ -189,7 +193,7 @@ class QLearningAgent:
             return int(self._rng.choice(candidates))
         return self.select_greedy_action(state, current=current)
 
-    def select_greedy_action(self, state: SystemState, current: int | None = None) -> int:
+    def select_greedy_action(self, state: int, current: int | None = None) -> int:
         """Greedy action with respect to this agent's own Q-table.
 
         Ties are resolved in favour of ``current`` (the action already
@@ -205,7 +209,7 @@ class QLearningAgent:
             return current
         return int(self._rng.choice(candidates))
 
-    def select_action(self, state: SystemState, phase: Phase) -> int:
+    def select_action(self, state: int, phase: Phase) -> int:
         """Select an action according to the given phase.
 
         EXPLOITATION selection normally goes through the chained expected-Q
@@ -221,10 +225,10 @@ class QLearningAgent:
 
     def update(
         self,
-        state: SystemState,
+        state: int,
         action: int,
         reward: float,
-        next_state: SystemState,
+        next_state: int,
         peer_min_counts: Sequence[int],
     ) -> float:
         """Apply one Q-learning update and record the transition.
@@ -235,13 +239,7 @@ class QLearningAgent:
         ``beta / 1 + ...`` exactly as Eq. 3 prescribes.
         """
         action = int(action)
-        if not 0 <= action < len(self.actions):
-            raise LearningError(
-                f"action index {action} out of range [0, {len(self.actions)})"
-            )
-
-        pair_count = self._state_action_counts[(state, action)] + 1
-        self._state_action_counts[(state, action)] = pair_count
+        pair_count = self.transitions.record(state, action, next_state)
         if pair_count > self._state_max_counts.get(state, 0):
             self._state_max_counts[state] = pair_count
         previous = self._action_counts[action]
@@ -249,24 +247,24 @@ class QLearningAgent:
         if self._min_action_count is not None and previous == self._min_action_count:
             # A least-tried action was bumped; the min may have risen.
             self._min_action_count = None
-        self.transitions.record(state, action, next_state)
 
-        alpha = self.alpha(state, action, peer_min_counts)
+        alpha = self.learning_rate.alpha(pair_count, peer_min_counts)
         target = reward + self.gamma * self.q_table.max_value(next_state)
         self.q_table.update_towards(state, action, target, alpha)
         return alpha
 
     def rebuild_count_caches(self) -> None:
-        """Recompute the counter caches from the raw counter dicts.
+        """Recompute the counter caches from the raw counters.
 
-        Callers that write ``_action_counts`` / ``_state_action_counts``
-        directly (persistence restore, tests poking internals) must call
-        this afterwards, or :meth:`min_action_count` and :meth:`phase` would
-        read stale cached extremes.
+        Callers that write ``_action_counts`` or record transitions directly
+        (persistence restore, tests poking internals) must call this
+        afterwards, or :meth:`min_action_count` and :meth:`phase` would read
+        stale cached extremes.
         """
         self._min_action_count = None
         self._state_max_counts = {}
-        for (state, _), count in self._state_action_counts.items():
+        for state, action in self.transitions.visited_pairs():
+            count = self.transitions.total(state, action)
             if count > self._state_max_counts.get(state, 0):
                 self._state_max_counts[state] = count
 

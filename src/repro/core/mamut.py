@@ -77,7 +77,7 @@ class _PendingUpdate:
     """Bookkeeping for an action whose consequences are not yet credited."""
 
     agent_name: str
-    state: SystemState
+    state: int
     action_index: int
 
 
@@ -243,7 +243,9 @@ class MamutController(Controller):
             bitrate_mbps=self._window_bitrate / n,
             power_w=self._window_power / n,
         )
-        current_state = self.state_space.discretize(averaged)
+        current_state = self.state_space.state_index(
+            self.state_space.discretize(averaged)
+        )
         reward_value = (
             self.reward_function.total(averaged) if self._pending is not None else None
         )
@@ -256,7 +258,7 @@ class MamutController(Controller):
         self,
         agent_name: str,
         frame_index: int,
-        current_state: SystemState,
+        current_state: int,
         reward_value: Optional[float],
     ) -> None:
         """Run one activation whose observation window was averaged externally.
@@ -265,7 +267,9 @@ class MamutController(Controller):
         reward evaluation hoisted out: the batch stepping engine
         (:mod:`repro.cluster.batch`) keeps each session's observation window
         in fleet-wide struct-of-arrays buffers and computes ``current_state``
-        (via :meth:`~repro.core.states.StateSpace.discretize_batch`) and
+        — the dense :meth:`~repro.core.states.StateSpace.state_index`
+        integer, via :meth:`~repro.core.states.StateSpace.discretize_batch`
+        and :meth:`~repro.core.states.StateSpace.state_index_batch` — and
         ``reward_value`` (via
         :meth:`~repro.core.rewards.RewardFunction.total_batch` in exact
         mode) for every activating session in one vectorized shot, then
@@ -301,7 +305,7 @@ class MamutController(Controller):
                 AgentActivation(
                     frame_index=frame_index,
                     agent=agent_name,
-                    state=current_state,
+                    state=self.state_space.index_to_state(current_state),
                     action_index=action_index,
                     action_value=agent.actions[action_index],
                     phase=phase,
@@ -313,7 +317,7 @@ class MamutController(Controller):
         self,
         agent_name: str,
         agent: QLearningAgent,
-        state: SystemState,
+        state: int,
         phase: Phase,
         frame_index: int,
     ) -> int:
@@ -345,8 +349,9 @@ class MamutController(Controller):
 
     def phase_summary(self, state: SystemState) -> dict[str, Phase]:
         """Learning phase of every agent for a given state."""
+        index = self.state_space.state_index(state)
         return {
-            name: agent.phase(state, self._peer_min_counts(name))
+            name: agent.phase(index, self._peer_min_counts(name))
             for name, agent in self.agents.items()
         }
 

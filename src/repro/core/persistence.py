@@ -7,8 +7,10 @@ fresh controller — which enables pre-training once and reusing the knowledge
 across experiments (see :mod:`repro.manager.pretrain`).
 
 Snapshots cover, per agent: the Q-table, the per-(state, action) and
-per-action visit counters, and the empirical transition counts.  States are
-serialised as their 4-tuple of bin indices.
+per-action visit counters, and the empirical transition counts.  In memory
+an agent's states are dense integers; snapshots write each one as its
+4-tuple of bin indices, through the agent's
+:class:`~repro.core.states.StateSpace`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.core.agent import QLearningAgent
-from repro.core.states import SystemState
-from repro.errors import LearningError
+from repro.core.states import StateSpace, SystemState
+from repro.errors import ConfigurationError, LearningError
 
 __all__ = [
     "snapshot_agent",
@@ -38,44 +40,39 @@ __all__ = [
 SNAPSHOT_VERSION = 1
 
 
-def _state_key(state: SystemState) -> str:
-    return ",".join(str(v) for v in state.as_tuple())
-
-
-def _state_from_key(key: str) -> SystemState:
-    parts = [int(v) for v in key.split(",")]
-    if len(parts) != 4:
-        raise LearningError(f"malformed state key {key!r}")
-    return SystemState(*parts)
+def _state_key(space: StateSpace, state: int) -> str:
+    return ",".join(str(v) for v in space.index_to_state(state).as_tuple())
 
 
 def snapshot_agent(agent: QLearningAgent) -> dict[str, Any]:
     """Serialise one agent's learned state into a JSON-compatible dict."""
-    q_values = {
-        f"{_state_key(state)}|{action}": value
-        for (state, action), value in agent.q_table.items()
-    }
-    state_action_counts = {
-        f"{_state_key(state)}|{action}": agent.state_action_count(state, action)
-        for state in agent.known_states()
-        for action in agent.actions.indices()
-        if agent.state_action_count(state, action) > 0
-    }
-    transitions: dict[str, dict[str, int]] = {}
-    for state, action in agent.transitions.visited_pairs():
-        pair_key = f"{_state_key(state)}|{action}"
-        counts = {}
-        for next_state, probability in agent.transitions.distribution(state, action).items():
-            counts[_state_key(next_state)] = agent.transitions.count(state, action, next_state)
-        transitions[pair_key] = counts
+    space = agent.state_space
+    transitions = agent.transitions
+    pairs = transitions.visited_pairs()
+
+    def pair_key(state: int, action: int) -> str:
+        return f"{_state_key(space, state)}|{action}"
+
     return {
         "name": agent.name,
         "num_actions": len(agent.actions),
         "action_values": list(agent.actions.values),
-        "q_values": q_values,
-        "state_action_counts": state_action_counts,
+        "q_values": {
+            pair_key(state, action): value
+            for (state, action), value in agent.q_table.items()
+        },
+        "state_action_counts": {
+            pair_key(state, action): transitions.total(state, action)
+            for state, action in pairs
+        },
         "action_counts": {str(a): agent.action_count(a) for a in agent.actions.indices()},
-        "transitions": transitions,
+        "transitions": {
+            pair_key(state, action): {
+                _state_key(space, next_state): transitions.count(state, action, next_state)
+                for next_state in transitions.distribution(state, action)
+            }
+            for state, action in pairs
+        },
     }
 
 
@@ -84,7 +81,12 @@ def restore_agent(agent: QLearningAgent, snapshot: Mapping[str, Any]) -> None:
 
     The agent must have the same number of actions as the snapshot; the
     action *values* are compared too and a mismatch raises, because Q-values
-    indexed against a different action set would be silently wrong.
+    indexed against a different action set would be silently wrong.  Every
+    key is parsed and checked before anything is written: each state must
+    lie inside the agent's state space, each action index in range, each
+    count must be an integer, and ``state_action_counts`` must equal the
+    transition totals.  Any violation raises :class:`LearningError` and
+    leaves the agent untouched.
     """
     if int(snapshot["num_actions"]) != len(agent.actions):
         raise LearningError(
@@ -101,27 +103,53 @@ def restore_agent(agent: QLearningAgent, snapshot: Mapping[str, Any]) -> None:
             f"agent {agent.name!r} action values {agent_values!r}"
         )
 
-    for key, value in snapshot["q_values"].items():
-        state_key, action = key.rsplit("|", 1)
-        agent.q_table.set(_state_from_key(state_key), int(action), float(value))
+    space = agent.state_space
+    actions = {str(a): a for a in agent.actions.indices()}
 
-    for key, count in snapshot["state_action_counts"].items():
-        state_key, action = key.rsplit("|", 1)
-        agent._state_action_counts[(_state_from_key(state_key), int(action))] = int(count)
+    def state(key: str) -> int:
+        return space.state_index(SystemState(*(int(v) for v in key.split(","))))
 
-    for action, count in snapshot["action_counts"].items():
-        agent._action_counts[int(action)] = int(count)
+    def pair(key: str) -> tuple[int, int]:
+        state_key, _, action_key = key.rpartition("|")
+        return state(state_key), actions[action_key]
+
+    def count(value: Any, minimum: int = 1) -> int:
+        if not isinstance(value, int) or value < minimum:
+            raise LearningError(
+                f"snapshot of agent {agent.name!r}: count {value!r} is not an "
+                f"integer >= {minimum}"
+            )
+        return value
+
+    try:
+        q_values = {pair(key): float(value) for key, value in snapshot["q_values"].items()}
+        transitions = {
+            pair(key): {state(next_key): count(n) for next_key, n in next_counts.items()}
+            for key, next_counts in snapshot["transitions"].items()
+        }
+        pair_counts = {pair(key): count(n) for key, n in snapshot["state_action_counts"].items()}
+        action_counts = {actions[key]: count(n, 0) for key, n in snapshot["action_counts"].items()}
+    except (KeyError, TypeError, ValueError, ConfigurationError) as error:
+        raise LearningError(
+            f"snapshot does not fit agent {agent.name!r}: {error!r}"
+        ) from None
+    if pair_counts != {p: sum(observed.values()) for p, observed in transitions.items()}:
+        raise LearningError(
+            f"snapshot of agent {agent.name!r}: state_action_counts do not "
+            "match the transition totals"
+        )
+
+    for (state_index, action), value in q_values.items():
+        agent.q_table.set(state_index, action, value)
+    for (state_index, action), observed in transitions.items():
+        for next_state, n in observed.items():
+            for _ in range(n):
+                agent.transitions.record(state_index, action, next_state)
+    for action, n in action_counts.items():
+        agent._action_counts[action] = n
     # The counters were written behind the agent's back; its cached extremes
     # (running min action count, per-state max counts) must be rebuilt.
     agent.rebuild_count_caches()
-
-    for pair_key, next_counts in snapshot["transitions"].items():
-        state_key, action = pair_key.rsplit("|", 1)
-        state = _state_from_key(state_key)
-        for next_state_key, count in next_counts.items():
-            next_state = _state_from_key(next_state_key)
-            for _ in range(int(count)):
-                agent.transitions.record(state, int(action), next_state)
 
 
 def snapshot_agents(agents: Mapping[str, QLearningAgent]) -> dict[str, Any]:
@@ -168,12 +196,15 @@ def restore_controller(controller: Any, snapshot: Mapping[str, Any] | None) -> b
     """Best-effort restore of :func:`snapshot_controller` output.
 
     Returns True when the snapshot was loaded into the controller's agents.
-    A ``None`` snapshot, a controller without agents, or a structural
+    A ``None`` snapshot, a controller without agents, a structural
     mismatch (different agent names or action sets — e.g. the retry was
-    dispatched under a brownout ``degraded_factory``) returns False and the
-    migrated session learns from scratch, which is always safe.  A mismatch
-    detected partway may leave earlier agents of the collection restored;
-    that is harmless — a restored Q-table is just an initialization — and
+    dispatched under a brownout ``degraded_factory``) or a key that does not
+    fit (a state outside the target's state space, a malformed key,
+    inconsistent counts) returns False and the migrated session learns from
+    scratch, which is always safe.  Each agent is checked in full before it
+    is written, so the failing agent is left untouched, but a mismatch in a
+    later agent may leave earlier agents of the collection restored; that
+    is harmless — a restored Q-table is just an initialization — and
     deterministic, so engine equivalence is unaffected.
     """
     if snapshot is None:

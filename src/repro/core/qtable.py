@@ -1,95 +1,59 @@
 """Tabular Q-value storage.
 
-States are :class:`~repro.core.states.SystemState` instances and actions are
-integer indices into the owning agent's
-:class:`~repro.core.actions.ActionSet`.  Unvisited entries default to zero.
-
-Two storage modes share the same API:
-
-* **dict mode** (default) — a sparse ``{(state, action): value}`` mapping,
-  fine for a handful of sessions and for exotic states outside any space;
-* **array mode** — constructed with a ``state_space``, values live in a
-  lazily grown ``(num_states, num_actions)`` float64 ndarray addressed by
-  :meth:`~repro.core.states.StateSpace.state_index`.  Lookups and the
-  Q-learning inner step become O(1) array reads/writes, and the batched
-  entry points (:meth:`QTable.max_value_batch`,
-  :meth:`QTable.update_towards_batch`) let fleet-level tooling touch many
-  states per call.  The persistence format is unchanged: :meth:`items`,
-  :meth:`to_dict` and :meth:`load` speak (state, action) pairs in both
-  modes, and only explicitly stored entries are exported.
+States are dense integer indices in ``[0, num_states)`` — the encoding of
+:meth:`~repro.core.states.StateSpace.state_index` — and actions are integer
+indices into the owning agent's :class:`~repro.core.actions.ActionSet`.
+Values live in a lazily grown ``(num_states, num_actions)`` float64 ndarray,
+so a lookup or a Q-learning step is one array read or write.  Unvisited
+entries default to ``initial_value``, and :meth:`QTable.items` exports only
+explicitly stored entries (the persistence format).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Iterator
 
 import numpy as np
 
-from repro.core.states import SystemState
 from repro.errors import LearningError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.core.states import StateSpace
 
 __all__ = ["QTable"]
 
 
 class QTable:
-    """A table of Q-values indexed by (state, action-index).
+    """A table of Q-values indexed by (state index, action index).
 
     Parameters
     ----------
     num_actions:
         Size of the owning agent's action set; action indices must fall in
         ``[0, num_actions)``.
+    num_states:
+        Size of the state space; state indices must fall in
+        ``[0, num_states)``.
     initial_value:
         Q-value reported for unvisited (state, action) pairs.
-    state_space:
-        When given, values are stored in a dense ndarray addressed through
-        the space's :meth:`~repro.core.states.StateSpace.state_index`
-        encoding (array mode); states must then belong to the space.  When
-        omitted the table is a sparse dict (the historical behaviour).
     """
 
     def __init__(
-        self,
-        num_actions: int,
-        initial_value: float = 0.0,
-        state_space: Optional["StateSpace"] = None,
+        self, num_actions: int, num_states: int, initial_value: float = 0.0
     ) -> None:
         if num_actions < 1:
             raise LearningError(f"num_actions must be >= 1, got {num_actions}")
+        if num_states < 1:
+            raise LearningError(f"num_states must be >= 1, got {num_states}")
         self.num_actions = int(num_actions)
+        self.num_states = int(num_states)
         self.initial_value = float(initial_value)
-        self.state_space = state_space
-        if state_space is not None:
-            self._num_states = state_space.size
-            self._array = np.empty((0, self.num_actions))
-            self._stored = np.empty((0, self.num_actions), dtype=bool)
-            self._values = None
-        else:
-            self._num_states = 0
-            self._array = None
-            self._stored = None
-            self._values: Optional[Dict[Tuple[SystemState, int], float]] = {}
+        self._array = np.empty((0, self.num_actions))
+        self._stored = np.empty((0, self.num_actions), dtype=bool)
 
-    @property
-    def dense(self) -> bool:
-        """True when this table stores values in the dense array mode."""
-        return self._array is not None
-
-    # -- array-mode internals --------------------------------------------------------
-
-    def _ensure_rows(self, index: int) -> None:
-        """Grow the dense array to cover ``index`` (geometric, capped)."""
+    def _ensure_rows(self, state: int) -> None:
+        """Grow the array to cover row ``state`` (geometric, capped)."""
         rows = self._array.shape[0]
-        if index < rows:
+        if state < rows:
             return
-        new_rows = min(self._num_states, max(index + 1, 2 * rows, 16))
-        if index >= new_rows:
-            raise LearningError(
-                f"state index {index} out of range [0, {self._num_states})"
-            )
+        new_rows = min(self.num_states, max(state + 1, 2 * rows, 16))
         grown = np.full((new_rows, self.num_actions), self.initial_value)
         grown[:rows] = self._array
         stored = np.zeros((new_rows, self.num_actions), dtype=bool)
@@ -97,34 +61,24 @@ class QTable:
         self._array = grown
         self._stored = stored
 
-    def _row_index(self, state: SystemState) -> int:
-        return self.state_space.state_index(state)
-
     # -- access --------------------------------------------------------------------
 
-    def get(self, state: SystemState, action: int) -> float:
+    def get(self, state: int, action: int) -> float:
         """Q-value of a (state, action) pair (``initial_value`` if unvisited)."""
-        self._check_action(action)
-        if self.dense:
-            index = self._row_index(state)
-            if index < self._array.shape[0]:
-                return float(self._array[index, action])
-            return self.initial_value
-        return self._values.get((state, action), self.initial_value)
+        self._check(state, action)
+        if state < self._array.shape[0]:
+            return float(self._array[state, action])
+        return self.initial_value
 
-    def set(self, state: SystemState, action: int, value: float) -> None:
+    def set(self, state: int, action: int, value: float) -> None:
         """Overwrite the Q-value of a (state, action) pair."""
-        self._check_action(action)
-        if self.dense:
-            index = self._row_index(state)
-            self._ensure_rows(index)
-            self._array[index, action] = float(value)
-            self._stored[index, action] = True
-        else:
-            self._values[(state, action)] = float(value)
+        self._check(state, action)
+        self._ensure_rows(state)
+        self._array[state, action] = float(value)
+        self._stored[state, action] = True
 
     def update_towards(
-        self, state: SystemState, action: int, target: float, alpha: float
+        self, state: int, action: int, target: float, alpha: float
     ) -> float:
         """Move ``Q(state, action)`` towards ``target`` by step ``alpha``.
 
@@ -133,151 +87,59 @@ class QTable:
         """
         if not 0.0 <= alpha <= 1.0:
             raise LearningError(f"alpha must be in [0, 1], got {alpha}")
-        if self.dense:
-            # Fast path: resolve the row once for the read and the write.
-            self._check_action(action)
-            index = self._row_index(state)
-            self._ensure_rows(index)
-            current = float(self._array[index, action])
-            new_value = current + alpha * (target - current)
-            self._array[index, action] = new_value
-            self._stored[index, action] = True
-            return new_value
-        current = self.get(state, action)
+        self._check(state, action)
+        self._ensure_rows(state)
+        current = float(self._array[state, action])
         new_value = current + alpha * (target - current)
-        self.set(state, action, new_value)
+        self._array[state, action] = new_value
+        self._stored[state, action] = True
         return new_value
 
     # -- aggregates ------------------------------------------------------------------
 
-    def max_value(self, state: SystemState) -> float:
+    def max_value(self, state: int) -> float:
         """Highest Q-value over all actions in ``state``."""
-        if self.dense:
-            index = self._row_index(state)
-            if index < self._array.shape[0]:
-                return float(self._array[index].max())
-            return self.initial_value
-        return max(self.get(state, a) for a in range(self.num_actions))
+        self._check_state(state)
+        if state < self._array.shape[0]:
+            return float(self._array[state].max())
+        return self.initial_value
 
-    def best_action(self, state: SystemState) -> int:
+    def best_action(self, state: int) -> int:
         """Index of the greedy action in ``state`` (ties resolved to lowest index)."""
-        if self.dense:
-            index = self._row_index(state)
-            if index < self._array.shape[0]:
-                return int(self._array[index].argmax())
-            return 0
-        best = 0
-        best_value = self.get(state, 0)
-        for action in range(1, self.num_actions):
-            value = self.get(state, action)
-            if value > best_value:
-                best, best_value = action, value
-        return best
+        self._check_state(state)
+        if state < self._array.shape[0]:
+            return int(self._array[state].argmax())
+        return 0
 
-    def action_values(self, state: SystemState) -> list[float]:
+    def action_values(self, state: int) -> list[float]:
         """Q-values of every action in ``state``, in action-index order."""
-        if self.dense:
-            index = self._row_index(state)
-            if index < self._array.shape[0]:
-                return [float(v) for v in self._array[index]]
-            return [self.initial_value] * self.num_actions
-        return [self.get(state, a) for a in range(self.num_actions)]
-
-    def visited_states(self) -> set[SystemState]:
-        """States with at least one explicitly stored entry."""
-        if self.dense:
-            rows = np.nonzero(self._stored.any(axis=1))[0]
-            return {self.state_space.index_to_state(int(r)) for r in rows}
-        return {state for state, _ in self._values}
+        self._check_state(state)
+        if state < self._array.shape[0]:
+            return self._array[state].tolist()
+        return [self.initial_value] * self.num_actions
 
     def __len__(self) -> int:
         """Number of explicitly stored (state, action) entries."""
-        if self.dense:
-            return int(self._stored.sum())
-        return len(self._values)
+        return int(self._stored.sum())
 
-    def items(self) -> Iterator[tuple[tuple[SystemState, int], float]]:
+    def items(self) -> Iterator[tuple[tuple[int, int], float]]:
         """Iterate over explicitly stored ((state, action), value) pairs."""
-        if self.dense:
-            return (
-                (
-                    (self.state_space.index_to_state(int(r)), int(a)),
-                    float(self._array[r, a]),
-                )
-                for r, a in zip(*np.nonzero(self._stored))
-            )
-        return iter(self._values.items())
+        return (
+            ((int(s), int(a)), float(self._array[s, a]))
+            for s, a in zip(*np.nonzero(self._stored))
+        )
 
-    # -- batched entry points ----------------------------------------------------------
+    # -- validation ------------------------------------------------------------------
 
-    def max_value_batch(self, state_indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`max_value` over an array of dense state indices.
-
-        Array mode only.  Rows beyond the lazily grown storage report
-        ``initial_value`` (they are all-default by construction).
-        """
-        self._require_dense()
-        state_indices = np.asarray(state_indices, dtype=np.int64)
-        if state_indices.size and int(state_indices.max()) >= self._array.shape[0]:
-            self._ensure_rows(int(state_indices.max()))
-        return self._array[state_indices].max(axis=1)
-
-    def update_towards_batch(
-        self,
-        state_indices: np.ndarray,
-        actions: np.ndarray,
-        targets: np.ndarray,
-        alphas: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`update_towards` over parallel arrays.
-
-        Array mode only.  ``state_indices`` must not contain duplicates
-        within one call (later writes would read stale values); callers
-        batching many sessions against one shared table must pre-merge.
-        Returns the new values.
-        """
-        self._require_dense()
-        state_indices = np.asarray(state_indices, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
-        alphas = np.asarray(alphas)
-        if alphas.size and (alphas.min() < 0.0 or alphas.max() > 1.0):
-            raise LearningError("alpha must be in [0, 1]")
-        if actions.size and (
-            actions.min() < 0 or actions.max() >= self.num_actions
-        ):
+    def _check_state(self, state: int) -> None:
+        # NumPy would silently wrap a negative row index.
+        if not 0 <= state < self.num_states:
             raise LearningError(
-                f"action index out of range [0, {self.num_actions})"
-            )
-        if state_indices.size:
-            self._ensure_rows(int(state_indices.max()))
-        current = self._array[state_indices, actions]
-        new_values = current + alphas * (np.asarray(targets) - current)
-        self._array[state_indices, actions] = new_values
-        self._stored[state_indices, actions] = True
-        return new_values
-
-    def _require_dense(self) -> None:
-        if not self.dense:
-            raise LearningError(
-                "batched Q-table access needs the array mode "
-                "(construct the QTable with a state_space)"
+                f"state index {state} out of range [0, {self.num_states})"
             )
 
-    # -- persistence helpers -----------------------------------------------------------
-
-    def to_dict(self) -> dict[tuple[tuple[int, int, int, int], int], float]:
-        """Plain-dict snapshot keyed by (state tuple, action index)."""
-        return {
-            (state.as_tuple(), action): value
-            for (state, action), value in self.items()
-        }
-
-    def load(self, entries: Iterable[tuple[tuple[SystemState, int], float]]) -> None:
-        """Bulk-load entries (used by tests and checkpointing)."""
-        for (state, action), value in entries:
-            self.set(state, action, value)
-
-    def _check_action(self, action: int) -> None:
+    def _check(self, state: int, action: int) -> None:
+        self._check_state(state)
         if not 0 <= action < self.num_actions:
             raise LearningError(
                 f"action index {action} out of range [0, {self.num_actions})"

@@ -169,7 +169,8 @@ class StateSpace:
 
         The encoding orders states exactly like :meth:`states` iterates them
         (fps-major, power-minor), so ``state_index`` and :meth:`index_to_state`
-        are inverses.  Array-backed Q-tables use it to address rows.
+        are inverses.  It is the learning core's state representation: Q-table
+        rows, transition counts and visit counters are keyed by it.
         """
         if (
             not 0 <= state.fps_bin < self.num_fps_bins

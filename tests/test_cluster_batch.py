@@ -27,6 +27,8 @@ from repro.cluster import (
 )
 from repro.cluster.brownout import BrownoutController
 from repro.cluster.dispatch import PowerAware
+from repro.core.persistence import snapshot_controller
+from repro.core.states import SystemState
 from repro.errors import ClusterError, ScenarioError
 from repro.hevc.complexity import ComplexityModel, ComplexityModelParameters
 from repro.hevc.decoder import HevcDecoder
@@ -255,17 +257,33 @@ class TestMamutFleetEquivalence:
                 engine=engine,
             )
             cluster.run(30, drain=True)
-            tables = {}
-            for orch in cluster.orchestrators:
-                for session in orch.sessions:
-                    controller = session.controller
-                    tables[session.session_id] = {
-                        name: agent.q_table.to_dict()
-                        for name, agent in controller.agents.items()
-                    }
-            return tables
+            # Full learned state: Q-values, Num(s, a), Num(a), transitions.
+            return {
+                session.session_id: snapshot_controller(session.controller)
+                for orch in cluster.orchestrators
+                for session in orch.sessions
+            }
 
         assert collect("scalar") == collect("batch")
+
+    def test_batch_activations_build_no_system_state(self, monkeypatch):
+        # The batch engine hands agents dense state indices; SystemState belongs
+        # to the API edges (discretize, history, persistence) only.
+        def run():
+            summary = run_cluster(
+                "batch", servers=2, duration=30, controller_factory=mamut_factory()
+            ).summary()
+            assert summary.frames > 0
+            return summary
+
+        expected = run()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("SystemState used on the batch activation path")
+
+        monkeypatch.setattr(SystemState, "__init__", forbidden)
+        monkeypatch.setattr(SystemState, "__hash__", forbidden)
+        assert run() == expected
 
 
 class TestOrchestratorBatchRun:

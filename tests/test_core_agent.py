@@ -8,12 +8,13 @@ from repro.core.actions import ActionSet
 from repro.core.agent import QLearningAgent
 from repro.core.learning_rate import LearningRateParameters
 from repro.core.phases import Phase
-from repro.core.states import SystemState
+from repro.core.states import StateSpace, SystemState
 from repro.errors import LearningError
 
 
-S0 = SystemState(0, 1, 0, 0)
-S1 = SystemState(1, 1, 0, 0)
+SPACE = StateSpace()
+S0 = SPACE.state_index(SystemState(0, 1, 0, 0))
+S1 = SPACE.state_index(SystemState(1, 1, 0, 0))
 
 
 def make_agent(num_actions=4, gamma=0.6, epsilon=0.2, seed=0, **lr_kwargs) -> QLearningAgent:
@@ -70,6 +71,20 @@ class TestUpdate:
         agent = make_agent(num_actions=2)
         with pytest.raises(LearningError):
             agent.update(S0, 5, 0.0, S1, [])
+
+    def test_state_outside_the_space_rejected(self):
+        agent = make_agent(num_actions=2)
+        for state in (SPACE.size, -1):
+            with pytest.raises(LearningError):
+                agent.update(state, 0, 0.0, S1, [])
+            with pytest.raises(LearningError):
+                agent.update(S0, 0, 0.0, state, [])
+            with pytest.raises(LearningError):
+                agent.select_greedy_action(state)
+            with pytest.raises(LearningError):
+                agent.phase(state, [])
+        assert agent.known_states() == set()
+        assert agent.action_count(0) == 0
 
     def test_invalid_gamma_rejected(self):
         with pytest.raises(LearningError):
@@ -188,7 +203,7 @@ class TestCounterCaches:
         import numpy as np
 
         agent = make_agent(num_actions=3)
-        states = [SystemState(i, 1, 0, 0) for i in range(4)]
+        states = [SPACE.state_index(SystemState(i, 1, 0, 0)) for i in range(4)]
         rng = np.random.default_rng(7)
         peers = [0, 0]
         for step in range(400):
@@ -222,7 +237,8 @@ class TestCounterCaches:
         # Simulate a restore writing the raw counters directly.
         agent._action_counts[0] = 5
         agent._action_counts[1] = 3
-        agent._state_action_counts[(S1, 1)] = 4
+        for _ in range(4):
+            agent.transitions.record(S1, 1, S0)
         agent.rebuild_count_caches()
         assert agent.min_action_count() == 3
         assert agent.max_state_count(S1) == 4

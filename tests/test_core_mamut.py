@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import MamutConfig
 from repro.core.mamut import DVFS_AGENT, QP_AGENT, THREAD_AGENT, MamutController
 from repro.core.observation import Observation
+from repro.core.persistence import snapshot_controller
 from repro.errors import LearningError
 from repro.core.schedule import AgentSchedule, AgentSlot
 from repro.platform.dvfs import DvfsPolicy
@@ -203,14 +204,11 @@ class TestObservationWindow:
                 from repro.core.observation import average_observations
 
                 averaged = average_observations(window)
-                state = external.state_space.discretize(averaged)
+                space = external.state_space
+                state = space.state_index(space.discretize(averaged))
                 reward = external.reward_function.total(averaged)
                 external.apply_external_activation(agent_name, frame, state, reward)
                 window.clear()
 
         assert internal.current_decision() == external.current_decision()
-        for name in internal.agents:
-            assert (
-                internal.agents[name].q_table.to_dict()
-                == external.agents[name].q_table.to_dict()
-            )
+        assert snapshot_controller(internal) == snapshot_controller(external)

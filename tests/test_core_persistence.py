@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.actions import ActionSet
@@ -13,6 +15,7 @@ from repro.core.persistence import (
     load_snapshot,
     restore_agent,
     restore_agents,
+    restore_controller,
     restore_session_state,
     save_snapshot,
     snapshot_agent,
@@ -20,12 +23,35 @@ from repro.core.persistence import (
     snapshot_controller,
     snapshot_session,
 )
-from repro.core.states import SystemState
+from repro.core.states import StateSpace, SystemState
 from repro.errors import LearningError
 
 
-S0 = SystemState(0, 1, 0, 0)
-S1 = SystemState(2, 1, 0, 0)
+SPACE = StateSpace()
+S0 = SPACE.state_index(SystemState(0, 1, 0, 0))
+S1 = SPACE.state_index(SystemState(2, 1, 0, 0))
+
+# snapshot_agent output of an agent trained with updates
+# (s0, 1) -> s1, (s0, 1) -> s0, (s0, 1) -> s1, (s1, 2) -> s1, (s0, 0) -> s0
+# where s0 = (0, 1, 0, 0) and s1 = (2, 1, 0, 0).  A literal, so the
+# on-disk format cannot drift with snapshot and restore changing together.
+GOLDEN_SNAPSHOT = {
+    "name": "demo",
+    "num_actions": 3,
+    "action_values": [10, 20, 30],
+    "q_values": {
+        "0,1,0,0|1": 0.23046296296296293,
+        "2,1,0,0|2": 0.175,
+        "0,1,0,0|0": -0.3016027777777778,
+    },
+    "state_action_counts": {"0,1,0,0|0": 1, "0,1,0,0|1": 3, "2,1,0,0|2": 1},
+    "action_counts": {"0": 1, "1": 3, "2": 1},
+    "transitions": {
+        "0,1,0,0|1": {"2,1,0,0": 2, "0,1,0,0": 1},
+        "2,1,0,0|2": {"2,1,0,0": 1},
+        "0,1,0,0|0": {"0,1,0,0": 1},
+    },
+}
 
 
 def trained_agent(seed: int = 0) -> QLearningAgent:
@@ -68,6 +94,14 @@ class TestAgentSnapshot:
         wrong_values = QLearningAgent("demo", ActionSet("demo", (1, 2, 3)))
         with pytest.raises(LearningError):
             restore_agent(wrong_values, snapshot)
+
+    def test_golden_snapshot_round_trips_unchanged(self):
+        target = QLearningAgent("demo", ActionSet("demo", (10, 20, 30)), seed=5)
+        restore_agent(target, GOLDEN_SNAPSHOT)
+        snapshot = snapshot_agent(target)
+        assert snapshot == GOLDEN_SNAPSHOT
+        # Next states keep their first-seen order (Algorithm 1 sums in it).
+        assert list(snapshot["transitions"]["0,1,0,0|1"]) == ["2,1,0,0", "0,1,0,0"]
 
     def test_snapshot_is_json_serialisable(self, tmp_path):
         snapshot = snapshot_agents({"demo": trained_agent()})
@@ -114,11 +148,93 @@ class TestControllerSnapshot:
             restore_agents(MamutController(MamutConfig.for_request(hr_request)).agents, snapshot)
 
 
+def _set(section, key, value):
+    def mutate(snapshot):
+        snapshot[section][key] = value
+
+    return mutate
+
+
+class TestBadSnapshots:
+    """A snapshot that does not fit is rejected before anything is written."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _set("q_values", "x,1,0,0|0", 1.0),
+            _set("q_values", "0,1,0|0", 1.0),
+            _set("q_values", "9,1,0,0|0", 1.0),
+            _set("q_values", "0,-1,0,0|0", 1.0),
+            _set("q_values", "0,1,0,0|3", 1.0),
+            _set("q_values", "0,1,0,0|x", 1.0),
+            _set("q_values", "0,1,0,0|2", "high"),
+            _set("transitions", "0,1,0,0|2", {"0,6,0,0": 1}),
+            _set("transitions", "0,1,0,0|0", {"0,1,0,0": 1.0}),
+            _set("state_action_counts", "0,1,0,0|0", 1.0),
+            _set("state_action_counts", "0,1,0,0|1", 2),
+            _set("state_action_counts", "2,1,0,0|0", 1),
+            _set("action_counts", "3", 0),
+            _set("action_counts", "0", -1),
+        ],
+        ids=[
+            "non-integer-bin",
+            "three-bins",
+            "fps-bin-out-of-range",
+            "negative-bin",
+            "action-out-of-range",
+            "non-integer-action",
+            "non-numeric-q-value",
+            "next-state-out-of-range",
+            "float-transition-count",
+            "float-pair-count",
+            "pair-count-not-the-transition-total",
+            "pair-count-without-transitions",
+            "action-count-out-of-range",
+            "negative-action-count",
+        ],
+    )
+    def test_restore_agent_raises_and_writes_nothing(self, mutate):
+        snapshot = copy.deepcopy(GOLDEN_SNAPSHOT)
+        mutate(snapshot)
+        target = trained_agent()
+        before = snapshot_agent(target)
+        with pytest.raises(LearningError):
+            restore_agent(target, snapshot)
+        assert snapshot_agent(target) == before
+
+    def _trained(self, config: MamutConfig, psnr_db: float) -> MamutController:
+        controller = MamutController(config)
+        controller.decide(0, None)
+        for frame in range(1, 60):
+            controller.decide(
+                frame,
+                Observation(fps=25.0, psnr_db=psnr_db, bitrate_mbps=4.0, power_w=80.0),
+            )
+        return controller
+
+    def test_restore_controller_rejects_a_foreign_state_space(self):
+        # Eight PSNR edges give nine PSNR bins; the target space has six.
+        wide = StateSpace(psnr_edges=(30.0, 32.0, 34.0, 36.0, 38.0, 40.0, 42.0, 44.0))
+        source = self._trained(MamutConfig(state_space=wide, seed=0), psnr_db=50.0)
+        target = self._trained(MamutConfig(seed=1), psnr_db=36.0)
+        before = snapshot_controller(target)
+        assert not restore_controller(target, snapshot_controller(source))
+        assert snapshot_controller(target) == before
+
+    def test_restore_controller_rejects_a_malformed_key(self):
+        snapshot = snapshot_controller(self._trained(MamutConfig(seed=0), psnr_db=36.0))
+        snapshot["agents"]["qp"]["q_values"]["x,1,0,0|0"] = 1.0
+        target = self._trained(MamutConfig(seed=1), psnr_db=38.0)
+        before = snapshot_controller(target)
+        assert not restore_controller(target, snapshot)
+        assert snapshot_controller(target) == before
+
+
 class TestRestoreRebuildsCaches:
     def test_min_action_count_fresh_after_restore(self):
         source = QLearningAgent("qp", ActionSet("qp", (28, 32, 36)))
-        state = SystemState(1, 1, 1, 0)
-        other = SystemState(2, 1, 1, 0)
+        state = SPACE.state_index(SystemState(1, 1, 1, 0))
+        other = SPACE.state_index(SystemState(2, 1, 1, 0))
         for action in (0, 0, 1, 2, 0):
             source.update(state, action, 1.0, other, [0, 0])
         snapshot = snapshot_agent(source)

@@ -5,28 +5,33 @@ from __future__ import annotations
 import pytest
 
 from repro.core.qtable import QTable
-from repro.core.states import SystemState
+from repro.core.states import StateSpace, SystemState
 from repro.errors import LearningError
 
 
-S0 = SystemState(0, 0, 0, 0)
-S1 = SystemState(1, 2, 1, 0)
+SPACE = StateSpace()
+S0 = SPACE.state_index(SystemState(0, 0, 0, 0))
+S1 = SPACE.state_index(SystemState(1, 2, 1, 0))
+
+
+def make_table(num_actions=3, initial_value=0.0) -> QTable:
+    return QTable(num_actions, SPACE.size, initial_value=initial_value)
 
 
 class TestQTable:
     def test_unvisited_entries_default_to_initial_value(self):
-        table = QTable(num_actions=4, initial_value=0.5)
+        table = make_table(num_actions=4, initial_value=0.5)
         assert table.get(S0, 0) == pytest.approx(0.5)
         assert len(table) == 0
 
     def test_set_and_get(self):
-        table = QTable(num_actions=3)
+        table = make_table(num_actions=3)
         table.set(S0, 1, 2.5)
         assert table.get(S0, 1) == pytest.approx(2.5)
         assert len(table) == 1
 
     def test_update_towards(self):
-        table = QTable(num_actions=2)
+        table = make_table(num_actions=2)
         new_value = table.update_towards(S0, 0, target=10.0, alpha=0.5)
         assert new_value == pytest.approx(5.0)
         assert table.get(S0, 0) == pytest.approx(5.0)
@@ -34,44 +39,28 @@ class TestQTable:
         assert table.get(S0, 0) == pytest.approx(7.5)
 
     def test_update_with_invalid_alpha(self):
-        table = QTable(num_actions=2)
+        table = make_table(num_actions=2)
         with pytest.raises(LearningError):
             table.update_towards(S0, 0, target=1.0, alpha=1.5)
 
     def test_max_value_and_best_action(self):
-        table = QTable(num_actions=3)
+        table = make_table(num_actions=3)
         table.set(S0, 0, 1.0)
         table.set(S0, 2, 3.0)
         assert table.max_value(S0) == pytest.approx(3.0)
         assert table.best_action(S0) == 2
 
     def test_best_action_tie_resolves_to_lowest_index(self):
-        table = QTable(num_actions=3)
+        table = make_table(num_actions=3)
         assert table.best_action(S0) == 0
 
     def test_action_values(self):
-        table = QTable(num_actions=3)
+        table = make_table(num_actions=3)
         table.set(S1, 1, -2.0)
         assert table.action_values(S1) == [0.0, -2.0, 0.0]
 
-    def test_visited_states(self):
-        table = QTable(num_actions=2)
-        table.set(S0, 0, 1.0)
-        table.set(S1, 1, 2.0)
-        assert table.visited_states() == {S0, S1}
-
-    def test_to_dict_and_load(self):
-        table = QTable(num_actions=2)
-        table.set(S0, 1, 4.0)
-        snapshot = table.to_dict()
-        assert snapshot[(S0.as_tuple(), 1)] == pytest.approx(4.0)
-
-        other = QTable(num_actions=2)
-        other.load([((S0, 1), 4.0)])
-        assert other.get(S0, 1) == pytest.approx(4.0)
-
     def test_invalid_action_index_rejected(self):
-        table = QTable(num_actions=2)
+        table = make_table(num_actions=2)
         with pytest.raises(LearningError):
             table.get(S0, 2)
         with pytest.raises(LearningError):
@@ -79,24 +68,14 @@ class TestQTable:
 
     def test_invalid_num_actions_rejected(self):
         with pytest.raises(LearningError):
-            QTable(num_actions=0)
+            QTable(num_actions=0, num_states=SPACE.size)
 
 
 class TestArrayMode:
-    """The dense (state_space-backed) storage behind the same API."""
-
-    def dense(self, num_actions=3, initial_value=0.0):
-        from repro.core.states import StateSpace
-
-        return QTable(
-            num_actions=num_actions,
-            initial_value=initial_value,
-            state_space=StateSpace(),
-        )
+    """The lazily grown dense array behind the table."""
 
     def test_defaults_and_set_get(self):
-        table = self.dense(initial_value=0.5)
-        assert table.dense
+        table = make_table(initial_value=0.5)
         assert table.get(S0, 0) == pytest.approx(0.5)
         assert len(table) == 0
         table.set(S1, 2, 3.0)
@@ -105,123 +84,63 @@ class TestArrayMode:
         assert len(table) == 1
 
     def test_matches_dict_mode_operation_for_operation(self):
+        """A plain ``{(state, action): value}`` dict is the reference model."""
         import numpy as np
 
-        from repro.core.states import StateSpace
-
-        space = StateSpace()
-        dict_table = QTable(num_actions=4)
-        array_table = QTable(num_actions=4, state_space=space)
-        states = list(space.states())
+        reference: dict[tuple[int, int], float] = {}
+        table = make_table(num_actions=4)
         rng = np.random.default_rng(0)
         for _ in range(300):
-            state = states[rng.integers(len(states))]
+            state = int(rng.integers(SPACE.size))
             action = int(rng.integers(4))
+            row = [reference.get((state, a), 0.0) for a in range(4)]
             op = rng.integers(3)
             if op == 0:
                 value = float(rng.normal())
-                dict_table.set(state, action, value)
-                array_table.set(state, action, value)
+                reference[(state, action)] = value
+                table.set(state, action, value)
             elif op == 1:
                 target = float(rng.normal())
                 alpha = float(rng.uniform())
-                a = dict_table.update_towards(state, action, target, alpha)
-                b = array_table.update_towards(state, action, target, alpha)
-                assert a == b
+                expected = row[action] + alpha * (target - row[action])
+                reference[(state, action)] = expected
+                assert table.update_towards(state, action, target, alpha) == expected
             else:
-                assert dict_table.get(state, action) == array_table.get(state, action)
-                assert dict_table.max_value(state) == array_table.max_value(state)
-                assert dict_table.best_action(state) == array_table.best_action(state)
-                assert dict_table.action_values(state) == array_table.action_values(state)
-        assert len(dict_table) == len(array_table)
-        assert dict_table.to_dict() == array_table.to_dict()
-        assert dict_table.visited_states() == array_table.visited_states()
-
-    def test_items_round_trip_through_load(self):
-        source = self.dense()
-        source.set(S0, 0, 1.0)
-        source.set(S1, 2, -2.0)
-        restored = self.dense()
-        restored.load(list(source.items()))
-        assert restored.to_dict() == source.to_dict()
-
-    def test_max_value_batch_matches_scalar(self):
-        import numpy as np
-
-        table = self.dense(num_actions=3)
-        space = table.state_space
-        table.set(S0, 1, 4.0)
-        table.set(S1, 0, -1.0)
-        indices = np.array(
-            [space.state_index(S0), space.state_index(S1), space.size - 1]
-        )
-        batch = table.max_value_batch(indices)
-        assert batch.tolist() == [
-            table.max_value(S0),
-            table.max_value(S1),
-            table.max_value(space.index_to_state(space.size - 1)),
-        ]
-
-    def test_update_towards_batch_matches_scalar(self):
-        import numpy as np
-
-        scalar_table = self.dense(num_actions=3)
-        batch_table = self.dense(num_actions=3)
-        space = scalar_table.state_space
-        states = [S0, S1, SystemState(2, 3, 1, 1)]
-        actions = [0, 2, 1]
-        targets = [1.0, -3.0, 0.5]
-        alphas = [1.0, 0.25, 0.6]
-        for s, a, t, al in zip(states, actions, targets, alphas):
-            scalar_table.update_towards(s, a, t, al)
-        new_values = batch_table.update_towards_batch(
-            np.array([space.state_index(s) for s in states]),
-            np.array(actions),
-            np.array(targets),
-            np.array(alphas),
-        )
-        assert batch_table.to_dict() == scalar_table.to_dict()
-        assert new_values.tolist() == [
-            scalar_table.get(s, a) for s, a in zip(states, actions)
-        ]
-
-    def test_batch_entry_points_require_array_mode(self):
-        import numpy as np
-
-        table = QTable(num_actions=2)
-        with pytest.raises(LearningError):
-            table.max_value_batch(np.array([0]))
-        with pytest.raises(LearningError):
-            table.update_towards_batch(
-                np.array([0]), np.array([0]), np.array([0.0]), np.array([0.5])
-            )
-
-    def test_batch_update_validates_actions_and_alphas(self):
-        import numpy as np
-
-        table = self.dense(num_actions=2)
-        with pytest.raises(LearningError):
-            table.update_towards_batch(
-                np.array([0]), np.array([2]), np.array([0.0]), np.array([0.5])
-            )
-        with pytest.raises(LearningError):
-            table.update_towards_batch(
-                np.array([0]), np.array([0]), np.array([0.0]), np.array([1.5])
-            )
+                assert table.get(state, action) == row[action]
+                assert table.max_value(state) == max(row)
+                assert table.best_action(state) == row.index(max(row))
+                assert table.action_values(state) == row
+        assert len(table) == len(reference)
+        assert dict(table.items()) == reference
 
     def test_state_outside_the_space_rejected(self):
-        from repro.errors import ConfigurationError
-
-        table = self.dense()
-        with pytest.raises(ConfigurationError):
-            table.set(SystemState(99, 0, 0, 0), 0, 1.0)
+        # A negative index would silently wrap around in NumPy.
+        table = make_table()
+        for state in (SPACE.size, -1):
+            with pytest.raises(LearningError):
+                table.set(state, 0, 1.0)
+            with pytest.raises(LearningError):
+                table.get(state, 0)
+            with pytest.raises(LearningError):
+                table.update_towards(state, 0, 1.0, 0.5)
+            with pytest.raises(LearningError):
+                table.max_value(state)
+            with pytest.raises(LearningError):
+                table.best_action(state)
+            with pytest.raises(LearningError):
+                table.action_values(state)
+        assert len(table) == 0
 
     def test_lazy_growth_is_invisible(self):
-        table = self.dense()
-        space = table.state_space
-        last = space.index_to_state(space.size - 1)
+        table = make_table()
+        last = SPACE.size - 1
         assert table.max_value(last) == 0.0
         table.set(last, 0, 7.0)
         assert table.get(last, 0) == 7.0
-        first = space.index_to_state(0)
-        assert table.get(first, 0) == 0.0
+        assert table.get(0, 0) == 0.0
+
+    def test_items_export_only_stored_entries(self):
+        table = make_table(initial_value=0.5)
+        table.set(S1, 2, -2.0)
+        table.update_towards(S0, 0, target=1.5, alpha=0.5)
+        assert sorted(table.items()) == [((S0, 0), 1.0), ((S1, 2), -2.0)]

@@ -165,8 +165,8 @@ def test_average_observation_stays_within_the_component_ranges(batch):
 )
 @settings(max_examples=100)
 def test_q_update_moves_towards_the_target(initial, target, alpha):
-    table = QTable(num_actions=1)
-    state = SystemState(0, 0, 0, 0)
+    table = QTable(num_actions=1, num_states=StateSpace().size)
+    state = 0
     table.set(state, 0, initial)
     new_value = table.update_towards(state, 0, target, alpha)
     assert abs(new_value - target) <= abs(initial - target) + 1e-9
@@ -179,10 +179,11 @@ def test_q_update_moves_towards_the_target(initial, target, alpha):
 )
 @settings(max_examples=60)
 def test_transition_probabilities_form_a_distribution(transitions):
-    model = TransitionModel(num_actions=1)
-    source = SystemState(0, 0, 0, 0)
+    space = StateSpace()
+    model = TransitionModel(num_actions=1, num_states=space.size)
+    source = space.state_index(SystemState(0, 0, 0, 0))
     for target_bin in transitions:
-        model.record(source, 0, SystemState(target_bin, 0, 0, 0))
+        model.record(source, 0, space.state_index(SystemState(target_bin, 0, 0, 0)))
     distribution = model.distribution(source, 0)
     assert sum(distribution.values()) == pytest.approx(1.0)
     assert all(0.0 < p <= 1.0 for p in distribution.values())
