@@ -675,51 +675,30 @@ def _cluster_slo(args: argparse.Namespace) -> tuple:
     return tuple(objectives)
 
 
-#: Scenario-shaping cluster flags, i.e. the provenance ``config``
-#: fingerprint of a --summary-out artifact.  Deliberately excluded:
-#: output paths and verbosity (don't shape results), ``engine`` (the
-#: engines are seed-for-seed identical, so cross-engine comparison is a
-#: legitimate gate) and the ``--slo-*`` flags (observe-only by contract).
-_CLUSTER_CONFIG_KEYS = (
-    "servers",
-    "arrival_rate",
-    "duration",
-    "traffic",
-    "admission",
-    "dispatch",
-    "max_sessions_per_server",
-    "max_queue",
-    "hr_max_queue",
-    "lr_max_queue",
-    "patience",
-    "hr_patience",
-    "lr_patience",
-    "queue_while_warming",
-    "brownout",
-    "brownout_fps_relax",
-    "brownout_extra_sessions",
-    "hr_fraction",
-    "frames_per_video",
-    "playlist_videos",
-    "autoscale",
-    "min_servers",
-    "max_servers",
-    "warmup_steps",
-    "no_drain",
-    "fault_mtbf",
-    "fault_mttr",
-    "fault_straggler_mtbf",
-    "fault_straggler_duration",
-    "fault_warmup_failure",
-    "fault_retries",
-    "fault_backoff",
-    "fault_zones",
-    "fault_racks_per_zone",
-    "fault_zone_mtbf",
-    "fault_zone_mttr",
-    "kill_zone",
-    "checkpoint_interval",
-    "power_cap",
+#: Parsed ``cluster`` arguments left out of the provenance ``config``
+#: fingerprint of a --summary-out artifact; every other argument is in it,
+#: so a new scenario flag is fingerprinted by default.  Left out: the
+#: subcommand, output paths, profiling and verbosity (they don't shape
+#: results), ``engine`` (the engines are seed-for-seed identical, so
+#: cross-engine comparison is a legitimate gate), the ``--slo-*`` flags
+#: (observe-only by contract) and the seeds (stamped as ``seed`` instead).
+_UNFINGERPRINTED_KEYS = frozenset(
+    {
+        "command",
+        "engine",
+        "trace_out",
+        "metrics_out",
+        "summary_out",
+        "profile",
+        "slo_queue_wait_p95",
+        "slo_shed_rate",
+        "slo_violation_rate",
+        "slo_window",
+        "slo_budget",
+        "log_level",
+        "seed",
+        "fault_seed",
+    }
 )
 
 
@@ -767,34 +746,27 @@ def _cmd_cluster(args: argparse.Namespace) -> None:
                 service_steps=service_steps,
             ),
         }[args.autoscale]()
-    faults = None
-    if (
-        args.fault_mtbf is not None
-        or args.fault_straggler_mtbf is not None
-        or args.fault_warmup_failure > 0
-        or args.fault_zone_mtbf is not None
-        or args.kill_zone
-        or args.checkpoint_interval is not None
-    ):
-        faults = FaultConfig(
-            crash_mtbf_steps=args.fault_mtbf,
-            crash_mttr_steps=args.fault_mttr,
-            straggler_mtbf_steps=args.fault_straggler_mtbf,
-            straggler_duration_steps=args.fault_straggler_duration,
-            warmup_failure_rate=args.fault_warmup_failure,
-            max_retries=args.fault_retries,
-            retry_backoff_steps=args.fault_backoff,
+    # Built even with every fault mode off, so invalid fault flags fail
+    # before the run starts; the orchestrator drops a disabled config.
+    faults = FaultConfig(
+        crash_mtbf_steps=args.fault_mtbf,
+        crash_mttr_steps=args.fault_mttr,
+        straggler_mtbf_steps=args.fault_straggler_mtbf,
+        straggler_duration_steps=args.fault_straggler_duration,
+        warmup_failure_rate=args.fault_warmup_failure,
+        max_retries=args.fault_retries,
+        retry_backoff_steps=args.fault_backoff,
+        seed=args.fault_seed,
+        topology=FailureTopology(
+            zones=args.fault_zones,
+            racks_per_zone=args.fault_racks_per_zone,
             seed=args.fault_seed,
-            topology=FailureTopology(
-                zones=args.fault_zones,
-                racks_per_zone=args.fault_racks_per_zone,
-                seed=args.fault_seed,
-            ),
-            zone_mtbf_steps=args.fault_zone_mtbf,
-            zone_mttr_steps=args.fault_zone_mttr,
-            kill_schedule=KillSchedule.parse(args.kill_zone) if args.kill_zone else None,
-            checkpoint_interval_frames=args.checkpoint_interval,
-        )
+        ),
+        zone_mtbf_steps=args.fault_zone_mtbf,
+        zone_mttr_steps=args.fault_zone_mttr,
+        kill_schedule=KillSchedule.parse(args.kill_zone) if args.kill_zone else None,
+        checkpoint_interval_frames=args.checkpoint_interval,
+    )
     cluster = ClusterOrchestrator(
         args.servers,
         workload,
@@ -855,7 +827,7 @@ def _cmd_cluster(args: argparse.Namespace) -> None:
             ["brownout steps", summary.brownout_steps],
             ["degraded sessions", summary.degraded_sessions],
         ]
-    if faults is not None:
+    if faults.enabled:
         rows += [
             ["server crashes", summary.server_crashes],
             ["stragglers", summary.stragglers],
@@ -930,13 +902,17 @@ def _cmd_cluster(args: argparse.Namespace) -> None:
         if slo_report:
             artifact["slo"] = slo_report
         seeds = {"seed": args.seed}
-        if faults is not None:
+        if faults.enabled:
             seeds["fault_seed"] = args.fault_seed
         stamp_provenance(
             artifact,
             kind="cluster",
             seed=seeds,
-            config={key: getattr(args, key) for key in _CLUSTER_CONFIG_KEYS},
+            config={
+                key: value
+                for key, value in vars(args).items()
+                if key not in _UNFINGERPRINTED_KEYS
+            },
         )
         with open(args.summary_out, "w", encoding="utf-8") as handle:
             json.dump(artifact, handle, indent=2, sort_keys=True)

@@ -3,15 +3,15 @@
 The :class:`ClusterOrchestrator` closes the gap between the paper's
 fixed-cohort experiments and a production service.  It owns one
 :class:`~repro.manager.orchestrator.Orchestrator` per server and drives them
-step-wise; each step it
+step-wise; each step of the arrival window it
 
 1. ages the admission queue — requests past their patience deadline are
    *dropped* (a ledger entry distinct from rejections) — and consults the
    optional brownout controller (:mod:`repro.cluster.brownout`), which may
    degrade the quality of newly admitted sessions fleet-wide instead of
    letting the fleet shed load,
-2. re-evaluates queued requests (FIFO) against the admission policy and
-   offers the step's new arrivals to it,
+2. offers crash retries, then queued requests (FIFO), then the step's new
+   arrivals to the admission policy, all through one admission path,
 3. routes admitted requests to a server via the dispatch policy
    (sessions join mid-run through ``Orchestrator.add_session``),
 4. consults the optional autoscaling policy
@@ -22,6 +22,11 @@ step-wise; each step it
 5. advances every powered-on server by one frame, sampling idle power on
    servers with nothing to do (warming servers included) so fleet energy
    accounting includes the machines that are merely switched on.
+
+The drain tail after the window runs the same step body with admission
+closed: it injects no faults, ages and admits nothing (requests still
+queued end the run *abandoned*), and lets the autoscaler only shrink the
+fleet, seeing an empty queue.
 
 Step 5 runs on one of two engines selected by the ``engine`` parameter:
 ``"batch"`` (the default) advances the whole fleet in one fused NumPy batch
@@ -37,6 +42,13 @@ maintained incrementally (updated once per step as the engines advance, and
 on every dispatch) instead of walking each orchestrator's session list per
 arrival, and consecutive decisions within a step derive their snapshot from
 the previous one instead of rebuilding it.
+
+Every request outcome is counted once.  Each :class:`ClusterResult` count
+is bumped by one call that also bumps the Prometheus counter mirroring it,
+each fault is recorded by one call that appends its event, bumps its
+counter and emits its ``fault`` span, and one in-flight registry holds the
+running sessions in dispatch order — what crash recovery salvages and what
+the span stream reports progress for.
 
 An optional seeded fault injector (:mod:`repro.cluster.faults`) exercises
 the recovery paths: abrupt server crashes (in-flight sessions salvaged —
@@ -173,24 +185,24 @@ class _ServerSlot:
 class _RetryTicket:
     """A request salvaged from a crashed server, waiting to be re-dispatched.
 
-    Carries everything recovery needs: the original workload event (class
-    and playlist provenance), the remaining playlist (finished videos are
-    not redone), the crash-attempt count, the step at which the exponential
-    backoff makes the ticket eligible again, and the session snapshot
-    captured from the dying session (Q-tables plus checkpointed progress)
-    so learning migrates to the replacement server.  ``resume_frame`` is
-    the frame of the interrupted video the replacement session starts at —
-    the last checkpoint, or 0 (replay from the video start) when
-    checkpointing is off; ``recomputed`` is the frames between that
-    checkpoint and the crash point, charged to the ``recomputed_frames``
-    ledger when the retry is actually dispatched.  ``from_zone`` is the
-    failure domain the session was lost in, published to the dispatcher so
-    failure-aware policies spread retries across domains.
+    Carries everything recovery needs: the original workload event (the
+    request's identity, class and playlist provenance), the remaining
+    playlist (finished videos are not redone), the crash-attempt count, the
+    step at which the exponential backoff makes the ticket eligible again,
+    and the session snapshot captured from the dying session (Q-tables plus
+    checkpointed progress) so learning migrates to the replacement server.
+    ``resume_frame`` is the frame of the interrupted video the replacement
+    session starts at — the last checkpoint, or 0 (replay from the video
+    start) when checkpointing is off; ``recomputed`` is the frames between
+    that checkpoint and the crash point, charged to the
+    ``recomputed_frames`` ledger when the retry is actually dispatched.
+    ``from_zone`` is the failure domain the session was lost in, published
+    to the dispatcher so failure-aware policies spread retries across
+    domains.
     """
 
     __slots__ = (
         "event",
-        "user_id",
         "attempt",
         "ready_step",
         "playlist",
@@ -203,7 +215,6 @@ class _RetryTicket:
     def __init__(
         self,
         event,
-        user_id,
         attempt,
         ready_step,
         playlist,
@@ -213,7 +224,6 @@ class _RetryTicket:
         recomputed=0,
     ) -> None:
         self.event = event
-        self.user_id = user_id
         self.attempt = attempt
         self.ready_step = ready_step
         self.playlist = playlist
@@ -223,15 +233,22 @@ class _RetryTicket:
         self.recomputed = recomputed
 
 
-class _SessionMeta:
-    """Per-session recovery bookkeeping (kept only when faults are enabled)."""
+class _InFlight:
+    """One running session in the in-flight registry.
 
-    __slots__ = ("event", "user_id", "attempt")
+    ``event`` is the request it serves — the original arrival, also on a
+    crash retry, so spans keep the request's user id — ``attempt`` its
+    crash-retry count and ``videos_done`` the videos whose completion span
+    has been emitted.
+    """
 
-    def __init__(self, event, user_id, attempt) -> None:
+    __slots__ = ("session", "event", "attempt", "videos_done")
+
+    def __init__(self, session, event, attempt) -> None:
+        self.session = session
         self.event = event
-        self.user_id = user_id
         self.attempt = attempt
+        self.videos_done = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -362,8 +379,8 @@ class ClusterOrchestrator:
     power_cap_w:
         Per-server power cap handed to the default controller factory; the
         fleet budget visible to admission policies is
-        ``fleet_power_cap_w or dispatchable_servers * power_cap_w`` (the
-        latter tracks the fleet as it is resized).
+        ``dispatchable_servers * power_cap_w``, which tracks the fleet as it
+        is resized and as faults take servers out of the roster.
     seed:
         Seeds the per-session controller randomness (the workload carries
         its own seed).
@@ -375,8 +392,9 @@ class ClusterOrchestrator:
         models whose *methods* (not just parameters) were overridden.
     autoscaler:
         Optional :class:`~repro.cluster.autoscale.AutoscalePolicy` consulted
-        once per step (after admission, before stepping).  ``None`` keeps
-        the fleet fixed at ``num_servers``.
+        once per step (after admission, before stepping); in the drain tail
+        it may only shrink the fleet.  ``None`` keeps the fleet fixed at
+        ``num_servers``.
     min_servers, max_servers:
         Band the autoscaler's target is clamped to; default ``1`` and
         ``4 * num_servers``.
@@ -386,17 +404,17 @@ class ClusterOrchestrator:
         the next step.
     brownout:
         Optional :class:`~repro.cluster.brownout.BrownoutController`
-        consulted once per step (before admission).  While it reports a
-        level above 0, the level is published on the scheduling snapshot
-        and newly admitted sessions are served degraded (relaxed FPS
-        target and/or the controller's ``degraded_factory``) instead of
-        the fleet shedding load.
+        consulted once per arrival-window step (before admission).  While
+        it reports a level above 0, the level is published on the
+        scheduling snapshot and newly admitted sessions are served degraded
+        (relaxed FPS target and/or the controller's ``degraded_factory``)
+        instead of the fleet shedding load.
     faults:
-        Optional :class:`~repro.cluster.faults.FaultInjector` (or a
-        :class:`~repro.cluster.faults.FaultConfig` to build one) injecting
-        seeded crashes, stragglers and warm-up failures during the arrival
-        window (the drain tail runs fault-free, so admitted sessions always
-        finish).  On a crash, in-flight sessions are salvaged: their
+        Optional :class:`~repro.cluster.faults.FaultConfig`; the orchestrator
+        builds its :class:`~repro.cluster.faults.FaultInjector`, which
+        injects seeded crashes, stragglers and warm-up failures during the
+        arrival window (the drain tail runs fault-free, so admitted sessions
+        always finish).  On a crash, in-flight sessions are salvaged: their
         controllers' Q-tables are snapshotted, the remaining playlist is
         re-enqueued with a bounded retry budget and exponential backoff,
         and a successful re-dispatch restores the snapshot on the
@@ -428,7 +446,6 @@ class ClusterOrchestrator:
         controller_factory: Optional[ControllerFactory] = None,
         server_factory=MulticoreServer,
         power_cap_w: float = DEFAULT_POWER_CAP_W,
-        fleet_power_cap_w: Optional[float] = None,
         seed: int = 0,
         engine: str = "batch",
         autoscaler: Optional[AutoscalePolicy] = None,
@@ -436,7 +453,7 @@ class ClusterOrchestrator:
         max_servers: Optional[int] = None,
         provision_warmup_steps: int = 3,
         brownout: Optional[BrownoutController] = None,
-        faults: Optional[FaultInjector | FaultConfig] = None,
+        faults: Optional[FaultConfig] = None,
     ) -> None:
         if num_servers < 1:
             raise ClusterError(f"num_servers must be >= 1, got {num_servers}")
@@ -448,6 +465,10 @@ class ClusterOrchestrator:
             raise ClusterError(
                 f"provision_warmup_steps must be >= 0, got {provision_warmup_steps}"
             )
+        if faults is not None and not isinstance(faults, FaultConfig):
+            raise ClusterError(
+                f"faults must be a FaultConfig, got {type(faults).__name__}"
+            )
         self.workload = workload
         self.admission = admission if admission is not None else CapacityThreshold()
         self.dispatcher = dispatcher if dispatcher is not None else LeastLoaded()
@@ -458,14 +479,7 @@ class ClusterOrchestrator:
         )
         self.server_factory = server_factory
         self.power_cap_w = float(power_cap_w)
-        # An explicit fleet budget stays fixed; the derived default tracks
-        # the dispatchable fleet as the autoscaler resizes it.
-        self._fixed_fleet_cap = fleet_power_cap_w is not None
-        self.fleet_power_cap_w = (
-            float(fleet_power_cap_w)
-            if fleet_power_cap_w is not None
-            else num_servers * self.power_cap_w
-        )
+        self.fleet_power_cap_w = num_servers * self.power_cap_w
         self.seed = int(seed)
         self.engine = engine
         self.autoscaler = autoscaler
@@ -490,19 +504,33 @@ class ClusterOrchestrator:
         self._live: list[_ServerSlot] = list(self._slots)
         self._scaling_events: list[ScalingEvent] = []
         self._fleet_trace: list[FleetSample] = []
-        self._admitted = 0
         self._ran = False
+        self._queue: deque[WorkloadEvent] = deque()
         self._queue_class_counts: dict[str, int] = {}
+        # The counts of the ClusterResult ledger; _count is their only
+        # writer.  The queue waits and the fault events are the ledger's
+        # two lists.
+        self._ledger = dict(
+            arrivals=0,
+            admitted=0,
+            rejected=0,
+            dropped=0,
+            degraded_sessions=0,
+            brownout_steps=0,
+            failed=0,
+            retried=0,
+            recomputed_frames=0,
+            checkpoint_writes=0,
+            checkpoint_energy_j=0.0,
+        )
+        self._queue_waits: list[int] = []
         self.brownout = brownout
         self._brownout_level = 0
-        self._brownout_steps = 0
-        self._degraded = 0
-        if isinstance(faults, FaultConfig):
-            faults = FaultInjector(faults)
-        # A no-op injector (no fault mode enabled) makes no draws, but going
-        # through None here also skips the per-session recovery bookkeeping,
-        # making the disabled path literally the pre-fault code.
-        self.faults = faults if faults is not None and faults.enabled else None
+        # A config with no fault mode enabled makes no draws; dropping it
+        # here makes the disabled path literally the fault-free code.
+        self.faults = (
+            FaultInjector(faults) if faults is not None and faults.enabled else None
+        )
         self._topology = (
             self.faults.topology if self.faults is not None else FailureTopology()
         )
@@ -515,19 +543,14 @@ class ClusterOrchestrator:
         self._ckpt_power = (
             fault_cfg.checkpoint_power_w if fault_cfg is not None else 0.0
         )
-        self._recomputed_frames = 0
-        self._checkpoint_writes = 0
-        self._checkpoint_energy = 0.0
         self._fault_events: list[FaultEvent] = []
         self._failed_slots: list[_ServerSlot] = []
         self._retry_queue: list[_RetryTicket] = []
-        self._session_meta: dict[int, _SessionMeta] = {}
-        self._failed = 0
-        self._retried = 0
+        # Running sessions by id(session), in dispatch order; a session
+        # leaves when it ends or its server crashes.
+        self._inflight: dict[int, _InFlight] = {}
         # Telemetry defaults to the shared all-null hub; run(telemetry=...)
-        # rebinds before the first step.  Sessions being traced from dispatch
-        # to their terminal span live in _trace_inflight.
-        self._trace_inflight: list[list] = []
+        # rebinds before the first step.
         self._bind_telemetry(Telemetry.disabled())
 
     @property
@@ -556,6 +579,11 @@ class ClusterOrchestrator:
         for slot in self._slots:
             slot.orchestrator.profiler = telemetry.profiler
         m = telemetry.metrics
+        # Counters mirroring a ledger count or a fault kind are keyed by it
+        # (see _count and _fault).  Registration order is the order of the
+        # exported text, so the two kinds stay interleaved with the gauges.
+        ledger = self._ledger_metrics = {}
+        faults = self._fault_metrics = {}
         self._m_queue = m.gauge(
             "repro_queue_length", "Admission queue length at end of step"
         )
@@ -580,19 +608,19 @@ class ClusterOrchestrator:
         self._m_power = m.gauge(
             "repro_fleet_power_w", "Summed package power of powered-on servers"
         )
-        self._m_arrivals = m.counter(
+        ledger["arrivals"] = m.counter(
             "repro_arrivals_total", "Requests generated by the workload"
         )
-        self._m_admitted = m.counter(
+        ledger["admitted"] = m.counter(
             "repro_admitted_total", "Requests dispatched to a server"
         )
-        self._m_rejected = m.counter(
+        ledger["rejected"] = m.counter(
             "repro_rejected_total", "Requests turned away by admission"
         )
-        self._m_dropped = m.counter(
+        ledger["dropped"] = m.counter(
             "repro_dropped_total", "Queued requests dropped past patience"
         )
-        self._m_degraded = m.counter(
+        ledger["degraded_sessions"] = m.counter(
             "repro_degraded_total", "Sessions admitted at degraded quality"
         )
         self._m_frames = m.counter(
@@ -610,17 +638,17 @@ class ClusterOrchestrator:
             "repro_fleet_healthy_servers",
             "Dispatchable servers in full health",
         )
-        self._m_crashes = m.counter(
+        faults["crash"] = m.counter(
             "repro_server_crashes_total", "Injected abrupt server failures"
         )
-        self._m_stragglers = m.counter(
+        faults["straggler"] = m.counter(
             "repro_stragglers_total", "Injected transient server throttles"
         )
-        self._m_retried = m.counter(
+        ledger["retried"] = m.counter(
             "repro_retried_total",
             "Sessions salvaged from a crash and re-dispatched",
         )
-        self._m_failed = m.counter(
+        ledger["failed"] = m.counter(
             "repro_failed_total",
             "Admitted requests lost to crashes past their retry budget",
         )
@@ -628,14 +656,31 @@ class ClusterOrchestrator:
             "repro_fleet_available_domains",
             "Failure zones with at least one dispatchable server",
         )
-        self._m_zone_outages = m.counter(
+        faults["zone_outage"] = m.counter(
             "repro_zone_outages_total",
             "Injected correlated zone outages (drawn or scheduled)",
         )
-        self._m_recomputed = m.counter(
+        ledger["recomputed_frames"] = m.counter(
             "repro_recomputed_frames_total",
             "Frames re-transcoded by crash retries",
         )
+
+    def _count(self, field: str, amount: float = 1) -> None:
+        """Bump one ledger count and the Prometheus counter mirroring it."""
+        self._ledger[field] += amount
+        metric = self._ledger_metrics.get(field)
+        if metric is not None:
+            metric.inc(amount)
+
+    def _fault(self, event: FaultEvent, target: Optional[str] = None, **span) -> None:
+        """Record one fault or recovery: its event, its kind's counter and,
+        when it names a span ``target``, its ``fault`` span."""
+        self._fault_events.append(event)
+        metric = self._fault_metrics.get(event.kind)
+        if metric is not None:
+            metric.inc()
+        if target is not None:
+            self._tracer.emit("fault", event.step, target, fault=event.kind, **span)
 
     def _count_verdict(self, verdict: AdmissionVerdict) -> None:
         if self._metrics.enabled:
@@ -656,38 +701,40 @@ class ClusterOrchestrator:
                 labels={"direction": direction, "policy": self.autoscaler.name},
             ).inc()
 
-    def _trace_progress(self, step: int) -> None:
-        """Emit video-completion and session-end spans after a step.
+    def _walk_inflight(self, step: int) -> None:
+        """Retire the sessions that ended this step from the in-flight registry.
 
-        Walks the in-flight sessions in dispatch order — identical on both
-        engines, so scalar and batch runs produce the same span stream.
+        Walks the registry in dispatch order — identical on both engines, so
+        scalar and batch runs produce the same span stream — emitting each
+        session's video-completion spans and, once it has ended, its
+        ``served`` span.
         """
         tracer = self._tracer
-        keep = []
-        for entry in self._trace_inflight:
-            request_id, session, last_video, videos = entry
-            current = session.video_index
-            while last_video < current:
-                last_video += 1
-                tracer.emit(
-                    "video_complete",
-                    step,
-                    request_id,
-                    video=last_video,
-                    videos=videos,
-                )
-            if session.active:
-                entry[2] = last_video
-                keep.append(entry)
-            else:
+        ended = []
+        for key, entry in self._inflight.items():
+            session = entry.session
+            if tracer.enabled:
+                request_id = entry.event.request.user_id
+                while entry.videos_done < session.video_index:
+                    entry.videos_done += 1
+                    tracer.emit(
+                        "video_complete",
+                        step,
+                        request_id,
+                        video=entry.videos_done,
+                        videos=len(session.playlist),
+                    )
+            if not session.active:
+                ended.append(key)
                 tracer.emit(
                     "served",
                     step,
-                    request_id,
+                    entry.event.request.user_id,
                     frames=len(session.records),
                     completed=True,
                 )
-        self._trace_inflight = keep
+        for key in ended:
+            del self._inflight[key]
 
     # -- state -------------------------------------------------------------------------
 
@@ -721,8 +768,7 @@ class ClusterOrchestrator:
                 self._stepper.flush_window_state()
             self._stepper = None
         self._live = live
-        if not self._fixed_fleet_cap:
-            self.fleet_power_cap_w = len(self._dispatchable) * self.power_cap_w
+        self.fleet_power_cap_w = len(self._dispatchable) * self.power_cap_w
 
     def snapshot(self, step: int, queue_length: int) -> ClusterSnapshot:
         """Immutable fleet state as seen by admission/dispatch policies.
@@ -852,8 +898,9 @@ class ClusterOrchestrator:
         admission: requests still queued when the window ends are *not*
         served by capacity freed during the tail — they are reported as
         ``abandoned``.  ``max_drain_steps`` bounds the tail for overload
-        experiments.  The autoscaler keeps running during the tail but may
-        only shrink the fleet (there is nothing left to admit).
+        experiments.  The tail runs the window's step body with admission
+        closed: no faults are injected, nothing is aged or admitted, and the
+        autoscaler keeps running but may only shrink the fleet.
 
         ``telemetry`` accepts a :class:`~repro.telemetry.TelemetryConfig` or
         a built :class:`~repro.telemetry.Telemetry` hub.  Observation is
@@ -882,152 +929,8 @@ class ClusterOrchestrator:
             )
         self._ran = True
         self._bind_telemetry(resolve_telemetry(telemetry))
-        tracer = self._tracer
-
-        queue: deque[WorkloadEvent] = deque()
-        arrivals = admitted = rejected = dropped = 0
-        queue_waits: list[int] = []
-
         for step in range(duration):
-            self._update_fleet(step)
-            if self.faults is not None:
-                self._inject_faults(step)
-            # Age the queue before anything gets a claim on capacity:
-            # requests past their patience deadline are dropped, never
-            # admitted, and never counted in the queue waits.
-            step_dropped = self._age_queue(queue, step)
-            dropped += step_dropped
-            snapshot: Optional[ClusterSnapshot] = None
-            step_arrivals = 0
-
-            if self.brownout is not None:
-                snapshot = self.snapshot(step, len(queue))
-                level = self.brownout.observe(snapshot)
-                if level != self._brownout_level:
-                    _LOG.debug(
-                        "step %d: brownout level %d -> %d",
-                        step,
-                        self._brownout_level,
-                        level,
-                    )
-                    self._brownout_level = level
-                    snapshot = dataclasses.replace(snapshot, brownout_level=level)
-                if level > 0:
-                    self._brownout_steps += 1
-
-            if self.faults is not None:
-                # Crash survivors whose backoff has elapsed get first claim
-                # on capacity — they were admitted before anyone queued.
-                snapshot = self._process_retries(step, len(queue), snapshot)
-
-            # Queued requests get first claim on freed capacity (FIFO: stop
-            # at the first request the policy keeps queued).  The head is
-            # excluded from the backlog its own decision sees (both the
-            # aggregate length and its class's count); a QUEUE verdict puts
-            # it back.
-            while queue:
-                head = queue[0]
-                self._queue_class_counts[head.service_class] -= 1
-                snapshot = self._derive_snapshot(step, len(queue) - 1, snapshot)
-                verdict = self._resolve_verdict(
-                    self.admission.decide(head, snapshot), snapshot
-                )
-                self._count_verdict(verdict)
-                if verdict is AdmissionVerdict.QUEUE:
-                    self._queue_class_counts[head.service_class] += 1
-                    break
-                event = queue.popleft()
-                if verdict is AdmissionVerdict.ADMIT:
-                    wait = step - event.arrival_step
-                    index = self._dispatch(event, snapshot, wait_steps=wait)
-                    snapshot = self._bump_server(snapshot, index)
-                    admitted += 1
-                    queue_waits.append(wait)
-                    self._m_admitted.inc()
-                    self._m_wait.observe(wait)
-                else:
-                    rejected += 1
-                    self._m_rejected.inc()
-                    tracer.emit(
-                        "rejected",
-                        step,
-                        event.request.user_id,
-                        policy=self.admission.name,
-                        waited=step - event.arrival_step,
-                    )
-
-            for event in self.workload.arrivals(step):
-                if self.faults is not None and "#r" in event.request.user_id:
-                    # Retry re-dispatches are recorded under synthesized
-                    # "<user>#r<attempt>" keys; a raw user id containing
-                    # "#r" could collide with them (user "a#r2" vs retry 2
-                    # of user "a"), silently merging two requests' ledgers.
-                    # Reject at admission instead of risking the collision.
-                    raise ClusterError(
-                        f"user id {event.request.user_id!r} contains the "
-                        "reserved retry-key marker '#r'; rename the user — "
-                        "crash retries are recorded under '<user>#r<n>' keys"
-                    )
-                arrivals += 1
-                step_arrivals += 1
-                tracer.emit(
-                    "arrival",
-                    step,
-                    event.request.user_id,
-                    service_class=event.service_class,
-                    frames=event.total_frames,
-                    patience=event.patience_steps,
-                )
-                snapshot = self._derive_snapshot(step, len(queue), snapshot)
-                verdict = self._resolve_verdict(
-                    self.admission.decide(event, snapshot), snapshot
-                )
-                self._count_verdict(verdict)
-                if verdict is AdmissionVerdict.ADMIT:
-                    index = self._dispatch(event, snapshot, wait_steps=0)
-                    snapshot = self._bump_server(snapshot, index)
-                    admitted += 1
-                    queue_waits.append(0)
-                    self._m_admitted.inc()
-                    self._m_wait.observe(0)
-                elif verdict is AdmissionVerdict.QUEUE:
-                    queue.append(event)
-                    self._queue_class_counts[event.service_class] = (
-                        self._queue_class_counts.get(event.service_class, 0) + 1
-                    )
-                    tracer.emit(
-                        "queued",
-                        step,
-                        event.request.user_id,
-                        queue_length=len(queue),
-                    )
-                else:
-                    rejected += 1
-                    self._m_rejected.inc()
-                    tracer.emit(
-                        "rejected",
-                        step,
-                        event.request.user_id,
-                        policy=self.admission.name,
-                        waited=0,
-                    )
-
-            if self.autoscaler is not None:
-                self._autoscale(step, step_arrivals, len(queue), allow_grow=True)
-            frames, violations = self._advance(step)
-            self._record_fleet_sample(
-                step,
-                step_arrivals,
-                len(queue),
-                frames,
-                violations,
-                step_dropped,
-                rejected_total=rejected,
-                queue_waits=queue_waits,
-            )
-            if tracer.enabled:
-                self._trace_progress(step)
-
+            self._step(step, admitting=True)
         steps = duration
         # Admission closes with the arrival window, so brownout — which
         # only shapes the admission of *new* sessions — ends with it: the
@@ -1038,67 +941,41 @@ class ClusterOrchestrator:
             while any(slot.active_count > 0 for slot in self._live):
                 if max_drain_steps is not None and steps - duration >= max_drain_steps:
                     break
-                self._update_fleet(steps)
-                if self.autoscaler is not None:
-                    # Admission is closed: the leftover queue can never be
-                    # served, so the autoscaler sees an effective queue of 0
-                    # — a backlog nobody will admit must not block "scale
-                    # down only when the queue is empty" rules and keep
-                    # idle servers powered through the whole tail.
-                    self._autoscale(
-                        steps, 0, 0, allow_grow=False, draining_tail=True
-                    )
-                frames, violations = self._advance(steps)
-                self._record_fleet_sample(
-                    steps,
-                    0,
-                    len(queue),
-                    frames,
-                    violations,
-                    0,
-                    rejected_total=rejected,
-                    queue_waits=queue_waits,
-                )
-                if tracer.enabled:
-                    self._trace_progress(steps)
+                self._step(steps, admitting=False)
                 steps += 1
 
-        # Retry tickets still pending when the run ends can never be served
-        # (admission closed with the arrival window): their requests join
-        # the ``failed`` ledger, each closing its lifecycle with a terminal
-        # ``failed`` span.
+        # Close every open lifecycle, one terminal span per arrival.  Retry
+        # tickets still pending can never be served (admission closed with
+        # the arrival window): their requests join the ``failed`` ledger.
+        # Sessions cut off by the end of the run (drain disabled or bounded)
+        # end ``served`` with ``completed: false``; requests still queued
+        # end ``abandoned``.
+        tracer = self._tracer
         for ticket in self._retry_queue:
-            self._failed += 1
-            self._m_failed.inc()
+            self._count("failed")
             tracer.emit(
                 "failed",
                 steps,
-                ticket.user_id,
+                ticket.event.request.user_id,
                 attempts=ticket.attempt,
                 pending=True,
             )
         self._retry_queue = []
-        if tracer.enabled:
-            # Close every open lifecycle: sessions cut off by the end of the
-            # run (drain disabled or bounded) end in a ``served`` span with
-            # ``completed: false``; requests still queued end ``abandoned``.
-            # Exactly one terminal span per arrival either way.
-            for request_id, session, _, _ in self._trace_inflight:
-                tracer.emit(
-                    "served",
-                    steps,
-                    request_id,
-                    frames=len(session.records),
-                    completed=False,
-                )
-            self._trace_inflight = []
-            for event in queue:
-                tracer.emit(
-                    "abandoned",
-                    steps,
-                    event.request.user_id,
-                    waited=steps - event.arrival_step,
-                )
+        for entry in self._inflight.values():
+            tracer.emit(
+                "served",
+                steps,
+                entry.event.request.user_id,
+                frames=len(entry.session.records),
+                completed=False,
+            )
+        for event in self._queue:
+            tracer.emit(
+                "abandoned",
+                steps,
+                event.request.user_id,
+                waited=steps - event.arrival_step,
+            )
         self.telemetry.finalize()
 
         return ClusterResult(
@@ -1110,26 +987,163 @@ class ClusterOrchestrator:
                 for slot in self._slots
             ),
             samples_by_server=tuple(tuple(slot.samples) for slot in self._slots),
-            arrivals=arrivals,
-            admitted=admitted,
-            rejected=rejected,
-            abandoned=len(queue),
-            queue_waits=tuple(queue_waits),
+            abandoned=len(self._queue),
+            queue_waits=tuple(self._queue_waits),
             steps=steps,
             scaling_events=tuple(self._scaling_events),
             fleet_trace=tuple(self._fleet_trace),
-            dropped=dropped,
-            degraded_sessions=self._degraded,
-            brownout_steps=self._brownout_steps,
-            failed=self._failed,
-            retried=self._retried,
             fault_events=tuple(self._fault_events),
-            recomputed_frames=self._recomputed_frames,
-            checkpoint_writes=self._checkpoint_writes,
-            checkpoint_energy_j=self._checkpoint_energy,
+            **self._ledger,
         )
 
     # -- internals ---------------------------------------------------------------------
+
+    def _step(self, step: int, admitting: bool) -> None:
+        """One cluster step: the body of the arrival window and the drain tail.
+
+        A window step (``admitting``) injects faults, ages the queue and
+        runs admission before the fleet steps.  A drain-tail step does none
+        of these, and its autoscaler may only shrink the fleet.
+        """
+        self._update_fleet(step)
+        arrivals = dropped = 0
+        if admitting:
+            if self.faults is not None:
+                self._inject_faults(step)
+            # Age the queue before anything gets a claim on capacity:
+            # requests past their patience deadline are dropped, never
+            # admitted, and never counted in the queue waits.
+            dropped = self._age_queue(step)
+            arrivals = self._admit_step(step)
+        if self.autoscaler is not None:
+            self._autoscale(step, arrivals, admitting)
+        frames, violations = self._advance(step)
+        self._record_fleet_sample(step, arrivals, frames, violations, dropped)
+        self._walk_inflight(step)
+
+    def _admit_step(self, step: int) -> int:
+        """Brownout, then one admission decision per request; returns the
+        step's arrivals.
+
+        Crash survivors whose backoff has elapsed get first claim on
+        capacity — they were admitted before anyone queued — then queued
+        requests (FIFO: stop at the first one the policy keeps queued), then
+        the step's new arrivals.
+        """
+        queue = self._queue
+        snapshot: Optional[ClusterSnapshot] = None
+        if self.brownout is not None:
+            snapshot = self.snapshot(step, len(queue))
+            level = self.brownout.observe(snapshot)
+            if level != self._brownout_level:
+                _LOG.debug(
+                    "step %d: brownout level %d -> %d",
+                    step,
+                    self._brownout_level,
+                    level,
+                )
+                self._brownout_level = level
+                snapshot = dataclasses.replace(snapshot, brownout_level=level)
+            if level > 0:
+                self._count("brownout_steps")
+
+        # Retries bypass the patience queue (the user already paid their
+        # wait): a QUEUE or REJECT verdict leaves the ticket pending for the
+        # next step rather than consuming a retry attempt — attempts are
+        # spent only on crashes.
+        pending: list[_RetryTicket] = []
+        for ticket in self._retry_queue:
+            if step >= ticket.ready_step:
+                verdict, snapshot = self._admit(
+                    step, ticket.event, len(queue), snapshot, ticket
+                )
+                if verdict is AdmissionVerdict.ADMIT:
+                    continue
+            pending.append(ticket)
+        self._retry_queue = pending
+
+        # The head is excluded from the backlog its own decision sees (both
+        # the aggregate length and its class's count); a QUEUE verdict puts
+        # it back.
+        while queue:
+            head = queue[0]
+            self._queue_class_counts[head.service_class] -= 1
+            verdict, snapshot = self._admit(step, head, len(queue) - 1, snapshot)
+            if verdict is AdmissionVerdict.QUEUE:
+                self._queue_class_counts[head.service_class] += 1
+                break
+            queue.popleft()
+
+        arrivals = 0
+        for event in self.workload.arrivals(step):
+            if self.faults is not None and "#r" in event.request.user_id:
+                # Retry re-dispatches are recorded under synthesized
+                # "<user>#r<attempt>" keys; a raw user id containing "#r"
+                # could collide with them (user "a#r2" vs retry 2 of user
+                # "a"), silently merging two requests' ledgers.  Reject at
+                # admission instead of risking the collision.
+                raise ClusterError(
+                    f"user id {event.request.user_id!r} contains the "
+                    "reserved retry-key marker '#r'; rename the user — "
+                    "crash retries are recorded under '<user>#r<n>' keys"
+                )
+            arrivals += 1
+            self._count("arrivals")
+            self._tracer.emit(
+                "arrival",
+                step,
+                event.request.user_id,
+                service_class=event.service_class,
+                frames=event.total_frames,
+                patience=event.patience_steps,
+            )
+            verdict, snapshot = self._admit(step, event, len(queue), snapshot)
+            if verdict is AdmissionVerdict.QUEUE:
+                queue.append(event)
+                self._queue_class_counts[event.service_class] = (
+                    self._queue_class_counts.get(event.service_class, 0) + 1
+                )
+                self._tracer.emit(
+                    "queued",
+                    step,
+                    event.request.user_id,
+                    queue_length=len(queue),
+                )
+        return arrivals
+
+    def _admit(
+        self,
+        step: int,
+        event: WorkloadEvent,
+        queue_length: int,
+        snapshot: Optional[ClusterSnapshot],
+        ticket: Optional[_RetryTicket] = None,
+    ) -> tuple[AdmissionVerdict, ClusterSnapshot]:
+        """Decide one request and carry the verdict out.
+
+        The one admission path of crash retries (``ticket``), queued
+        requests and new arrivals.  The decision sees the snapshot derived
+        for ``queue_length``; an ADMIT dispatches and a REJECT ends the
+        request, except that a retry's REJECT, like every QUEUE, is left to
+        the caller.  Returns the verdict and the snapshot after it.
+        """
+        snapshot = self._derive_snapshot(step, queue_length, snapshot)
+        verdict = self._resolve_verdict(
+            self.admission.decide(event, snapshot), snapshot
+        )
+        self._count_verdict(verdict)
+        if verdict is AdmissionVerdict.ADMIT:
+            snapshot = self._dispatch(event, snapshot, ticket)
+        elif verdict is AdmissionVerdict.REJECT and ticket is None:
+            self._count("rejected")
+            self._tracer.emit(
+                "rejected",
+                step,
+                event.request.user_id,
+                policy=self.admission.name,
+                waited=step - event.arrival_step,
+            )
+        return verdict, snapshot
 
     @staticmethod
     def _resolve_verdict(
@@ -1147,15 +1161,14 @@ class ClusterOrchestrator:
             return AdmissionVerdict.QUEUE
         return verdict
 
-    def _age_queue(self, queue: deque[WorkloadEvent], step: int) -> int:
+    def _age_queue(self, step: int) -> int:
         """Drop queued requests past their patience deadline; returns the count."""
+        queue = self._queue
         if not queue:
             return 0
         kept = []
-        expired = 0
         for event in queue:
             if event.expired(step):
-                expired += 1
                 self._queue_class_counts[event.service_class] -= 1
                 self._tracer.emit(
                     "dropped",
@@ -1165,7 +1178,9 @@ class ClusterOrchestrator:
                 )
             else:
                 kept.append(event)
+        expired = len(queue) - len(kept)
         if expired:
+            self._count("dropped", expired)
             queue.clear()
             queue.extend(kept)
         return expired
@@ -1174,12 +1189,11 @@ class ClusterOrchestrator:
         self,
         event: WorkloadEvent,
         snapshot: ClusterSnapshot,
-        wait_steps: int = 0,
         ticket: Optional[_RetryTicket] = None,
-    ) -> int:
+    ) -> ClusterSnapshot:
         """Route an admitted event using the snapshot its admission saw
         (cluster state cannot change between the two decisions); returns the
-        chosen snapshot index.
+        snapshot after the dispatch.
 
         With a ``ticket`` this is a crash-recovery re-dispatch: the session
         is rebuilt from the ticket's remaining playlist under a
@@ -1192,7 +1206,9 @@ class ClusterOrchestrator:
         session was lost in (``retry_of_zone``) so failure-aware policies
         can spread retries across domains.  Trace spans keep the ORIGINAL
         user id throughout, so a request's lifecycle stays one stream no
-        matter how often it migrates.
+        matter how often it migrates.  A retry counts as ``retried``, not
+        ``admitted`` (the request was admitted once already), and its wait
+        does not join the queue waits.
         """
         policy_view = snapshot
         if ticket is not None and ticket.from_zone is not None:
@@ -1205,42 +1221,46 @@ class ClusterOrchestrator:
                 f"{self.dispatcher.name} chose server {index} "
                 f"of a {len(snapshot.servers)}-server dispatchable fleet"
             )
+        wait = snapshot.step - event.arrival_step
         request = event.request
         playlist = event.playlist
-        trace_id = request.user_id
         attempt = 0
         if ticket is not None:
-            trace_id = ticket.user_id
             attempt = ticket.attempt
             playlist = ticket.playlist
             request = dataclasses.replace(
                 request,
-                user_id=f"{ticket.user_id}#r{ticket.attempt}",
-                sequence=ticket.playlist[0],
+                user_id=f"{request.user_id}#r{attempt}",
+                sequence=playlist[0],
             )
         factory = self.controller_factory
-        degraded = False
-        if self._brownout_level > 0 and self.brownout is not None:
+        degraded = self._brownout_level > 0 and self.brownout is not None
+        if degraded:
             # The brownout bargain: served, but degraded.  The relaxed
             # request is used for the session too, so QoS accounting holds
             # the fleet to the target the user actually got.
             request = self.brownout.degrade_request(request)
             if self.brownout.degraded_factory is not None:
                 factory = self.brownout.degraded_factory
-            self._degraded += 1
-            self._m_degraded.inc()
-            degraded = True
-        controller = factory(request, self.seed + self._admitted)
-        self._admitted += 1
+            self._count("degraded_sessions")
+        # One controller seed per dispatch: first dispatches and retries.
+        dispatches = self._ledger["admitted"] + self._ledger["retried"]
+        controller = factory(request, self.seed + dispatches)
         start_frame = 0
+        retry_fields = {}
         if ticket is not None:
             restore_session_state(controller, ticket.session_state)
             start_frame = ticket.resume_frame
+            retry_fields = {"retry": attempt, "resume_frame": start_frame}
             # Recomputation is charged when the retry actually runs: the
             # frames between the resume point and the crash point are work
             # the fleet does twice.
-            self._recomputed_frames += ticket.recomputed
-            self._m_recomputed.inc(ticket.recomputed)
+            self._count("recomputed_frames", ticket.recomputed)
+            self._count("retried")
+        else:
+            self._count("admitted")
+            self._queue_waits.append(wait)
+            self._m_wait.observe(wait)
         session = TranscodingSession(
             request=request,
             controller=controller,
@@ -1251,38 +1271,18 @@ class ClusterOrchestrator:
         slot.orchestrator.add_session(session)
         slot.dispatched += 1
         slot.active_count += 1
-        if self.faults is not None:
-            self._session_meta[id(session)] = _SessionMeta(
-                event, trace_id, attempt
-            )
-        tracer = self._tracer
-        if tracer.enabled:
-            if ticket is not None:
-                tracer.emit(
-                    "dispatched",
-                    snapshot.step,
-                    trace_id,
-                    server=slot.index,
-                    wait_steps=wait_steps,
-                    degraded=degraded,
-                    brownout_level=self._brownout_level,
-                    retry=attempt,
-                    resume_frame=start_frame,
-                )
-            else:
-                tracer.emit(
-                    "dispatched",
-                    snapshot.step,
-                    trace_id,
-                    server=slot.index,
-                    wait_steps=wait_steps,
-                    degraded=degraded,
-                    brownout_level=self._brownout_level,
-                )
-            self._trace_inflight.append(
-                [trace_id, session, 0, len(session.playlist)]
-            )
-        return index
+        self._inflight[id(session)] = _InFlight(session, event, attempt)
+        self._tracer.emit(
+            "dispatched",
+            snapshot.step,
+            event.request.user_id,
+            server=slot.index,
+            wait_steps=wait,
+            degraded=degraded,
+            brownout_level=self._brownout_level,
+            **retry_fields,
+        )
+        return self._bump_server(snapshot, index)
 
     def _update_fleet(self, step: int) -> None:
         """Activate warmed-up servers; retire drained ones; heal the sick.
@@ -1313,7 +1313,7 @@ class ClusterOrchestrator:
                 # A reboot resets the observed uptime; a throttle expiring
                 # below does not (the machine never went down).
                 slot.up_since = step
-                self._fault_events.append(
+                self._fault(
                     FaultEvent(
                         step=step,
                         kind="recovered",
@@ -1325,7 +1325,7 @@ class ClusterOrchestrator:
                 changed = True
             elif slot.health == _DEGRADED and step >= slot.throttle_until:
                 slot.health = _HEALTHY
-                self._fault_events.append(
+                self._fault(
                     FaultEvent(
                         step=step,
                         kind="recovered",
@@ -1343,22 +1343,16 @@ class ClusterOrchestrator:
                     slot.state = _RETIRED
                     slot.health = _FAILED
                     slot.decommissioned_step = step
-                    self._fault_events.append(
+                    self._fault(
                         FaultEvent(
                             step=step,
                             kind="warmup_failure",
                             server=slot.index,
                             detail="provision never became ready",
-                        )
+                        ),
+                        f"server-{slot.index}",
+                        server=slot.index,
                     )
-                    if self._tracer.enabled:
-                        self._tracer.emit(
-                            "fault",
-                            step,
-                            f"server-{slot.index}",
-                            fault="warmup_failure",
-                            server=slot.index,
-                        )
                 else:
                     slot.state = _ACTIVE
                     slot.up_since = step
@@ -1406,24 +1400,17 @@ class ClusterOrchestrator:
             elif slot.health == _HEALTHY and faults.straggles():
                 slot.health = _DEGRADED
                 slot.throttle_until = step + faults.throttle_steps()
-                self._fault_events.append(
+                self._fault(
                     FaultEvent(
                         step=step,
                         kind="straggler",
                         server=slot.index,
                         detail=f"throttled until step {slot.throttle_until}",
-                    )
+                    ),
+                    f"server-{slot.index}",
+                    server=slot.index,
+                    until=slot.throttle_until,
                 )
-                self._m_stragglers.inc()
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "fault",
-                        step,
-                        f"server-{slot.index}",
-                        fault="straggler",
-                        server=slot.index,
-                        until=slot.throttle_until,
-                    )
                 changed = True
         if changed:
             self._refresh_fleet_views()
@@ -1449,7 +1436,7 @@ class ClusterOrchestrator:
             and s.health in (_HEALTHY, _DEGRADED)
         ]
         cause = "scheduled kill" if scheduled else "drawn outage"
-        self._fault_events.append(
+        self._fault(
             FaultEvent(
                 step=step,
                 kind="zone_outage",
@@ -1460,20 +1447,13 @@ class ClusterOrchestrator:
                     f"{downtime} steps"
                 ),
                 zone=zone,
-            )
+            ),
+            f"zone-{zone}",
+            zone=zone,
+            servers=len(victims),
+            scheduled=scheduled,
+            downtime=downtime,
         )
-        self._m_zone_outages.inc()
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "fault",
-                step,
-                f"zone-{zone}",
-                fault="zone_outage",
-                zone=zone,
-                servers=len(victims),
-                scheduled=scheduled,
-                downtime=downtime,
-            )
         for slot in victims:
             self._crash_slot(slot, step, downtime=downtime)
         return bool(victims)
@@ -1502,7 +1482,7 @@ class ClusterOrchestrator:
         slot.active_count = 0
         slot.crashes += 1
         self._failed_slots.append(slot)
-        self._fault_events.append(
+        self._fault(
             FaultEvent(
                 step=step,
                 kind="crash",
@@ -1511,63 +1491,45 @@ class ClusterOrchestrator:
                 detail=f"down until step {slot.recover_step}",
                 zone=slot.zone,
                 rack=slot.rack,
-            )
+            ),
+            f"server-{slot.index}",
+            server=slot.index,
+            sessions_lost=len(sessions),
+            zone=slot.zone,
         )
-        self._m_crashes.inc()
         tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(
-                "fault",
-                step,
-                f"server-{slot.index}",
-                fault="crash",
-                server=slot.index,
-                sessions_lost=len(sessions),
-                zone=slot.zone,
-            )
-            if sessions:
-                crashed = {id(s) for s in sessions}
-                self._trace_inflight = [
-                    entry
-                    for entry in self._trace_inflight
-                    if id(entry[1]) not in crashed
-                ]
         for session in sessions:
-            meta = self._session_meta.pop(id(session), None)
-            if meta is None:  # session predates fault bookkeeping; treat as fresh
-                meta = _SessionMeta(None, session.request.user_id, 0)
+            entry = self._inflight.pop(id(session))
+            request_id = entry.event.request.user_id
             state = snapshot_session(
                 session, checkpoint_interval=self._ckpt_interval
             )
             remaining = tuple(session.playlist[session.video_index :])
             frames_done = len(session.records)
             session.terminate()
-            attempt = meta.attempt + 1
-            if tracer.enabled:
-                tracer.emit(
-                    "interrupted",
-                    step,
-                    meta.user_id,
-                    server=slot.index,
-                    frames=frames_done,
-                    attempt=attempt,
-                    zone=slot.zone,
-                )
-            if meta.event is None or attempt > faults.config.max_retries:
-                self._failed += 1
-                self._m_failed.inc()
+            attempt = entry.attempt + 1
+            tracer.emit(
+                "interrupted",
+                step,
+                request_id,
+                server=slot.index,
+                frames=frames_done,
+                attempt=attempt,
+                zone=slot.zone,
+            )
+            if attempt > faults.config.max_retries:
+                self._count("failed")
                 tracer.emit(
                     "failed",
                     step,
-                    meta.user_id,
+                    request_id,
                     attempts=attempt,
                     frames=frames_done,
                 )
             else:
                 self._retry_queue.append(
                     _RetryTicket(
-                        event=meta.event,
-                        user_id=meta.user_id,
+                        event=entry.event,
                         attempt=attempt,
                         ready_step=faults.retry_ready_step(step, attempt),
                         playlist=remaining,
@@ -1578,75 +1540,33 @@ class ClusterOrchestrator:
                     )
                 )
 
-    def _process_retries(
-        self,
-        step: int,
-        queue_length: int,
-        snapshot: Optional[ClusterSnapshot],
-    ):
-        """Offer due retry tickets back to admission; returns the snapshot.
+    def _autoscale(self, step: int, arrivals: int, admitting: bool) -> None:
+        """Consult the policy and execute its (clamped) fleet-size target.
 
-        Retries bypass the patience queue (the user already paid their
-        wait); a QUEUE or REJECT verdict leaves the ticket pending for the
-        next step rather than consuming a retry attempt — attempts are
-        spent only on crashes.  Successful re-dispatches count in the
-        ``retried`` ledger, not in ``admitted`` (the request was admitted
-        once already).
+        In the drain tail (not ``admitting``) the fleet may only shrink, and
+        the policy sees an effective queue of 0: the leftover queue can
+        never be served, and a backlog nobody will admit must not block
+        "scale down only when the queue is empty" rules and keep idle
+        servers powered through the whole tail.
         """
-        if not self._retry_queue:
-            return snapshot
-        pending: list[_RetryTicket] = []
-        for ticket in self._retry_queue:
-            if step < ticket.ready_step:
-                pending.append(ticket)
-                continue
-            snapshot = self._derive_snapshot(step, queue_length, snapshot)
-            verdict = self._resolve_verdict(
-                self.admission.decide(ticket.event, snapshot), snapshot
-            )
-            self._count_verdict(verdict)
-            if verdict is AdmissionVerdict.ADMIT:
-                index = self._dispatch(
-                    ticket.event,
-                    snapshot,
-                    wait_steps=step - ticket.event.arrival_step,
-                    ticket=ticket,
-                )
-                snapshot = self._bump_server(snapshot, index)
-                self._retried += 1
-                self._m_retried.inc()
-            else:
-                pending.append(ticket)
-        self._retry_queue = pending
-        return snapshot
-
-    def _autoscale(
-        self,
-        step: int,
-        arrivals: int,
-        queue_length: int,
-        allow_grow: bool,
-        draining_tail: bool = False,
-    ) -> None:
-        """Consult the policy and execute its (clamped) fleet-size target."""
         warming = sum(1 for s in self._live if s.state == _WARMING)
         draining = sum(1 for s in self._live if s.state == _DRAINING)
         provisioned = len(self._dispatchable) + warming
         signals = AutoscaleSignals(
             step=step,
-            snapshot=self.snapshot(step, queue_length),
+            snapshot=self.snapshot(step, len(self._queue) if admitting else 0),
             arrivals=arrivals,
             provisioned_servers=provisioned,
             warming_servers=warming,
             draining_servers=draining,
             min_servers=self.min_servers,
             max_servers=self.max_servers,
-            draining_tail=draining_tail,
+            draining_tail=not admitting,
             brownout_level=self._brownout_level,
         )
         decision = self.autoscaler.decide(signals)
         target = min(max(decision.target_servers, self.min_servers), self.max_servers)
-        if not allow_grow:
+        if not admitting:
             target = min(target, provisioned)
         if target > provisioned:
             self._commission(target - provisioned, step, provisioned, decision.reason)
@@ -1815,8 +1735,8 @@ class ClusterOrchestrator:
                     sample = dataclasses.replace(
                         sample, power_w=sample.power_w + extra_w
                     )
-                    self._checkpoint_writes += writes
-                    self._checkpoint_energy += extra_w * sample.duration_s
+                    self._count("checkpoint_writes", writes)
+                    self._count("checkpoint_energy_j", extra_w * sample.duration_s)
             slot.samples.append(sample)
             slot.last_power_w = sample.power_w
             slot.last_active = sample.active_sessions
@@ -1831,15 +1751,7 @@ class ClusterOrchestrator:
         return frames, violations
 
     def _record_fleet_sample(
-        self,
-        step: int,
-        arrivals: int,
-        queue_length: int,
-        frames: int,
-        violations: int,
-        dropped: int,
-        rejected_total: int = 0,
-        queue_waits: Sequence[int] = (),
+        self, step: int, arrivals: int, frames: int, violations: int, dropped: int
     ) -> None:
         sample = FleetSample(
             step=step,
@@ -1851,7 +1763,7 @@ class ClusterOrchestrator:
             draining_servers=sum(
                 1 for s in self._live if s.state == _DRAINING
             ),
-            queue_length=queue_length,
+            queue_length=len(self._queue),
             arrivals=arrivals,
             active_sessions=sum(slot.active_count for slot in self._live),
             frames=frames,
@@ -1881,19 +1793,17 @@ class ClusterOrchestrator:
             self._m_active.set(sample.active_sessions)
             self._m_brownout.set(sample.brownout_level)
             self._m_power.set(sum(slot.last_power_w for slot in self._live))
-            self._m_arrivals.inc(arrivals)
-            self._m_dropped.inc(dropped)
             self._m_frames.inc(frames)
             self._m_violations.inc(violations)
         # SLO evaluation precedes the recorder snapshot so each step's row
         # already reflects this step's repro_slo_* gauge values.
         self.telemetry.observe_slo(
             step,
-            queue_waits=queue_waits,
+            queue_waits=self._queue_waits,
             arrivals=arrivals,
-            rejected_total=rejected_total,
+            rejected_total=self._ledger["rejected"],
             dropped=dropped,
-            failed_total=self._failed,
+            failed_total=self._ledger["failed"],
             frames=frames,
             violations=violations,
         )

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cluster import ClusterOrchestrator
+from repro.errors import ClusterError
 
 
 class TestParser:
@@ -94,6 +98,26 @@ class TestCommands:
         assert "admitted sessions" in output
         assert "fleet power (W)" in output
         assert "srv-0" in output and "srv-1" in output
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--fault-zones", "0"],
+            ["--fault-racks-per-zone", "0"],
+            ["--fault-retries", "-1"],
+        ],
+    )
+    def test_cluster_rejects_invalid_fault_flags_before_running(
+        self, flags, monkeypatch
+    ):
+        # Invalid fault flags fail with no fault mode on, too, and before
+        # the run starts.
+        def run(*args, **kwargs):
+            pytest.fail("the cluster run started")
+
+        monkeypatch.setattr(ClusterOrchestrator, "run", run)
+        with pytest.raises(ClusterError):
+            main(["cluster", "--duration", "5", *flags])
 
     def test_cluster_brownout_prints_overload_metrics(self, capsys):
         assert main(
@@ -221,6 +245,32 @@ class TestObservabilityCommands:
         assert artifact["provenance"]["seed"] == {"seed": 1}
         assert artifact["provenance"]["config"]["servers"] == 2
         assert artifact["summary"]["arrivals"] > 0
+
+    #: The scenario fingerprint of a default ``cluster`` invocation, as
+    #: artifacts written before the fingerprint became a deny-list carry it.
+    DEFAULT_FINGERPRINT_KEYS = {
+        "servers", "arrival_rate", "duration", "traffic", "admission",
+        "dispatch", "max_sessions_per_server", "max_queue", "hr_max_queue",
+        "lr_max_queue", "patience", "hr_patience", "lr_patience",
+        "queue_while_warming", "brownout", "brownout_fps_relax",
+        "brownout_extra_sessions", "hr_fraction", "frames_per_video",
+        "playlist_videos", "autoscale", "min_servers", "max_servers",
+        "warmup_steps", "no_drain", "fault_mtbf", "fault_mttr",
+        "fault_straggler_mtbf", "fault_straggler_duration",
+        "fault_warmup_failure", "fault_retries", "fault_backoff",
+        "fault_zones", "fault_racks_per_zone", "fault_zone_mtbf",
+        "fault_zone_mttr", "kill_zone", "checkpoint_interval", "power_cap",
+    }
+
+    def test_default_invocation_fingerprints_the_same_keys(self, tmp_path, capsys):
+        # Existing --summary-out artifacts stay comparable with new ones.
+        summary_out = tmp_path / "default.json"
+        assert main(
+            ["cluster", "--duration", "2", "--summary-out", str(summary_out)]
+        ) == 0
+        config = json.loads(summary_out.read_text())["provenance"]["config"]
+        assert len(self.DEFAULT_FINGERPRINT_KEYS) == 39
+        assert set(config) == self.DEFAULT_FINGERPRINT_KEYS
 
     def test_obs_report_reconciles_and_exits_zero(self, tmp_path, capsys):
         summary_out, trace_out = self.run_scenario(tmp_path, "run")

@@ -75,6 +75,7 @@ def run_cluster(
     trace=False,
     dispatcher=None,
     slo=None,
+    drain=True,
 ):
     if fault_seed is not None and faults is not None:
         faults = dataclasses.replace(faults, seed=fault_seed)
@@ -103,7 +104,7 @@ def run_cluster(
     telemetry = None
     if trace or slo:
         telemetry = TelemetryConfig(trace_sink=sink, slo=slo or ())
-    result = cluster.run(duration, telemetry=telemetry)
+    result = cluster.run(duration, drain=drain, telemetry=telemetry)
     return cluster, result, sink
 
 
@@ -199,6 +200,13 @@ class TestConfigValidation:
         assert FaultConfig(crash_mtbf_steps=10.0).enabled
         assert FaultConfig(straggler_mtbf_steps=10.0).enabled
         assert FaultConfig(warmup_failure_rate=0.1).enabled
+
+    def test_orchestrator_takes_a_config_not_an_injector(self):
+        # The orchestrator builds its own injector from the config, so the
+        # fault schedule always starts from the config's seed.
+        workload = WorkloadGenerator(PoissonTraffic(1.0), seed=0)
+        with pytest.raises(ClusterError, match="FaultConfig"):
+            ClusterOrchestrator(2, workload, faults=FaultInjector(CRASH_ONLY))
 
     def test_retry_backoff_is_exponential(self):
         injector = FaultInjector(
@@ -482,6 +490,31 @@ class TestRecoverySemantics:
         # Failed provisions never served: their record maps are empty.
         for event in failures:
             assert result.records_by_server[event.server] == {}
+
+
+class TestInFlightRegistry:
+    """The cluster's in-flight registry holds exactly the running sessions."""
+
+    @staticmethod
+    def running(cluster):
+        return {
+            id(session)
+            for orchestrator in cluster.orchestrators
+            for session in orchestrator.active_sessions()
+        }
+
+    def test_empty_after_a_drained_run(self):
+        # Sessions that finish, crash, or migrate all leave the registry.
+        cluster, result, _ = run_cluster("batch", faults=MIXED_FAULTS)
+        assert result.retried > 0
+        assert cluster._inflight == {}
+
+    def test_holds_the_sessions_a_cut_run_left_running(self):
+        cluster, result, _ = run_cluster("batch", faults=MIXED_FAULTS, drain=False)
+        assert result.retried > 0
+        running = self.running(cluster)
+        assert running
+        assert set(cluster._inflight) == running
 
 
 class _TaintedWorkload:

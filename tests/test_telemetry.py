@@ -25,9 +25,14 @@ from collections import Counter as TallyCounter
 import pytest
 
 from repro.cluster import (
+    BrownoutController,
     CapacityThreshold,
     ClusterOrchestrator,
+    FailureTopology,
+    FaultConfig,
     FlashCrowdTraffic,
+    KillEntry,
+    KillSchedule,
     WorkloadGenerator,
 )
 from repro.errors import ConfigurationError
@@ -76,6 +81,41 @@ def make_cluster(seed: int = SEED) -> ClusterOrchestrator:
         admission=CapacityThreshold(max_sessions_per_server=3, max_queue=5),
         controller_factory=static_factory(qp=32, threads=4, frequency_ghz=3.2),
         seed=seed,
+    )
+
+
+def make_faulty_cluster(seed: int = SEED) -> ClusterOrchestrator:
+    """``make_cluster``'s flash crowd on a browned-out fleet under faults.
+
+    With this seed and fault seed the run crashes servers, throttles one,
+    loses a zone and fails and retries requests, and it also rejects,
+    drops and degrades some (asserted where it is used).
+    """
+    workload = WorkloadGenerator(
+        FlashCrowdTraffic(0.3, peak_multiplier=6.0, start=8, duration=10),
+        seed=seed,
+        frames_per_video=12,
+        patience_steps=8,
+    )
+    return ClusterOrchestrator(
+        3,
+        workload,
+        admission=CapacityThreshold(
+            max_sessions_per_server=3, max_queue=5, brownout_extra_sessions=1
+        ),
+        controller_factory=static_factory(qp=32, threads=4, frequency_ghz=3.2),
+        seed=seed,
+        brownout=BrownoutController(sessions_per_server=3, enter_steps=2, exit_steps=3),
+        faults=FaultConfig(
+            crash_mtbf_steps=30.0,
+            straggler_mtbf_steps=30.0,
+            max_retries=1,
+            retry_backoff_steps=1,
+            seed=2,
+            topology=FailureTopology(zones=2, seed=2),
+            kill_schedule=KillSchedule((KillEntry(zone=0, step=20, duration=4),)),
+            checkpoint_interval_frames=4,
+        ),
     )
 
 
@@ -314,16 +354,36 @@ class TestMetrics:
         assert renders[0] == renders[1]
         assert 'le="+Inf"' in renders[0]
 
-    def test_cluster_publishes_the_admission_ledger(self):
-        cluster = make_cluster()
-        summary = cluster.run(
-            DURATION, telemetry=TelemetryConfig(metrics=True)
-        ).summary()
+    #: Counters mirroring a ClusterResult count, by the count they mirror.
+    LEDGER_COUNTERS = {
+        "repro_arrivals_total": "arrivals",
+        "repro_admitted_total": "admitted",
+        "repro_rejected_total": "rejected",
+        "repro_dropped_total": "dropped",
+        "repro_degraded_total": "degraded_sessions",
+        "repro_retried_total": "retried",
+        "repro_failed_total": "failed",
+        "repro_recomputed_frames_total": "recomputed_frames",
+    }
+    #: Counters mirroring a fault kind, by the summary field counting it.
+    FAULT_COUNTERS = {
+        "repro_server_crashes_total": "server_crashes",
+        "repro_stragglers_total": "stragglers",
+        "repro_zone_outages_total": "failed_domains",
+    }
+
+    @pytest.mark.parametrize(
+        "build", [make_cluster, make_faulty_cluster], ids=["overload", "faults"]
+    )
+    def test_cluster_publishes_the_admission_ledger(self, build):
+        cluster = build()
+        result = cluster.run(DURATION, telemetry=TelemetryConfig(metrics=True))
+        summary = result.summary()
         snapshot = cluster.telemetry.metrics.scalar_snapshot()
-        assert snapshot["repro_arrivals_total"] == summary.arrivals
-        assert snapshot["repro_admitted_total"] == summary.admitted
-        assert snapshot["repro_rejected_total"] == summary.rejected
-        assert snapshot["repro_dropped_total"] == summary.dropped
+        for name, field in self.LEDGER_COUNTERS.items():
+            assert snapshot[name] == getattr(result, field), name
+        for name, field in self.FAULT_COUNTERS.items():
+            assert snapshot[name] == getattr(summary, field), name
         wait_hist = next(
             m
             for m in cluster.telemetry.metrics.collect()
@@ -331,6 +391,16 @@ class TestMetrics:
         )
         assert wait_hist.edges == QUEUE_WAIT_EDGES
         assert wait_hist.count == summary.admitted
+
+    def test_faulty_scenario_moves_every_mirrored_counter(self):
+        # The ledger test above only proves equality where the counts are
+        # non-zero: keep the fault scenario reaching every one of them.
+        result = make_faulty_cluster().run(DURATION)
+        summary = result.summary()
+        for field in self.LEDGER_COUNTERS.values():
+            assert getattr(result, field) > 0, field
+        for field in self.FAULT_COUNTERS.values():
+            assert getattr(summary, field) > 0, field
 
     def test_prometheus_export_file(self, tmp_path):
         path = tmp_path / "metrics.prom"
