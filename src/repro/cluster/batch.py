@@ -16,13 +16,13 @@ NumPy evaluation per cluster step:
    live in fleet-wide struct-of-arrays running sums, and on activation steps
    the window averaging, :meth:`~repro.core.states.StateSpace.discretize_batch`,
    :meth:`~repro.core.states.StateSpace.state_index_batch` and
-   :meth:`~repro.core.rewards.RewardFunction.total_batch` (exact mode) run
-   across every activating session in one shot before the grouped per-agent
-   Q updates and action selections are applied session by session, each
+   :meth:`~repro.core.rewards.RewardFunction.total_batch` run across every
+   activating session in one shot before the grouped per-agent Q updates
+   and action selections are applied session by session, each
    agent receiving its dense integer state directly (each session's
    exploration RNG draws stay in its own scalar order).
    Every other controller is asked per session via
-   :meth:`~repro.manager.session.TranscodingSession.peek_decision`.
+   :meth:`~repro.manager.session.TranscodingSession.decide`.
 2. **Evaluate** — WPP speedup, busy-core power, decode cycles, encode time,
    PSNR and bitrate come from the models' own ``*_batch`` methods
    (:meth:`~repro.hevc.wpp.WppModel.speedup_batch`,
@@ -34,12 +34,15 @@ NumPy evaluation per cluster step:
    composition around those calls: the thread allocation and contention of
    :meth:`~repro.platform.server.MulticoreServer.allocate` (its one
    vectorized form) and the decode-plus-encode timing of the transcoder.
-3. **Scatter** — per-session results are written back through
-   :meth:`~repro.manager.session.TranscodingSession.commit_step_result`
-   (or :meth:`~repro.manager.session.TranscodingSession.commit_driven_step`
-   for driver-managed sessions; both produce the same
-   ``FrameRecord``/``Observation`` objects the scalar path creates) and one
-   ``PowerSample`` per server is emitted.
+3. **Scatter** — every session's results go back through
+   :meth:`~repro.manager.session.TranscodingSession.commit` (the same
+   ``FrameRecord``/``Observation`` objects the scalar path creates, and the
+   same bookkeeping), and one ``PowerSample`` per server is emitted; a
+   server with no active sessions is sampled through
+   :meth:`~repro.manager.orchestrator.Orchestrator.idle_step`, as on the
+   scalar engine.  A commit that wraps the session's ``frame_index`` to 0
+   crossed a video boundary: the loop refreshes that lane's video columns
+   on the spot, or notes the session's end for the MAMUT driver.
 
 **Equivalence guarantee.**  For the same ``(workload seed, policies, cluster
 seed)`` the batch engine produces *bitwise identical* results to the scalar
@@ -58,10 +61,10 @@ exactly like an autoscaling resize — the stepper is flushed
 (``flush_window_state``) and rebuilt over the surviving fleet.  Checkpointed
 resumes need no special handling either: a replacement session constructed
 mid-video (``TranscodingSession(start_frame_index=...)``) joins a rebuilt
-stepper like any other, because lanes read ``session.frame_index`` fresh at
-every gather and ``step_counter`` initialises from ``session.step``.  The
-equivalence is enforced by ``tests/test_cluster_batch.py``,
-``tests/test_cluster_faults.py`` and ``tests/test_cluster_domains.py``.
+stepper like any other, because lanes read ``session.frame_index`` and
+``session.step`` fresh at every step.  The equivalence is enforced by
+``tests/test_cluster_batch.py``, ``tests/test_cluster_faults.py`` and
+``tests/test_cluster_domains.py``.
 
 Two deliberate deviations from the scalar path, neither observable in the
 results: the in-memory DVFS driver mirror (``MulticoreServer``'s
@@ -72,8 +75,7 @@ model subclass must override a scalar method and its ``*_batch`` form
 together (lanes are grouped by model class as well as parameters, so such a
 subclass gets its own calls).  Controllers follow a different rule: exactly
 ``MamutController`` (not subclasses) is driven through the vectorized
-activation path, everything else falls back to the per-session
-``peek_decision`` protocol.
+activation path, everything else is asked per session through ``decide``.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.constants import TARGET_FPS
 from repro.core.mamut import MamutController
 from repro.core.observation import Observation
 from repro.manager.orchestrator import Orchestrator
@@ -107,7 +108,6 @@ class _ServerStatic:
         "min_frequency_ghz",
         "idle_core_power_min_w",
         "idle_core_power_cache",
-        "idle_total_power_w",
     )
 
     def __init__(
@@ -137,9 +137,6 @@ class _ServerStatic:
         # Chip-wide idle power per requested frequency; the DVFS action sets
         # are tiny, so this saturates after a handful of entries.
         self.idle_core_power_cache: dict[float, float] = {}
-        # allocate([]) is side-effect free and deterministic, so this equals
-        # what Orchestrator.idle_step would compute on every idle step.
-        self.idle_total_power_w = server.allocate([]).total_power_w
 
 
 class _SessionLane:
@@ -147,10 +144,8 @@ class _SessionLane:
 
     __slots__ = (
         "session",
-        "video_index",
         "session_id",
         "target_fps",
-        "step_counter",
         "video_name",
         "resolution_class",
         "model_group",
@@ -172,7 +167,6 @@ class _SessionLane:
         self.session = session
         self.session_id = session.session_id
         self.target_fps = session.request.target_fps
-        self.step_counter = session.step
 
         # Lanes in one group share each model call; the class is part of
         # the key so a subclass is evaluated by its own *_batch methods.
@@ -197,7 +191,6 @@ class _SessionLane:
         """Re-gather the values that depend on the current playlist video."""
         session = self.session
         video = session.current_video
-        self.video_index = session.video_index
         self.video_name = video.name
         self.resolution_class = video.resolution_class
         self.pixels = video.pixels_per_frame
@@ -279,10 +272,10 @@ class _MamutDriver:
     activation steps, performs the averaging,
     :meth:`~repro.core.states.StateSpace.discretize_batch`,
     :meth:`~repro.core.states.StateSpace.state_index_batch` and
-    :meth:`~repro.core.rewards.RewardFunction.total_batch` (exact mode, so
-    rewards are bitwise those of the scalar path) across *all* activating
-    sessions at once — grouped by identical (state space, reward config)
-    parameters so heterogeneous fleets still vectorize.  The remaining
+    :meth:`~repro.core.rewards.RewardFunction.total_batch` (bitwise the
+    scalar path's rewards) across *all* activating sessions at once —
+    grouped by identical (state space, reward config) parameters so
+    heterogeneous fleets still vectorize.  The remaining
     per-session work — the grouped-per-agent Q updates and the action
     selection, whose exploration randomness must consume each session's RNG
     in its own scalar order — goes through
@@ -325,7 +318,7 @@ class _MamutDriver:
         ]
         count = len(positions)
         self.steps = np.array(
-            [lanes[i].step_counter for i in positions], dtype=np.int64
+            [lanes[i].session.step for i in positions], dtype=np.int64
         )
 
         windows = [ctl.observation_window() for ctl in self.controllers]
@@ -481,7 +474,6 @@ class _MamutDriver:
                 avg_psnr[mask],
                 avg_bitrate[mask],
                 avg_power[mask],
-                exact=True,
             )
             state_array[mask] = space.state_index_batch(bins)
         # Dense state indices as Python ints: the agents' native state form.
@@ -603,7 +595,6 @@ class BatchStepper:
         self._lanes: list[_SessionLane] = []
         self._lane_by_session: dict[TranscodingSession, _SessionLane] = {}
         self._driver: Optional[_MamutDriver] = None
-        self._driven_flags: list[bool] = []
         self._legacy_pos: list[int] = []
         self._counts: list[int] = []
         self._starts: list[int] = []
@@ -659,14 +650,14 @@ class BatchStepper:
         )
 
         # Partition lanes into driver-managed MAMUT controllers and everything
-        # else (exactly MamutController; subclasses keep the scalar protocol).
-        self._driven_flags = [
-            type(lane.session.controller) is MamutController for lane in lanes
-        ]
-        self._legacy_pos = [
-            i for i, driven in enumerate(self._driven_flags) if not driven
-        ]
-        driven_pos = [i for i, driven in enumerate(self._driven_flags) if driven]
+        # else (exactly MamutController; subclasses are asked through decide).
+        driven_pos: list[int] = []
+        self._legacy_pos = []
+        for i, lane in enumerate(lanes):
+            if type(lane.session.controller) is MamutController:
+                driven_pos.append(i)
+            else:
+                self._legacy_pos.append(i)
         self._driver = _MamutDriver(lanes, driven_pos) if driven_pos else None
 
     def flush_window_state(self) -> None:
@@ -680,40 +671,7 @@ class BatchStepper:
         if self._driver is not None:
             self._driver.flush()
 
-    def _refresh_video_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Apply in-place updates for sessions that moved to the next video.
-
-        Returns two full-lane boolean masks for the MAMUT driver: lanes whose
-        session advanced to the next playlist video (controller reset → the
-        observation window restarts) and lanes whose session just finished.
-        """
-        advanced = np.zeros(len(self._lanes), dtype=bool)
-        finished = np.zeros(len(self._lanes), dtype=bool)
-        for index, lane in enumerate(self._lanes):
-            session = lane.session
-            if not session.active:
-                finished[index] = True
-            elif session.video_index != lane.video_index:
-                advanced[index] = True
-                lane.refresh_video()
-                for name in _VIDEO_COLUMNS:
-                    self._video_static[name][index] = float(getattr(lane, name))
-        return advanced, finished
-
     # -- stepping -------------------------------------------------------------------
-
-    def _idle_sample(self, server_index: int, step: int) -> PowerSample:
-        static = self._servers[server_index]
-        sample = PowerSample(
-            step=step,
-            power_w=static.idle_total_power_w,
-            duration_s=1.0 / TARGET_FPS,
-            active_sessions=0,
-        )
-        self.orchestrators[server_index].meter.record(
-            sample.power_w, sample.duration_s
-        )
-        return sample
 
     def step(self, step: int) -> list[PowerSample]:
         """Advance every server by one step; returns one sample per server.
@@ -725,10 +683,7 @@ class BatchStepper:
         flat = [session for sessions in actives for session in sessions]
 
         if not flat:
-            return [
-                self._idle_sample(index, step)
-                for index in range(len(self.orchestrators))
-            ]
+            return [orch.idle_step(step) for orch in self.orchestrators]
 
         if flat != self._roster:
             self._rebuild_roster(actives)
@@ -740,8 +695,8 @@ class BatchStepper:
         # -- gather: controller decisions + per-frame content -------------------
         # Driver-managed MAMUT fleets run their activations (fleet-vectorized
         # averaging / discretisation / rewards, per-session RNG + Q updates)
-        # before their cached decisions are read; every other controller is
-        # stepped through the per-session peek protocol.
+        # before their cached decisions are read; every other controller
+        # decides per session.
         if self._driver is not None:
             with profiler.phase("mamut"):
                 self._driver.advance()
@@ -756,7 +711,7 @@ class BatchStepper:
                 threads[driver.positions] = driver.threads
                 freq[driver.positions] = driver.freq
             for i in self._legacy_pos:
-                decision = lanes[i].session.peek_decision()
+                decision = lanes[i].session.decide()
                 qp[i] = decision.qp
                 threads[i] = decision.threads
                 freq[i] = decision.frequency_ghz
@@ -865,7 +820,10 @@ class BatchStepper:
             threads_l = threads.tolist()
             freq_list = freq.tolist()
             idle_cores_l = idle_cores.tolist()
-            driven_flags = self._driven_flags
+            # Lanes whose commit moved the session to its next video (its
+            # controller was reset) or finished it, for the MAMUT driver.
+            advanced = np.zeros(n, dtype=bool)
+            finished = np.zeros(n, dtype=bool)
             # Per-lane server power (each session observes its server's total
             # draw), fed back into the driver's observation windows.
             power_lane = np.empty(n)
@@ -901,6 +859,7 @@ class BatchStepper:
 
                 for i in range(start, end):
                     lane = lanes[i]
+                    session = lane.session
                     fps_i = fps_l[i]
                     psnr_i = psnr_l[i]
                     bitrate_i = bitrate_l[i]
@@ -910,7 +869,7 @@ class BatchStepper:
                     )
                     record = make_record(
                         lane.session_id,
-                        lane.step_counter,
+                        session.step,
                         lane.video_name,
                         fidx_l[i],
                         lane.resolution_class,
@@ -924,27 +883,31 @@ class BatchStepper:
                         total_power,
                         lane.target_fps,
                     )
-                    lane.step_counter += 1
-                    if driven_flags[i]:
-                        lane.session.commit_driven_step(record, observation)
-                    else:
-                        lane.session.commit_step_result(record, observation)
+                    session.commit(record, observation)
+                    if session.frame_index == 0:
+                        # The commit wrapped the frame index: a video boundary.
+                        if session.active:
+                            advanced[i] = True
+                            lane.refresh_video()
+                            for name in _VIDEO_COLUMNS:
+                                self._video_static[name][i] = float(
+                                    getattr(lane, name)
+                                )
+                        else:
+                            finished[i] = True
 
                 duration = sum(time_l[start:end]) / counts[server_index]
-                sample = PowerSample(
+                samples[server_index] = PowerSample(
                     step=step,
                     power_w=total_power,
                     duration_s=duration,
                     active_sessions=counts[server_index],
                 )
-                orch.meter.record(sample.power_w, sample.duration_s)
-                samples[server_index] = sample
 
-            for server_index in range(len(self.orchestrators)):
+            for server_index, orch in enumerate(self.orchestrators):
                 if samples[server_index] is None:
-                    samples[server_index] = self._idle_sample(server_index, step)
+                    samples[server_index] = orch.idle_step(step)
 
-            advanced, finished = self._refresh_video_columns()
             if self._driver is not None:
                 self._driver.commit_observations(
                     fps, psnr, bitrate, power_lane, advanced, finished

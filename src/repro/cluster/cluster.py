@@ -133,10 +133,8 @@ class _ServerSlot:
         "orchestrator",
         "state",
         "health",
-        "idle_power_w",
         "last_power_w",
         "last_active",
-        "dispatched",
         "active_count",
         "samples",
         "commissioned_step",
@@ -159,12 +157,9 @@ class _ServerSlot:
         self.orchestrator = orchestrator
         self.state = _ACTIVE
         self.health = _HEALTHY
-        # Before a server's first step its "last power" is its idle draw
-        # (allocate([]) is side-effect free).
-        self.idle_power_w = orchestrator.server.allocate([]).total_power_w
-        self.last_power_w = self.idle_power_w
+        # Before a server's first step its "last power" is its idle draw.
+        self.last_power_w = orchestrator.server.idle_power_w
         self.last_active = 0
-        self.dispatched = 0
         self.active_count = 0
         self.samples: list[PowerSample] = []
         self.commissioned_step = commissioned_step
@@ -789,8 +784,10 @@ class ClusterOrchestrator:
                 server_index=index,
                 active_sessions=slot.active_count,
                 last_power_w=slot.last_power_w,
-                sessions_dispatched=slot.dispatched,
-                idle_power_w=slot.idle_power_w,
+                # Sessions join a slot only through _dispatch, and its
+                # orchestrator keeps every session it was given.
+                sessions_dispatched=len(slot.orchestrator.sessions),
+                idle_power_w=slot.orchestrator.server.idle_power_w,
                 last_active_sessions=slot.last_active,
                 zone=slot.zone,
                 rack=slot.rack,
@@ -1269,7 +1266,6 @@ class ClusterOrchestrator:
         )
         slot = self._dispatchable[index]
         slot.orchestrator.add_session(session)
-        slot.dispatched += 1
         slot.active_count += 1
         self._inflight[id(session)] = _InFlight(session, event, attempt)
         self._tracer.emit(

@@ -271,10 +271,11 @@ class MamutController(Controller):
         integer, via :meth:`~repro.core.states.StateSpace.discretize_batch`
         and :meth:`~repro.core.states.StateSpace.state_index_batch` — and
         ``reward_value`` (via
-        :meth:`~repro.core.rewards.RewardFunction.total_batch` in exact
-        mode) for every activating session in one vectorized shot, then
-        calls this per session — in the session's own order, so exploration
-        RNG draws, Q updates and history stay identical to the scalar path.
+        :meth:`~repro.core.rewards.RewardFunction.total_batch`, bitwise the
+        scalar reward) for every activating session in one vectorized shot,
+        then calls this per session — in the session's own order, so
+        exploration RNG draws, Q updates and history stay identical to the
+        scalar path.
         ``reward_value`` is ignored when no update is pending (the caller
         may compute it unconditionally).
         """

@@ -158,20 +158,15 @@ class RewardFunction:
         psnr_db: np.ndarray,
         bitrate_mbps: np.ndarray,
         power_w: np.ndarray,
-        exact: bool = False,
     ) -> np.ndarray:
         """Vectorized :meth:`total` over parallel observation arrays.
 
-        The penalty branches and the FPS/bitrate/power terms match the scalar
-        path exactly.  By default the in-range PSNR term goes through
-        ``np.exp``, whose SIMD kernels may differ from ``math.exp`` in the
-        last ULP on some platforms — treat the result as equal to the scalar
-        reward to ~1e-15 relative.  With ``exact=True`` the exponential of
-        each in-range element is evaluated through ``math.exp`` instead
-        (everything around it stays vectorized; IEEE elementwise arithmetic
-        is identical either way), making the result *bitwise* equal to the
-        scalar :meth:`total` — the batch stepping engine relies on this for
-        its seed-for-seed Q-table equivalence.
+        Bitwise equal to the scalar :meth:`total`: the penalty branches and
+        the FPS/bitrate/power terms are the same IEEE operations, and the
+        exponential of each in-range PSNR element goes through ``math.exp``
+        (``np.exp``'s SIMD kernels may differ from it in the last ULP);
+        everything around it stays vectorized.  The batch stepping engine
+        relies on this for its seed-for-seed Q-table equivalence.
         """
         cfg = self.config
         fps = np.asarray(fps)
@@ -186,12 +181,9 @@ class RewardFunction:
 
         in_range = (psnr_db >= cfg.psnr_min_db) & (psnr_db <= cfg.psnr_max_db)
         scaled = psnr_db / cfg.psnr_max_db
-        if exact:
-            exp_term = np.zeros_like(scaled)
-            if in_range.any():
-                exp_term[in_range] = [math.exp(v) for v in scaled[in_range]]
-        else:
-            exp_term = np.exp(scaled)
+        exp_term = np.zeros_like(scaled)
+        if in_range.any():
+            exp_term[in_range] = [math.exp(v) for v in scaled[in_range]]
         psnr_r = np.where(
             in_range,
             self._psnr_a * exp_term - self._psnr_b,

@@ -20,8 +20,8 @@ Both are now parse-time findings:
   ``math.<fn>`` the other side evaluates as ``np.<fn>``.  Calls are
   collected transitively through same-module helpers, so the blessed
   idiom — both paths reading one shared table built with ``math`` — passes,
-  and an explicit ``math`` fallback on the batch side (e.g.
-  ``total_batch(exact=True)``) counts as agreement.
+  and a batch side that evaluates the function elementwise through
+  ``math`` (e.g. ``RewardFunction.total_batch``) counts as agreement.
 """
 
 from __future__ import annotations

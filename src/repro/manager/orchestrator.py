@@ -28,7 +28,6 @@ from repro.metrics.aggregate import (
 from repro.metrics.records import FrameRecord, PowerSample
 from repro.manager.session import TranscodingSession
 from repro.platform.dvfs import DvfsPolicy
-from repro.platform.meter import PowerMeter
 from repro.platform.server import MulticoreServer
 from repro.telemetry.profiler import NULL_PROFILER
 
@@ -101,7 +100,6 @@ class Orchestrator:
         self._active = [s for s in sessions if s.active]
         self._session_ids = set(ids)
         self.server = server if server is not None else MulticoreServer()
-        self.meter = PowerMeter()
         # Observe-only phase profiler; the cluster layer (or run(telemetry=))
         # swaps in a live one.  The null default costs one no-op context
         # manager per phase.
@@ -164,32 +162,28 @@ class Orchestrator:
             ]
 
         duration = sum(record.encode_time_s for record in records) / len(records)
-        sample = PowerSample(
+        return PowerSample(
             step=step,
             power_w=allocation.total_power_w,
             duration_s=duration,
             active_sessions=len(active),
         )
-        self.meter.record(sample.power_w, sample.duration_s)
-        return sample
 
     def idle_step(self, step: int) -> PowerSample:
         """Sample the server's idle power for one session-less step.
 
-        The cluster layer calls this instead of :meth:`run_step` when a server
-        has no active sessions, so that idle servers still contribute their
-        base power to fleet-wide energy accounting.  The step lasts one frame
-        interval at the nominal delivery rate.
+        Both engines step a server with no active sessions through this, so
+        that idle servers still contribute their base power
+        (:attr:`~repro.platform.server.MulticoreServer.idle_power_w`) to
+        fleet-wide energy accounting.  The step lasts one frame interval at
+        the nominal delivery rate.
         """
-        allocation = self.server.allocate([])
-        sample = PowerSample(
+        return PowerSample(
             step=step,
-            power_w=allocation.total_power_w,
+            power_w=self.server.idle_power_w,
             duration_s=1.0 / TARGET_FPS,
             active_sessions=0,
         )
-        self.meter.record(sample.power_w, sample.duration_s)
-        return sample
 
     def run(
         self,

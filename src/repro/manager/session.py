@@ -1,24 +1,22 @@
 """A transcoding session: one user's playlist, controller and transcoder.
 
-The orchestrator drives sessions with a two-phase protocol per step:
+Both stepping engines close MAMUT's per-frame loop through one pair of
+calls per session and step:
 
-1. :meth:`TranscodingSession.prepare` asks the controller for the next
-   frame's configuration and returns the resource demand the server needs
-   for its allocation;
-2. :meth:`TranscodingSession.execute` transcodes the frame under the granted
-   contention scale and server power, records the measurements, and advances
-   to the next frame (or the next video of the playlist).
+1. :meth:`TranscodingSession.decide` runs the controller for the next frame
+   and remembers its decision;
+2. :meth:`TranscodingSession.commit` takes the frame's record and the
+   observation fed back to the controller, and advances to the next frame
+   (or the next video of the playlist).
 
-The batch stepping engine (:mod:`repro.cluster.batch`) uses a parallel pair
-of hooks instead: :meth:`TranscodingSession.peek_decision` runs only the
-controller (the per-session half of ``prepare``; the transcode math is
-evaluated fleet-wide in one NumPy batch), and
-:meth:`TranscodingSession.commit_step_result` applies the externally
-computed measurements with exactly the bookkeeping ``execute`` performs.
-Sessions whose controller is advanced by the batch engine's vectorized
-MAMUT driver skip the peek entirely and close each step through
-:meth:`TranscodingSession.commit_driven_step`.  The protocols cannot be
-interleaved within one step.
+The scalar engine wraps the pair: :meth:`TranscodingSession.prepare` decides
+and returns the resource demand the server needs for its allocation, and
+:meth:`TranscodingSession.execute` transcodes the frame under the granted
+contention scale and server power, then commits it.  The batch engine
+(:mod:`repro.cluster.batch`) decides per session, evaluates the transcode
+math fleet-wide in one NumPy batch and commits each session's results.
+Sessions whose controller its vectorized MAMUT driver advances skip
+``decide`` and only commit.
 """
 
 from __future__ import annotations
@@ -96,7 +94,7 @@ class TranscodingSession:
         self._video_index = 0
         self._frame_index = start_frame_index
         self._step = 0
-        self._pending: Optional[tuple[Decision, Optional[EncoderConfig]]] = None
+        self._pending: Optional[Decision] = None
 
     # -- identity / progress --------------------------------------------------------
 
@@ -160,29 +158,62 @@ class TranscodingSession:
             HR_PRESET if video.resolution_class is ResolutionClass.HR else LR_PRESET
         )
 
-    # -- two-phase step protocol -------------------------------------------------------
+    # -- step protocol ------------------------------------------------------------------
 
-    def prepare(self) -> SessionDemand:
-        """Ask the controller for the next frame's configuration.
+    def decide(self) -> Decision:
+        """Run the controller for the next frame and remember its decision.
 
-        Returns the resource demand the orchestrator hands to the server.
-        Must be followed by exactly one :meth:`execute` call.
+        Must be followed by exactly one :meth:`commit` (or, on the scalar
+        engine, :meth:`execute`) call.
         """
         if not self.active:
             raise ScenarioError(f"session {self.session_id!r} has finished")
         if self._pending is not None:
-            raise ScenarioError("prepare() called twice without execute()")
-
-        video = self.current_video
-        frame = video[self._frame_index]
+            raise ScenarioError("decide() called twice without commit()")
         decision = self.controller.decide(self._step, self.last_observation)
-        config = EncoderConfig(
-            qp=decision.qp,
-            threads=decision.threads,
-            preset=self.preset_for(video),
+        self._pending = decision
+        return decision
+
+    def commit(self, record: FrameRecord, observation: Observation) -> None:
+        """Close the step: record the frame and advance the playlist.
+
+        ``observation`` is what the controller sees at its next decision.
+        Sessions whose controller is advanced out-of-band (the batch
+        engine's MAMUT driver) commit without a preceding :meth:`decide`.
+        """
+        if not self.active:
+            raise ScenarioError(f"session {self.session_id!r} has finished")
+        self._pending = None
+        self.records.append(record)
+        self.last_observation = observation
+        self._step += 1
+        self._frame_index += 1
+        if self._frame_index >= len(self.playlist[self._video_index]):
+            self._frame_index = 0
+            self._video_index += 1
+            # A new video starts: clear the controller's per-video transient
+            # state while keeping its learned knowledge (Scenario II).
+            if self.active:
+                self.controller.reset()
+
+    def _encoder_config(
+        self, decision: Decision, video: VideoSequence
+    ) -> EncoderConfig:
+        return EncoderConfig(
+            qp=decision.qp, threads=decision.threads, preset=self.preset_for(video)
         )
-        activity = self.transcoder.activity_factor(frame, config)
-        self._pending = (decision, config)
+
+    def prepare(self) -> SessionDemand:
+        """Decide the next frame's configuration (scalar engine).
+
+        Returns the resource demand the orchestrator hands to the server.
+        Must be followed by exactly one :meth:`execute` call.
+        """
+        decision = self.decide()
+        video = self.current_video
+        activity = self.transcoder.activity_factor(
+            video[self._frame_index], self._encoder_config(decision, video)
+        )
         return SessionDemand(
             session_id=self.session_id,
             threads=decision.threads,
@@ -190,85 +221,16 @@ class TranscodingSession:
             activity=activity,
         )
 
-    def peek_decision(self) -> Decision:
-        """Batch-engine half of :meth:`prepare`: run only the controller.
-
-        The resource demand and the transcode math are evaluated fleet-wide
-        by the batch stepper; this method just advances the controller (so
-        its exploration randomness and Q updates happen in exactly the same
-        order as under :meth:`prepare`) and records the pending decision.
-        Must be followed by exactly one :meth:`commit_step_result` call.
-        """
-        if not self.active:
-            raise ScenarioError(f"session {self.session_id!r} has finished")
-        if self._pending is not None:
-            raise ScenarioError("peek_decision() called twice without commit")
-
-        decision = self.controller.decide(self._step, self.last_observation)
-        self._pending = (decision, None)
-        return decision
-
-    def commit_step_result(
-        self, record: FrameRecord, observation: Observation
-    ) -> None:
-        """Batch-engine half of :meth:`execute`: apply precomputed results.
-
-        Performs the same bookkeeping as :meth:`execute` — records the frame,
-        updates the controller's observation, advances the playlist.  The
-        record and observation are built by the batch stepper from the
-        fleet-wide evaluation (their fields match what :meth:`execute` would
-        have produced; the equivalence tests enforce this).
-        """
-        if self._pending is None or self._pending[1] is not None:
-            raise ScenarioError(
-                "commit_step_result() called without a preceding peek_decision()"
-            )
-        self._pending = None
-        self.records.append(record)
-        self.last_observation = observation
-        self._step += 1
-        self._advance_frame()
-
-    def commit_driven_step(
-        self, record: FrameRecord, observation: Observation
-    ) -> None:
-        """Batch-engine step for driver-managed controllers.
-
-        The batch stepper's vectorized MAMUT driver advances the controller
-        out-of-band (fleet-wide averaging/discretisation/reward plus
-        per-session action selection), so there is no per-session
-        ``peek_decision`` call; this performs the same bookkeeping as
-        :meth:`commit_step_result` while enforcing that no two-phase step is
-        in flight.
-        """
-        if not self.active:
-            raise ScenarioError(f"session {self.session_id!r} has finished")
-        if self._pending is not None:
-            raise ScenarioError(
-                "commit_driven_step() with a prepare()/peek_decision() in flight"
-            )
-        self.records.append(record)
-        self.last_observation = observation
-        self._step += 1
-        self._advance_frame()
-
     def execute(self, contention_scale: float, server_power_w: float) -> FrameRecord:
-        """Transcode the prepared frame under the server's allocation."""
-        if self._pending is None:
+        """Transcode the decided frame under the server's allocation, then commit."""
+        decision = self._pending
+        if decision is None:
             raise ScenarioError("execute() called without a preceding prepare()")
-        decision, config = self._pending
-        if config is None:
-            raise ScenarioError(
-                "execute() called after peek_decision(); finish the step with "
-                "commit_step_result() instead"
-            )
-        self._pending = None
-
         video = self.current_video
         frame = video[self._frame_index]
         result = self.transcoder.transcode_frame(
             frame,
-            config,
+            self._encoder_config(decision, video),
             frequency_ghz=decision.frequency_ghz,
             contention_scale=contention_scale,
         )
@@ -295,19 +257,5 @@ class TranscodingSession:
             power_w=server_power_w,
             target_fps=self.request.target_fps,
         )
-
-        self.records.append(record)
-        self.last_observation = observation
-        self._step += 1
-        self._advance_frame()
+        self.commit(record, observation)
         return record
-
-    def _advance_frame(self) -> None:
-        self._frame_index += 1
-        if self._frame_index >= len(self.playlist[self._video_index]):
-            self._frame_index = 0
-            self._video_index += 1
-            # A new video starts: clear the controller's per-video transient
-            # state while keeping its learned knowledge (Scenario II).
-            if self.active:
-                self.controller.reset()

@@ -7,15 +7,18 @@ package level.  This package models that platform:
 * :mod:`repro.platform.topology` — sockets, cores, SMT threads;
 * :mod:`repro.platform.dvfs` — a sysfs-like per-core frequency driver;
 * :mod:`repro.platform.power` — voltage/frequency table and power model;
-* :mod:`repro.platform.meter` — an energy/average-power meter (RAPL-like);
 * :mod:`repro.platform.server` — thread allocation, contention, and the
-  per-step power computation used by the multi-user orchestrator.
+  per-step power computation used by the multi-user orchestrator (an empty
+  server draws its fixed ``idle_power_w``).
+
+There is no energy meter here: energy is accounted once, by
+:func:`~repro.metrics.aggregate.power_trace_stats` over the orchestrators'
+per-step power samples.
 """
 
 from repro.platform.topology import CpuTopology
 from repro.platform.dvfs import DvfsDriver, DvfsPolicy
 from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
-from repro.platform.meter import PowerMeter
 from repro.platform.thermal import ThermalModel, ThermalModelParameters, temperature_trace
 from repro.platform.server import (
     MulticoreServer,
@@ -31,7 +34,6 @@ __all__ = [
     "PowerModel",
     "PowerModelParameters",
     "VoltageTable",
-    "PowerMeter",
     "ThermalModel",
     "ThermalModelParameters",
     "temperature_trace",

@@ -152,6 +152,17 @@ class MulticoreServer:
             dvfs_driver if dvfs_driver is not None else DvfsDriver(topology=self.topology)
         )
         self.dvfs_policy = dvfs_policy
+        # Every core idles at the lowest frequency under either DVFS policy,
+        # so an empty server's power is fixed by its own models.
+        self._idle_power_w = self.power_model.package_power(
+            busy_cores=[],
+            idle_cores=[self.dvfs.min_frequency_ghz] * self.topology.physical_cores,
+        )
+
+    @property
+    def idle_power_w(self) -> float:
+        """Package power of a step with no sessions (what ``allocate([])`` reports)."""
+        return self._idle_power_w
 
     # -- allocation -------------------------------------------------------------
 
@@ -159,13 +170,9 @@ class MulticoreServer:
         """Allocate one simulation step across the given session demands."""
         demands = list(demands)
         if not demands:
-            idle_freq = self.dvfs.min_frequency_ghz
-            power = self.power_model.package_power(
-                busy_cores=[], idle_cores=[idle_freq] * self.topology.physical_cores
-            )
             return ServerAllocation(
                 sessions={},
-                total_power_w=power,
+                total_power_w=self._idle_power_w,
                 total_threads=0,
                 busy_cores=0.0,
                 idle_cores=float(self.topology.physical_cores),

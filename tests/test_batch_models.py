@@ -367,8 +367,7 @@ class TestRewardFunctionBatch:
                     power_w=float(power[i]),
                 )
             )
-            # np.exp in the PSNR term may differ from math.exp by 1 ULP.
-            assert batch[i] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
+            assert batch[i] == scalar
 
     def test_penalty_branches_are_exact(self):
         fn = RewardFunction()

@@ -18,7 +18,11 @@ from repro.cluster import (
     BatchStepper,
     CapacityThreshold,
     ClusterOrchestrator,
+    FailureTopology,
+    FaultConfig,
     FlashCrowdTraffic,
+    KillEntry,
+    KillSchedule,
     PoissonTraffic,
     PowerHeadroom,
     ReactiveThreshold,
@@ -412,14 +416,35 @@ class TestBatchStepperProtocol:
         assert all(s.active_sessions == 0 for s in samples)
         assert all(s.duration_s == reference.duration_s for s in samples)
 
-    def test_commit_requires_peek(self):
-        sessions = TestOrchestratorBatchRun().make_sessions(1)
-        with pytest.raises(ScenarioError):
-            sessions[0].commit_step_result(None, None)
-
-    def test_execute_after_peek_rejected(self):
+    @staticmethod
+    def reference_step():
+        """One prepare/execute step of the first test session: (session, record)."""
         session = TestOrchestratorBatchRun().make_sessions(1)[0]
-        session.peek_decision()
+        session.prepare()
+        return session, session.execute(1.0, 100.0)
+
+    def test_decide_then_commit_steps_like_prepare_then_execute(self):
+        # The batch engine's per-session path: decide, evaluate the frame
+        # fleet-wide, commit the results.
+        reference, record = self.reference_step()
+        session = TestOrchestratorBatchRun().make_sessions(1)[0]
+        decision = session.decide()
+        assert (decision.qp, decision.threads, decision.frequency_ghz) == (
+            record.qp,
+            record.threads,
+            record.frequency_ghz,
+        )
+        session.commit(record, reference.last_observation)
+        assert session.records == reference.records
+        assert (session.step, session.frame_index) == (1, 1)
+        session.decide()  # the commit closed the step
+
+    def test_execute_after_commit_rejected(self):
+        # A committed decision is spent; executing it would transcode twice.
+        reference, record = self.reference_step()
+        session = TestOrchestratorBatchRun().make_sessions(1)[0]
+        session.decide()
+        session.commit(record, reference.last_observation)
         with pytest.raises(ScenarioError):
             session.execute(1.0, 100.0)
 
@@ -444,6 +469,106 @@ class TestBatchStepperProtocol:
             )
             with pytest.raises(EncodingError):
                 cluster.run(10)
+
+
+class TestVideoBoundaryEquivalence:
+    """The batch scatter notes video changes and ends where it commits.
+
+    A commit that wraps a session's frame index to 0 crossed a video
+    boundary.  These fleets cross one on almost every step: playlists of
+    one-frame videos, crash retries that resume at their video's last
+    frame (checkpointed one frame before the end of a four-frame video),
+    and playlists of three-frame videos, where a MAMUT observation window
+    not restarted at a boundary changes the learned values.
+    """
+
+    @staticmethod
+    def short_videos(engine, factory, frames_per_video, playlist_videos):
+        workload = WorkloadGenerator(
+            PoissonTraffic(1.0),
+            seed=2,
+            playlist_videos=playlist_videos,
+            frames_per_video=frames_per_video,
+        )
+        return ClusterOrchestrator(
+            3, workload, controller_factory=factory, seed=2, engine=engine
+        )
+
+    @classmethod
+    def one_frame_videos(cls, engine, factory):
+        return cls.short_videos(engine, factory, 1, 12)
+
+    @classmethod
+    def three_frame_videos(cls, engine, factory):
+        return cls.short_videos(engine, factory, 3, 6)
+
+    @staticmethod
+    def resumed_at_last_frame(engine, factory):
+        workload = WorkloadGenerator(
+            PoissonTraffic(1.2),
+            seed=4,
+            playlist_videos=2,
+            frames_per_video=4,
+            patience_steps=10,
+        )
+        kills = [(0, 6), (1, 9), (0, 13), (1, 17)]
+        return ClusterOrchestrator(
+            4,
+            workload,
+            admission=CapacityThreshold(max_sessions_per_server=3, max_queue=6),
+            controller_factory=factory,
+            seed=4,
+            engine=engine,
+            faults=FaultConfig(
+                max_retries=2,
+                retry_backoff_steps=0,
+                seed=1,
+                topology=FailureTopology(zones=2, seed=1),
+                kill_schedule=KillSchedule(
+                    tuple(
+                        KillEntry(zone=zone, step=step, duration=2)
+                        for zone, step in kills
+                    )
+                ),
+                checkpoint_interval_frames=3,
+            ),
+        )
+
+    FACTORIES = {
+        "mamut": mamut_factory,
+        "static": lambda: static_factory(qp=32, threads=4, frequency_ghz=3.2),
+    }
+
+    @pytest.mark.parametrize("controller", sorted(FACTORIES))
+    @pytest.mark.parametrize(
+        "scenario", ["one_frame_videos", "three_frame_videos", "resumed_at_last_frame"]
+    )
+    def test_engines_agree(self, scenario, controller):
+        runs = {}
+        for engine in ("scalar", "batch"):
+            cluster = getattr(self, scenario)(engine, self.FACTORIES[controller]())
+            result = cluster.run(24)
+            learned = {
+                session.session_id: snapshot_controller(session.controller)
+                for orch in cluster.orchestrators
+                for session in orch.sessions
+            }
+            runs[engine] = (result, learned)
+        (scalar, scalar_learned), (batch, batch_learned) = runs["scalar"], runs["batch"]
+        assert_identical(scalar, batch)
+        assert scalar_learned == batch_learned
+
+        first_frames = [
+            (session_id, records[0].frame_index)
+            for server in batch.records_by_server
+            for session_id, records in server.items()
+            if records
+        ]
+        assert batch.summary().frames > 0
+        if scenario == "resumed_at_last_frame":
+            assert any("#r" in sid and frame == 3 for sid, frame in first_frames)
+        else:
+            assert all(frame == 0 for _, frame in first_frames)
 
 
 class TestThroughputBenchClaims:

@@ -120,7 +120,7 @@ class TestExactBatchMode:
         psnr = rng.uniform(20.0, 60.0, 500)
         bitrate = rng.uniform(0.1, 12.0, 500)
         power = rng.uniform(40.0, 200.0, 500)
-        batch = function.total_batch(fps, psnr, bitrate, power, exact=True)
+        batch = function.total_batch(fps, psnr, bitrate, power)
         scalar = [
             function.total(Observation(f, p, b, w))
             for f, p, b, w in zip(fps, psnr, bitrate, power)
@@ -128,14 +128,3 @@ class TestExactBatchMode:
         # Bitwise, not approx: the batch engine's Q-table equivalence
         # guarantee rests on this.
         assert batch.tolist() == scalar
-
-    def test_exact_and_default_modes_agree_to_float_noise(self):
-        import numpy as np
-
-        function = RewardFunction()
-        psnr = np.linspace(30.0, 50.0, 64)
-        fps = np.full_like(psnr, 24.0)
-        zeros = np.zeros_like(psnr)
-        exact = function.total_batch(fps, psnr, zeros, zeros, exact=True)
-        default = function.total_batch(fps, psnr, zeros, zeros)
-        assert np.allclose(exact, default, rtol=1e-14, atol=0.0)

@@ -78,7 +78,7 @@ class TestOrchestrator:
         assert sample.step == 3
         assert sample.active_sessions == 0
         assert sample.power_w > 0  # base + idle-core power
-        assert orchestrator.meter.energy_joules > 0
+        assert sample.power_w == orchestrator.server.allocate([]).total_power_w
 
     def test_summary_has_all_sessions(self):
         sessions = [session("a", num_frames=8), session("b", "BQMall", num_frames=8)]
@@ -87,10 +87,11 @@ class TestOrchestrator:
         assert summary.mean_power_w > 0
         assert summary.duration_s > 0
 
-    def test_power_recorded_in_meter(self):
-        orchestrator = Orchestrator([session(num_frames=10)])
-        orchestrator.run()
-        assert orchestrator.meter.energy_joules > 0
+    def test_power_recorded_in_samples(self):
+        result = Orchestrator([session(num_frames=10)]).run()
+        assert len(result.power_samples) == result.steps == 10
+        assert all(s.power_w > 0 and s.duration_s > 0 for s in result.power_samples)
+        assert result.summary().energy_j > 0
 
     def test_chip_wide_controller_switches_server_policy(self):
         server = MulticoreServer()

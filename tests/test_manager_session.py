@@ -67,6 +67,18 @@ class TestSessionProtocol:
         with pytest.raises(ScenarioError):
             session.execute(1.0, 75.0)
 
+    def test_double_decide_rejected(self):
+        session = make_session()
+        session.decide()
+        with pytest.raises(ScenarioError):
+            session.decide()
+
+    def test_decide_rejected_with_prepare_in_flight(self):
+        session = make_session()
+        session.prepare()
+        with pytest.raises(ScenarioError):
+            session.decide()
+
     def test_session_finishes_after_all_frames(self):
         session = make_session(num_frames=3)
         for _ in range(3):
@@ -170,7 +182,7 @@ class TestPresets:
 
 
 class TestDrivenStepProtocol:
-    """commit_driven_step: the batch MAMUT driver's commit entry point."""
+    """commit() without decide(): the batch MAMUT driver's path."""
 
     def commit_args(self, session):
         from repro.core.observation import Observation
@@ -198,32 +210,42 @@ class TestDrivenStepProtocol:
         )
         return record, observation
 
-    def test_advances_like_commit_step_result(self):
-        session = make_session(num_frames=3)
-        record, observation = self.commit_args(session)
-        session.commit_driven_step(record, observation)
-        assert session.step == 1
-        assert session.frame_index == 1
-        assert session.records == [record]
-        assert session.last_observation == observation
+    def test_advances_like_prepare_then_execute(self):
+        # The batch engine's MAMUT driver commits without decide(); the
+        # bookkeeping must be the scalar engine's, across a video boundary
+        # and the end of the playlist.
+        def progress(session):
+            return (
+                session.step,
+                session.video_index,
+                session.frame_index,
+                session.active,
+                session.controller.resets,
+            )
 
-    def test_rejected_with_prepare_in_flight(self):
-        session = make_session()
-        session.prepare()
-        record, observation = self.commit_args(session)
-        with pytest.raises(ScenarioError):
-            session.commit_driven_step(record, observation)
-
-    def test_rejected_with_peek_in_flight(self):
-        session = make_session()
-        session.peek_decision()
-        with pytest.raises(ScenarioError):
-            session.commit_driven_step(None, None)
+        scalar, driven = (
+            make_session(
+                num_frames=2,
+                playlist_videos=2,
+                controller=_CountingController(),
+                start_frame_index=1,
+            )
+            for _ in range(2)
+        )
+        while scalar.active:
+            scalar.prepare()
+            record = scalar.execute(1.0, 75.0)
+            driven.commit(record, scalar.last_observation)
+            assert progress(driven) == progress(scalar)
+        assert progress(scalar) == (3, 2, 0, False, 1)
+        assert driven.records == scalar.records
+        assert driven.last_observation == scalar.last_observation
+        assert driven.controller.frames_seen == []
 
     def test_rejected_after_finish(self):
         session = make_session(num_frames=1)
         record, observation = self.commit_args(session)
-        session.commit_driven_step(record, observation)
+        session.commit(record, observation)
         assert not session.active
         with pytest.raises(ScenarioError):
-            session.commit_driven_step(record, observation)
+            session.commit(record, observation)
