@@ -4,7 +4,7 @@ The other cluster examples assume servers stay up.  This one injects
 seeded chaos — servers crash with exponentially distributed uptimes and
 come back after a mean-time-to-recovery — and shows the recovery machinery
 at work: sessions aboard a crashed server are salvaged, their learned
-controller state snapshotted and migrated to a replacement, and the users
+controller state copied into a replacement controller, and the users
 re-admitted under bounded retries with exponential backoff.  An autoscaler
 watches healthy (not just provisioned) capacity, so lost servers also show
 up as lost capacity.

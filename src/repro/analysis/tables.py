@@ -20,7 +20,7 @@ from repro.manager.factories import (
     mamut_factory,
     monoagent_factory,
 )
-from repro.manager.runner import AveragedResult, ExperimentRunner
+from repro.manager.runner import ExperimentRunner
 from repro.manager.scenario import scenario_one, scenario_two
 
 __all__ = [
@@ -201,15 +201,3 @@ def table2_scenario_two(
                 )
             )
     return rows
-
-
-def averaged_to_table2_row(workload: str, result: AveragedResult) -> Table2Row:
-    """Convert an :class:`AveragedResult` into a Table II row."""
-    return Table2Row(
-        workload=workload,
-        controller=result.label,
-        power_w=result.mean_power_w,
-        mean_threads=result.mean_threads,
-        mean_fps=result.mean_fps,
-        qos_violation_pct=result.qos_violation_pct,
-    )

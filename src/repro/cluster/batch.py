@@ -105,7 +105,6 @@ class _ServerStatic:
         "base_power_w",
         "power_model",
         "power_group",
-        "min_frequency_ghz",
         "idle_core_power_min_w",
         "idle_core_power_cache",
     )
@@ -130,9 +129,8 @@ class _ServerStatic:
                 tuple(table._volts),
             )
         )
-        self.min_frequency_ghz = server.dvfs.min_frequency_ghz
-        self.idle_core_power_min_w = server.power_model.idle_core_power(
-            self.min_frequency_ghz
+        self.idle_core_power_min_w = power_model.idle_core_power(
+            server.dvfs.min_frequency_ghz
         )
         # Chip-wide idle power per requested frequency; the DVFS action sets
         # are tiny, so this saturates after a handful of entries.

@@ -52,9 +52,9 @@ the span stream reports progress for.
 
 An optional seeded fault injector (:mod:`repro.cluster.faults`) exercises
 the recovery paths: abrupt server crashes (in-flight sessions salvaged —
-Q-tables snapshotted, the remaining playlist re-dispatched with bounded
-retries and exponential backoff, learning restored on the replacement
-server), transient stragglers (throttled servers leave the dispatchable
+the remaining playlist re-dispatched with bounded retries and exponential
+backoff, learning copied in memory from the dying controller to the
+replacement), transient stragglers (throttled servers leave the dispatchable
 roster but keep serving what they have), warm-up failures (a commissioned
 server that never comes ready), and *correlated zone outages*: every slot
 carries a seeded ``(zone, rack)`` failure domain, and a zone outage —
@@ -137,9 +137,7 @@ class _ServerSlot:
         "last_active",
         "active_count",
         "samples",
-        "commissioned_step",
         "ready_step",
-        "decommissioned_step",
         "throttle_until",
         "recover_step",
         "recovery_ready_step",
@@ -162,9 +160,7 @@ class _ServerSlot:
         self.last_active = 0
         self.active_count = 0
         self.samples: list[PowerSample] = []
-        self.commissioned_step = commissioned_step
         self.ready_step = commissioned_step
-        self.decommissioned_step: Optional[int] = None
         self.throttle_until = 0
         self.recover_step: Optional[int] = None
         self.recovery_ready_step = 0
@@ -177,73 +173,42 @@ class _ServerSlot:
         self.up_since = commissioned_step
 
 
-class _RetryTicket:
-    """A request salvaged from a crashed server, waiting to be re-dispatched.
+class _InFlight:
+    """One admitted request, from its first dispatch to its terminal span.
 
-    Carries everything recovery needs: the original workload event (the
-    request's identity, class and playlist provenance), the remaining
-    playlist (finished videos are not redone), the crash-attempt count, the
-    step at which the exponential backoff makes the ticket eligible again,
-    and the session snapshot captured from the dying session (Q-tables plus
-    checkpointed progress) so learning migrates to the replacement server.
-    ``resume_frame`` is the frame of the interrupted video the replacement
-    session starts at — the last checkpoint, or 0 (replay from the video
-    start) when checkpointing is off; ``recomputed`` is the frames between
-    that checkpoint and the crash point, charged to the
-    ``recomputed_frames`` ledger when the retry is actually dispatched.
-    ``from_zone`` is the failure domain the session was lost in, published
-    to the dispatcher so failure-aware policies spread retries across
-    domains.
+    ``event`` is the request — the original arrival, also on a crash
+    retry, so spans keep the request's user id — and ``attempt`` its crash
+    count.  While a session serves it, the record is in the in-flight
+    registry: ``session`` is that session and ``videos_done`` the videos
+    whose completion span has been emitted.  A crash moves the record to
+    the retry queue and sets what the retry needs: ``playlist`` (the
+    unfinished videos), ``salvage`` (the dying session's
+    :func:`~repro.core.persistence.snapshot_session`), ``ready_step`` (the
+    end of the exponential backoff) and ``from_zone`` (the failure domain
+    it was lost in, for failure-aware dispatch).  The retry dispatch points
+    the same record at the replacement session.
     """
 
     __slots__ = (
         "event",
         "attempt",
-        "ready_step",
+        "session",
+        "videos_done",
         "playlist",
-        "session_state",
-        "resume_frame",
+        "salvage",
+        "ready_step",
         "from_zone",
-        "recomputed",
     )
 
-    def __init__(
-        self,
-        event,
-        attempt,
-        ready_step,
-        playlist,
-        session_state,
-        resume_frame=0,
-        from_zone=None,
-        recomputed=0,
-    ) -> None:
+    def __init__(self, event: WorkloadEvent) -> None:
         self.event = event
-        self.attempt = attempt
-        self.ready_step = ready_step
-        self.playlist = playlist
-        self.session_state = session_state
-        self.resume_frame = resume_frame
-        self.from_zone = from_zone
-        self.recomputed = recomputed
-
-
-class _InFlight:
-    """One running session in the in-flight registry.
-
-    ``event`` is the request it serves — the original arrival, also on a
-    crash retry, so spans keep the request's user id — ``attempt`` its
-    crash-retry count and ``videos_done`` the videos whose completion span
-    has been emitted.
-    """
-
-    __slots__ = ("session", "event", "attempt", "videos_done")
-
-    def __init__(self, session, event, attempt) -> None:
-        self.session = session
-        self.event = event
-        self.attempt = attempt
+        self.attempt = 0
+        self.session: Optional[TranscodingSession] = None
         self.videos_done = 0
+        self.playlist = event.playlist
+        self.salvage: Optional[dict] = None
+        self.ready_step = 0
+        self.from_zone: Optional[int] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -409,11 +374,11 @@ class ClusterOrchestrator:
         builds its :class:`~repro.cluster.faults.FaultInjector`, which
         injects seeded crashes, stragglers and warm-up failures during the
         arrival window (the drain tail runs fault-free, so admitted sessions
-        always finish).  On a crash, in-flight sessions are salvaged: their
-        controllers' Q-tables are snapshotted, the remaining playlist is
-        re-enqueued with a bounded retry budget and exponential backoff,
-        and a successful re-dispatch restores the snapshot on the
-        replacement server — learning survives the migration.  Requests
+        always finish).  On a crash, in-flight sessions are salvaged: the
+        remaining playlist is re-enqueued with a bounded retry budget and
+        exponential backoff, and a successful re-dispatch copies the dying
+        controller's learned state (Q-tables and visit counts, in memory)
+        into the replacement — learning survives the migration.  Requests
         whose budget runs out land in the ``failed`` ledger.  Fault-driven
         membership changes flow through the same roster-refresh path as
         autoscaling resizes, so the scalar and batch engines stay
@@ -540,7 +505,8 @@ class ClusterOrchestrator:
         )
         self._fault_events: list[FaultEvent] = []
         self._failed_slots: list[_ServerSlot] = []
-        self._retry_queue: list[_RetryTicket] = []
+        # Crashed requests waiting for their retry, in crash order.
+        self._retry_queue: list[_InFlight] = []
         # Running sessions by id(session), in dispatch order; a session
         # leaves when it ends or its server crashes.
         self._inflight: dict[int, _InFlight] = {}
@@ -941,20 +907,20 @@ class ClusterOrchestrator:
                 self._step(steps, admitting=False)
                 steps += 1
 
-        # Close every open lifecycle, one terminal span per arrival.  Retry
-        # tickets still pending can never be served (admission closed with
-        # the arrival window): their requests join the ``failed`` ledger.
+        # Close every open lifecycle, one terminal span per arrival.  Retries
+        # still pending can never be served (admission closed with the
+        # arrival window): their requests join the ``failed`` ledger.
         # Sessions cut off by the end of the run (drain disabled or bounded)
         # end ``served`` with ``completed: false``; requests still queued
         # end ``abandoned``.
         tracer = self._tracer
-        for ticket in self._retry_queue:
+        for entry in self._retry_queue:
             self._count("failed")
             tracer.emit(
                 "failed",
                 steps,
-                ticket.event.request.user_id,
-                attempts=ticket.attempt,
+                entry.event.request.user_id,
+                attempts=entry.attempt,
                 pending=True,
             )
         self._retry_queue = []
@@ -1045,18 +1011,18 @@ class ClusterOrchestrator:
                 self._count("brownout_steps")
 
         # Retries bypass the patience queue (the user already paid their
-        # wait): a QUEUE or REJECT verdict leaves the ticket pending for the
+        # wait): a QUEUE or REJECT verdict leaves the retry pending for the
         # next step rather than consuming a retry attempt — attempts are
         # spent only on crashes.
-        pending: list[_RetryTicket] = []
-        for ticket in self._retry_queue:
-            if step >= ticket.ready_step:
+        pending: list[_InFlight] = []
+        for entry in self._retry_queue:
+            if step >= entry.ready_step:
                 verdict, snapshot = self._admit(
-                    step, ticket.event, len(queue), snapshot, ticket
+                    step, entry.event, len(queue), snapshot, entry
                 )
                 if verdict is AdmissionVerdict.ADMIT:
                     continue
-            pending.append(ticket)
+            pending.append(entry)
         self._retry_queue = pending
 
         # The head is excluded from the backlog its own decision sees (both
@@ -1114,11 +1080,11 @@ class ClusterOrchestrator:
         event: WorkloadEvent,
         queue_length: int,
         snapshot: Optional[ClusterSnapshot],
-        ticket: Optional[_RetryTicket] = None,
+        retry: Optional[_InFlight] = None,
     ) -> tuple[AdmissionVerdict, ClusterSnapshot]:
         """Decide one request and carry the verdict out.
 
-        The one admission path of crash retries (``ticket``), queued
+        The one admission path of crash retries (``retry``), queued
         requests and new arrivals.  The decision sees the snapshot derived
         for ``queue_length``; an ADMIT dispatches and a REJECT ends the
         request, except that a retry's REJECT, like every QUEUE, is left to
@@ -1130,8 +1096,8 @@ class ClusterOrchestrator:
         )
         self._count_verdict(verdict)
         if verdict is AdmissionVerdict.ADMIT:
-            snapshot = self._dispatch(event, snapshot, ticket)
-        elif verdict is AdmissionVerdict.REJECT and ticket is None:
+            snapshot = self._dispatch(event, snapshot, retry)
+        elif verdict is AdmissionVerdict.REJECT and retry is None:
             self._count("rejected")
             self._tracer.emit(
                 "rejected",
@@ -1186,31 +1152,31 @@ class ClusterOrchestrator:
         self,
         event: WorkloadEvent,
         snapshot: ClusterSnapshot,
-        ticket: Optional[_RetryTicket] = None,
+        retry: Optional[_InFlight] = None,
     ) -> ClusterSnapshot:
         """Route an admitted event using the snapshot its admission saw
         (cluster state cannot change between the two decisions); returns the
         snapshot after the dispatch.
 
-        With a ``ticket`` this is a crash-recovery re-dispatch: the session
-        is rebuilt from the ticket's remaining playlist under a
+        With a ``retry`` record this is a crash-recovery re-dispatch: the
+        session is rebuilt from the record's remaining playlist under a
         ``<user>#r<attempt>`` record key (the crashed server keeps the
         partial records under the original key), resumes the interrupted
-        video at the ticket's checkpointed frame, and the Q-table snapshot
-        salvaged from the dying controller is restored into the replacement
-        — the migrated session resumes with its learning intact.  The
-        dispatcher's view of the snapshot is annotated with the zone the
-        session was lost in (``retry_of_zone``) so failure-aware policies
-        can spread retries across domains.  Trace spans keep the ORIGINAL
-        user id throughout, so a request's lifecycle stays one stream no
-        matter how often it migrates.  A retry counts as ``retried``, not
-        ``admitted`` (the request was admitted once already), and its wait
-        does not join the queue waits.
+        video at the salvaged checkpoint frame, and the dying controller's
+        learned state is copied into the replacement — the migrated session
+        resumes with its learning intact.  The dispatcher's view of the
+        snapshot is annotated with the zone the session was lost in
+        (``retry_of_zone``) so failure-aware policies can spread retries
+        across domains.  Trace spans keep the ORIGINAL user id throughout,
+        so a request's lifecycle stays one stream no matter how often it
+        migrates.  A retry counts as ``retried``, not ``admitted`` (the
+        request was admitted once already), and its wait does not join the
+        queue waits.
         """
         policy_view = snapshot
-        if ticket is not None and ticket.from_zone is not None:
+        if retry is not None and retry.from_zone is not None:
             policy_view = dataclasses.replace(
-                snapshot, retry_of_zone=ticket.from_zone
+                snapshot, retry_of_zone=retry.from_zone
             )
         index = self.dispatcher.select(event, policy_view)
         if not 0 <= index < len(snapshot.servers):
@@ -1219,16 +1185,15 @@ class ClusterOrchestrator:
                 f"of a {len(snapshot.servers)}-server dispatchable fleet"
             )
         wait = snapshot.step - event.arrival_step
-        request = event.request
-        playlist = event.playlist
-        attempt = 0
-        if ticket is not None:
-            attempt = ticket.attempt
-            playlist = ticket.playlist
+        if retry is None:
+            entry = _InFlight(event)
+            request = event.request
+        else:
+            entry = retry
             request = dataclasses.replace(
-                request,
-                user_id=f"{request.user_id}#r{attempt}",
-                sequence=playlist[0],
+                event.request,
+                user_id=f"{event.request.user_id}#r{retry.attempt}",
+                sequence=retry.playlist[0],
             )
         factory = self.controller_factory
         degraded = self._brownout_level > 0 and self.brownout is not None
@@ -1245,14 +1210,15 @@ class ClusterOrchestrator:
         controller = factory(request, self.seed + dispatches)
         start_frame = 0
         retry_fields = {}
-        if ticket is not None:
-            restore_session_state(controller, ticket.session_state)
-            start_frame = ticket.resume_frame
-            retry_fields = {"retry": attempt, "resume_frame": start_frame}
+        if retry is not None:
+            salvage = retry.salvage
+            restore_session_state(controller, salvage)
+            start_frame = salvage["resume_frame"]
+            retry_fields = {"retry": retry.attempt, "resume_frame": start_frame}
             # Recomputation is charged when the retry actually runs: the
             # frames between the resume point and the crash point are work
             # the fleet does twice.
-            self._count("recomputed_frames", ticket.recomputed)
+            self._count("recomputed_frames", salvage["recomputed_frames"])
             self._count("retried")
         else:
             self._count("admitted")
@@ -1261,13 +1227,15 @@ class ClusterOrchestrator:
         session = TranscodingSession(
             request=request,
             controller=controller,
-            playlist=playlist,
+            playlist=entry.playlist,
             start_frame_index=start_frame,
         )
         slot = self._dispatchable[index]
         slot.orchestrator.add_session(session)
         slot.active_count += 1
-        self._inflight[id(session)] = _InFlight(session, event, attempt)
+        entry.session = session
+        entry.videos_done = 0
+        self._inflight[id(session)] = entry
         self._tracer.emit(
             "dispatched",
             snapshot.step,
@@ -1338,7 +1306,6 @@ class ClusterOrchestrator:
                     # capacity it ordered fail to appear and re-orders.
                     slot.state = _RETIRED
                     slot.health = _FAILED
-                    slot.decommissioned_step = step
                     self._fault(
                         FaultEvent(
                             step=step,
@@ -1355,7 +1322,6 @@ class ClusterOrchestrator:
                 changed = True
             elif slot.state == _DRAINING and slot.active_count == 0:
                 slot.state = _RETIRED
-                slot.decommissioned_step = step
                 changed = True
         if changed:
             self._refresh_fleet_views()
@@ -1460,14 +1426,15 @@ class ClusterOrchestrator:
         """Abruptly kill one server; salvage its in-flight sessions.
 
         Every session running on the slot is terminated in place (its
-        partial records stay in the ledger under the original user id), its
-        state is snapshotted (Q-tables plus checkpointed progress), and the
-        unfinished rest of its playlist is enqueued as a retry ticket with
-        exponential backoff — unless the session has exhausted its retry
-        budget, in which case it lands in the ``failed`` ledger.  The slot
-        itself goes off power until its seeded recovery step.  ``downtime``
-        overrides the per-crash MTTR draw — zone outages pass the single
-        downtime every victim of the outage shares.
+        partial records stay in the ledger under the original user id), and
+        its in-flight record moves to the retry queue with exponential
+        backoff, carrying the unfinished rest of the playlist and the
+        salvage (the dying controller, whose learned state the retry copies,
+        plus the checkpointed progress) — unless the request has exhausted
+        its retry budget, in which case it lands in the ``failed`` ledger.
+        The slot itself goes off power until its seeded recovery step.
+        ``downtime`` overrides the per-crash MTTR draw — zone outages pass
+        the single downtime every victim of the outage shares.
         """
         faults = self.faults
         sessions = slot.orchestrator.active_sessions()
@@ -1497,44 +1464,35 @@ class ClusterOrchestrator:
         for session in sessions:
             entry = self._inflight.pop(id(session))
             request_id = entry.event.request.user_id
-            state = snapshot_session(
-                session, checkpoint_interval=self._ckpt_interval
-            )
-            remaining = tuple(session.playlist[session.video_index :])
             frames_done = len(session.records)
-            session.terminate()
-            attempt = entry.attempt + 1
+            entry.attempt += 1
             tracer.emit(
                 "interrupted",
                 step,
                 request_id,
                 server=slot.index,
                 frames=frames_done,
-                attempt=attempt,
+                attempt=entry.attempt,
                 zone=slot.zone,
             )
-            if attempt > faults.config.max_retries:
+            if entry.attempt > faults.config.max_retries:
                 self._count("failed")
                 tracer.emit(
                     "failed",
                     step,
                     request_id,
-                    attempts=attempt,
+                    attempts=entry.attempt,
                     frames=frames_done,
                 )
             else:
-                self._retry_queue.append(
-                    _RetryTicket(
-                        event=entry.event,
-                        attempt=attempt,
-                        ready_step=faults.retry_ready_step(step, attempt),
-                        playlist=remaining,
-                        session_state=state,
-                        resume_frame=state["resume_frame"],
-                        from_zone=slot.zone,
-                        recomputed=state["recomputed_frames"],
-                    )
+                entry.playlist = tuple(session.playlist[session.video_index :])
+                entry.salvage = snapshot_session(
+                    session, checkpoint_interval=self._ckpt_interval
                 )
+                entry.ready_step = faults.retry_ready_step(step, entry.attempt)
+                entry.from_zone = slot.zone
+                self._retry_queue.append(entry)
+            session.terminate()
 
     def _autoscale(self, step: int, arrivals: int, admitting: bool) -> None:
         """Consult the policy and execute its (clamped) fleet-size target.
@@ -1645,7 +1603,6 @@ class ClusterOrchestrator:
                 break
             if slot.state == _WARMING:
                 slot.state = _RETIRED
-                slot.decommissioned_step = step
                 remaining -= 1
         if remaining > 0:
             candidates = sorted(
@@ -1654,7 +1611,6 @@ class ClusterOrchestrator:
             for slot in candidates[:remaining]:
                 if slot.active_count == 0:
                     slot.state = _RETIRED
-                    slot.decommissioned_step = step
                 else:
                     slot.state = _DRAINING
         self._refresh_fleet_views()

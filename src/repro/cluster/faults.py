@@ -144,9 +144,6 @@ class FailureTopology:
         rack = block % self.racks_per_zone
         return zone, rack
 
-    def describe(self) -> dict:
-        return {"zones": self.zones, "racks_per_zone": self.racks_per_zone}
-
 
 @dataclasses.dataclass(frozen=True)
 class KillEntry:
@@ -202,9 +199,6 @@ class KillSchedule:
                 ) from exc
             entries.append(KillEntry(zone=zone, step=step, duration=duration))
         return cls(entries=tuple(entries))
-
-    def describe(self) -> list:
-        return [[e.zone, e.step, e.duration] for e in self.entries]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -444,29 +438,3 @@ class FaultInjector:
     def retry_ready_step(self, step: int, attempt: int) -> int:
         """Step at which retry ``attempt`` (1-based) becomes eligible."""
         return step + self.config.retry_backoff_steps * (2 ** (attempt - 1))
-
-    def describe(self) -> dict:
-        """Compact config description for run output and benchmarks."""
-        cfg = self.config
-        out: dict = {"seed": cfg.seed}
-        if cfg.crash_mtbf_steps is not None:
-            out["crash_mtbf_steps"] = cfg.crash_mtbf_steps
-            out["crash_mttr_steps"] = cfg.crash_mttr_steps
-        if cfg.straggler_mtbf_steps is not None:
-            out["straggler_mtbf_steps"] = cfg.straggler_mtbf_steps
-            out["straggler_duration_steps"] = cfg.straggler_duration_steps
-        if cfg.warmup_failure_rate > 0:
-            out["warmup_failure_rate"] = cfg.warmup_failure_rate
-        if self.topology.zones > 1 or cfg.zone_mtbf_steps is not None:
-            out.update(self.topology.describe())
-        if cfg.zone_mtbf_steps is not None:
-            out["zone_mtbf_steps"] = cfg.zone_mtbf_steps
-            out["zone_mttr_steps"] = cfg.zone_mttr_steps
-        if cfg.kill_schedule is not None and cfg.kill_schedule:
-            out["kill_schedule"] = cfg.kill_schedule.describe()
-        if cfg.checkpoint_interval_frames is not None:
-            out["checkpoint_interval_frames"] = cfg.checkpoint_interval_frames
-            out["checkpoint_power_w"] = cfg.checkpoint_power_w
-        out["max_retries"] = cfg.max_retries
-        out["retry_backoff_steps"] = cfg.retry_backoff_steps
-        return out

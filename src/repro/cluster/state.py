@@ -178,11 +178,6 @@ class ClusterSnapshot:
         return len(self.servers)
 
     @property
-    def available_zones(self) -> int:
-        """Distinct failure zones with at least one dispatchable server."""
-        return len({server.zone for server in self.servers})
-
-    @property
     def total_active_sessions(self) -> int:
         """Sessions currently running anywhere in the fleet."""
         return sum(server.active_sessions for server in self.servers)

@@ -253,6 +253,20 @@ class QLearningAgent:
         self.q_table.update_towards(state, action, target, alpha)
         return alpha
 
+    def copy_learned_state(self, source: QLearningAgent) -> None:
+        """Replace what this agent has learned with a copy of ``source``'s.
+
+        The Q-table, the transition counts (and with them ``Num(s, a)``)
+        and ``Num(a)`` are copied, not merged: whatever this agent knew
+        before is gone.  Its RNG and learning constants stay its own.  The
+        two agents must have equal action values and index the same dense
+        states.
+        """
+        self.q_table = source.q_table.copy()
+        self.transitions = source.transitions.copy()
+        self._action_counts = dict(source._action_counts)
+        self.rebuild_count_caches()
+
     def rebuild_count_caches(self) -> None:
         """Recompute the counter caches from the raw counters.
 

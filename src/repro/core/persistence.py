@@ -11,6 +11,11 @@ per-action visit counters, and the empirical transition counts.  In memory
 an agent's states are dense integers; snapshots write each one as its
 4-tuple of bin indices, through the agent's
 :class:`~repro.core.states.StateSpace`.
+
+JSON is the on-disk format only.  Crash salvage inside a cluster run
+(:func:`snapshot_session`, :func:`restore_session_state`) serialises
+nothing: it keeps a reference to the dying controller and copies each
+agent's Q-table and counters into the replacement.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.core.agent import QLearningAgent
+from repro.core.qtable import QTable
 from repro.core.states import StateSpace, SystemState
+from repro.core.transitions import TransitionModel
 from repro.errors import ConfigurationError, LearningError
 
 __all__ = [
@@ -29,7 +36,6 @@ __all__ = [
     "snapshot_agents",
     "restore_agents",
     "snapshot_controller",
-    "restore_controller",
     "snapshot_session",
     "restore_session_state",
     "save_snapshot",
@@ -79,6 +85,7 @@ def snapshot_agent(agent: QLearningAgent) -> dict[str, Any]:
 def restore_agent(agent: QLearningAgent, snapshot: Mapping[str, Any]) -> None:
     """Load a snapshot produced by :func:`snapshot_agent` into ``agent``.
 
+    The snapshot replaces what the agent had learned; nothing is merged.
     The agent must have the same number of actions as the snapshot; the
     action *values* are compared too and a mismatch raises, because Q-values
     indexed against a different action set would be silently wrong.  Every
@@ -139,14 +146,15 @@ def restore_agent(agent: QLearningAgent, snapshot: Mapping[str, Any]) -> None:
             "match the transition totals"
         )
 
+    agent.q_table = QTable(len(agent.actions), space.size)
     for (state_index, action), value in q_values.items():
         agent.q_table.set(state_index, action, value)
+    agent.transitions = TransitionModel(len(agent.actions), space.size)
     for (state_index, action), observed in transitions.items():
         for next_state, n in observed.items():
             for _ in range(n):
                 agent.transitions.record(state_index, action, next_state)
-    for action, n in action_counts.items():
-        agent._action_counts[action] = n
+    agent._action_counts = {a: action_counts.get(a, 0) for a in agent.actions.indices()}
     # The counters were written behind the agent's back; its cached extremes
     # (running min action count, per-state max counts) must be rebuilt.
     agent.rebuild_count_caches()
@@ -174,65 +182,43 @@ def restore_agents(agents: Mapping[str, QLearningAgent], snapshot: Mapping[str, 
         restore_agent(agents[name], agent_snapshot)
 
 
+def _agents(controller: Any) -> Mapping[str, QLearningAgent] | None:
+    """The controller's name-to-agent mapping, or None if it learns nothing."""
+    agents = getattr(controller, "agents", None)
+    if not isinstance(agents, Mapping) or not agents:
+        return None
+    if not all(isinstance(agent, QLearningAgent) for agent in agents.values()):
+        return None
+    return agents
+
+
 def snapshot_controller(controller: Any) -> Mapping[str, Any] | None:
     """Snapshot a controller's learned state, if it carries any.
 
     Controllers that expose an ``agents`` name-to-:class:`QLearningAgent`
     mapping (MAMUT) are snapshotted with :func:`snapshot_agents`; for
     anything else (static, heuristic) there is nothing to carry and ``None``
-    is returned.  This is the capture half of cluster-level session
-    migration: when a server crashes, the snapshot travels with the retried
-    request so learning survives onto the replacement server.
+    is returned.
     """
-    agents = getattr(controller, "agents", None)
-    if not isinstance(agents, Mapping) or not agents:
-        return None
-    if not all(isinstance(agent, QLearningAgent) for agent in agents.values()):
-        return None
-    return snapshot_agents(agents)
-
-
-def restore_controller(controller: Any, snapshot: Mapping[str, Any] | None) -> bool:
-    """Best-effort restore of :func:`snapshot_controller` output.
-
-    Returns True when the snapshot was loaded into the controller's agents.
-    A ``None`` snapshot, a controller without agents, a structural
-    mismatch (different agent names or action sets — e.g. the retry was
-    dispatched under a brownout ``degraded_factory``) or a key that does not
-    fit (a state outside the target's state space, a malformed key,
-    inconsistent counts) returns False and the migrated session learns from
-    scratch, which is always safe.  Each agent is checked in full before it
-    is written, so the failing agent is left untouched, but a mismatch in a
-    later agent may leave earlier agents of the collection restored; that
-    is harmless — a restored Q-table is just an initialization — and
-    deterministic, so engine equivalence is unaffected.
-    """
-    if snapshot is None:
-        return False
-    agents = getattr(controller, "agents", None)
-    if not isinstance(agents, Mapping) or not agents:
-        return False
-    try:
-        restore_agents(agents, snapshot)
-    except LearningError:
-        return False
-    return True
+    agents = _agents(controller)
+    return None if agents is None else snapshot_agents(agents)
 
 
 def snapshot_session(
     session: Any, *, checkpoint_interval: int | None = None
 ) -> dict[str, Any]:
-    """Snapshot a transcoding session for crash salvage / migration.
+    """Salvage a crashing transcoding session for migration.
 
-    Extends :func:`snapshot_controller` with *progress* state: which video
-    the session was in and — when frame-level checkpointing is on — the
-    last checkpointed frame of that video.  ``resume_frame`` is the largest
-    multiple of ``checkpoint_interval`` at or below the session's current
-    frame (0 when checkpointing is off: the classic replay-from-video-start
-    behaviour), and ``recomputed_frames`` is the work between the
-    checkpoint and the crash point that a retry must redo.  Both are pure
-    functions of the session's frame index, so the scalar and batch engines
-    — which agree on every frame index — produce identical snapshots.
+    Keeps a reference to the session's ``controller`` — the caller
+    terminates the session and never steps that controller again, so its
+    learned state stays as it was at the crash — and the session's
+    progress.  ``resume_frame`` is the largest multiple of
+    ``checkpoint_interval`` at or below the session's current frame (0 when
+    checkpointing is off: the classic replay-from-video-start behaviour),
+    and ``recomputed_frames`` is the work between the checkpoint and the
+    crash point that a retry must redo.  Both are pure functions of the
+    session's frame index, so the scalar and batch engines — which agree on
+    every frame index — salvage identically.
     """
     frame = int(session.frame_index)
     if checkpoint_interval is not None and checkpoint_interval > 0:
@@ -240,25 +226,52 @@ def snapshot_session(
     else:
         resume_frame = 0
     return {
-        "version": SNAPSHOT_VERSION,
-        "controller": snapshot_controller(session.controller),
-        "video_index": int(session.video_index),
+        "controller": session.controller,
         "resume_frame": resume_frame,
         "recomputed_frames": frame - resume_frame,
     }
 
 
-def restore_session_state(controller: Any, snapshot: Mapping[str, Any] | None) -> bool:
-    """Restore the controller half of a :func:`snapshot_session` snapshot.
+def _bin_counts(space: StateSpace) -> tuple[int, int, int, int]:
+    return (
+        space.num_fps_bins,
+        space.num_psnr_bins,
+        space.num_bitrate_bins,
+        space.num_power_bins,
+    )
 
-    Progress (``resume_frame``) is the caller's to apply — the cluster
-    layer constructs the replacement session at the checkpointed frame —
-    so this helper only rehydrates learned state, with
-    :func:`restore_controller`'s best-effort semantics.
+
+def restore_session_state(controller: Any, salvage: Mapping[str, Any] | None) -> bool:
+    """Copy a :func:`snapshot_session` salvage's learned state into
+    ``controller``; returns True when every salvaged agent was copied.
+
+    Each salvaged agent's Q-table, transition counts and action counts
+    replace those of the same-named agent of ``controller``; nothing is
+    merged and nothing is serialised.  Progress (``resume_frame``) is the
+    caller's to apply.  Copying needs the salvaged agent names to be a
+    subset of the controller's and, per agent, equal action values and
+    equal state-space bin counts (equal bin counts give equal dense state
+    indices).  A ``None`` salvage, a side without agents or a mismatch —
+    e.g. a retry dispatched under a brownout ``degraded_factory`` —
+    returns False and the migrated session learns from scratch, which is
+    always safe.  A mismatch in a later agent leaves earlier agents copied;
+    that is harmless (a copied Q-table is just an initialization) and
+    deterministic, so engine equivalence is unaffected.
     """
-    if snapshot is None:
+    if salvage is None:
         return False
-    return restore_controller(controller, snapshot.get("controller"))
+    source = _agents(salvage["controller"])
+    target = _agents(controller)
+    if source is None or target is None or not source.keys() <= target.keys():
+        return False
+    for name, agent in source.items():
+        replacement = target[name]
+        if replacement.actions.values != agent.actions.values:
+            return False
+        if _bin_counts(replacement.state_space) != _bin_counts(agent.state_space):
+            return False
+        replacement.copy_learned_state(agent)
+    return True
 
 
 def save_snapshot(snapshot: Mapping[str, Any], path: str | Path) -> Path:

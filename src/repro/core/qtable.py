@@ -95,6 +95,13 @@ class QTable:
         self._stored[state, action] = True
         return new_value
 
+    def copy(self) -> QTable:
+        """An independent copy: same shape, values and stored entries."""
+        clone = QTable(self.num_actions, self.num_states, self.initial_value)
+        clone._array = self._array.copy()
+        clone._stored = self._stored.copy()
+        return clone
+
     # -- aggregates ------------------------------------------------------------------
 
     def max_value(self, state: int) -> float:

@@ -54,6 +54,13 @@ class TransitionModel:
         self._totals[pair] = total
         return total
 
+    def copy(self) -> TransitionModel:
+        """An independent copy; each pair keeps its first-seen next-state order."""
+        clone = TransitionModel(self.num_actions, self.num_states)
+        clone._counts = {pair: dict(counts) for pair, counts in self._counts.items()}
+        clone._totals = dict(self._totals)
+        return clone
+
     # -- queries -------------------------------------------------------------------
 
     def count(self, state: int, action: int, next_state: int) -> int:

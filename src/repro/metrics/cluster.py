@@ -150,8 +150,9 @@ class ClusterSummary:
         precede admission; ``failed`` requests count into ``shed_rate``.
     retried:
         Successful crash-recovery re-dispatches: sessions salvaged from a
-        crashed server and migrated (Q-table snapshot included) to a
-        replacement.  One request can contribute several retries.
+        crashed server and migrated to a replacement, whose controller gets
+        a copy of the dying controller's learned state.  One request can
+        contribute several retries.
     server_crashes, stragglers, warmup_failures:
         Injected fault counts by kind (0 without a fault injector).
     mean_healthy_servers:

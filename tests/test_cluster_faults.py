@@ -15,9 +15,10 @@ Covers the contracts of the fault subsystem:
   the fleet mid-run (autoscaling) must not move a single fault draw.
 * **Recovery semantics** — crashed sessions are salvaged and re-dispatched
   under ``<user>#r<attempt>`` record keys with their learning migrated
-  (resuming from the last checkpoint when checkpointing is on); the retry
-  budget bounds the attempts; the ``failed``/``retried`` ledger reconciles
-  with ``admitted``; the drain tail is fault-free; raw user ids that could
+  (copied in memory, exactly and without serialisation; resuming from the
+  last checkpoint when checkpointing is on); the retry budget bounds the
+  attempts; the ``failed``/``retried`` ledger reconciles with
+  ``admitted``; the drain tail is fault-free; raw user ids that could
   collide with the reserved retry-key marker are rejected at intake.
 * **Brownout-aware autoscaling** — a sustained brownout level produces
   exactly one appropriately-sized scale-up (no flapping) and freezes
@@ -47,12 +48,16 @@ from repro.cluster import (
     ServerSnapshot,
     WorkloadGenerator,
 )
+from repro.cluster import cluster as cluster_module
+from repro.core import persistence
 from repro.core.persistence import snapshot_controller
 from repro.errors import ClusterError
 from repro.manager.factories import static_factory
+from repro.manager.pretrain import pretrain_mamut, pretrained_mamut_factory
 from repro.metrics.cluster import ClusterSummary
 from repro.telemetry import QueueWaitObjective, TelemetryConfig
 from repro.telemetry.trace import TERMINAL_KINDS, ListTraceSink
+from repro.video.sequence import ResolutionClass
 
 
 def run_cluster(
@@ -490,6 +495,59 @@ class TestRecoverySemantics:
         # Failed provisions never served: their record maps are empty.
         for event in failures:
             assert result.records_by_server[event.server] == {}
+
+
+class TestSalvageByCopy:
+    """A retry starts from exactly what the dying session had learned."""
+
+    @pytest.fixture(scope="class")
+    def knowledge(self):
+        return {
+            resolution: pretrain_mamut(resolution, frames=300)
+            for resolution in (ResolutionClass.HR, ResolutionClass.LR)
+        }
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_migration_replaces_pretrained_state(self, engine, knowledge, monkeypatch):
+        # A pretrained replacement already holds learned state; the
+        # salvage must replace it, not add the dying agents' counts to it.
+        salvage_session = cluster_module.snapshot_session
+        restore_session = cluster_module.restore_session_state
+        at_crash = []
+        migrations = []
+
+        def salvage(session, **kwargs):
+            salvaged = salvage_session(session, **kwargs)
+            at_crash.append((salvaged, snapshot_controller(session.controller)))
+            return salvaged
+
+        def restore(controller, salvaged):
+            copied = restore_session(controller, salvaged)
+            before = next(state for s, state in at_crash if s is salvaged)
+            migrations.append((copied, before, snapshot_controller(controller)))
+            return copied
+
+        monkeypatch.setattr(cluster_module, "snapshot_session", salvage)
+        monkeypatch.setattr(cluster_module, "restore_session_state", restore)
+        _, result, _ = run_cluster(
+            engine,
+            faults=CRASH_ONLY,
+            controller_factory=pretrained_mamut_factory(knowledge),
+        )
+        assert result.retried > 0
+        assert len(migrations) == result.retried
+        for copied, before, after in migrations:
+            assert copied
+            assert after == before
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_salvage_serialises_nothing(self, engine, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a learned state was serialised inside the run")
+
+        monkeypatch.setattr(persistence, "_state_key", refuse)
+        _, result, _ = run_cluster(engine, faults=MIXED_FAULTS)
+        assert result.retried > 0
 
 
 class TestInFlightRegistry:

@@ -15,7 +15,6 @@ from repro.core.persistence import (
     load_snapshot,
     restore_agent,
     restore_agents,
-    restore_controller,
     restore_session_state,
     save_snapshot,
     snapshot_agent,
@@ -102,6 +101,13 @@ class TestAgentSnapshot:
         assert snapshot == GOLDEN_SNAPSHOT
         # Next states keep their first-seen order (Algorithm 1 sums in it).
         assert list(snapshot["transitions"]["0,1,0,0|1"]) == ["2,1,0,0", "0,1,0,0"]
+
+    def test_restore_replaces_what_the_agent_learned(self):
+        # A trained agent's own Q-values, transitions and action counts are
+        # dropped, not merged with the snapshot's.
+        target = trained_agent(seed=3)
+        restore_agent(target, GOLDEN_SNAPSHOT)
+        assert snapshot_agent(target) == GOLDEN_SNAPSHOT
 
     def test_snapshot_is_json_serialisable(self, tmp_path):
         snapshot = snapshot_agents({"demo": trained_agent()})
@@ -212,21 +218,14 @@ class TestBadSnapshots:
             )
         return controller
 
-    def test_restore_controller_rejects_a_foreign_state_space(self):
+    def test_restore_session_state_rejects_a_foreign_state_space(self):
         # Eight PSNR edges give nine PSNR bins; the target space has six.
         wide = StateSpace(psnr_edges=(30.0, 32.0, 34.0, 36.0, 38.0, 40.0, 42.0, 44.0))
         source = self._trained(MamutConfig(state_space=wide, seed=0), psnr_db=50.0)
         target = self._trained(MamutConfig(seed=1), psnr_db=36.0)
         before = snapshot_controller(target)
-        assert not restore_controller(target, snapshot_controller(source))
-        assert snapshot_controller(target) == before
-
-    def test_restore_controller_rejects_a_malformed_key(self):
-        snapshot = snapshot_controller(self._trained(MamutConfig(seed=0), psnr_db=36.0))
-        snapshot["agents"]["qp"]["q_values"]["x,1,0,0|0"] = 1.0
-        target = self._trained(MamutConfig(seed=1), psnr_db=38.0)
-        before = snapshot_controller(target)
-        assert not restore_controller(target, snapshot)
+        salvage = snapshot_session(_SessionStub(source, frame_index=0))
+        assert not restore_session_state(target, salvage)
         assert snapshot_controller(target) == before
 
 
@@ -251,10 +250,9 @@ class TestRestoreRebuildsCaches:
 class _SessionStub:
     """The duck type :func:`snapshot_session` reads: progress + controller."""
 
-    def __init__(self, controller, frame_index, video_index=0):
+    def __init__(self, controller, frame_index):
         self.controller = controller
         self.frame_index = frame_index
-        self.video_index = video_index
 
 
 class TestSessionSnapshot:
@@ -279,17 +277,32 @@ class TestSessionSnapshot:
         snapshot = snapshot_session(session, checkpoint_interval=interval)
         assert snapshot["resume_frame"] == resume
         assert snapshot["recomputed_frames"] == frame - resume
-        assert snapshot["video_index"] == 0
 
     def test_restore_rehydrates_learned_state(self, hr_request):
         source = self._trained(hr_request)
         snapshot = snapshot_session(
-            _SessionStub(source, frame_index=9, video_index=1),
-            checkpoint_interval=4,
+            _SessionStub(source, frame_index=9), checkpoint_interval=4
         )
-        target = MamutController(MamutConfig.for_request(hr_request, seed=99))
+        # The target learned on its own first; the copy replaces that.
+        target = self._trained(hr_request, seed=99)
         assert restore_session_state(target, snapshot)
         assert snapshot_controller(target) == snapshot_controller(source)
+
+    def test_restored_state_is_a_copy(self, hr_request):
+        source = self._trained(hr_request)
+        target = MamutController(MamutConfig.for_request(hr_request, seed=99))
+        assert restore_session_state(
+            target, snapshot_session(_SessionStub(source, frame_index=0))
+        )
+        restored = snapshot_controller(target)
+        # Learning on after the copy leaves the other side untouched.
+        for frame in range(120, 180):
+            source.decide(
+                frame,
+                Observation(fps=20.0, psnr_db=40.0, bitrate_mbps=8.0, power_w=120.0),
+            )
+        assert snapshot_controller(source) != restored
+        assert snapshot_controller(target) == restored
 
     def test_restore_of_none_is_a_noop(self, hr_request):
         target = MamutController(MamutConfig.for_request(hr_request, seed=1))
