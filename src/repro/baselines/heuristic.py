@@ -31,7 +31,7 @@ from repro.constants import (
 )
 from repro.core.actions import ActionSet, default_dvfs_actions, default_qp_actions
 from repro.core.controller import Controller, Decision
-from repro.core.observation import Observation, average_observations
+from repro.core.observation import Observation
 from repro.errors import ConfigurationError
 from repro.platform.dvfs import DvfsPolicy
 from repro.video.request import TranscodingRequest
@@ -117,6 +117,7 @@ class HeuristicController(Controller):
     dvfs_policy = DvfsPolicy.CHIP_WIDE
 
     def __init__(self, config: HeuristicConfig | None = None) -> None:
+        super().__init__()
         self.config = config if config is not None else HeuristicConfig()
         self._qp_actions: ActionSet[int] = default_qp_actions()
         self._dvfs_actions: ActionSet[float] = default_dvfs_actions()
@@ -125,7 +126,6 @@ class HeuristicController(Controller):
         self._freq_index = self._dvfs_actions.closest_index(
             self.config.initial_frequency_ghz
         )
-        self._observations: list[Observation] = []
         self._last_fps: Optional[float] = None
         self._last_threads_increased = False
         self._thread_hold = 0
@@ -136,19 +136,17 @@ class HeuristicController(Controller):
 
     def reset(self) -> None:
         """Clear the observation window; the operating point is kept."""
-        self._observations.clear()
+        super().reset()
         self._last_fps = None
         self._last_threads_increased = False
         self._thread_hold = 0
 
     # -- Controller interface -------------------------------------------------------
 
-    def decide(self, frame_index: int, observation: Optional[Observation]) -> Decision:
-        if observation is not None:
-            self._observations.append(observation)
-        if frame_index % self.config.period == 0 and self._observations:
-            self._adjust(average_observations(self._observations))
-            self._observations.clear()
+    def decide(self, frame_index: int) -> Decision:
+        if frame_index % self.config.period == 0 and self.window.count:
+            self._adjust(self.window.average())
+            self.window.clear()
         return self._current_decision()
 
     # -- adjustment rules ------------------------------------------------------------

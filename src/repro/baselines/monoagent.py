@@ -27,7 +27,6 @@ from repro.core.actions import ActionSet
 from repro.core.agent import QLearningAgent
 from repro.core.controller import Controller, Decision
 from repro.core.learning_rate import LearningRateParameters
-from repro.core.observation import Observation, average_observations
 from repro.core.phases import Phase
 from repro.core.rewards import RewardConfig, RewardFunction
 from repro.core.states import StateSpace
@@ -139,6 +138,7 @@ class MonoAgentController(Controller):
     dvfs_policy = DvfsPolicy.PER_CORE
 
     def __init__(self, config: MonoAgentConfig | None = None) -> None:
+        super().__init__()
         self.config = config if config is not None else MonoAgentConfig()
         self.state_space = self.config.state_space
         self.reward_function = RewardFunction(self.config.reward)
@@ -162,7 +162,6 @@ class MonoAgentController(Controller):
         )
         self._current_index = self._initial_action_index(actions)
         self._pending: Optional[tuple[int, int]] = None
-        self._observations: list[Observation] = []
 
     @property
     def name(self) -> str:
@@ -170,22 +169,21 @@ class MonoAgentController(Controller):
 
     def reset(self) -> None:
         """Clear per-video transient state; the Q-table is kept."""
+        super().reset()
         self._pending = None
-        self._observations.clear()
 
     # -- Controller interface ----------------------------------------------------------
 
-    def decide(self, frame_index: int, observation: Optional[Observation]) -> Decision:
-        if observation is not None:
-            self._observations.append(observation)
-        if frame_index % self.config.period == 0 and self._observations:
+    def decide(self, frame_index: int) -> Decision:
+        if frame_index % self.config.period == 0 and self.window.count:
             self._act()
         return self._current_decision()
 
     # -- internals -----------------------------------------------------------------------
 
     def _act(self) -> None:
-        averaged = average_observations(self._observations)
+        averaged = self.window.average()
+        self.window.clear()
         state = self.state_space.state_index(self.state_space.discretize(averaged))
 
         if self._pending is not None:
@@ -201,7 +199,6 @@ class MonoAgentController(Controller):
 
         self._current_index = action
         self._pending = (state, action)
-        self._observations.clear()
 
     def _current_decision(self) -> Decision:
         qp, threads, frequency = self.agent.actions[self._current_index]

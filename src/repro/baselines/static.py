@@ -7,10 +7,7 @@ operating point is the natural sanity baseline for the learning controllers.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.controller import Controller, Decision
-from repro.core.observation import Observation
 from repro.platform.dvfs import DvfsPolicy
 
 __all__ = ["StaticController"]
@@ -36,6 +33,7 @@ class StaticController(Controller):
         frequency_ghz: float,
         dvfs_policy: DvfsPolicy = DvfsPolicy.CHIP_WIDE,
     ) -> None:
+        super().__init__()
         self._decision = Decision(qp=qp, threads=threads, frequency_ghz=frequency_ghz)
         self.dvfs_policy = dvfs_policy
 
@@ -43,5 +41,5 @@ class StaticController(Controller):
     def name(self) -> str:
         return "Static"
 
-    def decide(self, frame_index: int, observation: Optional[Observation]) -> Decision:
+    def decide(self, frame_index: int) -> Decision:
         return self._decision

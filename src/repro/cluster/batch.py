@@ -12,17 +12,16 @@ NumPy evaluation per cluster step:
    decision plus per-frame content descriptors are packed into contiguous
    struct-of-arrays buffers ordered server-major.  Sessions running a stock
    :class:`~repro.core.mamut.MamutController` are advanced by the vectorized
-   MAMUT driver (:class:`_MamutDriver` below): their observation windows
-   live in fleet-wide struct-of-arrays running sums, and on activation steps
-   the window averaging, :meth:`~repro.core.states.StateSpace.discretize_batch`,
+   MAMUT driver (:class:`_MamutDriver` below): on activation steps it reads
+   the observation windows of the activating controllers, and the window
+   averaging, :meth:`~repro.core.states.StateSpace.discretize_batch`,
    :meth:`~repro.core.states.StateSpace.state_index_batch` and
-   :meth:`~repro.core.rewards.RewardFunction.total_batch` run across every
-   activating session in one shot before the grouped per-agent Q updates
-   and action selections are applied session by session, each
-   agent receiving its dense integer state directly (each session's
-   exploration RNG draws stay in its own scalar order).
-   Every other controller is asked per session via
-   :meth:`~repro.manager.session.TranscodingSession.decide`.
+   :meth:`~repro.core.rewards.RewardFunction.total_batch` run across all of
+   them in one shot before the grouped per-agent Q updates and action
+   selections are applied session by session, each agent receiving its
+   dense integer state directly (each session's exploration RNG draws stay
+   in its own scalar order).  Every other controller is asked per session
+   via :meth:`~repro.manager.session.TranscodingSession.decide`.
 2. **Evaluate** — WPP speedup, busy-core power, decode cycles, encode time,
    PSNR and bitrate come from the models' own ``*_batch`` methods
    (:meth:`~repro.hevc.wpp.WppModel.speedup_batch`,
@@ -36,13 +35,14 @@ NumPy evaluation per cluster step:
    vectorized form) and the decode-plus-encode timing of the transcoder.
 3. **Scatter** — every session's results go back through
    :meth:`~repro.manager.session.TranscodingSession.commit` (the same
-   ``FrameRecord``/``Observation`` objects the scalar path creates, and the
-   same bookkeeping), and one ``PowerSample`` per server is emitted; a
-   server with no active sessions is sampled through
+   ``FrameRecord`` the scalar path creates, and the same bookkeeping,
+   which also adds the frame to the controller's observation window), and
+   one ``PowerSample`` per server is emitted; a server with no active
+   sessions is sampled through
    :meth:`~repro.manager.orchestrator.Orchestrator.idle_step`, as on the
-   scalar engine.  A commit that wraps the session's ``frame_index`` to 0
-   crossed a video boundary: the loop refreshes that lane's video columns
-   on the spot, or notes the session's end for the MAMUT driver.
+   scalar engine.  A commit that wraps an active session's ``frame_index``
+   to 0 crossed a video boundary: the loop refreshes that lane's video
+   columns on the spot.
 
 **Equivalence guarantee.**  For the same ``(workload seed, policies, cluster
 seed)`` the batch engine produces *bitwise identical* results to the scalar
@@ -57,12 +57,15 @@ transcoder pipeline operation for operation, and float reductions
 accumulation order.  Fault injection preserves the guarantee:
 fault draws, session salvage and retries all happen in orchestrator code
 outside the stepper, and a crash or recovery changes the live roster
-exactly like an autoscaling resize — the stepper is flushed
-(``flush_window_state``) and rebuilt over the surviving fleet.  Checkpointed
-resumes need no special handling either: a replacement session constructed
-mid-video (``TranscodingSession(start_frame_index=...)``) joins a rebuilt
-stepper like any other, because lanes read ``session.frame_index`` and
-``session.step`` fresh at every step.  The equivalence is enforced by
+exactly like an autoscaling resize — the stepper is dropped and rebuilt
+over the surviving fleet.  Nothing needs writing back when a stepper is
+dropped: every session's state, its controller's observation window
+included, lives on the session and controller, and the stepper keeps only
+caches it re-reads when it is built.  Checkpointed resumes need no special
+handling either: a replacement session constructed mid-video
+(``TranscodingSession(start_frame_index=...)``) joins a rebuilt stepper like
+any other, because lanes read ``session.frame_index`` and ``session.step``
+fresh at every step.  The equivalence is enforced by
 ``tests/test_cluster_batch.py``, ``tests/test_cluster_faults.py`` and
 ``tests/test_cluster_domains.py``.
 
@@ -85,7 +88,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.mamut import MamutController
-from repro.core.observation import Observation
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.metrics.records import FrameRecord, PowerSample
@@ -264,10 +266,10 @@ class _MamutDriver:
     """Fleet-wide vectorized activation engine for stock MAMUT controllers.
 
     The scalar engine walks every MAMUT session's whole learning path in
-    Python each frame (window append, schedule lookup, averaging,
-    discretisation, reward, Eq. 3, Q update).  The driver keeps the
-    per-session observation windows as struct-of-arrays running sums and, on
-    activation steps, performs the averaging,
+    Python each frame (schedule lookup, averaging, discretisation, reward,
+    Eq. 3, Q update).  The driver looks up the schedule for all its lanes at
+    once, reads the observation windows of the controllers whose agent is
+    due, and performs the averaging,
     :meth:`~repro.core.states.StateSpace.discretize_batch`,
     :meth:`~repro.core.states.StateSpace.state_index_batch` and
     :meth:`~repro.core.rewards.RewardFunction.total_batch` (bitwise the
@@ -278,28 +280,18 @@ class _MamutDriver:
     selection, whose exploration randomness must consume each session's RNG
     in its own scalar order — goes through
     :meth:`~repro.core.mamut.MamutController.apply_external_activation`,
-    which takes the dense state index as it is.
+    which takes the dense state index as it is and empties the window.
 
-    The controllers' canonical window state (running sums + count) is
-    mirrored into the arrays here; :meth:`flush` writes it back so the state
-    survives roster rebuilds and stepper teardowns (fleet resizes rebuild
-    the whole stepper).
+    The windows stay on the controllers (sessions fill them at commit), so
+    the driver holds only caches it re-reads from the sessions and
+    controllers when it is built: each lane's step count, its current
+    decision and the grouping tables.  It can be dropped at any step.
     """
 
     __slots__ = (
         "positions",
         "controllers",
         "steps",
-        "win_fps",
-        "win_psnr",
-        "win_bitrate",
-        "win_power",
-        "win_count",
-        "pend_fps",
-        "pend_psnr",
-        "pend_bitrate",
-        "pend_power",
-        "pend_valid",
         "qp",
         "threads",
         "freq",
@@ -317,39 +309,6 @@ class _MamutDriver:
         count = len(positions)
         self.steps = np.array(
             [lanes[i].session.step for i in positions], dtype=np.int64
-        )
-
-        windows = [ctl.observation_window() for ctl in self.controllers]
-        self.win_fps = np.array([w[0] for w in windows])
-        self.win_psnr = np.array([w[1] for w in windows])
-        self.win_bitrate = np.array([w[2] for w in windows])
-        self.win_power = np.array([w[3] for w in windows])
-        self.win_count = np.array([w[4] for w in windows], dtype=np.int64)
-
-        # The scalar engine folds a step's observation into the window at the
-        # *next* step's decide(); the driver mirrors that timing by stashing
-        # each step's results here and folding them at the next advance().
-        # Between steps a session's not-yet-folded observation is exactly
-        # session.last_observation (never yet in the controller's window), so
-        # a fresh driver — after a roster rebuild, a stepper teardown, or a
-        # stretch on the scalar engine — re-derives the stash from it.
-        last = [
-            lanes[i].session.last_observation for i in positions
-        ]
-        self.pend_valid = np.array(
-            [obs is not None for obs in last], dtype=bool
-        )
-        self.pend_fps = np.array(
-            [obs.fps if obs is not None else 0.0 for obs in last]
-        )
-        self.pend_psnr = np.array(
-            [obs.psnr_db if obs is not None else 0.0 for obs in last]
-        )
-        self.pend_bitrate = np.array(
-            [obs.bitrate_mbps if obs is not None else 0.0 for obs in last]
-        )
-        self.pend_power = np.array(
-            [obs.power_w if obs is not None else 0.0 for obs in last]
         )
 
         self.qp = np.empty(count, dtype=np.int64)
@@ -423,39 +382,29 @@ class _MamutDriver:
 
     def advance(self) -> None:
         """Run this step's activations (fleet-vectorized) before the gather."""
-        # Fold the previous step's observations into the windows — the
-        # array mirror of the scalar decide()'s append-then-activate order.
-        valid = self.pend_valid
-        if valid.all():
-            self.win_fps += self.pend_fps
-            self.win_psnr += self.pend_psnr
-            self.win_bitrate += self.pend_bitrate
-            self.win_power += self.pend_power
-            self.win_count += 1
-            self.pend_valid = np.zeros_like(valid)
-        elif valid.any():
-            self.win_fps[valid] += self.pend_fps[valid]
-            self.win_psnr[valid] += self.pend_psnr[valid]
-            self.win_bitrate[valid] += self.pend_bitrate[valid]
-            self.win_power[valid] += self.pend_power[valid]
-            self.win_count[valid] += 1
-            self.pend_valid = np.zeros_like(valid)
-
         agent_id = np.full(len(self.controllers), -1, dtype=np.int64)
         for members, hyper, pattern in self.schedule_groups:
             agent_id[members] = pattern[self.steps[members] % hyper]
-        act = (agent_id >= 0) & (self.win_count > 0)
-        if not act.any():
+        scheduled = np.nonzero(agent_id >= 0)[0]
+        if not len(scheduled):
             return
-        pos = np.nonzero(act)[0]
+
+        # An agent acts only on a non-empty window: the scalar decide() test.
+        controllers = self.controllers
+        acting = [j for j in scheduled.tolist() if controllers[j].window.count]
+        if not acting:
+            return
+        pos = np.array(acting, dtype=np.int64)
 
         # Window averaging: one division per component, on the running sums
-        # accumulated in arrival order — bitwise the scalar averages.
-        counts = self.win_count[pos]
-        avg_fps = self.win_fps[pos] / counts
-        avg_psnr = self.win_psnr[pos] / counts
-        avg_bitrate = self.win_bitrate[pos] / counts
-        avg_power = self.win_power[pos] / counts
+        # the sessions accumulated in arrival order — bitwise the scalar
+        # averages.
+        windows = [controllers[j].window for j in acting]
+        sums = np.array(
+            [(w.fps, w.psnr_db, w.bitrate_mbps, w.power_w) for w in windows]
+        )
+        counts = np.array([w.count for w in windows], dtype=np.int64)
+        avg_fps, avg_psnr, avg_bitrate, avg_power = (sums / counts[:, None]).T
 
         rewards = np.empty(len(pos))
         state_array = np.empty(len(pos), dtype=np.int64)
@@ -483,8 +432,8 @@ class _MamutDriver:
         act_ids = agent_id[pos]
         for gid, name in enumerate(self.agent_names):
             for k in np.nonzero(act_ids == gid)[0]:
-                j = int(pos[k])
-                controller = self.controllers[j]
+                j = acting[k]
+                controller = controllers[j]
                 controller.apply_external_activation(
                     name, int(self.steps[j]), states[k], float(rewards[k])
                 )
@@ -492,65 +441,6 @@ class _MamutDriver:
                 self.qp[j] = decision.qp
                 self.threads[j] = decision.threads
                 self.freq[j] = decision.frequency_ghz
-
-        self.win_fps[pos] = 0.0
-        self.win_psnr[pos] = 0.0
-        self.win_bitrate[pos] = 0.0
-        self.win_power[pos] = 0.0
-        self.win_count[pos] = 0
-
-    def commit_observations(
-        self,
-        fps: np.ndarray,
-        psnr: np.ndarray,
-        bitrate: np.ndarray,
-        power: np.ndarray,
-        window_reset: np.ndarray,
-        finished: np.ndarray,
-    ) -> None:
-        """Stash this step's results for the next advance()'s window fold.
-
-        All arguments are full-lane arrays.  ``window_reset`` marks lanes
-        whose session moved to the next playlist video — their controller
-        was reset, so the live window clears now and the stashed observation
-        starts the fresh window at the next step (the scalar engine's order
-        of events).  ``finished`` marks sessions that just completed: their
-        controller never sees another observation, so nothing is stashed.
-        """
-        pos = self.positions
-        reset = window_reset[pos]
-        if reset.any():
-            self.win_fps[reset] = 0.0
-            self.win_psnr[reset] = 0.0
-            self.win_bitrate[reset] = 0.0
-            self.win_power[reset] = 0.0
-            self.win_count[reset] = 0
-        self.pend_fps = fps[pos]
-        self.pend_psnr = psnr[pos]
-        self.pend_bitrate = bitrate[pos]
-        self.pend_power = power[pos]
-        self.pend_valid = ~finished[pos]
-        self.steps += 1
-
-    def flush(self) -> None:
-        """Write the live windows back to their controllers.
-
-        Called before the driver's arrays are discarded (roster rebuilds and
-        stepper teardowns) so a successor — or the scalar engine — resumes
-        from the exact same window state.  The not-yet-folded stash is
-        deliberately excluded: it equals each session's ``last_observation``,
-        which the next engine folds itself (the scalar decide() appends it, a
-        fresh driver re-derives it in its constructor), so writing it here
-        would double-count the observation.
-        """
-        for k, controller in enumerate(self.controllers):
-            controller.set_observation_window(
-                float(self.win_fps[k]),
-                float(self.win_psnr[k]),
-                float(self.win_bitrate[k]),
-                float(self.win_power[k]),
-                int(self.win_count[k]),
-            )
 
 
 class BatchStepper:
@@ -568,6 +458,12 @@ class BatchStepper:
         each step charges its wall time to the engine's four phases
         (``mamut`` activations, ``gather``, ``evaluate``, ``scatter``).
         Timing is observe-only — results are bitwise identical either way.
+
+    A stepper holds only caches of session, controller and server state
+    (lanes, per-server constants, the MAMUT driver's decisions and grouping
+    tables), re-read when it is built.  It can be dropped at any step — or
+    its orchestrators stepped on the scalar engine in between — with
+    nothing to write back.
     """
 
     def __init__(
@@ -607,8 +503,6 @@ class BatchStepper:
 
     def _rebuild_roster(self, actives: list[list[TranscodingSession]]) -> None:
         """Re-gather per-session static columns after a membership change."""
-        if self._driver is not None:
-            self._driver.flush()
         lanes: list[_SessionLane] = []
         lane_map: dict[TranscodingSession, _SessionLane] = {}
         counts: list[int] = []
@@ -659,15 +553,14 @@ class BatchStepper:
         self._driver = _MamutDriver(lanes, driven_pos) if driven_pos else None
 
     def flush_window_state(self) -> None:
-        """Write driver-managed observation windows back to their controllers.
+        """Do nothing: a stepper holds no state that needs writing back.
 
-        Must be called when the stepper is discarded mid-run (fleet resizes
-        rebuild it); a successor stepper — or the scalar engine — then
-        resumes from identical controller state.  A no-op without driven
-        sessions.
+        The observation windows live on the controllers and the MAMUT
+        driver keeps only caches it re-reads when it is built, so a stepper
+        can be dropped at any step.  The method stays because external
+        instrumentation that subclasses the stepper (the benchmark's traced
+        stepper) wraps it by name.
         """
-        if self._driver is not None:
-            self._driver.flush()
 
     # -- stepping -------------------------------------------------------------------
 
@@ -818,18 +711,10 @@ class BatchStepper:
             threads_l = threads.tolist()
             freq_list = freq.tolist()
             idle_cores_l = idle_cores.tolist()
-            # Lanes whose commit moved the session to its next video (its
-            # controller was reset) or finished it, for the MAMUT driver.
-            advanced = np.zeros(n, dtype=bool)
-            finished = np.zeros(n, dtype=bool)
-            # Per-lane server power (each session observes its server's total
-            # draw), fed back into the driver's observation windows.
-            power_lane = np.empty(n)
 
             samples: list[Optional[PowerSample]] = [None] * len(
                 self.orchestrators
             )
-            make_observation = Observation
             make_record = FrameRecord
             for k, server_index in enumerate(busy_idx):
                 start = starts[server_index]
@@ -853,18 +738,11 @@ class BatchStepper:
                 shared_power = server_static.base_power_w + idle_power
                 busy_power_total = sum(power_l[start:end])
                 total_power = shared_power + busy_power_total
-                power_lane[start:end] = total_power
 
                 for i in range(start, end):
                     lane = lanes[i]
                     session = lane.session
-                    fps_i = fps_l[i]
-                    psnr_i = psnr_l[i]
-                    bitrate_i = bitrate_l[i]
-                    # Positional construction, field order of the dataclasses.
-                    observation = make_observation(
-                        fps_i, psnr_i, bitrate_i, total_power
-                    )
+                    # Positional construction, field order of the dataclass.
                     record = make_record(
                         lane.session_id,
                         session.step,
@@ -874,25 +752,21 @@ class BatchStepper:
                         qp_l[i],
                         threads_l[i],
                         freq_list[i],
-                        fps_i,
-                        psnr_i,
-                        bitrate_i,
+                        fps_l[i],
+                        psnr_l[i],
+                        bitrate_l[i],
                         time_l[i],
                         total_power,
                         lane.target_fps,
                     )
-                    session.commit(record, observation)
-                    if session.frame_index == 0:
-                        # The commit wrapped the frame index: a video boundary.
-                        if session.active:
-                            advanced[i] = True
-                            lane.refresh_video()
-                            for name in _VIDEO_COLUMNS:
-                                self._video_static[name][i] = float(
-                                    getattr(lane, name)
-                                )
-                        else:
-                            finished[i] = True
+                    session.commit(record)
+                    if session.frame_index == 0 and session.active:
+                        # The commit wrapped the frame index into a new video.
+                        lane.refresh_video()
+                        for name in _VIDEO_COLUMNS:
+                            self._video_static[name][i] = float(
+                                getattr(lane, name)
+                            )
 
                 duration = sum(time_l[start:end]) / counts[server_index]
                 samples[server_index] = PowerSample(
@@ -907,7 +781,5 @@ class BatchStepper:
                     samples[server_index] = orch.idle_step(step)
 
             if self._driver is not None:
-                self._driver.commit_observations(
-                    fps, psnr, bitrate, power_lane, advanced, finished
-                )
+                self._driver.steps += 1
         return samples  # type: ignore[return-value]

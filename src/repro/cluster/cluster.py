@@ -720,13 +720,9 @@ class ClusterOrchestrator:
         ]
         # The batch stepper's per-server constants are bound to the stepped
         # (live) fleet; state flips that keep the same servers powered on
-        # (warming -> active, active -> draining) don't invalidate it.
+        # (warming -> active, active -> draining) don't invalidate it.  A
+        # stepper holds only caches, so it is dropped with nothing to save.
         if live != self._live:
-            if self._stepper is not None:
-                # MAMUT observation windows live in the stepper's arrays;
-                # park them on the controllers so the successor resumes from
-                # identical state.
-                self._stepper.flush_window_state()
             self._stepper = None
         self._live = live
         self.fleet_power_cap_w = len(self._dispatchable) * self.power_cap_w

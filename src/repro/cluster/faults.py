@@ -310,12 +310,14 @@ class FaultConfig:
             raise ClusterError(
                 f"zone_mttr_steps must be > 0, got {self.zone_mttr_steps}"
             )
-        if self.kill_schedule is not None and self.topology is not None:
+        if self.kill_schedule is not None:
+            # Without a topology the injector puts every server in one zone.
+            zones = self.topology.zones if self.topology is not None else 1
             for entry in self.kill_schedule.entries:
-                if entry.zone >= self.topology.zones:
+                if entry.zone >= zones:
                     raise ClusterError(
                         f"kill schedule names zone {entry.zone} but the "
-                        f"topology has only {self.topology.zones} zones"
+                        f"topology has only {zones} zone(s)"
                     )
         if (
             self.checkpoint_interval_frames is not None

@@ -15,7 +15,7 @@ This package implements the paper's contribution:
   multi-user orchestrator.
 """
 
-from repro.core.observation import Observation, average_observations
+from repro.core.observation import Observation, ObservationWindow
 from repro.core.states import StateSpace, SystemState
 from repro.core.actions import (
     ActionSet,
@@ -43,7 +43,7 @@ from repro.core.persistence import (
 
 __all__ = [
     "Observation",
-    "average_observations",
+    "ObservationWindow",
     "StateSpace",
     "SystemState",
     "ActionSet",

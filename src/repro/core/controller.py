@@ -1,20 +1,22 @@
 """Controller interface shared by MAMUT and the baseline approaches.
 
 A *controller* manages exactly one transcoding session: once per frame the
-session asks it for a :class:`Decision` (QP, threads, frequency), handing it
-the :class:`~repro.core.observation.Observation` produced by the previous
-frame.  MAMUT, the mono-agent Q-learning baseline, the heuristic baseline and
-the static baseline all implement this interface, which is what lets the
-experiment runner compare them on identical scenarios.
+session asks it for a :class:`Decision` (QP, threads, frequency).  What the
+controller has seen since it last acted lives in its
+:class:`~repro.core.observation.ObservationWindow`, which the session fills
+once per committed frame
+(:meth:`~repro.manager.session.TranscodingSession.commit`).  MAMUT, the
+mono-agent Q-learning baseline, the heuristic baseline and the static
+baseline all implement this interface, which is what lets the experiment
+runner compare them on identical scenarios.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Optional
 
-from repro.core.observation import Observation
+from repro.core.observation import ObservationWindow
 from repro.errors import ConfigurationError
 from repro.platform.dvfs import DvfsPolicy
 
@@ -56,17 +58,18 @@ class Controller(abc.ABC):
     #: its frequency chip-wide (see repro.platform.dvfs.DvfsPolicy).
     dvfs_policy: DvfsPolicy = DvfsPolicy.PER_CORE
 
+    def __init__(self) -> None:
+        #: Frames observed since the controller last acted; the session adds
+        #: each committed frame, the controller averages and clears it.
+        self.window = ObservationWindow()
+
     @abc.abstractmethod
-    def decide(self, frame_index: int, observation: Optional[Observation]) -> Decision:
+    def decide(self, frame_index: int) -> Decision:
         """Choose the configuration for frame ``frame_index``.
 
-        Parameters
-        ----------
-        frame_index:
-            Index of the frame about to be transcoded.
-        observation:
-            Measurements produced by the previous frame, or ``None`` for the
-            very first frame of the session.
+        The measurements of the frames committed since the controller last
+        acted are in :attr:`window` (empty before the session's first
+        frame).
         """
 
     def reset(self) -> None:
@@ -74,9 +77,10 @@ class Controller(abc.ABC):
 
         Learned knowledge (Q-tables, transition counts) survives a reset so
         that a controller keeps improving across the videos of a Scenario II
-        batch; only the per-frame bookkeeping is cleared.  The default is a
-        no-op.
+        batch; only the per-frame bookkeeping is cleared.  The base class
+        empties the observation window.
         """
+        self.window.clear()
 
     @property
     def name(self) -> str:

@@ -4,10 +4,11 @@ The controller owns three :class:`~repro.core.agent.QLearningAgent` instances
 — QP, threads and DVFS — activated according to the schedule of Fig. 3.  Its
 per-frame operation is:
 
-1. accumulate the observation of every frame since the last activation;
-2. when an agent is scheduled, average those observations (this covers the
-   NULL slots of Fig. 3), discretise them into the next state, compute the
-   reward, and apply the pending Q update of the *previously* acting agent;
+1. the session adds every committed frame's observation to the controller's
+   :class:`~repro.core.observation.ObservationWindow`;
+2. when an agent is scheduled, average the window (this covers the NULL
+   slots of Fig. 3), discretise it into the next state, compute the reward,
+   and apply the pending Q update of the *previously* acting agent;
 3. let the scheduled agent pick its action according to its learning phase
    for the current state: random (exploration), own-greedy
    (exploration-exploitation), or the chained expected-Q policy of
@@ -25,7 +26,6 @@ from repro.core.agent import QLearningAgent
 from repro.core.config import MamutConfig
 from repro.core.controller import Controller, Decision
 from repro.core.exploitation import expected_q_action
-from repro.core.observation import Observation
 from repro.core.phases import Phase
 from repro.core.rewards import RewardFunction
 from repro.core.states import SystemState
@@ -95,6 +95,7 @@ class MamutController(Controller):
     dvfs_policy = DvfsPolicy.PER_CORE
 
     def __init__(self, config: MamutConfig | None = None) -> None:
+        super().__init__()
         self.config = config if config is not None else MamutConfig()
         self.state_space = self.config.state_space
         self.reward_function = RewardFunction(self.config.reward)
@@ -144,17 +145,6 @@ class MamutController(Controller):
             ),
         }
         self._pending: Optional[_PendingUpdate] = None
-        # The observation window since the last activation, kept as running
-        # component sums (left-to-right accumulation — the same IEEE order as
-        # summing a buffered window at activation time, so averages are
-        # bitwise unchanged).  The batch engine's MAMUT driver mirrors these
-        # five numbers in fleet-wide arrays and syncs them back through
-        # :meth:`observation_window`/:meth:`set_observation_window`.
-        self._window_fps = 0.0
-        self._window_psnr = 0.0
-        self._window_bitrate = 0.0
-        self._window_power = 0.0
-        self._window_count = 0
         self.history: list[AgentActivation] = []
         # chain_after(frame) only depends on frame % hyper_period; exploitation
         # activations hit it every time, so memoise per congruence class.
@@ -168,51 +158,14 @@ class MamutController(Controller):
 
     def reset(self) -> None:
         """Clear per-video transient state; learned knowledge is kept."""
+        super().reset()
         self._pending = None
-        self._clear_window()
 
-    def decide(self, frame_index: int, observation: Optional[Observation]) -> Decision:
-        if observation is not None:
-            self._window_fps += observation.fps
-            self._window_psnr += observation.psnr_db
-            self._window_bitrate += observation.bitrate_mbps
-            self._window_power += observation.power_w
-            self._window_count += 1
-
+    def decide(self, frame_index: int) -> Decision:
         agent_name = self.schedule.agent_at(frame_index)
-        if agent_name is not None and self._window_count:
+        if agent_name is not None and self.window.count:
             self._activate(agent_name, frame_index)
-
         return self.current_decision()
-
-    # -- observation window ------------------------------------------------------------
-
-    def _clear_window(self) -> None:
-        self._window_fps = 0.0
-        self._window_psnr = 0.0
-        self._window_bitrate = 0.0
-        self._window_power = 0.0
-        self._window_count = 0
-
-    def observation_window(self) -> tuple[float, float, float, float, int]:
-        """The running (fps, psnr, bitrate, power) sums and count of the window."""
-        return (
-            self._window_fps,
-            self._window_psnr,
-            self._window_bitrate,
-            self._window_power,
-            self._window_count,
-        )
-
-    def set_observation_window(
-        self, fps: float, psnr_db: float, bitrate_mbps: float, power_w: float, count: int
-    ) -> None:
-        """Overwrite the window sums (the batch driver syncs its mirror here)."""
-        self._window_fps = fps
-        self._window_psnr = psnr_db
-        self._window_bitrate = bitrate_mbps
-        self._window_power = power_w
-        self._window_count = count
 
     # -- decision assembly ----------------------------------------------------------------
 
@@ -236,20 +189,13 @@ class MamutController(Controller):
 
     def _activate(self, agent_name: str, frame_index: int) -> None:
         """Average the window, discretise, and let ``agent_name`` act."""
-        n = self._window_count
-        averaged = Observation(
-            fps=self._window_fps / n,
-            psnr_db=self._window_psnr / n,
-            bitrate_mbps=self._window_bitrate / n,
-            power_w=self._window_power / n,
-        )
+        averaged = self.window.average()
         current_state = self.state_space.state_index(
             self.state_space.discretize(averaged)
         )
         reward_value = (
             self.reward_function.total(averaged) if self._pending is not None else None
         )
-        self._clear_window()
         self.apply_external_activation(
             agent_name, frame_index, current_state, reward_value
         )
@@ -265,20 +211,21 @@ class MamutController(Controller):
 
         This is :meth:`_activate` with the averaging, discretisation and
         reward evaluation hoisted out: the batch stepping engine
-        (:mod:`repro.cluster.batch`) keeps each session's observation window
-        in fleet-wide struct-of-arrays buffers and computes ``current_state``
-        — the dense :meth:`~repro.core.states.StateSpace.state_index`
-        integer, via :meth:`~repro.core.states.StateSpace.discretize_batch`
-        and :meth:`~repro.core.states.StateSpace.state_index_batch` — and
+        (:mod:`repro.cluster.batch`) reads the windows of every activating
+        session and computes ``current_state`` — the dense
+        :meth:`~repro.core.states.StateSpace.state_index` integer, via
+        :meth:`~repro.core.states.StateSpace.discretize_batch` and
+        :meth:`~repro.core.states.StateSpace.state_index_batch` — and
         ``reward_value`` (via
         :meth:`~repro.core.rewards.RewardFunction.total_batch`, bitwise the
-        scalar reward) for every activating session in one vectorized shot,
-        then calls this per session — in the session's own order, so
-        exploration RNG draws, Q updates and history stay identical to the
-        scalar path.
+        scalar reward) for all of them in one vectorized shot, then calls
+        this per session — in the session's own order, so exploration RNG
+        draws, Q updates and history stay identical to the scalar path.
+        The window, now consumed, is emptied.
         ``reward_value`` is ignored when no update is pending (the caller
         may compute it unconditionally).
         """
+        self.window.clear()
         reward: Optional[float] = None
 
         if self._pending is not None:

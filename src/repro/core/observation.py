@@ -8,11 +8,10 @@ and package power.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
 
 from repro.errors import LearningError
 
-__all__ = ["Observation", "average_observations"]
+__all__ = ["Observation", "ObservationWindow"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,34 +44,49 @@ class Observation:
             raise LearningError(f"power_w must be >= 0, got {self.power_w}")
 
 
-def average_observations(observations: Sequence[Observation] | Iterable[Observation]) -> Observation:
-    """Average a group of observations component-wise.
+class ObservationWindow:
+    """Running sums of the observations since a controller last acted.
 
-    The paper uses this for frames in which no agent acts ("NULL" slots of
-    Fig. 3): the next state presented to the learning update is the average
-    of the states observed during those frames, so that agents learn about
-    each other's behaviour rather than about frame-to-frame content noise.
+    The paper averages the frames in which no agent acts ("NULL" slots of
+    Fig. 3) into the state presented to the next learning update, so that
+    agents learn about each other's behaviour rather than about
+    frame-to-frame content noise.  Every controller owns one window, and
+    :meth:`~repro.manager.session.TranscodingSession.commit` adds each
+    committed frame to it once, whichever engine stepped the frame.
 
-    The four components are accumulated in one pass over the input, in
-    iteration order — the same left-to-right IEEE summation (starting from
-    0.0) the four separate ``sum`` calls used to perform, so results are
-    bitwise unchanged.  Running sums maintained incrementally in that order
-    (as the batch engine's struct-of-arrays observation windows do) divide
-    to the identical averages.
+    The sums accumulate left to right from 0.0 in arrival order, so
+    :meth:`average` is bitwise the mean of the buffered observations.
     """
-    fps = psnr_db = bitrate_mbps = power_w = 0.0
-    n = 0
-    for o in observations:
-        fps += o.fps
-        psnr_db += o.psnr_db
-        bitrate_mbps += o.bitrate_mbps
-        power_w += o.power_w
-        n += 1
-    if n == 0:
-        raise LearningError("cannot average an empty list of observations")
-    return Observation(
-        fps=fps / n,
-        psnr_db=psnr_db / n,
-        bitrate_mbps=bitrate_mbps / n,
-        power_w=power_w / n,
-    )
+
+    __slots__ = ("fps", "psnr_db", "bitrate_mbps", "power_w", "count")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def add(self, fps: float, psnr_db: float, bitrate_mbps: float, power_w: float) -> None:
+        """Fold one frame's measurements into the window."""
+        self.fps += fps
+        self.psnr_db += psnr_db
+        self.bitrate_mbps += bitrate_mbps
+        self.power_w += power_w
+        self.count += 1
+
+    def average(self) -> Observation:
+        """The component-wise mean of the window (raises when it is empty)."""
+        n = self.count
+        if n == 0:
+            raise LearningError("cannot average an empty observation window")
+        return Observation(
+            fps=self.fps / n,
+            psnr_db=self.psnr_db / n,
+            bitrate_mbps=self.bitrate_mbps / n,
+            power_w=self.power_w / n,
+        )
+
+    def clear(self) -> None:
+        """Empty the window."""
+        self.fps = 0.0
+        self.psnr_db = 0.0
+        self.bitrate_mbps = 0.0
+        self.power_w = 0.0
+        self.count = 0

@@ -20,7 +20,7 @@ the flagged line.
 
 from repro.lint.base import LintModule, Rule, module_name_for_path
 from repro.lint.findings import Finding, parse_suppressions
-from repro.lint.rules_layering import LAYER_DAG, LAZY_OK
+from repro.lint.rules_layering import LAYER_DAG
 from repro.lint.runner import (
     add_lint_arguments,
     all_rules,
@@ -33,7 +33,6 @@ from repro.lint.runner import (
 __all__ = [
     "Finding",
     "LAYER_DAG",
-    "LAZY_OK",
     "LintModule",
     "Rule",
     "add_lint_arguments",

@@ -21,9 +21,8 @@ the rest of ``video``.  A sub-layer is contained in its parent — an edge
 onto ``video.sequence`` is satisfied by ``video`` appearing in the
 importer's allowed set.
 
-A function-scoped import is runtime wiring, not architecture; it is
-tolerated only for edges listed in :data:`LAZY_OK` (today: the scalar
-orchestrator lazily importing the batch stepper it can delegate to).
+An import is checked wherever it appears: a function-scoped import obeys
+the same DAG as a module-scoped one.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Optional
 from repro.lint.base import LintModule, Rule
 from repro.lint.findings import Finding
 
-__all__ = ["LAYER_DAG", "LAZY_OK", "LayerViolation", "UndeclaredLayer"]
+__all__ = ["LAYER_DAG", "LayerViolation", "UndeclaredLayer"]
 
 #: layer -> layers it may import from (its own layer is always allowed).
 LAYER_DAG: dict[str, frozenset[str]] = {
@@ -104,16 +103,6 @@ _ALL_LAYERS = frozenset(LAYER_DAG)
 LAYER_DAG["cli"] = _ALL_LAYERS - {"cli", "root"}
 LAYER_DAG["root"] = _ALL_LAYERS - {"root"}
 
-#: (importing layer, imported layer) edges tolerated when the import is
-#: function-scoped.  Kept deliberately tiny.
-LAZY_OK: frozenset[tuple[str, str]] = frozenset(
-    {
-        # Orchestrator(engine="batch") delegates to the cluster-level
-        # batch stepper; module scope would be a manager -> cluster cycle.
-        ("manager", "cluster"),
-    }
-)
-
 
 def layer_chain(module_name: str) -> list[str]:
     """Matching layers for a dotted ``repro`` module, most specific first.
@@ -146,20 +135,15 @@ def layer_of(module_name: str) -> Optional[str]:
 
 
 def _imported_repro_modules(tree: ast.Module):
-    """Yield ``(node, dotted repro module, is_module_scope)`` triples."""
-    module_scope = set(ast.iter_child_nodes(tree))
-
-    def scope_of(node: ast.AST) -> bool:
-        return node in module_scope
-
+    """Yield ``(node, dotted repro module)`` pairs, in any scope."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for name in node.names:
                 if name.name == "repro" or name.name.startswith("repro."):
-                    yield node, name.name, scope_of(node)
+                    yield node, name.name
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             if node.module == "repro" or node.module.startswith("repro."):
-                yield node, node.module, scope_of(node)
+                yield node, node.module
 
 
 class LayerViolation(Rule):
@@ -179,9 +163,7 @@ class LayerViolation(Rule):
             return []  # undeclared layers are LAY002's finding
         allowed = LAYER_DAG[source_layer]
         findings = []
-        for node, imported, is_module_scope in _imported_repro_modules(
-            module.tree
-        ):
+        for node, imported in _imported_repro_modules(module.tree):
             target_chain = layer_chain(imported)
             if not target_chain:
                 continue
@@ -190,10 +172,6 @@ class LayerViolation(Rule):
             if source_layer in target_chain:
                 continue
             if any(target in allowed for target in target_chain):
-                continue
-            if not is_module_scope and any(
-                (source_layer, target) in LAZY_OK for target in target_chain
-            ):
                 continue
             findings.append(
                 self.finding(

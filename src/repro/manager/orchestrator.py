@@ -29,6 +29,7 @@ from repro.metrics.records import FrameRecord, PowerSample
 from repro.manager.session import TranscodingSession
 from repro.platform.dvfs import DvfsPolicy
 from repro.platform.server import MulticoreServer
+from repro.telemetry.config import resolve_telemetry
 from repro.telemetry.profiler import NULL_PROFILER
 
 __all__ = ["OrchestratorResult", "Orchestrator"]
@@ -186,62 +187,34 @@ class Orchestrator:
         )
 
     def run(
-        self,
-        max_steps: Optional[int] = None,
-        engine: str = "scalar",
-        telemetry=None,
+        self, max_steps: Optional[int] = None, telemetry=None
     ) -> OrchestratorResult:
         """Run until every playlist finishes (or ``max_steps`` is reached).
 
-        ``engine="batch"`` evaluates each step's transcode math through the
-        vectorized :class:`~repro.cluster.batch.BatchStepper` (seed-for-seed
-        identical results; worthwhile for many-session experiments), while
-        the default ``"scalar"`` engine steps session by session.
+        Steps session by session on the scalar engine.  The session and
+        controller state is all there is: a run stopped by ``max_steps``
+        resumes where it left off on the next call, and a fleet of
+        orchestrators can be stepped by the batch engine
+        (:class:`~repro.cluster.batch.BatchStepper`) before or after.
 
         ``telemetry`` accepts a :class:`~repro.telemetry.TelemetryConfig`
         or a built :class:`~repro.telemetry.Telemetry` hub; the profiler
-        component (if enabled) attributes per-phase wall time for whichever
-        engine runs.  The hub is exposed as ``self.telemetry`` afterwards.
+        component (if enabled) attributes per-phase wall time.  The hub is
+        exposed as ``self.telemetry`` afterwards.
         """
-        if engine not in ("batch", "scalar"):
-            raise ScenarioError(
-                f"engine must be 'batch' or 'scalar', got {engine!r}"
-            )
-        # Deferred import: repro.telemetry.config is dependency-free but the
-        # hub types live one package over; keep the manager layer importable
-        # without telemetry resolved at module load.
-        from repro.telemetry.config import resolve_telemetry
-
         tel = resolve_telemetry(telemetry)
         self.telemetry = tel
         self.profiler = tel.profiler
-        stepper = None
-        if engine == "batch":
-            # Deferred import: repro.cluster.batch imports this module.
-            from repro.cluster.batch import BatchStepper
-
-            stepper = BatchStepper([self], profiler=tel.profiler)
 
         power_samples: list[PowerSample] = []
         step = 0
         while max_steps is None or step < max_steps:
-            if stepper is not None:
-                if not self.active_sessions():
-                    break
-                sample = stepper.step(step)[0]
-            else:
-                sample = self.run_step(step)
-                if sample is None:
-                    break
+            sample = self.run_step(step)
+            if sample is None:
+                break
             tel.profiler.count_step()
             power_samples.append(sample)
             step += 1
-
-        if stepper is not None:
-            # Park driver-held MAMUT observation windows on the controllers
-            # so a follow-up run (either engine) resumes from identical
-            # state when max_steps stopped the run mid-playlist.
-            stepper.flush_window_state()
         tel.finalize()
 
         records_by_session = {

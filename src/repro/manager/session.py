@@ -5,9 +5,12 @@ calls per session and step:
 
 1. :meth:`TranscodingSession.decide` runs the controller for the next frame
    and remembers its decision;
-2. :meth:`TranscodingSession.commit` takes the frame's record and the
-   observation fed back to the controller, and advances to the next frame
-   (or the next video of the playlist).
+2. :meth:`TranscodingSession.commit` takes the frame's record, advances to
+   the next frame (or the next video of the playlist) and, while the
+   session is still active, adds the frame's measurements to the
+   controller's observation window.  This is the only place a frame is
+   observed, so the window a controller averages is the same on either
+   engine.
 
 The scalar engine wraps the pair: :meth:`TranscodingSession.prepare` decides
 and returns the resource demand the server needs for its allocation, and
@@ -16,7 +19,7 @@ contention scale and server power, then commits it.  The batch engine
 (:mod:`repro.cluster.batch`) decides per session, evaluates the transcode
 math fleet-wide in one NumPy batch and commits each session's results.
 Sessions whose controller its vectorized MAMUT driver advances skip
-``decide`` and only commit.
+``decide`` and only commit; the driver reads their windows itself.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.controller import Controller, Decision
-from repro.core.observation import Observation
 from repro.errors import ScenarioError
 from repro.hevc.params import EncoderConfig, Preset
 from repro.hevc.transcoder import Transcoder
@@ -90,7 +92,6 @@ class TranscodingSession:
         self._preset_override = preset
 
         self.records: list[FrameRecord] = []
-        self.last_observation: Optional[Observation] = None
         self._video_index = 0
         self._frame_index = start_frame_index
         self._step = 0
@@ -170,31 +171,36 @@ class TranscodingSession:
             raise ScenarioError(f"session {self.session_id!r} has finished")
         if self._pending is not None:
             raise ScenarioError("decide() called twice without commit()")
-        decision = self.controller.decide(self._step, self.last_observation)
+        decision = self.controller.decide(self._step)
         self._pending = decision
         return decision
 
-    def commit(self, record: FrameRecord, observation: Observation) -> None:
+    def commit(self, record: FrameRecord) -> None:
         """Close the step: record the frame and advance the playlist.
 
-        ``observation`` is what the controller sees at its next decision.
-        Sessions whose controller is advanced out-of-band (the batch
+        The frame's fps, PSNR, bitrate and server power join the
+        controller's observation window, after a video change has reset the
+        controller, so the next decision of a still-active session sees
+        them.  Sessions whose controller is advanced out-of-band (the batch
         engine's MAMUT driver) commit without a preceding :meth:`decide`.
         """
         if not self.active:
             raise ScenarioError(f"session {self.session_id!r} has finished")
         self._pending = None
         self.records.append(record)
-        self.last_observation = observation
         self._step += 1
         self._frame_index += 1
         if self._frame_index >= len(self.playlist[self._video_index]):
             self._frame_index = 0
             self._video_index += 1
+            if not self.active:
+                return
             # A new video starts: clear the controller's per-video transient
             # state while keeping its learned knowledge (Scenario II).
-            if self.active:
-                self.controller.reset()
+            self.controller.reset()
+        self.controller.window.add(
+            record.fps, record.psnr_db, record.bitrate_mbps, record.power_w
+        )
 
     def _encoder_config(
         self, decision: Decision, video: VideoSequence
@@ -235,12 +241,6 @@ class TranscodingSession:
             contention_scale=contention_scale,
         )
 
-        observation = Observation(
-            fps=result.fps,
-            psnr_db=result.psnr_db,
-            bitrate_mbps=result.bitrate_mbps,
-            power_w=server_power_w,
-        )
         record = FrameRecord(
             session_id=self.session_id,
             step=self._step,
@@ -257,5 +257,5 @@ class TranscodingSession:
             power_w=server_power_w,
             target_fps=self.request.target_fps,
         )
-        self.commit(record, observation)
+        self.commit(record)
         return record

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from engine_fixtures import decide_after
 from repro.baselines.heuristic import HeuristicConfig, HeuristicController
 from repro.baselines.monoagent import MonoAgentConfig, MonoAgentController
 from repro.baselines.static import StaticController
@@ -19,8 +20,8 @@ def obs(fps=25.0, psnr=36.0, bitrate=4.0, power=80.0) -> Observation:
 class TestStaticController:
     def test_constant_decision(self):
         controller = StaticController(qp=32, threads=6, frequency_ghz=2.9)
-        first = controller.decide(0, None)
-        later = controller.decide(100, obs(fps=5.0))
+        first = controller.decide(0)
+        later = decide_after(controller, 100, obs(fps=5.0))
         assert first == later
         assert first.qp == 32 and first.threads == 6
 
@@ -34,16 +35,16 @@ class TestStaticController:
 class TestHeuristicController:
     def drive(self, controller, observation, periods=1):
         """Apply `observation` for `periods` adjustment periods."""
-        decision = controller.decide(0, None)
+        decision = controller.decide(0)
         frame = 1
         for _ in range(periods * controller.config.period):
-            decision = controller.decide(frame, observation)
+            decision = decide_after(controller, frame, observation)
             frame += 1
         return decision
 
     def test_threads_increase_when_fps_is_low(self):
         controller = HeuristicController(HeuristicConfig(initial_threads=4))
-        before = controller.decide(0, None).threads
+        before = controller.decide(0).threads
         after = self.drive(controller, obs(fps=15.0, power=60.0), periods=1)
         assert after.threads == before + 1
 
@@ -106,9 +107,9 @@ class TestHeuristicController:
     def test_reset_keeps_operating_point(self):
         controller = HeuristicController(HeuristicConfig(initial_threads=4))
         self.drive(controller, obs(fps=15.0), periods=2)
-        threads_before = controller.decide(12, obs(fps=15.0)).threads
+        threads_before = decide_after(controller, 12, obs(fps=15.0)).threads
         controller.reset()
-        assert controller.decide(13, None).threads == threads_before
+        assert controller.decide(13).threads == threads_before
 
 
 class TestMonoAgentController:
@@ -125,40 +126,40 @@ class TestMonoAgentController:
 
     def test_initial_decision_prefers_capacity(self):
         controller = MonoAgentController()
-        decision = controller.decide(0, None)
+        decision = controller.decide(0)
         assert decision.threads == max(controller.config.thread_values)
         assert decision.frequency_ghz == pytest.approx(max(controller.config.frequency_values))
 
     def test_decisions_come_from_the_joint_grid(self):
         controller = MonoAgentController(MonoAgentConfig(seed=3))
         valid = set(controller.agent.actions.values)
-        controller.decide(0, None)
+        controller.decide(0)
         for frame in range(1, 200):
-            decision = controller.decide(frame, obs(fps=20.0 + frame % 15))
+            decision = decide_after(controller, frame, obs(fps=20.0 + frame % 15))
             assert (decision.qp, decision.threads, decision.frequency_ghz) in valid
 
     def test_learning_accumulates(self):
         controller = MonoAgentController()
-        controller.decide(0, None)
+        controller.decide(0)
         for frame in range(1, 300):
-            controller.decide(frame, obs())
+            decide_after(controller, frame, obs())
         assert len(controller.agent.q_table) > 0
 
     def test_reset_keeps_q_table(self):
         controller = MonoAgentController()
-        controller.decide(0, None)
+        controller.decide(0)
         for frame in range(1, 120):
-            controller.decide(frame, obs())
+            decide_after(controller, frame, obs())
         entries = len(controller.agent.q_table)
         controller.reset()
         assert len(controller.agent.q_table) == entries
 
     def test_acts_only_every_period(self):
         controller = MonoAgentController(MonoAgentConfig(period=6))
-        controller.decide(0, None)
+        controller.decide(0)
         decisions = set()
         for frame in range(1, 6):
-            decisions.add(controller.decide(frame, obs(fps=10.0)))
+            decisions.add(decide_after(controller, frame, obs(fps=10.0)))
         # Within one period the decision cannot change.
         assert len(decisions) == 1
 

@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 
+from engine_fixtures import run_batch
 from repro.cluster import (
     AlwaysAdmit,
     BatchStepper,
@@ -303,15 +304,11 @@ class TestOrchestratorBatchRun:
 
     def test_run_batch_equals_scalar(self):
         scalar = Orchestrator(self.make_sessions()).run()
-        batch = Orchestrator(self.make_sessions()).run(engine="batch")
+        batch = run_batch(Orchestrator(self.make_sessions()))
         assert scalar.records_by_session == batch.records_by_session
         assert list(scalar.power_samples) == list(batch.power_samples)
         assert scalar.steps == batch.steps
         assert scalar.summary() == batch.summary()
-
-    def test_run_rejects_unknown_engine(self):
-        with pytest.raises(ScenarioError):
-            Orchestrator(self.make_sessions(1)).run(engine="vector")
 
 
 class TestMixedModelParameters:
@@ -376,7 +373,7 @@ class TestMixedModelParameters:
 
     def test_orchestrator_mixed_transcoder_parameters(self):
         scalar = Orchestrator(self.make_sessions()).run()
-        batch = Orchestrator(self.make_sessions()).run(engine="batch")
+        batch = run_batch(Orchestrator(self.make_sessions()))
         assert scalar.records_by_session == batch.records_by_session
         assert list(scalar.power_samples) == list(batch.power_samples)
         assert scalar.summary() == batch.summary()
@@ -434,9 +431,15 @@ class TestBatchStepperProtocol:
             record.threads,
             record.frequency_ghz,
         )
-        session.commit(record, reference.last_observation)
+        session.commit(record)
         assert session.records == reference.records
         assert (session.step, session.frame_index) == (1, 1)
+        window, expected = session.controller.window, reference.controller.window
+        assert (window.fps, window.power_w, window.count) == (
+            expected.fps,
+            expected.power_w,
+            1,
+        )
         session.decide()  # the commit closed the step
 
     def test_execute_after_commit_rejected(self):
@@ -444,7 +447,7 @@ class TestBatchStepperProtocol:
         reference, record = self.reference_step()
         session = TestOrchestratorBatchRun().make_sessions(1)[0]
         session.decide()
-        session.commit(record, reference.last_observation)
+        session.commit(record)
         with pytest.raises(ScenarioError):
             session.execute(1.0, 100.0)
 
@@ -453,7 +456,7 @@ class TestBatchStepperProtocol:
         from repro.errors import EncodingError
 
         class BadQp(Controller):
-            def decide(self, frame_index, observation):
+            def decide(self, frame_index):
                 return Decision(qp=60, threads=4, frequency_ghz=3.2)
 
         for engine in ("scalar", "batch"):
@@ -645,10 +648,10 @@ class TestEngineResume:
 
     def test_chunked_batch_run_equals_one_shot(self):
         sessions = TestOrchestratorBatchRun().make_sessions
-        one_shot = Orchestrator(sessions(frames=24)).run(engine="batch")
+        one_shot = run_batch(Orchestrator(sessions(frames=24)))
         orch = Orchestrator(sessions(frames=24))
-        first = orch.run(max_steps=9, engine="batch")
-        rest = orch.run(engine="batch")
+        first = run_batch(orch, max_steps=9)
+        rest = run_batch(orch)
         assert first.steps == 9
         chunked = {
             session_id: first.records_by_session[session_id]
@@ -664,14 +667,46 @@ class TestEngineResume:
         sessions = TestOrchestratorBatchRun().make_sessions
         pure = Orchestrator(sessions(frames=24)).run()
         orch = Orchestrator(sessions(frames=24))
-        orch.run(max_steps=9, engine="batch")
-        mixed = orch.run(engine="scalar")
+        run_batch(orch, max_steps=9)
+        mixed = orch.run()
         assert mixed.records_by_session == pure.records_by_session
 
     def test_scalar_then_batch_equals_pure_batch(self):
         sessions = TestOrchestratorBatchRun().make_sessions
-        pure = Orchestrator(sessions(frames=24)).run(engine="batch")
+        pure = run_batch(Orchestrator(sessions(frames=24)))
         orch = Orchestrator(sessions(frames=24))
-        orch.run(max_steps=9, engine="scalar")
-        mixed = orch.run(engine="batch")
+        orch.run(max_steps=9)
+        mixed = run_batch(orch)
         assert mixed.records_by_session == pure.records_by_session
+
+    @staticmethod
+    def controller_states(engine):
+        """Every session's window and learned state after a run cut mid-video."""
+        workload = WorkloadGenerator(
+            PoissonTraffic(1.5), seed=4, playlist_videos=2, frames_per_video=20
+        )
+        cluster = ClusterOrchestrator(3, workload, seed=4, engine=engine)
+        cluster.run(30, max_drain_steps=0)
+        states = {}
+        for orchestrator in cluster.orchestrators:
+            for session in orchestrator.sessions:
+                window = session.controller.window
+                sums = (
+                    window.fps,
+                    window.psnr_db,
+                    window.bitrate_mbps,
+                    window.power_w,
+                    window.count,
+                )
+                states[session.session_id] = (
+                    sums,
+                    snapshot_controller(session.controller),
+                )
+        return states
+
+    def test_cut_cluster_run_ends_in_the_same_controller_state(self):
+        scalar = self.controller_states("scalar")
+        batch = self.controller_states("batch")
+        assert scalar == batch
+        # The cut leaves sessions between activations, holding frames.
+        assert any(sums[-1] > 0 for sums, _ in batch.values())

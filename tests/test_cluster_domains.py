@@ -135,6 +135,13 @@ class TestDomainConfigValidation:
                 topology=FailureTopology(zones=3),
                 kill_schedule=KillSchedule((KillEntry(zone=3, step=0, duration=1),)),
             )
+        # Without a topology the fleet is one zone: only zone 0 exists.
+        with pytest.raises(ClusterError, match="zone 2"):
+            FaultConfig(
+                kill_schedule=KillSchedule((KillEntry(zone=2, step=5, duration=3),)),
+                seed=1,
+            )
+        FaultConfig(kill_schedule=KillSchedule((KillEntry(zone=0, step=5, duration=3),)))
 
     def test_enabled_reflects_domain_modes(self):
         assert FaultConfig(zone_mtbf_steps=20.0).enabled

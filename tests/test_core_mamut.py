@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from engine_fixtures import decide_after
 from repro.core.config import MamutConfig
 from repro.core.mamut import DVFS_AGENT, QP_AGENT, THREAD_AGENT, MamutController
 from repro.core.observation import Observation
@@ -19,9 +20,9 @@ def obs(fps=25.0, psnr=36.0, bitrate=4.0, power=80.0) -> Observation:
 
 def drive(controller: MamutController, frames: int, observation_factory=obs) -> None:
     """Feed `frames` frames of observations through the controller."""
-    controller.decide(0, None)
+    controller.decide(0)
     for frame in range(1, frames):
-        controller.decide(frame, observation_factory())
+        decide_after(controller, frame, observation_factory())
 
 
 class TestBasics:
@@ -32,7 +33,7 @@ class TestBasics:
         assert set(controller.agents) == {QP_AGENT, THREAD_AGENT, DVFS_AGENT}
 
     def test_first_decision_is_the_initial_configuration(self, mamut_controller):
-        decision = mamut_controller.decide(0, None)
+        decision = mamut_controller.decide(0)
         assert decision.qp == mamut_controller.config.initial_qp
         assert decision.threads == mamut_controller.config.initial_threads
         assert decision.frequency_ghz == pytest.approx(
@@ -41,9 +42,9 @@ class TestBasics:
 
     def test_decisions_stay_inside_the_action_sets(self, mamut_controller):
         config = mamut_controller.config
-        mamut_controller.decide(0, None)
+        mamut_controller.decide(0)
         for frame in range(1, 200):
-            decision = mamut_controller.decide(frame, obs(fps=20.0 + (frame % 20)))
+            decision = decide_after(mamut_controller, frame, obs(fps=20.0 + (frame % 20)))
             assert decision.qp in config.qp_actions
             assert decision.threads in config.thread_actions
             assert decision.frequency_ghz in config.dvfs_actions
@@ -77,7 +78,7 @@ class TestLearning:
 
     def test_no_learning_without_observations(self, mamut_controller):
         for frame in range(50):
-            mamut_controller.decide(frame, None)
+            mamut_controller.decide(frame)
         assert all(
             entry["q_entries"] == 0 for entry in mamut_controller.summary().values()
         )
@@ -137,10 +138,10 @@ class TestAdaptation:
             bitrate = 12.0 if decision_qp <= 29 else 3.0
             return Observation(fps=26.0, psnr_db=37.0, bitrate_mbps=bitrate, power_w=80.0)
 
-        controller.decide(0, None)
+        controller.decide(0)
         for frame in range(1, 2000):
             decision = controller.current_decision()
-            controller.decide(frame, observation_for(decision.qp))
+            decide_after(controller, frame, observation_for(decision.qp))
 
         qp_agent = controller.agents[QP_AGENT]
         visited = qp_agent.known_states()
@@ -153,7 +154,7 @@ class TestAdaptation:
 
 
 class TestObservationWindow:
-    """The running-sum window behind the batch driver's SoA mirror."""
+    """The controller's window: filled per frame, consumed per activation."""
 
     def controller(self):
         return MamutController(MamutConfig(seed=0))
@@ -161,29 +162,32 @@ class TestObservationWindow:
     def observation(self, fps=30.0):
         return Observation(fps=fps, psnr_db=40.0, bitrate_mbps=2.0, power_w=100.0)
 
+    @staticmethod
+    def sums(controller):
+        window = controller.window
+        return (
+            window.fps,
+            window.psnr_db,
+            window.bitrate_mbps,
+            window.power_w,
+            window.count,
+        )
+
     def test_decide_accumulates_and_activation_clears(self):
         controller = self.controller()
-        controller.decide(0, None)
-        assert controller.observation_window() == (0.0, 0.0, 0.0, 0.0, 0)
+        controller.decide(0)
+        assert self.sums(controller) == (0.0, 0.0, 0.0, 0.0, 0)
         # Frame 1 is a threads activation under the paper's schedule: the
         # single buffered observation is consumed.
-        controller.decide(1, self.observation(fps=20.0))
-        assert controller.observation_window() == (0.0, 0.0, 0.0, 0.0, 0)
+        decide_after(controller, 1, self.observation(fps=20.0))
+        assert self.sums(controller) == (0.0, 0.0, 0.0, 0.0, 0)
         # NULL slots accumulate.
-        controller.decide(3, self.observation(fps=10.0))
-        controller.decide(4, self.observation(fps=14.0))
-        fps_sum, psnr_sum, bitrate_sum, power_sum, count = (
-            controller.observation_window()
-        )
-        assert (fps_sum, count) == (24.0, 2)
-        assert psnr_sum == 80.0 and bitrate_sum == 4.0 and power_sum == 200.0
-
-    def test_window_round_trips_through_setter(self):
-        controller = self.controller()
-        controller.set_observation_window(1.0, 2.0, 3.0, 4.0, 5)
-        assert controller.observation_window() == (1.0, 2.0, 3.0, 4.0, 5)
+        decide_after(controller, 3, self.observation(fps=10.0))
+        decide_after(controller, 4, self.observation(fps=14.0))
+        assert self.sums(controller) == (24.0, 80.0, 4.0, 200.0, 2)
+        # A new video empties the window.
         controller.reset()
-        assert controller.observation_window() == (0.0, 0.0, 0.0, 0.0, 0)
+        assert self.sums(controller) == (0.0, 0.0, 0.0, 0.0, 0)
 
     def test_external_activation_matches_decide(self):
         """apply_external_activation with precomputed inputs == _activate."""
@@ -191,24 +195,27 @@ class TestObservationWindow:
         external = self.controller()
         trace = [self.observation(fps=10.0 + i) for i in range(8)]
 
-        internal.decide(0, None)
-        external.decide(0, None)
-        window: list[Observation] = []
+        internal.decide(0)
+        external.decide(0)
         for frame in range(1, 8):
             observation = trace[frame - 1]
-            internal.decide(frame, observation)
+            decide_after(internal, frame, observation)
 
-            window.append(observation)
+            external.window.add(
+                observation.fps,
+                observation.psnr_db,
+                observation.bitrate_mbps,
+                observation.power_w,
+            )
             agent_name = external.schedule.agent_at(frame)
-            if agent_name is not None and window:
-                from repro.core.observation import average_observations
-
-                averaged = average_observations(window)
+            if agent_name is not None and external.window.count:
+                averaged = external.window.average()
                 space = external.state_space
                 state = space.state_index(space.discretize(averaged))
                 reward = external.reward_function.total(averaged)
                 external.apply_external_activation(agent_name, frame, state, reward)
-                window.clear()
+                assert external.window.count == 0
 
+        assert self.sums(internal) == self.sums(external)
         assert internal.current_decision() == external.current_decision()
         assert snapshot_controller(internal) == snapshot_controller(external)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.observation import Observation, average_observations
+from repro.core.observation import Observation, ObservationWindow
 from repro.errors import LearningError
 
 
@@ -22,15 +22,23 @@ class TestObservation:
             Observation(fps=25.0, psnr_db=36.0, bitrate_mbps=4.0, power_w=-1.0)
 
 
+def window_of(observations) -> ObservationWindow:
+    """A window that saw ``observations`` in order."""
+    window = ObservationWindow()
+    for o in observations:
+        window.add(o.fps, o.psnr_db, o.bitrate_mbps, o.power_w)
+    return window
+
+
 class TestAverageObservations:
     def test_single_observation_is_identity(self):
         obs = Observation(fps=25.0, psnr_db=36.0, bitrate_mbps=4.0, power_w=80.0)
-        assert average_observations([obs]) == obs
+        assert window_of([obs]).average() == obs
 
     def test_componentwise_mean(self):
         a = Observation(fps=20.0, psnr_db=30.0, bitrate_mbps=2.0, power_w=60.0)
         b = Observation(fps=30.0, psnr_db=40.0, bitrate_mbps=6.0, power_w=100.0)
-        avg = average_observations([a, b])
+        avg = window_of([a, b]).average()
         assert avg.fps == pytest.approx(25.0)
         assert avg.psnr_db == pytest.approx(35.0)
         assert avg.bitrate_mbps == pytest.approx(4.0)
@@ -38,14 +46,29 @@ class TestAverageObservations:
 
     def test_empty_list_rejected(self):
         with pytest.raises(LearningError):
-            average_observations([])
-
-    def test_accepts_generators(self):
-        observations = (
-            Observation(fps=float(f), psnr_db=35.0, bitrate_mbps=3.0, power_w=70.0)
-            for f in (24, 26)
+            ObservationWindow().average()
+        # A cleared window is empty again.
+        window = window_of(
+            [Observation(fps=20.0, psnr_db=30.0, bitrate_mbps=2.0, power_w=60.0)]
         )
-        assert average_observations(observations).fps == pytest.approx(25.0)
+        window.clear()
+        assert (window.fps, window.psnr_db, window.bitrate_mbps, window.power_w) == (
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+        )
+        assert window.count == 0
+        with pytest.raises(LearningError):
+            window.average()
+
+
+def left_to_right_mean(values) -> float:
+    """The mean summed left to right from 0.0 (``sum()`` compensates on 3.12+)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 class TestSinglePassAveraging:
@@ -63,19 +86,12 @@ class TestSinglePassAveraging:
                 )
                 for _ in range(n)
             ]
-            averaged = average_observations(observations)
-            # The historical implementation: one sum() pass per component.
-            assert averaged.fps == sum(o.fps for o in observations) / n
-            assert averaged.psnr_db == sum(o.psnr_db for o in observations) / n
-            assert (
-                averaged.bitrate_mbps
-                == sum(o.bitrate_mbps for o in observations) / n
-            )
-            assert averaged.power_w == sum(o.power_w for o in observations) / n
-
-    def test_accepts_any_iterable_once(self):
-        averaged = average_observations(
-            Observation(fps=10.0 * i, psnr_db=30.0, bitrate_mbps=1.0, power_w=50.0)
-            for i in (1, 2)
-        )
-        assert averaged.fps == 15.0
+            window = window_of(observations)
+            assert window.count == n
+            averaged = window.average()
+            # One left-to-right pass per component, as the batch driver's
+            # averaging of the same sums assumes.
+            for attribute in ("fps", "psnr_db", "bitrate_mbps", "power_w"):
+                assert getattr(averaged, attribute) == left_to_right_mean(
+                    [getattr(o, attribute) for o in observations]
+                )

@@ -6,6 +6,7 @@ import copy
 
 import pytest
 
+from engine_fixtures import decide_after
 from repro.core.actions import ActionSet
 from repro.core.agent import QLearningAgent
 from repro.core.config import MamutConfig
@@ -119,10 +120,12 @@ class TestAgentSnapshot:
 
 class TestControllerSnapshot:
     def _train(self, controller: MamutController, frames: int = 240) -> None:
-        controller.decide(0, None)
+        controller.decide(0)
         for frame in range(1, frames):
-            controller.decide(
-                frame, Observation(fps=25.0, psnr_db=36.0, bitrate_mbps=4.0, power_w=80.0)
+            decide_after(
+                controller,
+                frame,
+                Observation(fps=25.0, psnr_db=36.0, bitrate_mbps=4.0, power_w=80.0),
             )
 
     def test_controller_knowledge_roundtrip(self, hr_request):
@@ -210,9 +213,10 @@ class TestBadSnapshots:
 
     def _trained(self, config: MamutConfig, psnr_db: float) -> MamutController:
         controller = MamutController(config)
-        controller.decide(0, None)
+        controller.decide(0)
         for frame in range(1, 60):
-            controller.decide(
+            decide_after(
+                controller,
                 frame,
                 Observation(fps=25.0, psnr_db=psnr_db, bitrate_mbps=4.0, power_w=80.0),
             )
@@ -258,9 +262,10 @@ class _SessionStub:
 class TestSessionSnapshot:
     def _trained(self, hr_request, seed=0):
         controller = MamutController(MamutConfig.for_request(hr_request, seed=seed))
-        controller.decide(0, None)
+        controller.decide(0)
         for frame in range(1, 120):
-            controller.decide(
+            decide_after(
+                controller,
                 frame,
                 Observation(fps=25.0, psnr_db=36.0, bitrate_mbps=4.0, power_w=80.0),
             )
@@ -297,7 +302,8 @@ class TestSessionSnapshot:
         restored = snapshot_controller(target)
         # Learning on after the copy leaves the other side untouched.
         for frame in range(120, 180):
-            source.decide(
+            decide_after(
+                source,
                 frame,
                 Observation(fps=20.0, psnr_db=40.0, bitrate_mbps=8.0, power_w=120.0),
             )

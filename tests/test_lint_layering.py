@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from lint_fixtures import codes_of, lint_snippet
 from repro.lint import LAYER_DAG
-from repro.lint.rules_layering import LAZY_OK, layer_chain, layer_of
+from repro.lint.rules_layering import layer_chain, layer_of
 
 
 class TestLayerDag:
@@ -44,9 +44,6 @@ class TestLayerDag:
         assert layer_of("repro") == "root"
         assert layer_chain("repro.video.sequence") == ["video.sequence", "video"]
 
-    def test_lazy_edges_are_declared_sparingly(self):
-        assert LAZY_OK == {("manager", "cluster")}
-
 
 class TestLayerViolation:
     def test_telemetry_importing_cluster_flagged(self, tmp_path):
@@ -70,7 +67,7 @@ class TestLayerViolation:
         assert codes_of(findings) == ["LAY001"]
 
     def test_lazy_import_of_forbidden_edge_still_flagged(self, tmp_path):
-        # Function scope is no escape hatch for an edge not in LAZY_OK.
+        # Function scope is no escape hatch.
         findings = lint_snippet(
             tmp_path,
             "repro/telemetry/mod.py",
@@ -82,7 +79,7 @@ class TestLayerViolation:
         )
         assert codes_of(findings) == ["LAY001"]
 
-    def test_declared_lazy_edge_passes_in_function_scope_only(self, tmp_path):
+    def test_manager_importing_cluster_flagged_in_either_scope(self, tmp_path):
         lazy = lint_snippet(
             tmp_path,
             "repro/manager/mod.py",
@@ -92,7 +89,7 @@ class TestLayerViolation:
                 return BatchStepper
             """,
         )
-        assert lazy == []
+        assert codes_of(lazy) == ["LAY001"]
         module_scope = lint_snippet(
             tmp_path,
             "repro/manager/mod2.py",

@@ -2,13 +2,15 @@
 
 ``tests/test_cluster_golden.py`` pins cluster runs.  This file pins the
 single-server path behind ``quickstart``, ``compare``, ``fig4``, ``fig5``,
-``table1`` and ``table2``: :meth:`Orchestrator.run` on both engines, a
-chunked batch run, a batch-to-scalar hand-off, and the idle steps of an
-empty orchestrator.  Each run's frame records, power samples, summary and
-learned state (MAMUT Q-tables plus activation history, the mono-agent's
-Q-table) are hashed to sha256 literals, so a refactor of the session, idle
-or energy bookkeeping that changes any output by a byte fails here, even
-when it changes both engines alike.
+``table1`` and ``table2``: :meth:`Orchestrator.run`, the same sessions
+stepped by a one-server :class:`~repro.cluster.batch.BatchStepper`
+(``engine_fixtures.run_batch``), a chunked batch run, a batch-to-scalar
+hand-off, and the idle steps of an empty orchestrator.  Each run's frame
+records, power samples, summary and learned state (MAMUT Q-tables plus
+activation history, the mono-agent's Q-table) are hashed to sha256
+literals, so a refactor of the session, idle or energy bookkeeping that
+changes any output by a byte fails here, even when it changes both engines
+alike.
 
 The session set mixes every controller family on one server: MAMUT with
 ``record_history=True``, the chip-wide heuristic (which switches the server
@@ -29,6 +31,7 @@ import sys
 
 import pytest
 
+from engine_fixtures import run_batch
 from repro.core.persistence import snapshot_agent, snapshot_controller
 from repro.manager.factories import (
     heuristic_factory,
@@ -78,17 +81,23 @@ def make_sessions(chip_wide: bool) -> list[TranscodingSession]:
     return sessions
 
 
+def run_on(engine: str, orchestrator: Orchestrator, max_steps=None):
+    if engine == "batch":
+        return run_batch(orchestrator, max_steps=max_steps)
+    return orchestrator.run(max_steps=max_steps)
+
+
 def run_plain(engine: str, chip_wide: bool):
     orchestrator = Orchestrator(make_sessions(chip_wide))
-    result = orchestrator.run(engine=engine)
+    result = run_on(engine, orchestrator)
     return orchestrator, result.records_by_session, result.power_samples, result
 
 
 def run_chunked(second_engine: str, chip_wide: bool):
     """Nine batch steps, then the rest on ``second_engine``."""
     orchestrator = Orchestrator(make_sessions(chip_wide))
-    first = orchestrator.run(max_steps=9, engine="batch")
-    rest = orchestrator.run(engine=second_engine)
+    first = run_batch(orchestrator, max_steps=9)
+    rest = run_on(second_engine, orchestrator)
     assert first.steps == 9
     samples = list(first.power_samples) + list(rest.power_samples)
     return orchestrator, rest.records_by_session, samples, rest

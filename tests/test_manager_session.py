@@ -17,15 +17,29 @@ class _CountingController(Controller):
     """A static controller that counts reset() calls (playlist transitions)."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.resets = 0
         self.frames_seen: list[int] = []
 
-    def decide(self, frame_index, observation) -> Decision:
+    def decide(self, frame_index) -> Decision:
         self.frames_seen.append(frame_index)
         return Decision(qp=32, threads=4, frequency_ghz=3.2)
 
     def reset(self) -> None:
+        super().reset()
         self.resets += 1
+
+
+def window_of(session: TranscodingSession) -> tuple:
+    """The session controller's observation window: four sums and the count."""
+    window = session.controller.window
+    return (
+        window.fps,
+        window.psnr_db,
+        window.bitrate_mbps,
+        window.power_w,
+        window.count,
+    )
 
 
 def make_session(
@@ -89,12 +103,22 @@ class TestSessionProtocol:
             session.prepare()
 
     def test_observation_is_fed_back_to_the_controller(self):
-        session = make_session()
-        assert session.last_observation is None
+        session = make_session(num_frames=2)
+        assert window_of(session) == (0.0, 0.0, 0.0, 0.0, 0)
+        session.prepare()
+        record = session.execute(1.0, 75.0)
+        assert window_of(session) == (
+            record.fps,
+            record.psnr_db,
+            record.bitrate_mbps,
+            75.0,
+            1,
+        )
+        # The last frame of the playlist is not observed: no decision follows.
         session.prepare()
         session.execute(1.0, 75.0)
-        assert session.last_observation is not None
-        assert session.last_observation.power_w == pytest.approx(75.0)
+        assert not session.active
+        assert window_of(session)[-1] == 1
 
 
 class TestPlaylist:
@@ -184,12 +208,11 @@ class TestPresets:
 class TestDrivenStepProtocol:
     """commit() without decide(): the batch MAMUT driver's path."""
 
-    def commit_args(self, session):
-        from repro.core.observation import Observation
+    def record(self, session):
         from repro.metrics.records import FrameRecord
 
         video = session.current_video
-        record = FrameRecord(
+        return FrameRecord(
             session_id=session.session_id,
             step=session.step,
             video_name=video.name,
@@ -205,10 +228,6 @@ class TestDrivenStepProtocol:
             power_w=100.0,
             target_fps=session.request.target_fps,
         )
-        observation = Observation(
-            fps=30.0, psnr_db=40.0, bitrate_mbps=2.0, power_w=100.0
-        )
-        return record, observation
 
     def test_advances_like_prepare_then_execute(self):
         # The batch engine's MAMUT driver commits without decide(); the
@@ -221,6 +240,7 @@ class TestDrivenStepProtocol:
                 session.frame_index,
                 session.active,
                 session.controller.resets,
+                window_of(session),
             )
 
         scalar, driven = (
@@ -235,17 +255,20 @@ class TestDrivenStepProtocol:
         while scalar.active:
             scalar.prepare()
             record = scalar.execute(1.0, 75.0)
-            driven.commit(record, scalar.last_observation)
+            driven.commit(record)
             assert progress(driven) == progress(scalar)
-        assert progress(scalar) == (3, 2, 0, False, 1)
+        # The reset at the video boundary comes before the boundary frame is
+        # observed, so the window holds the first video's last frame and the
+        # second video's first; the playlist's last frame is not observed.
+        assert progress(scalar)[:5] == (3, 2, 0, False, 1)
+        assert window_of(scalar)[-1] == 2
         assert driven.records == scalar.records
-        assert driven.last_observation == scalar.last_observation
         assert driven.controller.frames_seen == []
 
     def test_rejected_after_finish(self):
         session = make_session(num_frames=1)
-        record, observation = self.commit_args(session)
-        session.commit(record, observation)
+        record = self.record(session)
+        session.commit(record)
         assert not session.active
         with pytest.raises(ScenarioError):
-            session.commit(record, observation)
+            session.commit(record)

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.observation import Observation, average_observations
+from repro.core.observation import Observation, ObservationWindow
 from repro.core.qtable import QTable
 from repro.core.rewards import RewardFunction
 from repro.core.states import StateSpace, SystemState
 from repro.core.transitions import TransitionModel
+from repro.errors import LearningError
 from repro.hevc.complexity import ComplexityModel
 from repro.hevc.params import EncoderConfig
 from repro.hevc.rd_model import RateDistortionModel
@@ -150,10 +152,22 @@ def test_reward_terms_are_bounded(observation):
 @given(st.lists(observations, min_size=1, max_size=20))
 @settings(max_examples=60)
 def test_average_observation_stays_within_the_component_ranges(batch):
-    averaged = average_observations(batch)
+    window = ObservationWindow()
+    for o in batch:
+        window.add(o.fps, o.psnr_db, o.bitrate_mbps, o.power_w)
+    averaged = window.average()
     for attribute in ("fps", "psnr_db", "bitrate_mbps", "power_w"):
         values = [getattr(o, attribute) for o in batch]
         assert min(values) - 1e-9 <= getattr(averaged, attribute) <= max(values) + 1e-9
+        # Bitwise the mean summed left to right from 0.0 (not sum(), which
+        # compensates on Python 3.12+).
+        total = 0.0
+        for value in values:
+            total += value
+        assert getattr(averaged, attribute) == total / len(values)
+    window.clear()
+    with pytest.raises(LearningError):
+        window.average()
 
 
 # -- tabular learning ------------------------------------------------------------------
@@ -187,6 +201,3 @@ def test_transition_probabilities_form_a_distribution(transitions):
     distribution = model.distribution(source, 0)
     assert sum(distribution.values()) == pytest.approx(1.0)
     assert all(0.0 < p <= 1.0 for p in distribution.values())
-
-
-import pytest  # noqa: E402  (used by approx above)
