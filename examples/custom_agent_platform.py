@@ -6,7 +6,9 @@ Shows the extension points of the library:
   power model;
 * a MAMUT controller restricted to a smaller QP set and a coarser DVFS set,
   with a custom agent schedule;
-* direct use of the sysfs-like DVFS driver, as one would on real hardware.
+* the last frame's operating point, read from the session's frame records;
+* the platform's operating points, read through the sysfs-like DVFS
+  driver as one would on real hardware.
 
 Run with::
 
@@ -107,13 +109,15 @@ def main() -> None:
         )
     )
 
-    # The server mirrors its last allocation into the sysfs-like DVFS driver.
-    _LOG.info("\nPer-core frequencies after the last step (via the sysfs facade):")
-    for core in server.topology.core_ids():
-        khz = server.dvfs.sysfs_read(
-            f"/sys/devices/system/cpu/cpu{core}/cpufreq/scaling_cur_freq"
-        )
-        _LOG.info(f"  cpu{core}: {int(khz) / 1e6:.1f} GHz")
+    last = session.records[-1]
+    _LOG.info(
+        f"\nLast frame: {last.threads} threads at {last.frequency_ghz:.1f} GHz"
+    )
+    khz = server.dvfs.sysfs_read(
+        "/sys/devices/system/cpu/cpu0/cpufreq/scaling_available_frequencies"
+    )
+    points = ", ".join(f"{int(value) / 1e6:.1f}" for value in khz.split())
+    _LOG.info(f"Operating points (via the sysfs facade): {points} GHz")
 
     # A short excerpt of the agent activation history.
     _LOG.info("\nLast five agent activations:")

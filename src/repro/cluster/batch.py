@@ -22,17 +22,18 @@ NumPy evaluation per cluster step:
    dense integer state directly (each session's exploration RNG draws stay
    in its own scalar order).  Every other controller is asked per session
    via :meth:`~repro.manager.session.TranscodingSession.decide`.
-2. **Evaluate** — WPP speedup, busy-core power, decode cycles, encode time,
-   PSNR and bitrate come from the models' own ``*_batch`` methods
-   (:meth:`~repro.hevc.wpp.WppModel.speedup_batch`,
-   :meth:`~repro.platform.power.PowerModel.busy_core_power_batch`,
-   :meth:`~repro.hevc.complexity.ComplexityModel.encode_time_seconds_batch`,
-   ...), called once per distinct set of model parameters: lanes are
-   grouped by their transcoder's models plus delivery rate, and by their
-   server's power model plus voltage table.  What lives here is only the
-   composition around those calls: the thread allocation and contention of
-   :meth:`~repro.platform.server.MulticoreServer.allocate` (its one
-   vectorized form) and the decode-plus-encode timing of the transcoder.
+2. **Evaluate** — three calls, each the batch form of what the scalar
+   engine calls per session or per server:
+   :meth:`~repro.hevc.transcoder.Transcoder.activity_factor_batch` per lane
+   group, one :meth:`~repro.platform.server.FleetAllocator.allocate_batch`
+   for the whole fleet (each lane's contention scale and each server's
+   package power), and
+   :meth:`~repro.hevc.transcoder.Transcoder.transcode_frame_batch` per lane
+   group (frame time, FPS, PSNR and bitrate).  Lanes are grouped by their
+   transcoder's class, its models' classes and parameters and its delivery
+   rate, and each group calls the batch methods of its first lane's
+   transcoder; the allocator groups servers by power model itself.  No
+   topology, power or timing formula lives in this module.
 3. **Scatter** — every session's results go back through
    :meth:`~repro.manager.session.TranscodingSession.commit` (the same
    ``FrameRecord`` the scalar path creates, and the same bookkeeping,
@@ -47,38 +48,35 @@ NumPy evaluation per cluster step:
 **Equivalence guarantee.**  For the same ``(workload seed, policies, cluster
 seed)`` the batch engine produces *bitwise identical* results to the scalar
 engine — same frame records, same power samples, same admission ledger, same
-``ClusterSummary``.  This holds because each model's batch methods evaluate
-the same IEEE-754 operations in the same order as its scalar methods
-(transcendental factors go through per-QP lookup tables shared between the
-two forms; ``tests/test_batch_models.py`` pins every pair the engine calls),
-the composition here follows ``MulticoreServer.allocate`` and the
-transcoder pipeline operation for operation, and float reductions
-(per-server power and duration sums) are applied in the scalar engine's
-accumulation order.  Fault injection preserves the guarantee:
-fault draws, session salvage and retries all happen in orchestrator code
-outside the stepper, and a crash or recovery changes the live roster
-exactly like an autoscaling resize — the stepper is dropped and rebuilt
-over the surviving fleet.  Nothing needs writing back when a stepper is
-dropped: every session's state, its controller's observation window
-included, lives on the session and controller, and the stepper keeps only
-caches it re-reads when it is built.  Checkpointed resumes need no special
-handling either: a replacement session constructed mid-video
-(``TranscodingSession(start_frame_index=...)``) joins a rebuilt stepper like
-any other, because lanes read ``session.frame_index`` and ``session.step``
-fresh at every step.  The equivalence is enforced by
+``ClusterSummary``.  This holds because every batch method the engine calls
+(the allocation and transcode compositions and the models under them)
+evaluates the same IEEE-754 operations in the same order as its scalar form,
+each server's sum of session powers included (transcendental factors go
+through per-QP lookup tables shared between the two forms;
+``tests/test_batch_models.py`` pins every pair the engine calls), and the
+per-server duration sum is taken in the scalar engine's order.  Fault
+injection preserves the guarantee: fault draws, session salvage and retries
+all happen in orchestrator code outside the stepper, and a crash or recovery
+changes the live roster exactly like an autoscaling resize — the stepper is
+dropped and rebuilt over the surviving fleet.  Nothing needs writing back
+when a stepper is dropped: every session's state, its controller's
+observation window included, lives on the session and controller, and the
+stepper keeps only caches it re-reads when it is built.  Checkpointed
+resumes need no special handling either: a replacement session constructed
+mid-video (``TranscodingSession(start_frame_index=...)``) joins a rebuilt
+stepper like any other, because lanes read ``session.frame_index`` and
+``session.step`` fresh at every step.  The equivalence is enforced by
 ``tests/test_cluster_batch.py``, ``tests/test_cluster_faults.py`` and
 ``tests/test_cluster_domains.py``.
 
-Two deliberate deviations from the scalar path, neither observable in the
-results: the in-memory DVFS driver mirror (``MulticoreServer``'s
-``_apply_to_driver`` bookkeeping) is not maintained, and intermediate
-``SessionDemand``/``ServerAllocation``/``TranscodeResult`` objects are never
-materialised.  Each engine calls only its own form of a model method, so a
-model subclass must override a scalar method and its ``*_batch`` form
-together (lanes are grouped by model class as well as parameters, so such a
-subclass gets its own calls).  Controllers follow a different rule: exactly
-``MamutController`` (not subclasses) is driven through the vectorized
-activation path, everything else is asked per session through ``decide``.
+Intermediate ``SessionDemand``/``ServerAllocation``/``TranscodeResult``
+objects are never materialised, which no result can observe.  Each engine
+calls only its own form of a model method, so a model subclass must override
+a scalar method and its ``*_batch`` form together (lanes are grouped by
+model class as well as parameters, so such a subclass gets its own calls).
+Controllers follow a different rule: exactly ``MamutController`` (not
+subclasses) is driven through the vectorized activation path, everything
+else is asked per session through ``decide``.
 """
 
 from __future__ import annotations
@@ -91,52 +89,10 @@ from repro.core.mamut import MamutController
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.metrics.records import FrameRecord, PowerSample
-from repro.platform.dvfs import DvfsPolicy
+from repro.platform.server import FleetAllocator
 from repro.telemetry.profiler import NULL_PROFILER
 
 __all__ = ["BatchStepper"]
-
-
-class _ServerStatic:
-    """Per-server constants gathered once at stepper construction."""
-
-    __slots__ = (
-        "cores",
-        "hw_threads",
-        "smt_efficiency",
-        "base_power_w",
-        "power_model",
-        "power_group",
-        "idle_core_power_min_w",
-        "idle_core_power_cache",
-    )
-
-    def __init__(
-        self, orchestrator: Orchestrator, group_id: Callable[[tuple], int]
-    ) -> None:
-        server = orchestrator.server
-        topo = server.topology
-        power_model = server.power_model
-        table = power_model.voltage_table
-        self.cores = topo.physical_cores
-        self.hw_threads = topo.hardware_threads
-        self.smt_efficiency = topo.smt_efficiency
-        self.base_power_w = power_model.params.base_power_w
-        self.power_model = power_model
-        self.power_group = group_id(
-            (
-                type(power_model),
-                power_model.params,
-                tuple(table._freqs),
-                tuple(table._volts),
-            )
-        )
-        self.idle_core_power_min_w = power_model.idle_core_power(
-            server.dvfs.min_frequency_ghz
-        )
-        # Chip-wide idle power per requested frequency; the DVFS action sets
-        # are tiny, so this saturates after a handful of entries.
-        self.idle_core_power_cache: dict[float, float] = {}
 
 
 class _SessionLane:
@@ -168,8 +124,9 @@ class _SessionLane:
         self.session_id = session.session_id
         self.target_fps = session.request.target_fps
 
-        # Lanes in one group share each model call; the class is part of
-        # the key so a subclass is evaluated by its own *_batch methods.
+        # Lanes in one group share each transcoder call; the classes are
+        # part of the key so a subclass is evaluated by its own *_batch
+        # methods.
         transcoder = session.transcoder
         encoder = transcoder.encoder
         models = (
@@ -180,6 +137,7 @@ class _SessionLane:
         )
         self.model_group = group_id(
             (
+                type(transcoder),
                 tuple((type(model), model.params) for model in models),
                 encoder.delivery_fps,
             )
@@ -214,10 +172,6 @@ _VIDEO_COLUMNS = (
     "quality_gain_db",
     "compression_gain",
 )
-
-#: ``smt_threads`` as a column: one busy_core_power_batch call returns each
-#: lane's per-core power with one busy SMT sibling (row 0) and two (row 1).
-_SMT_OCCUPANCIES = np.array([[1], [2]])
 
 
 def _group_lanes(tagged: list[tuple]) -> list[tuple]:
@@ -460,10 +414,10 @@ class BatchStepper:
         Timing is observe-only — results are bitwise identical either way.
 
     A stepper holds only caches of session, controller and server state
-    (lanes, per-server constants, the MAMUT driver's decisions and grouping
-    tables), re-read when it is built.  It can be dropped at any step — or
-    its orchestrators stepped on the scalar engine in between — with
-    nothing to write back.
+    (lanes, the fleet allocator's per-server constants, the MAMUT driver's
+    decisions and grouping tables), re-read when it is built.  It can be
+    dropped at any step — or its orchestrators stepped on the scalar engine
+    in between — with nothing to write back.
     """
 
     def __init__(
@@ -475,14 +429,9 @@ class BatchStepper:
         # Model keys interned to small ints, so regrouping lanes after a
         # roster change hashes ints rather than parameter dataclasses.
         self._group_ids: dict[tuple, int] = {}
-        self._servers = [
-            _ServerStatic(orch, self._group_id) for orch in self.orchestrators
-        ]
-        self._srv_cores = np.array([s.cores for s in self._servers], dtype=np.int64)
-        self._srv_hw = np.array(
-            [s.hw_threads for s in self._servers], dtype=np.int64
+        self._allocator = FleetAllocator(
+            [orch.server for orch in self.orchestrators]
         )
-        self._srv_smt_eff = np.array([s.smt_efficiency for s in self._servers])
 
         # Roster state (rebuilt whenever fleet membership changes).
         self._roster: list[TranscodingSession] = []
@@ -494,7 +443,6 @@ class BatchStepper:
         self._starts: list[int] = []
         self._video_static = {}
         self._model_groups: list[tuple] = []
-        self._power_groups: list[tuple] = []
 
     # -- roster maintenance --------------------------------------------------------
 
@@ -532,13 +480,6 @@ class BatchStepper:
         }
         self._model_groups = _group_lanes(
             [(lane.model_group, lane.session.transcoder) for lane in lanes]
-        )
-        self._power_groups = _group_lanes(
-            [
-                (server.power_group, server.power_model)
-                for server, count in zip(self._servers, counts)
-                for _ in range(count)
-            ]
         )
 
         # Partition lanes into driver-managed MAMUT controllers and everything
@@ -623,82 +564,27 @@ class BatchStepper:
             scene = np.array(sc_l, dtype=bool)
 
         with profiler.phase("evaluate"):
+            # The scalar engine's prepare, allocate and execute, each in its
+            # batch form: thread activity per lane group, one allocation for
+            # the fleet, then the transcode per lane group.
             video = self._video_static
-            speedup = np.empty(n)
+            width, height = video["width"], video["height"]
+            activity = np.empty(n)
             for transcoder, s in self._model_groups:
-                speedup[s] = transcoder.encoder.wpp_model.speedup_batch(
-                    threads[s], video["width"][s], video["height"][s]
+                activity[s] = transcoder.activity_factor_batch(
+                    threads[s], width[s], height[s]
                 )
-            # WppModel.efficiency: the busy fraction of each allocated thread.
-            activity = speedup / threads
-
-            # -- per-server allocation (mirrors MulticoreServer.allocate) -------
-            counts = self._counts
-            starts = self._starts
-            busy_idx = [i for i, count in enumerate(counts) if count > 0]
-            busy_starts = np.array([starts[i] for i in busy_idx], dtype=np.int64)
-            busy_counts = np.array([counts[i] for i in busy_idx], dtype=np.int64)
-            busy = np.array(busy_idx, dtype=np.int64)
-
-            total_threads = np.add.reduceat(threads, busy_starts)
-            cores_b = self._srv_cores[busy]
-            hw_b = self._srv_hw[busy]
-            smt_eff_b = self._srv_smt_eff[busy]
-
-            shared = np.minimum(total_threads, hw_b) - cores_b
-            capacity = np.where(
-                total_threads <= cores_b,
-                total_threads.astype(float),
-                (cores_b - shared) + 2 * shared * smt_eff_b,
+            scale, server_power = self._allocator.allocate_batch(
+                self._counts, threads, freq, activity
             )
-            scale_b = np.minimum(1.0, capacity / total_threads)
-
-            busy_physical = np.minimum(total_threads, cores_b).astype(float)
-            smt_cores = np.maximum(
-                0, np.minimum(total_threads, hw_b) - cores_b
-            ).astype(float)
-            single_cores = busy_physical - smt_cores
-            idle_cores = cores_b - busy_physical
-
-            scale_rep = np.repeat(scale_b, busy_counts)
-            total_rep = np.repeat(total_threads, busy_counts)
-            single_rep = np.repeat(single_cores, busy_counts)
-            smt_rep = np.repeat(smt_cores, busy_counts)
-
-            effective_activity = np.minimum(1.0, activity / scale_rep)
-            core_power = np.empty((2, n))
-            for power_model, s in self._power_groups:
-                core_power[:, s] = power_model.busy_core_power_batch(
-                    freq[s], effective_activity[s], _SMT_OCCUPANCIES
-                )
-            per_single, per_smt = core_power
-
-            share = threads / total_rep
-            own_single = share * single_rep
-            own_smt = share * smt_rep
-            session_power = own_single * per_single + own_smt * per_smt
-
-            # -- transcode (composed as in HevcDecoder/HevcEncoder/Transcoder) --
-            effective = np.maximum(1.0, speedup * scale_rep)
-            decode_cycles, encode_time, psnr, bitrate = np.empty((4, n))
+            total_time, fps, psnr, bitrate = np.empty((4, n))
             for transcoder, s in self._model_groups:
-                encoder = transcoder.encoder
-                q, cx, mo, sc = qp[s], complexity[s], motion[s], scene[s]
-                px = video["pixels"][s]
-                decoder_model = transcoder.decoder.complexity_model
-                decode_cycles[s] = decoder_model.decode_cycles_batch(px, cx)
-                encode_time[s] = encoder.complexity_model.encode_time_seconds_batch(
-                    q, px, cx, mo, sc, freq[s], effective[s], video["effort_factor"][s]
+                total_time[s], fps[s], psnr[s], bitrate[s] = transcoder.transcode_frame_batch(
+                    qp[s], threads[s], width[s], height[s], video["pixels"][s],
+                    complexity[s], motion[s], scene[s], video["effort_factor"][s],
+                    video["quality_gain_db"][s], video["compression_gain"][s],
+                    freq[s], scale[s],
                 )
-                psnr[s] = encoder.rd_model.psnr_db_batch(
-                    q, cx, mo, video["quality_gain_db"][s]
-                )
-                bitrate[s] = encoder.rd_model.bitrate_mbps_batch(
-                    q, cx, mo, sc, px, encoder.delivery_fps, video["compression_gain"][s]
-                )
-            decode_time = decode_cycles / (freq * 1e9)
-            total_time = decode_time + encode_time
-            fps = 1.0 / total_time
 
         # -- scatter -------------------------------------------------------------
         with profiler.phase("scatter"):
@@ -706,39 +592,21 @@ class BatchStepper:
             psnr_l = psnr.tolist()
             bitrate_l = bitrate.tolist()
             time_l = total_time.tolist()
-            power_l = session_power.tolist()
+            power_l = server_power.tolist()
             qp_l = qp.tolist()
             threads_l = threads.tolist()
             freq_list = freq.tolist()
-            idle_cores_l = idle_cores.tolist()
 
-            samples: list[Optional[PowerSample]] = [None] * len(
-                self.orchestrators
-            )
+            samples: list[PowerSample] = []
             make_record = FrameRecord
-            for k, server_index in enumerate(busy_idx):
-                start = starts[server_index]
-                end = start + counts[server_index]
-                orch = self.orchestrators[server_index]
-                server_static = self._servers[server_index]
-
-                # Idle/base power share (mirrors allocate's shared_power).
-                if orch.server.dvfs_policy is DvfsPolicy.CHIP_WIDE:
-                    idle_freq = max(freq_list[start:end])
-                    cache = server_static.idle_core_power_cache
-                    idle_core_power = cache.get(idle_freq)
-                    if idle_core_power is None:
-                        idle_core_power = (
-                            server_static.power_model.idle_core_power(idle_freq)
-                        )
-                        cache[idle_freq] = idle_core_power
-                else:
-                    idle_core_power = server_static.idle_core_power_min_w
-                idle_power = idle_cores_l[k] * idle_core_power
-                shared_power = server_static.base_power_w + idle_power
-                busy_power_total = sum(power_l[start:end])
-                total_power = shared_power + busy_power_total
-
+            for server_index, orch in enumerate(self.orchestrators):
+                count = self._counts[server_index]
+                if not count:
+                    samples.append(orch.idle_step(step))
+                    continue
+                start = self._starts[server_index]
+                end = start + count
+                total_power = power_l[server_index]
                 for i in range(start, end):
                     lane = lanes[i]
                     session = lane.session
@@ -768,18 +636,9 @@ class BatchStepper:
                                 getattr(lane, name)
                             )
 
-                duration = sum(time_l[start:end]) / counts[server_index]
-                samples[server_index] = PowerSample(
-                    step=step,
-                    power_w=total_power,
-                    duration_s=duration,
-                    active_sessions=counts[server_index],
-                )
-
-            for server_index, orch in enumerate(self.orchestrators):
-                if samples[server_index] is None:
-                    samples[server_index] = orch.idle_step(step)
+                duration = sum(time_l[start:end]) / count
+                samples.append(PowerSample(step, total_power, duration, count))
 
             if self._driver is not None:
                 self._driver.steps += 1
-        return samples  # type: ignore[return-value]
+        return samples

@@ -209,18 +209,6 @@ class QLearningAgent:
             return current
         return int(self._rng.choice(candidates))
 
-    def select_action(self, state: int, phase: Phase) -> int:
-        """Select an action according to the given phase.
-
-        EXPLOITATION selection normally goes through the chained expected-Q
-        policy implemented by the coordinator (Algorithm 1); calling this
-        method in that phase falls back to the agent's own greedy policy,
-        which is also the paper's fallback when peers are not ready yet.
-        """
-        if phase is Phase.EXPLORATION:
-            return self.select_exploration_action(state)
-        return self.select_greedy_action(state)
-
     # -- learning ---------------------------------------------------------------------------
 
     def update(

@@ -295,14 +295,6 @@ class MamutController(Controller):
 
     # -- diagnostics ------------------------------------------------------------------------------
 
-    def phase_summary(self, state: SystemState) -> dict[str, Phase]:
-        """Learning phase of every agent for a given state."""
-        index = self.state_space.state_index(state)
-        return {
-            name: agent.phase(index, self._peer_min_counts(name))
-            for name, agent in self.agents.items()
-        }
-
     def summary(self) -> dict[str, dict]:
         """Per-agent diagnostic snapshot (visited states, Q entries, counts)."""
         return {name: agent.summary() for name, agent in self.agents.items()}

@@ -27,13 +27,3 @@ class Phase(enum.Enum):
     EXPLORATION = "exploration"
     EXPLORATION_EXPLOITATION = "exploration-exploitation"
     EXPLOITATION = "exploitation"
-
-    @property
-    def is_random(self) -> bool:
-        """Whether actions are still chosen randomly in this phase."""
-        return self is Phase.EXPLORATION
-
-    @property
-    def uses_chained_policy(self) -> bool:
-        """Whether the chained expected-Q policy of Algorithm 1 applies."""
-        return self is Phase.EXPLOITATION

@@ -163,17 +163,6 @@ class AgentSchedule:
             seen.add(name)
         return chain
 
-    def activations_in(self, start_frame: int, end_frame: int) -> list[tuple[int, str]]:
-        """All (frame, agent) activations in ``[start_frame, end_frame)``."""
-        if end_frame < start_frame:
-            raise SchedulingError("end_frame must be >= start_frame")
-        result = []
-        for frame in range(start_frame, end_frame):
-            agent = self.agent_at(frame)
-            if agent is not None:
-                result.append((frame, agent))
-        return result
-
 
 def _lcm(a: int, b: int) -> int:
     from math import gcd

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from repro.constants import QP_VALUES
 from repro.errors import EncodingError
 
 __all__ = ["Preset", "EncoderConfig", "QP_MIN", "QP_MAX"]
@@ -115,8 +114,3 @@ class EncoderConfig:
     def replace(self, **changes: object) -> "EncoderConfig":
         """Return a copy of this configuration with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
-
-    @property
-    def is_agent_qp(self) -> bool:
-        """Whether the QP is one of the values the MAMUT QP agent explores."""
-        return self.qp in QP_VALUES

@@ -27,7 +27,6 @@ equivalence with the scalar engine.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
@@ -260,40 +259,3 @@ class RateDistortionModel:
     ) -> float:
         """Output bandwidth in MBytes/s (the unit used on Fig. 2's x-axis)."""
         return self.bitrate_mbps(frame, config, delivery_fps) / 8.0
-
-    def expected_psnr_range(self, config_low_qp: int, config_high_qp: int) -> tuple[float, float]:
-        """PSNR bounds (dB) spanned by a QP interval for average content.
-
-        Useful for sanity checks and for sizing the state space: returns the
-        PSNR at the *high* QP (low quality) and at the *low* QP (high
-        quality) for a frame of complexity 1.0 and motion 0.4.
-        """
-        p = self.params
-        if config_low_qp > config_high_qp:
-            raise EncodingError("config_low_qp must be <= config_high_qp")
-
-        def psnr_for(qp: int) -> float:
-            return (
-                p.psnr_at_ref_qp
-                - p.psnr_slope_db_per_qp * (qp - p.ref_qp)
-                - p.psnr_motion_penalty_db * 0.4
-            )
-
-        low = psnr_for(config_high_qp)
-        high = psnr_for(config_low_qp)
-        return (
-            float(min(max(low, p.psnr_floor_db), p.psnr_ceiling_db)),
-            float(min(max(high, p.psnr_floor_db), p.psnr_ceiling_db)),
-        )
-
-    @staticmethod
-    def mse_from_psnr(psnr_db: float, max_value: int = 255) -> float:
-        """Convert a PSNR value back to mean squared error (8-bit scale)."""
-        return (max_value**2) / (10.0 ** (psnr_db / 10.0))
-
-    @staticmethod
-    def psnr_from_mse(mse: float, max_value: int = 255) -> float:
-        """Convert a mean squared error to PSNR (dB, 8-bit scale)."""
-        if mse <= 0:
-            raise EncodingError(f"mse must be positive, got {mse}")
-        return 10.0 * math.log10((max_value**2) / mse)

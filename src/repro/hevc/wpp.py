@@ -65,10 +65,6 @@ class WppModel:
             raise EncodingError(f"width must be positive, got {width}")
         return math.ceil(width / self.params.ctu_size)
 
-    def max_useful_threads(self, height: int) -> int:
-        """Threads beyond which no additional speedup is possible (= CTU rows)."""
-        return self.ctu_rows(height)
-
     def speedup(self, threads: int, width: int, height: int, wpp: bool = True) -> float:
         """Parallel speedup obtained with ``threads`` WPP threads.
 

@@ -2,8 +2,8 @@
 
 One orchestrator *step* transcodes one frame of every active session: every
 session's controller decides its configuration, the server allocates the
-resulting thread/frequency demands (producing the per-session contention
-scale and the package power), and every session then transcodes its frame
+resulting thread/frequency demands (producing one contention scale for all
+sessions and the package power), and every session then transcodes its frame
 under that allocation.  Sessions drop out as their playlists finish.
 
 Sessions may also *join after construction* via :meth:`Orchestrator.add_session`:
@@ -155,10 +155,7 @@ class Orchestrator:
 
         with profiler.phase("execute"):
             records = [
-                session.execute(
-                    allocation.contention_scale(session.session_id),
-                    allocation.total_power_w,
-                )
+                session.execute(allocation.contention_scale, allocation.total_power_w)
                 for session in active
             ]
 

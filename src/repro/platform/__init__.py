@@ -8,8 +8,10 @@ package level.  This package models that platform:
 * :mod:`repro.platform.dvfs` — a sysfs-like per-core frequency driver;
 * :mod:`repro.platform.power` — voltage/frequency table and power model;
 * :mod:`repro.platform.server` — thread allocation, contention, and the
-  per-step power computation used by the multi-user orchestrator (an empty
-  server draws its fixed ``idle_power_w``).
+  per-step power computation, once per server for the multi-user
+  orchestrator (``MulticoreServer.allocate``) and once per fleet for the
+  batch engine (``FleetAllocator.allocate_batch``); an empty server draws
+  its fixed ``idle_power_w``.
 
 There is no energy meter here: energy is accounted once, by
 :func:`~repro.metrics.aggregate.power_trace_stats` over the orchestrators'
@@ -21,9 +23,9 @@ from repro.platform.dvfs import DvfsDriver, DvfsPolicy
 from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
 from repro.platform.thermal import ThermalModel, ThermalModelParameters, temperature_trace
 from repro.platform.server import (
+    FleetAllocator,
     MulticoreServer,
     ServerAllocation,
-    SessionAllocation,
     SessionDemand,
 )
 
@@ -38,7 +40,7 @@ __all__ = [
     "ThermalModelParameters",
     "temperature_trace",
     "MulticoreServer",
+    "FleetAllocator",
     "ServerAllocation",
-    "SessionAllocation",
     "SessionDemand",
 ]

@@ -3,8 +3,14 @@
 On the real platform, changing a core's frequency is a write to a sysfs file
 (``/sys/devices/system/cpu/cpu<N>/cpufreq/scaling_setspeed``).  This module
 reproduces that interface as an in-memory driver: frequencies are validated
-against the supported set, can be set per core or chip-wide, and can be read
-back, including as a fake sysfs tree for tests and examples.
+against the supported set, can be set per core, and can be read back,
+including through a read-only fake sysfs tree for tests and examples.
+
+The simulated server does not actuate the driver.  A
+:class:`~repro.platform.server.MulticoreServer` reads only the driver's
+lowest frequency, at which idle cores are parked; the frequencies sessions
+run at travel in each step's allocation instead.  A driver's per-core state
+is therefore whatever its owner last set, not the last step's allocation.
 """
 
 from __future__ import annotations
@@ -118,12 +124,6 @@ class DvfsDriver:
         self._validate(frequency_ghz)
         self._frequencies[core_id] = float(frequency_ghz)
 
-    def set_all(self, frequency_ghz: float) -> None:
-        """Set every core to the same frequency (chip-wide DVFS)."""
-        self._validate(frequency_ghz)
-        for core in self._frequencies:
-            self._frequencies[core] = float(frequency_ghz)
-
     def closest_available(self, frequency_ghz: float) -> float:
         """Supported frequency closest to an arbitrary request."""
         if frequency_ghz <= 0:
@@ -148,20 +148,6 @@ class DvfsDriver:
         if attribute == "scaling_available_frequencies":
             return " ".join(str(int(f * 1e6)) for f in self._available)
         raise DvfsError(f"unsupported cpufreq attribute {attribute!r}")
-
-    def sysfs_write(self, path: str, value: str) -> None:
-        """Write a cpufreq attribute through a sysfs-like path.
-
-        Only ``scaling_setspeed`` is writable; the value is in kHz.
-        """
-        core_id, attribute = self._parse_sysfs_path(path)
-        if attribute != "scaling_setspeed":
-            raise DvfsError(f"attribute {attribute!r} is not writable")
-        try:
-            khz = int(value.strip())
-        except ValueError as exc:
-            raise DvfsError(f"invalid frequency value {value!r}") from exc
-        self.set_frequency(core_id, khz / 1e6)
 
     # -- internals ---------------------------------------------------------------
 

@@ -3,15 +3,24 @@
 Each simulation step, every active transcoding session demands a number of
 WPP threads at a chosen per-core frequency.  The server grants each thread a
 fair share of the machine's effective capacity (dedicated cores first, then
-SMT sharing, then time-slicing), reports the resulting per-session
-*contention scale* that the encoder simulator applies to its WPP speedup, and
+SMT sharing, then time-slicing), reports the resulting *contention scale*
+that the encoder simulator applies to every session's WPP speedup, and
 computes the package power for the step.
+
+The allocation has two forms side by side: :meth:`MulticoreServer.allocate`
+for one server (the scalar engine) and :meth:`FleetAllocator.allocate_batch`
+for a whole fleet at once (the batch engine,
+:mod:`repro.cluster.batch`).  Both evaluate the same IEEE-754 operations in
+the same order, session powers included, so their outputs are bitwise
+identical; ``tests/test_batch_models.py`` pins the pair.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import AllocationError
 from repro.platform.dvfs import DvfsDriver, DvfsPolicy
@@ -20,10 +29,14 @@ from repro.platform.topology import CpuTopology
 
 __all__ = [
     "SessionDemand",
-    "SessionAllocation",
     "ServerAllocation",
     "MulticoreServer",
+    "FleetAllocator",
 ]
+
+#: ``smt_threads`` as a column: one busy_core_power_batch call returns each
+#: lane's per-core power with one busy SMT sibling (row 0) and two (row 1).
+_SMT_OCCUPANCIES = np.array([[1], [2]])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,44 +73,15 @@ class SessionDemand:
 
 
 @dataclasses.dataclass(frozen=True)
-class SessionAllocation:
-    """What the server granted to one session for the current step.
-
-    Attributes
-    ----------
-    session_id:
-        The session this allocation belongs to.
-    threads_granted:
-        Software threads the session may run (always its full demand; the
-        machine is shared in time rather than by refusing threads).
-    contention_scale:
-        Multiplier in ``(0, 1]`` on the session's parallel speedup caused by
-        SMT sharing and oversubscription.
-    frequency_ghz:
-        Frequency applied to the session's cores.
-    busy_cores:
-        Physical-core equivalents attributed to the session (fractional).
-    power_w:
-        Package power attributed to the session, including a proportional
-        share of base and idle power.
-    """
-
-    session_id: str
-    threads_granted: int
-    contention_scale: float
-    frequency_ghz: float
-    busy_cores: float
-    power_w: float
-
-
-@dataclasses.dataclass(frozen=True)
 class ServerAllocation:
     """Result of allocating one simulation step across all sessions.
 
     Attributes
     ----------
-    sessions:
-        Mapping from session id to its :class:`SessionAllocation`.
+    contention_scale:
+        Multiplier in ``(0, 1]`` on every session's parallel speedup caused
+        by SMT sharing and oversubscription (the server shares its capacity
+        fairly, so one scale holds for all sessions).
     total_power_w:
         Package power for this step.
     total_threads:
@@ -110,16 +94,12 @@ class ServerAllocation:
         True when more software threads than hardware threads were demanded.
     """
 
-    sessions: Mapping[str, SessionAllocation]
+    contention_scale: float
     total_power_w: float
     total_threads: int
     busy_cores: float
     idle_cores: float
     oversubscribed: bool
-
-    def contention_scale(self, session_id: str) -> float:
-        """Convenience accessor for one session's contention scale."""
-        return self.sessions[session_id].contention_scale
 
 
 class MulticoreServer:
@@ -132,8 +112,9 @@ class MulticoreServer:
     power_model:
         Package power model.
     dvfs_driver:
-        Per-core frequency driver (kept in sync with each allocation so its
-        state reflects the last step).
+        The platform's frequency driver.  The server reads only its lowest
+        frequency, at which idle cores are parked; the driver's per-core
+        state is not written by allocations.
     dvfs_policy:
         ``PER_CORE`` parks idle cores at the minimum frequency; ``CHIP_WIDE``
         leaves idle cores at the highest frequency any session requested.
@@ -171,7 +152,7 @@ class MulticoreServer:
         demands = list(demands)
         if not demands:
             return ServerAllocation(
-                sessions={},
+                contention_scale=1.0,
                 total_power_w=self._idle_power_w,
                 total_threads=0,
                 busy_cores=0.0,
@@ -195,81 +176,163 @@ class MulticoreServer:
         single_cores = busy_physical - smt_cores
         idle_cores = float(cores) - busy_physical
 
-        idle_freq = self._idle_frequency(demands)
+        if self.dvfs_policy is DvfsPolicy.CHIP_WIDE:
+            # Idle cores stay at the highest frequency any session requested.
+            idle_freq = max(d.frequency_ghz for d in demands)
+        else:
+            idle_freq = self.dvfs.min_frequency_ghz
         idle_power = idle_cores * self.power_model.idle_core_power(idle_freq)
         base_power = self.power_model.params.base_power_w
         shared_power = base_power + idle_power
 
-        allocations: dict[str, SessionAllocation] = {}
         busy_power_total = 0.0
-        session_busy_power: dict[str, float] = {}
-        session_busy_cores: dict[str, float] = {}
         for demand in demands:
             share = demand.threads / total_threads
             own_single = share * single_cores
             own_smt = share * smt_cores
             # Threads that are time-sliced or SMT-shared end up fully busy.
-            effective_activity = min(1.0, demand.activity / scale) if scale > 0 else 1.0
+            effective_activity = min(1.0, demand.activity / scale)
             per_single = self.power_model.busy_core_power(
                 demand.frequency_ghz, effective_activity, smt_threads=1
             )
             per_smt = self.power_model.busy_core_power(
                 demand.frequency_ghz, effective_activity, smt_threads=2
             )
-            power = own_single * per_single + own_smt * per_smt
-            session_busy_power[demand.session_id] = power
-            session_busy_cores[demand.session_id] = own_single + own_smt
-            busy_power_total += power
-
-        total_power = shared_power + busy_power_total
-
-        for demand in demands:
-            share = demand.threads / total_threads
-            allocations[demand.session_id] = SessionAllocation(
-                session_id=demand.session_id,
-                threads_granted=demand.threads,
-                contention_scale=scale,
-                frequency_ghz=demand.frequency_ghz,
-                busy_cores=session_busy_cores[demand.session_id],
-                power_w=session_busy_power[demand.session_id] + share * shared_power,
-            )
-
-        self._apply_to_driver(demands, idle_freq)
+            busy_power_total += own_single * per_single + own_smt * per_smt
 
         return ServerAllocation(
-            sessions=allocations,
-            total_power_w=total_power,
+            contention_scale=scale,
+            total_power_w=shared_power + busy_power_total,
             total_threads=total_threads,
             busy_cores=busy_physical,
             idle_cores=idle_cores,
             oversubscribed=total_threads > hw_threads,
         )
 
-    # -- helpers ---------------------------------------------------------------
 
-    def _idle_frequency(self, demands: list[SessionDemand]) -> float:
-        """Frequency at which idle cores sit under the current DVFS policy."""
-        if self.dvfs_policy is DvfsPolicy.CHIP_WIDE and demands:
-            return max(d.frequency_ghz for d in demands)
-        return self.dvfs.min_frequency_ghz
+class FleetAllocator:
+    """Batch form of :meth:`MulticoreServer.allocate` over a fleet of servers.
 
-    def _apply_to_driver(self, demands: list[SessionDemand], idle_freq: float) -> None:
-        """Mirror the allocation into the DVFS driver state (best effort).
+    Built once per fleet, it caches every server's core count, hardware
+    threads, SMT efficiency, base power and parked-core idle power, and
+    groups the servers by power model (class, parameters and voltage table)
+    so each group costs one ``busy_core_power_batch`` call per step.  Each
+    server's ``dvfs_policy`` is read at every step, because a joining
+    chip-wide session switches it.
 
-        Sessions get contiguous physical cores in demand order, one core per
-        thread until the machine runs out; remaining cores get the idle
-        frequency.  Frequencies are snapped to the nearest supported point.
+    Parameters
+    ----------
+    servers:
+        The fleet, in the order :meth:`allocate_batch` lays out its arrays.
+    """
+
+    def __init__(self, servers: Sequence[MulticoreServer]) -> None:
+        self.servers = list(servers)
+        topologies = [server.topology for server in self.servers]
+        models = [server.power_model for server in self.servers]
+        self._cores = np.array([t.physical_cores for t in topologies], dtype=np.int64)
+        self._hw_threads = np.array([t.hardware_threads for t in topologies], dtype=np.int64)
+        self._smt_efficiency = np.array([t.smt_efficiency for t in topologies])
+        self._base_power_w = np.array([model.params.base_power_w for model in models])
+        self._parked_core_w = np.array(
+            [
+                model.idle_core_power(server.dvfs.min_frequency_ghz)
+                for model, server in zip(models, self.servers)
+            ]
+        )
+        self._idle_power_w = np.array([server.idle_power_w for server in self.servers])
+
+        # Models with equal keys compute the same doubles, so any one of
+        # them serves its group.
+        keys = [
+            (type(m), m.params, tuple(m.voltage_table._freqs), tuple(m.voltage_table._volts))
+            for m in models
+        ]
+        by_key = dict(zip(keys, models))
+        group_of = {key: group for group, key in enumerate(by_key)}
+        self._power_models = list(by_key.values())
+        self._power_group = np.array([group_of[key] for key in keys], dtype=np.int64)
+
+    def allocate_batch(
+        self,
+        counts: Sequence[int],
+        threads: np.ndarray,
+        frequency_ghz: np.ndarray,
+        activity: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Allocate one step on every server of the fleet at once.
+
+        ``counts`` holds each server's number of sessions, in fleet order;
+        ``threads``, ``frequency_ghz`` and ``activity`` hold one entry per
+        session, server-major and in each server's demand order.  Returns
+        each session's contention scale and each server's package power (a
+        server without sessions reports its ``idle_power_w``, as
+        ``allocate([])`` does).  Bitwise-identical to calling
+        :meth:`MulticoreServer.allocate` on each server.
         """
-        next_core = 0
-        cores = self.topology.physical_cores
-        for demand in demands:
-            wanted = min(demand.threads, cores - next_core)
-            freq = self.dvfs.closest_available(demand.frequency_ghz)
-            for core in range(next_core, next_core + wanted):
-                self.dvfs.set_frequency(core, freq)
-            next_core += wanted
-            if next_core >= cores:
-                break
-        idle = self.dvfs.closest_available(idle_freq)
-        for core in range(next_core, cores):
-            self.dvfs.set_frequency(core, idle)
+        counts = np.asarray(counts, dtype=np.int64)
+        threads = np.asarray(threads, dtype=np.int64)
+        frequency_ghz = np.asarray(frequency_ghz, dtype=float)
+        activity = np.asarray(activity, dtype=float)
+        power = self._idle_power_w.copy()
+        busy = np.flatnonzero(counts)
+        if not busy.size:
+            return np.empty(0), power
+
+        busy_counts = counts[busy]
+        busy_starts = (np.cumsum(counts) - counts)[busy]
+        total_threads = np.add.reduceat(threads, busy_starts)
+        cores = self._cores[busy]
+
+        # CpuTopology.contention_scale: dedicated cores, then SMT siblings
+        # at smt_efficiency, then time-slicing that adds no capacity.
+        shared = np.minimum(total_threads, self._hw_threads[busy]) - cores
+        capacity = np.where(
+            total_threads <= cores,
+            total_threads.astype(float),
+            (cores - shared) + 2 * shared * self._smt_efficiency[busy],
+        )
+        scale = np.minimum(1.0, capacity / total_threads)
+
+        busy_physical = np.minimum(total_threads, cores).astype(float)
+        smt_cores = np.maximum(0, shared).astype(float)
+        single_cores = busy_physical - smt_cores
+        idle_cores = cores - busy_physical
+
+        lane_scale = np.repeat(scale, busy_counts)
+        effective_activity = np.minimum(1.0, activity / lane_scale)
+        core_power = np.empty((2, len(threads)))
+        lane_group = np.repeat(self._power_group, counts)
+        for group, model in enumerate(self._power_models):
+            lanes = lane_group == group
+            core_power[:, lanes] = model.busy_core_power_batch(
+                frequency_ghz[lanes], effective_activity[lanes], _SMT_OCCUPANCIES
+            )
+        per_single, per_smt = core_power
+        share = threads / np.repeat(total_threads, busy_counts)
+        session_power = (
+            share * np.repeat(single_cores, busy_counts) * per_single
+            + share * np.repeat(smt_cores, busy_counts) * per_smt
+        )
+
+        # allocate's += loop across servers at once: each server's session
+        # powers are added from 0.0, left to right, one position at a time
+        # (np.sum and np.add.reduceat would reassociate the additions).
+        busy_power_total = np.zeros(busy.size)
+        for position in range(int(busy_counts.max())):
+            present = busy_counts > position
+            busy_power_total[present] += session_power[busy_starts[present] + position]
+
+        idle_core_w = self._parked_core_w[busy]
+        servers = [self.servers[index] for index in busy.tolist()]
+        chip_wide = [
+            k for k, server in enumerate(servers) if server.dvfs_policy is DvfsPolicy.CHIP_WIDE
+        ]
+        if chip_wide:
+            # Idle cores stay at the highest frequency any session requested.
+            top_frequency = np.maximum.reduceat(frequency_ghz, busy_starts).tolist()
+            for k in chip_wide:
+                idle_core_w[k] = servers[k].power_model.idle_core_power(top_frequency[k])
+        shared_power = self._base_power_w[busy] + idle_cores * idle_core_w
+        power[busy] = shared_power + busy_power_total
+        return lane_scale, power

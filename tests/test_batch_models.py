@@ -1,12 +1,14 @@
 """Elementwise equivalence of the batch model entry points vs. the scalar ones.
 
 These are the methods :class:`~repro.cluster.batch.BatchStepper` calls each
-step: WPP speedup, busy-core power, decode cycles, encode time, PSNR and
-bitrate (and the rate, cycle and voltage helpers behind them), plus the
-MAMUT driver's state discretisation and reward.  The batch engine's
-seed-for-seed guarantee rests on them producing *bitwise identical* doubles
-to the scalar methods the scalar engine calls; these property tests pin that
-down model by model over randomized inputs (including bin edges and
+step: the transcoder's activity factor and pipeline, the fleet allocation
+(each checked against ``MulticoreServer.allocate`` server by server), and
+the models under them — WPP speedup, busy-core power, decode cycles, encode
+time, PSNR and bitrate, and the rate, cycle and voltage helpers behind
+them — plus the MAMUT driver's state discretisation and reward.  The batch
+engine's seed-for-seed guarantee rests on them producing *bitwise identical*
+doubles to the scalar methods the scalar engine calls; these property tests
+pin that down model by model over randomized inputs (including bin edges and
 operating-point grid values, where off-by-one-ULP bugs would hide).  The
 reward batch is the one documented exception: its in-range PSNR term goes
 through ``np.exp``, so it is compared to tight tolerance instead.
@@ -22,10 +24,16 @@ from repro.core.rewards import RewardFunction
 from repro.core.states import StateSpace, SystemState
 from repro.errors import EncodingError, PlatformError
 from repro.hevc.complexity import ComplexityModel, ComplexityModelParameters
+from repro.hevc.decoder import HevcDecoder
+from repro.hevc.encoder import HevcEncoder
 from repro.hevc.params import EncoderConfig, Preset
 from repro.hevc.rd_model import RateDistortionModel, RdModelParameters
-from repro.hevc.wpp import WppModel
-from repro.platform.power import PowerModel, VoltageTable
+from repro.hevc.transcoder import Transcoder
+from repro.hevc.wpp import WppModel, WppModelParameters
+from repro.platform.dvfs import DvfsPolicy
+from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
+from repro.platform.server import FleetAllocator, MulticoreServer, SessionDemand
+from repro.platform.topology import CpuTopology
 from repro.video.content import FrameContent
 from repro.video.sequence import Frame
 
@@ -302,6 +310,143 @@ class TestPowerModelBatch:
             PowerModel().busy_core_power_batch(
                 np.array([3.2]), np.array([1.5])
             )
+
+
+class TestTranscoderBatch:
+    """The pipeline the batch engine evaluates, against the scalar one."""
+
+    @staticmethod
+    def custom_transcoder():
+        encoder = HevcEncoder(
+            rd_model=RateDistortionModel(
+                RdModelParameters(ref_qp=30, qp_per_rate_halving=5.5)
+            ),
+            complexity_model=ComplexityModel(
+                ComplexityModelParameters(
+                    base_cycles_per_pixel=260.0, qp_sensitivity=0.04, motion_weight=0.45
+                )
+            ),
+            wpp_model=WppModel(
+                WppModelParameters(ctu_size=32, sync_overhead_per_thread=0.01)
+            ),
+            delivery_fps=30,
+        )
+        decoder = HevcDecoder(
+            ComplexityModel(ComplexityModelParameters(decode_fraction=0.03))
+        )
+        return Transcoder(encoder=encoder, decoder=decoder)
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
+    def test_transcode_and_activity_batch_bitwise_equal_scalar(self, custom):
+        transcoder = self.custom_transcoder() if custom else Transcoder()
+        qp, complexity, motion, scene, presets, wh, threads, freq = random_inputs()
+        frames = make_frames(qp, complexity, motion, scene, wh)
+        configs = [
+            EncoderConfig(qp=int(q), threads=int(t), preset=p)
+            for q, t, p in zip(qp, threads, presets)
+        ]
+        # Contention below 1 (and at it), so max(1, speedup * scale) bites.
+        scale = np.where(RNG.random(N) < 0.2, 1.0, RNG.uniform(0.05, 1.0, size=N))
+        width = np.array([w for w, _ in wh])
+        height = np.array([h for _, h in wh])
+
+        activity = transcoder.activity_factor_batch(threads, width, height)
+        assert activity.tolist() == [
+            transcoder.activity_factor(f, c) for f, c in zip(frames, configs)
+        ]
+
+        batch = transcoder.transcode_frame_batch(
+            qp,
+            threads,
+            width,
+            height,
+            width * height,
+            complexity,
+            motion,
+            scene,
+            np.array([p.effort_factor for p in presets]),
+            np.array([p.quality_gain_db for p in presets]),
+            np.array([p.compression_gain for p in presets]),
+            freq,
+            scale,
+        )
+        results = [
+            transcoder.transcode_frame(f, c, float(fr), float(sc))
+            for f, c, fr, sc in zip(frames, configs, freq, scale)
+        ]
+        assert [column.tolist() for column in batch] == [
+            [r.total_time_s for r in results],
+            [r.fps for r in results],
+            [r.psnr_db for r in results],
+            [r.bitrate_mbps for r in results],
+        ]
+
+
+class TestFleetAllocatorBatch:
+    """``allocate_batch`` over a fleet equals ``allocate`` per server."""
+
+    TOPOLOGIES = (
+        CpuTopology(),
+        CpuTopology(sockets=1, cores_per_socket=4, smt_efficiency=0.6),
+        CpuTopology(sockets=1, cores_per_socket=8, smt=1),
+    )
+    POWER_MODELS = (
+        PowerModel(),
+        PowerModel(PowerModelParameters(base_power_w=20.0, smt_activity_bonus=0.4)),
+        PowerModel(
+            PowerModelParameters(core_dynamic_w=4.6, idle_activity_fraction=0.25),
+            VoltageTable({1.2: 0.78, 1.6: 0.84, 2.0: 0.92, 2.6: 1.02, 3.2: 1.18}),
+        ),
+    )
+    GRID = (1.2, 1.4, 1.6, 1.9, 2.3, 2.6, 2.9, 3.2)
+
+    def random_fleet(self):
+        servers = [
+            MulticoreServer(
+                topology=self.TOPOLOGIES[RNG.integers(3)],
+                power_model=self.POWER_MODELS[RNG.integers(3)],
+                dvfs_policy=(
+                    DvfsPolicy.CHIP_WIDE if RNG.random() < 0.3 else DvfsPolicy.PER_CORE
+                ),
+            )
+            for _ in range(RNG.integers(1, 9))
+        ]
+        counts = RNG.integers(0, 14, size=len(servers))
+        # Nine or more sessions on one server: a pairwise or blocked
+        # reduction of its session powers would round differently.
+        counts[RNG.integers(len(servers))] = RNG.integers(9, 14)
+        # Light servers leave cores idle; heavy ones oversubscribe.
+        max_threads = np.repeat(RNG.choice([3, 20], size=len(servers)), counts)
+        return servers, counts, RNG.integers(1, max_threads + 1)
+
+    def test_allocate_batch_bitwise_equals_allocate(self):
+        for _ in range(150):
+            servers, counts, threads = self.random_fleet()
+            lanes = int(counts.sum())
+            freq = np.where(
+                RNG.random(lanes) < 0.5,
+                np.array(self.GRID)[RNG.integers(len(self.GRID), size=lanes)],
+                RNG.uniform(1.2, 3.2, size=lanes),
+            )
+            activity = RNG.uniform(0.0, 1.0, size=lanes)
+
+            scale, power = FleetAllocator(servers).allocate_batch(
+                counts, threads, freq, activity
+            )
+            start = 0
+            for server, count, server_power in zip(
+                servers, counts.tolist(), power.tolist()
+            ):
+                lane = slice(start, start + count)
+                allocation = server.allocate(
+                    SessionDemand(f"s{i}", int(t), float(f), float(a))
+                    for i, (t, f, a) in enumerate(
+                        zip(threads[lane], freq[lane], activity[lane])
+                    )
+                )
+                assert server_power == allocation.total_power_w
+                assert scale[lane].tolist() == [allocation.contention_scale] * count
+                start += count
 
 
 class TestStateSpaceBatch:

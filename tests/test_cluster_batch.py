@@ -9,11 +9,14 @@ objects with plain ``==`` (dataclass equality → exact float equality).
 
 from __future__ import annotations
 
+import builtins
 import itertools
+import sys
 
+import numpy as np
 import pytest
 
-from engine_fixtures import run_batch
+from engine_fixtures import compensated_sum, run_batch
 from repro.cluster import (
     AlwaysAdmit,
     BatchStepper,
@@ -49,6 +52,7 @@ from repro.manager.factories import (
 )
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
+from repro.platform.dvfs import DvfsDriver
 from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
 from repro.platform.server import MulticoreServer
 from repro.platform.topology import CpuTopology
@@ -309,6 +313,24 @@ class TestOrchestratorBatchRun:
         assert list(scalar.power_samples) == list(batch.power_samples)
         assert scalar.steps == batch.steps
         assert scalar.summary() == batch.summary()
+
+    def test_driver_sized_unlike_its_server(self):
+        # The server reads only the driver's lowest frequency, so a driver
+        # built for fewer cores than the topology has steps on both engines.
+        def orchestrator():
+            server = MulticoreServer(
+                topology=CpuTopology(),
+                dvfs_driver=DvfsDriver(
+                    topology=CpuTopology(sockets=1, cores_per_socket=4)
+                ),
+            )
+            return Orchestrator(self.make_sessions(count=1, frames=30), server=server)
+
+        scalar = orchestrator().run()
+        batch = run_batch(orchestrator())
+        assert scalar.steps == batch.steps == 30
+        assert scalar.records_by_session == batch.records_by_session
+        assert list(scalar.power_samples) == list(batch.power_samples)
 
 
 class TestMixedModelParameters:
@@ -710,3 +732,39 @@ class TestEngineResume:
         assert scalar == batch
         # The cut leaves sessions between activations, holding frames.
         assert any(sums[-1] > 0 for sums, _ in batch.values())
+
+
+class TestCompensatedSum:
+    """The engines agree under Python 3.12's compensated ``sum()``.
+
+    ``compensated_sum`` copies 3.12's algorithm, so any interpreter can run
+    existing cross-engine scenarios with it patched in for the builtin.
+    """
+
+    def test_copy_compensates_floats_only(self):
+        assert compensated_sum([0.1] * 10) == 1.0
+        assert compensated_sum([1, 2, 3]) == 6
+        assert compensated_sum([0.5, 1, 0.25]) == 1.75
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 12), reason="compares with the 3.12 builtin"
+    )
+    def test_copy_equals_the_builtin(self):
+        rng = np.random.default_rng(312)
+        for _ in range(2000):
+            size = int(rng.integers(2, 40))
+            values = (rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)).tolist()
+            assert compensated_sum(values) == sum(values)
+
+    @pytest.mark.parametrize(
+        "owner, case",
+        [
+            (TestEngineEquivalence, "test_multi_video_playlists"),
+            (TestEngineEquivalence, "test_chip_wide_heuristic_controllers"),
+            (TestMixedModelParameters, "test_cluster_mixed_power_models"),
+        ],
+        ids=["multi-video-playlists", "chip-wide-heuristic", "mixed-power-models"],
+    )
+    def test_engines_agree(self, owner, case, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        getattr(owner(), case)()

@@ -27,10 +27,12 @@ Covers the contracts of the fault subsystem:
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 
 import pytest
 
+from engine_fixtures import compensated_sum
 from repro.cluster import (
     AutoscaleSignals,
     BrownoutController,
@@ -320,6 +322,11 @@ class TestDomainEquivalence:
         kinds = {event.kind for event in ra.fault_events}
         assert "zone_outage" in kinds
         assert "crash" in kinds
+
+    def test_single_zone_kill_under_compensated_sum(self, monkeypatch):
+        # Python 3.12's sum() must not split the engines either.
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        self.test_pinned_kill_schedules(ZONAL_KILL_A)
 
     def test_randomized_zonal_schedule(self):
         ca, ra, sa = run_cluster(

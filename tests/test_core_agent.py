@@ -123,12 +123,6 @@ class TestPhases:
             agent.update(S0, 0, 0.5, S0, [0, 0])
         assert agent.phase(S0, [0, 0]) is Phase.EXPLORATION
 
-    def test_phase_helpers(self):
-        assert Phase.EXPLORATION.is_random
-        assert not Phase.EXPLOITATION.is_random
-        assert Phase.EXPLOITATION.uses_chained_policy
-        assert not Phase.EXPLORATION_EXPLOITATION.uses_chained_policy
-
 
 class TestSelection:
     def test_greedy_picks_highest_q(self):
@@ -154,13 +148,6 @@ class TestSelection:
         agent = make_agent(num_actions=3, epsilon=0.0)
         agent.q_table.set(S0, 2, 1.0)
         assert agent.select_exploration_action(S0) == 2
-
-    def test_select_action_dispatch(self):
-        agent = make_agent(num_actions=3)
-        agent.q_table.set(S0, 1, 3.0)
-        assert agent.select_action(S0, Phase.EXPLORATION_EXPLOITATION) == 1
-        assert agent.select_action(S0, Phase.EXPLOITATION) == 1
-        assert agent.select_action(S0, Phase.EXPLORATION) in (0, 1, 2)
 
     def test_seed_reproducibility(self):
         a = make_agent(seed=7, epsilon=1.0)

@@ -94,12 +94,6 @@ class TestLearning:
         }
         assert entries_after == entries_before
 
-    def test_phase_summary_reports_every_agent(self, mamut_controller):
-        drive(mamut_controller, 100)
-        state = mamut_controller.state_space.discretize(obs())
-        phases = mamut_controller.phase_summary(state)
-        assert set(phases) == {QP_AGENT, THREAD_AGENT, DVFS_AGENT}
-
 
 class TestHistory:
     def test_history_disabled_by_default(self, mamut_controller):

@@ -92,20 +92,6 @@ class TestChains:
         assert schedule.next_activation(2) == ("dvfs", 8)
         assert schedule.next_activation(20) == ("qp", 24)
 
-    def test_activations_in_range(self, schedule):
-        activations = schedule.activations_in(0, 24)
-        assert activations == [
-            (0, "qp"),
-            (1, "threads"),
-            (2, "dvfs"),
-            (8, "dvfs"),
-            (13, "threads"),
-            (14, "dvfs"),
-            (20, "dvfs"),
-        ]
-        with pytest.raises(SchedulingError):
-            schedule.activations_in(10, 5)
-
 
 class TestValidation:
     def test_overlapping_slots_rejected(self):

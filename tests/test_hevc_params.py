@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.constants import QP_VALUES
 from repro.errors import EncodingError
 from repro.hevc.params import EncoderConfig, Preset
 
@@ -40,10 +39,6 @@ class TestEncoderConfig:
         assert config.threads == 4
         assert config.preset is Preset.ULTRAFAST
         assert config.wpp is True
-
-    def test_agent_qp_detection(self):
-        assert EncoderConfig(qp=QP_VALUES[0], threads=1).is_agent_qp
-        assert not EncoderConfig(qp=23, threads=1).is_agent_qp
 
     def test_replace(self):
         config = EncoderConfig(qp=32, threads=4)

@@ -98,22 +98,3 @@ class TestBitrate:
     def test_invalid_delivery_fps_raises(self, model):
         with pytest.raises(EncodingError):
             model.bitrate_mbps(frame_with(), EncoderConfig(qp=32, threads=1), 0.0)
-
-
-class TestHelpers:
-    def test_expected_psnr_range_ordering(self, model):
-        low, high = model.expected_psnr_range(22, 37)
-        assert low < high
-
-    def test_expected_psnr_range_invalid(self, model):
-        with pytest.raises(EncodingError):
-            model.expected_psnr_range(37, 22)
-
-    def test_mse_psnr_roundtrip(self, model):
-        for psnr in (30.0, 40.0, 50.0):
-            mse = RateDistortionModel.mse_from_psnr(psnr)
-            assert RateDistortionModel.psnr_from_mse(mse) == pytest.approx(psnr)
-
-    def test_psnr_from_invalid_mse(self, model):
-        with pytest.raises(EncodingError):
-            RateDistortionModel.psnr_from_mse(0.0)

@@ -24,10 +24,6 @@ class TestGeometry:
         assert model.ctu_cols(1920) == 30
         assert model.ctu_cols(832) == 13
 
-    def test_max_useful_threads_equals_rows(self, model):
-        assert model.max_useful_threads(1080) == 17
-        assert model.max_useful_threads(480) == 8
-
     def test_invalid_dimensions_raise(self, model):
         with pytest.raises(EncodingError):
             model.ctu_rows(0)

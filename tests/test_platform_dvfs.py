@@ -29,10 +29,6 @@ class TestDvfsDriver:
         assert driver.get_frequency(3) == pytest.approx(2.9)
         assert driver.get_frequency(4) == pytest.approx(driver.min_frequency_ghz)
 
-    def test_set_all(self, driver):
-        driver.set_all(2.3)
-        assert all(f == pytest.approx(2.3) for f in driver.frequencies().values())
-
     def test_unsupported_frequency_rejected(self, driver):
         with pytest.raises(DvfsError):
             driver.set_frequency(0, 2.0)
@@ -80,29 +76,11 @@ class TestSysfsFacade:
             str(int(f * 1e6)) for f in DEFAULT_AVAILABLE_FREQUENCIES_GHZ
         ]
 
-    def test_write_setspeed(self, driver):
-        driver.sysfs_write(
-            "/sys/devices/system/cpu/cpu1/cpufreq/scaling_setspeed", str(int(2.9e6))
-        )
-        assert driver.get_frequency(1) == pytest.approx(2.9)
-
-    def test_write_readonly_attribute_rejected(self, driver):
-        with pytest.raises(DvfsError):
-            driver.sysfs_write(
-                "/sys/devices/system/cpu/cpu1/cpufreq/scaling_cur_freq", "1600000"
-            )
-
     def test_malformed_paths_rejected(self, driver):
         with pytest.raises(DvfsError):
             driver.sysfs_read("/sys/devices/system/cpu/cpufreq/scaling_cur_freq")
         with pytest.raises(DvfsError):
             driver.sysfs_read("/sys/devices/system/cpu/cpuX/cpufreq/scaling_cur_freq")
-
-    def test_malformed_value_rejected(self, driver):
-        with pytest.raises(DvfsError):
-            driver.sysfs_write(
-                "/sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed", "fast"
-            )
 
     def test_unknown_attribute_rejected(self, driver):
         with pytest.raises(DvfsError):

@@ -28,25 +28,19 @@ class TestSessionDemand:
 class TestAllocation:
     def test_no_contention_below_core_count(self, server):
         allocation = server.allocate([demand(threads=10)])
-        assert allocation.contention_scale("s0") == pytest.approx(1.0)
+        assert allocation.contention_scale == pytest.approx(1.0)
         assert allocation.total_threads == 10
         assert not allocation.oversubscribed
 
     def test_contention_appears_with_smt_sharing(self, server):
         allocation = server.allocate([demand("a", 12), demand("b", 12)])
-        assert 0.5 < allocation.contention_scale("a") < 1.0
+        assert 0.5 < allocation.contention_scale < 1.0
         assert not allocation.oversubscribed
 
     def test_oversubscription_detected(self, server):
         allocation = server.allocate([demand("a", 20), demand("b", 20)])
         assert allocation.oversubscribed
-        assert allocation.contention_scale("a") < 0.8
-
-    def test_contention_is_uniform_across_sessions(self, server):
-        allocation = server.allocate([demand("a", 16), demand("b", 8)])
-        assert allocation.contention_scale("a") == pytest.approx(
-            allocation.contention_scale("b")
-        )
+        assert allocation.contention_scale < 0.8
 
     def test_duplicate_session_ids_rejected(self, server):
         with pytest.raises(AllocationError):
@@ -69,11 +63,6 @@ class TestAllocation:
         slow = server.allocate([demand(threads=10, frequency=1.6)]).total_power_w
         fast = server.allocate([demand(threads=10, frequency=3.2)]).total_power_w
         assert slow < fast
-
-    def test_session_power_shares_sum_to_total(self, server):
-        allocation = server.allocate([demand("a", 10), demand("b", 6, 2.3)])
-        share_sum = sum(s.power_w for s in allocation.sessions.values())
-        assert share_sum == pytest.approx(allocation.total_power_w, rel=1e-6)
 
     def test_chip_wide_policy_burns_more_power_when_cores_idle(self):
         per_core = MulticoreServer(dvfs_policy=DvfsPolicy.PER_CORE)
@@ -103,14 +92,6 @@ class TestAllocation:
         ).total_power_w
         assert 75.0 <= light <= 110.0
         assert 105.0 <= heavy <= 145.0
-
-    def test_driver_mirrors_allocation(self, server):
-        server.allocate([demand("a", 4, 2.9), demand("b", 2, 1.6)])
-        freqs = server.dvfs.frequencies()
-        assert [freqs[i] for i in range(4)] == [pytest.approx(2.9)] * 4
-        assert [freqs[i] for i in range(4, 6)] == [pytest.approx(1.6)] * 2
-        # Remaining cores are parked at the minimum frequency (per-core policy).
-        assert freqs[10] == pytest.approx(server.dvfs.min_frequency_ghz)
 
     def test_busy_plus_idle_cores_equals_topology(self, server):
         allocation = server.allocate([demand(threads=5)])
