@@ -17,11 +17,16 @@ NumPy evaluation per cluster step:
    averaging, :meth:`~repro.core.states.StateSpace.discretize_batch`,
    :meth:`~repro.core.states.StateSpace.state_index_batch` and
    :meth:`~repro.core.rewards.RewardFunction.total_batch` run across all of
-   them in one shot before the grouped per-agent Q updates and action
-   selections are applied session by session, each agent receiving its
-   dense integer state directly (each session's exploration RNG draws stay
-   in its own scalar order).  Every other controller is asked per session
-   via :meth:`~repro.manager.session.TranscodingSession.decide`.
+   them in one shot.  The learning step then runs as one
+   :meth:`~repro.core.mamut.MamutBatch.activate` call: the pending Q
+   updates, Eq. 3, the phase test and both candidate sets are array
+   operations over the agents' shared
+   :class:`~repro.core.store.LearningStore` pools, and only each agent's
+   own ``random()``/``choice()`` draws (and Algorithm 1 for an agent in
+   exploitation) stay per session, in the scalar order.  The driver reads
+   its lanes' decisions from the action indices the activation keeps, so
+   no ``Decision`` is built for them.  Every other controller is asked per
+   session via :meth:`~repro.manager.session.TranscodingSession.decide`.
 2. **Evaluate** — three calls, each the batch form of what the scalar
    engine calls per session or per server:
    :meth:`~repro.hevc.transcoder.Transcoder.activity_factor_batch` per lane
@@ -53,19 +58,21 @@ engine — same frame records, same power samples, same admission ledger, same
 evaluates the same IEEE-754 operations in the same order as its scalar form,
 each server's sum of session powers included (transcendental factors go
 through per-QP lookup tables shared between the two forms;
-``tests/test_batch_models.py`` pins every pair the engine calls), and the
-per-server duration sum is taken in the scalar engine's order.  Fault
+``tests/test_batch_models.py`` pins every pair the engine calls, and
+``tests/test_core_store.py`` the learning step's), and the per-server
+duration sum is taken in the scalar engine's order.  Fault
 injection preserves the guarantee: fault draws, session salvage and retries
 all happen in orchestrator code outside the stepper, and a crash or recovery
 changes the live roster exactly like an autoscaling resize — the stepper is
 dropped and rebuilt over the surviving fleet.  Nothing needs writing back
 when a stepper is dropped: every session's state, its controller's
-observation window included, lives on the session and controller, and the
-stepper keeps only caches it re-reads when it is built.  Checkpointed
-resumes need no special handling either: a replacement session constructed
-mid-video (``TranscodingSession(start_frame_index=...)``) joins a rebuilt
-stepper like any other, because lanes read ``session.frame_index`` and
-``session.step`` fresh at every step.  The equivalence is enforced by
+observation window included, lives on the session and controller (what the
+agents learn lives in their learning store, which the scalar engine uses
+too), and the stepper keeps only caches it re-reads when it is built.
+Checkpointed resumes need no special handling either: a replacement session
+constructed mid-video (``TranscodingSession(start_frame_index=...)``) joins a
+rebuilt stepper like any other, because lanes read ``session.frame_index``
+and ``session.step`` fresh at every step.  The equivalence is enforced by
 ``tests/test_cluster_batch.py``, ``tests/test_cluster_faults.py`` and
 ``tests/test_cluster_domains.py``.
 
@@ -85,10 +92,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.mamut import MamutController
+from repro.core.mamut import AGENT_NAMES, MamutBatch, MamutController
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.metrics.records import FrameRecord, PowerSample
+from repro.numeric import ordered_sum
 from repro.platform.server import FleetAllocator
 from repro.telemetry.profiler import NULL_PROFILER
 
@@ -217,39 +225,37 @@ def _schedule_pattern(schedule) -> tuple[int, tuple[str, ...], np.ndarray]:
 
 
 class _MamutDriver:
-    """Fleet-wide vectorized activation engine for stock MAMUT controllers.
+    """Fleet-wide activation engine for stock MAMUT controllers.
 
     The scalar engine walks every MAMUT session's whole learning path in
     Python each frame (schedule lookup, averaging, discretisation, reward,
-    Eq. 3, Q update).  The driver looks up the schedule for all its lanes at
-    once, reads the observation windows of the controllers whose agent is
-    due, and performs the averaging,
+    Eq. 3, Q update, phase, action choice).  The driver looks up the
+    schedule for all its lanes at once, reads the observation windows of
+    the controllers whose agent is due, and performs the averaging,
     :meth:`~repro.core.states.StateSpace.discretize_batch`,
     :meth:`~repro.core.states.StateSpace.state_index_batch` and
     :meth:`~repro.core.rewards.RewardFunction.total_batch` (bitwise the
     scalar path's rewards) across *all* activating sessions at once —
     grouped by identical (state space, reward config) parameters so
-    heterogeneous fleets still vectorize.  The remaining
-    per-session work — the grouped-per-agent Q updates and the action
-    selection, whose exploration randomness must consume each session's RNG
-    in its own scalar order — goes through
-    :meth:`~repro.core.mamut.MamutController.apply_external_activation`,
-    which takes the dense state index as it is and empties the window.
+    heterogeneous fleets still vectorize.  The learning step itself — the
+    pending Q updates, Eq. 3, the phase test, both candidate sets and each
+    agent's own random draws — is one
+    :meth:`~repro.core.mamut.MamutBatch.activate` call, which groups the
+    lanes by learning-store pool and empties the windows.
 
-    The windows stay on the controllers (sessions fill them at commit), so
-    the driver holds only caches it re-reads from the sessions and
-    controllers when it is built: each lane's step count, its current
-    decision and the grouping tables.  It can be dropped at any step.
+    The windows stay on the controllers (sessions fill them at commit) and
+    everything the agents learn stays in their store, so the driver holds
+    only caches it re-reads when it is built: each lane's step count, the
+    :class:`~repro.core.mamut.MamutBatch` (each agent's pool and slot, and
+    each controller's current action indices and values) and the grouping
+    tables.  It can be dropped at any step.
     """
 
     __slots__ = (
         "positions",
         "controllers",
         "steps",
-        "qp",
-        "threads",
-        "freq",
-        "agent_names",
+        "batch",
         "schedule_groups",
         "vgid",
         "vector_members",
@@ -264,20 +270,10 @@ class _MamutDriver:
         self.steps = np.array(
             [lanes[i].session.step for i in positions], dtype=np.int64
         )
-
-        self.qp = np.empty(count, dtype=np.int64)
-        self.threads = np.empty(count, dtype=np.int64)
-        self.freq = np.empty(count)
-        for k, ctl in enumerate(self.controllers):
-            decision = ctl.current_decision()
-            self.qp[k] = decision.qp
-            self.threads[k] = decision.threads
-            self.freq[k] = decision.frequency_ghz
+        self.batch = MamutBatch(self.controllers)
 
         # Activation tables: lanes sharing a schedule are looked up together,
-        # with local agent ids remapped onto one fleet-wide name registry.
-        self.agent_names: list[str] = []
-        name_gid: dict[str, int] = {}
+        # with each schedule's local agent ids remapped onto AGENT_NAMES.
         by_schedule: dict[tuple, list] = {}
         for k, ctl in enumerate(self.controllers):
             key = tuple(
@@ -287,19 +283,10 @@ class _MamutDriver:
             entry = by_schedule.get(key)
             if entry is None:
                 hyper, names, pattern = _schedule_pattern(ctl.schedule)
-                gids = []
-                for name in names:
-                    gid = name_gid.get(name)
-                    if gid is None:
-                        gid = len(self.agent_names)
-                        name_gid[name] = gid
-                        self.agent_names.append(name)
-                    gids.append(gid)
+                gids = np.array([AGENT_NAMES.index(name) for name in names], dtype=np.int64)
                 global_pattern = np.full_like(pattern, -1)
                 scheduled = pattern >= 0
-                global_pattern[scheduled] = np.array(gids, dtype=np.int64)[
-                    pattern[scheduled]
-                ]
+                global_pattern[scheduled] = gids[pattern[scheduled]]
                 entry = [hyper, global_pattern, []]
                 by_schedule[key] = entry
             entry[2].append(k)
@@ -354,14 +341,14 @@ class _MamutDriver:
         # the sessions accumulated in arrival order — bitwise the scalar
         # averages.
         windows = [controllers[j].window for j in acting]
-        sums = np.array(
-            [(w.fps, w.psnr_db, w.bitrate_mbps, w.power_w) for w in windows]
-        )
-        counts = np.array([w.count for w in windows], dtype=np.int64)
-        avg_fps, avg_psnr, avg_bitrate, avg_power = (sums / counts[:, None]).T
+        counts = np.array([w.count for w in windows], dtype=np.float64)
+        avg_fps = np.array([w.fps for w in windows]) / counts
+        avg_psnr = np.array([w.psnr_db for w in windows]) / counts
+        avg_bitrate = np.array([w.bitrate_mbps for w in windows]) / counts
+        avg_power = np.array([w.power_w for w in windows]) / counts
 
         rewards = np.empty(len(pos))
-        state_array = np.empty(len(pos), dtype=np.int64)
+        states = np.empty(len(pos), dtype=np.int64)
         vgid = self.vgid[pos]
         for gid, (space, reward_function) in enumerate(self.vector_members):
             mask = vgid == gid
@@ -376,25 +363,11 @@ class _MamutDriver:
                 avg_bitrate[mask],
                 avg_power[mask],
             )
-            state_array[mask] = space.state_index_batch(bins)
-        # Dense state indices as Python ints: the agents' native state form.
-        states = state_array.tolist()
+            states[mask] = space.state_index_batch(bins)
 
-        # Grouped per-agent Q updates + action selections.  Sessions only
-        # ever touch their own agents and RNGs, so the cross-session order
-        # is free; within each group lanes are visited in roster order.
-        act_ids = agent_id[pos]
-        for gid, name in enumerate(self.agent_names):
-            for k in np.nonzero(act_ids == gid)[0]:
-                j = acting[k]
-                controller = controllers[j]
-                controller.apply_external_activation(
-                    name, int(self.steps[j]), states[k], float(rewards[k])
-                )
-                decision = controller.current_decision()
-                self.qp[j] = decision.qp
-                self.threads[j] = decision.threads
-                self.freq[j] = decision.frequency_ghz
+        self.batch.activate(
+            pos, agent_id[pos], self.steps[pos].tolist(), states, rewards
+        )
 
 
 class BatchStepper:
@@ -538,10 +511,11 @@ class BatchStepper:
             threads = np.empty(n, dtype=np.int64)
             freq = np.empty(n)
             if self._driver is not None:
-                driver = self._driver
-                qp[driver.positions] = driver.qp
-                threads[driver.positions] = driver.threads
-                freq[driver.positions] = driver.freq
+                positions = self._driver.positions
+                # One value array per agent, in AGENT_NAMES order.
+                qp[positions], threads[positions], freq[positions] = (
+                    self._driver.batch.values
+                )
             for i in self._legacy_pos:
                 decision = lanes[i].session.decide()
                 qp[i] = decision.qp
@@ -636,7 +610,7 @@ class BatchStepper:
                                 getattr(lane, name)
                             )
 
-                duration = sum(time_l[start:end]) / count
+                duration = ordered_sum(time_l[start:end]) / count
                 samples.append(PowerSample(step, total_power, duration, count))
 
             if self._driver is not None:

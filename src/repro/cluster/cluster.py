@@ -101,6 +101,7 @@ from repro.metrics.records import (
     PowerSample,
     ScalingEvent,
 )
+from repro.numeric import ordered_sum
 from repro.platform.server import MulticoreServer
 from repro.telemetry.config import Telemetry, resolve_telemetry
 from repro.telemetry.metrics import QUEUE_WAIT_EDGES
@@ -1740,7 +1741,7 @@ class ClusterOrchestrator:
             self._m_draining.set(sample.draining_servers)
             self._m_active.set(sample.active_sessions)
             self._m_brownout.set(sample.brownout_level)
-            self._m_power.set(sum(slot.last_power_w for slot in self._live))
+            self._m_power.set(ordered_sum(slot.last_power_w for slot in self._live))
             self._m_frames.inc(frames)
             self._m_violations.inc(violations)
         # SLO evaluation precedes the recorder snapshot so each step's row

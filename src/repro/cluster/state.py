@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterator, Mapping, Optional
 
+from repro.numeric import ordered_sum
+
 __all__ = ["ServerSnapshot", "ClusterSnapshot"]
 
 
@@ -185,7 +187,7 @@ class ClusterSnapshot:
     @property
     def dispatchable_power_w(self) -> float:
         """Sum of the dispatchable servers' most recent package powers."""
-        return sum(server.last_power_w for server in self.servers)
+        return ordered_sum(server.last_power_w for server in self.servers)
 
     @property
     def fleet_power_w(self) -> float:
@@ -201,7 +203,7 @@ class ClusterSnapshot:
     @property
     def fleet_idle_power_w(self) -> float:
         """Power the fleet would draw with every server idle."""
-        return sum(server.idle_power_w for server in self.servers)
+        return ordered_sum(server.idle_power_w for server in self.servers)
 
     @property
     def total_last_active_sessions(self) -> int:

@@ -7,6 +7,9 @@ This package implements the paper's contribution:
 * the reward functions of Sec. III-D (Eq. 1-2 plus constraint penalties);
 * the learning-rate function of Sec. IV-B (Eq. 3) and the three learning
   phases of Sec. IV-A/IV-C;
+* the learning store that holds what every agent learns (Q-values, visit
+  and action counts, transitions), with a scalar and a batch form of each
+  learning step;
 * the agent activation sequence of Fig. 3;
 * the chained expected-Q exploitation policy of Algorithm 1;
 * :class:`~repro.core.mamut.MamutController`, which ties the three agents
@@ -27,6 +30,7 @@ from repro.core.rewards import RewardConfig, RewardFunction, RewardBreakdown
 from repro.core.qtable import QTable
 from repro.core.transitions import TransitionModel
 from repro.core.learning_rate import LearningRateFunction
+from repro.core.store import LearningStore
 from repro.core.phases import Phase
 from repro.core.agent import QLearningAgent
 from repro.core.schedule import AgentSchedule, AgentSlot
@@ -56,6 +60,7 @@ __all__ = [
     "QTable",
     "TransitionModel",
     "LearningRateFunction",
+    "LearningStore",
     "Phase",
     "QLearningAgent",
     "AgentSchedule",

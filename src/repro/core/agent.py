@@ -1,18 +1,26 @@
 """Q-learning agent: one design-space subset, one Q-table.
 
 A :class:`QLearningAgent` owns an action subset (QP values, thread counts, or
-frequencies), its Q-table, its empirical transition model (whose per-pair
-totals are the per-(state, action) visit counts), per-action visit counters,
-and the learning-rate function of Eq. 3.  States are the dense integers of
+frequencies), a slot of a :class:`~repro.core.store.LearningStore` pool and
+its own random generator.  The slot holds everything the agent learns: its
+Q-table, its empirical transition model (whose per-pair totals are the
+per-(state, action) visit counts), its per-action visit counters and their
+extremes; :attr:`~QLearningAgent.q_table` and
+:attr:`~QLearningAgent.transitions` are views of it, and the learning
+constants (``gamma``, Eq. 3, the exploration probability) are the pool's.
+States are the dense integers of
 :meth:`~repro.core.states.StateSpace.state_index`.
 The multi-agent coordination (who acts when, chained exploitation, reward
 distribution) lives in :mod:`repro.core.mamut`; the agent itself only knows
-how to pick actions for a given phase and how to apply the Q update.
+how to pick actions for a given phase and how to apply the Q update.  The
+batch forms of the update, the phase test and the candidate sets are
+:class:`~repro.core.store.AgentPool` methods; only the draws from each
+agent's generator stay per agent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +30,7 @@ from repro.core.learning_rate import LearningRateFunction, LearningRateParameter
 from repro.core.phases import Phase
 from repro.core.qtable import QTable
 from repro.core.states import StateSpace
+from repro.core.store import LearningStore
 from repro.core.transitions import TransitionModel
 from repro.errors import LearningError
 
@@ -59,6 +68,10 @@ class QLearningAgent:
         integer, which addresses the Q-table rows, the transition counts and
         the visit counters.  Persistence uses the space to write states as
         bin tuples.
+    store:
+        The store whose pool keeps what the agent learns (a controller
+        factory passes its own, shared by every controller it builds);
+        ``None`` gives the agent a private store.
     """
 
     def __init__(
@@ -70,6 +83,7 @@ class QLearningAgent:
         seed: int = 0,
         exploration_epsilon: float = 0.25,
         state_space: StateSpace = StateSpace(),
+        store: LearningStore | None = None,
     ) -> None:
         if not 0.0 <= gamma < 1.0:
             raise LearningError(f"gamma must be in [0, 1), got {gamma}")
@@ -79,25 +93,35 @@ class QLearningAgent:
             )
         self.name = name
         self.actions = actions
-        self.gamma = float(gamma)
-        self.exploration_epsilon = float(exploration_epsilon)
-        self.learning_rate = LearningRateFunction(learning_rate_params)
         self.state_space = state_space
-        self.q_table = QTable(len(actions), state_space.size)
+        store = store if store is not None else LearningStore()
+        self.pool = store.pool(
+            actions.values,
+            state_space.size,
+            gamma=gamma,
+            learning_rate_params=learning_rate_params,
+            exploration_epsilon=exploration_epsilon,
+        )
+        self.slot = self.pool.add_slot()
+        self.q_table = QTable.view(self.pool, self.slot)
         #: Also holds Num(s, a), as each pair's transition total.
-        self.transitions = TransitionModel(len(actions), state_space.size)
+        self.transitions = TransitionModel.view(self.pool, self.slot)
         self._rng = np.random.default_rng(seed)
 
-        #: Num(a): how often each action has been taken overall (any state).
-        self._action_counts: Dict[int, int] = {a: 0 for a in actions.indices()}
-        # Caches over the counters, so the per-activation hot path (Eq. 3 and
-        # the phase test, which only need extremes of the counters) is O(1)
-        # instead of O(actions) / O(peers * actions).  ``None`` marks the
-        # running min as stale (recomputed lazily on the next read).
-        self._min_action_count: int | None = 0
-        #: max_a Num(s, a) per state — the visit count whose Eq. 3 learning
-        #: rate is the *smallest* over the state's actions.
-        self._state_max_counts: Dict[int, int] = {}
+    @property
+    def gamma(self) -> float:
+        """Discount factor of the Q update."""
+        return self.pool.gamma
+
+    @property
+    def exploration_epsilon(self) -> float:
+        """Probability of a least-tried pick in the exploration phase."""
+        return self.pool.exploration_epsilon
+
+    @property
+    def learning_rate(self) -> LearningRateFunction:
+        """Eq. 3 and the phase thresholds."""
+        return self.pool.learning_rate
 
     # -- counters ------------------------------------------------------------------
 
@@ -107,30 +131,30 @@ class QLearningAgent:
 
     def action_count(self, action: int) -> int:
         """``Num(a)``: total times this agent has taken the given action."""
-        return self._action_counts[action]
+        if not 0 <= action < len(self.actions):
+            raise LearningError(
+                f"action index {action} out of range [0, {len(self.actions)})"
+            )
+        return int(self.pool.action_counts[self.slot, action])
 
     def min_action_count(self) -> int:
         """``min_a Num(a)`` — the least-tried action count of this agent.
 
         This is the quantity peers plug into the second term of Eq. 3.  The
-        running minimum is cached and only recomputed after an update bumped
-        a least-tried action (peers read it on every one of their
-        activations, so the naive O(actions) min was a per-frame cost).
+        pool keeps it up to date on every write, so reading it is O(1).
         """
-        if self._min_action_count is None:
-            self._min_action_count = min(self._action_counts.values())
-        return self._min_action_count
+        return self.pool.min_action_count(self.slot)
 
     def max_state_count(self, state: int) -> int:
         """``max_a Num(s, a)`` — the most-tried action count in ``state``."""
-        num_states = self.q_table.num_states
-        if not 0 <= state < num_states:
-            raise LearningError(f"state index {state} out of range [0, {num_states})")
-        return self._state_max_counts.get(state, 0)
+        return self.pool.max_state_count(self.slot, state)
 
     def known_states(self) -> set[int]:
         """States in which this agent has taken at least one action."""
-        return set(self._state_max_counts)
+        pool = self.pool
+        states = pool.states_of(self.slot)
+        rows = pool.row_of[self.slot, states]
+        return set(states[pool.row_max[rows] > 0].tolist())
 
     # -- learning rate / phase --------------------------------------------------------
 
@@ -149,24 +173,12 @@ class QLearningAgent:
         Both conditions also require the peers' action coverage through the
         second term of Eq. 3: as long as another agent still has untried
         actions, the learning rate cannot fall below the thresholds.  A state
-        never seen before is in EXPLORATION by construction; phases are
-        re-evaluated on every activation, so a state can fall back to
-        exploration when the peer statistics change.
-
-        The smallest per-action learning rate is evaluated directly at the
-        state's most-tried action count instead of recomputing Eq. 3 for
-        every action: the own-visit term is non-increasing in ``Num(s, a)``
-        and the peer term is the same for all actions, and IEEE addition,
-        division and the ``min(1, .)`` clamp are monotone, so the alpha of
-        the max-count action is bitwise the minimum of the per-action alphas
-        (``tests/test_core_agent.py`` pins this against the brute force).
+        never seen before is in EXPLORATION by construction (Eq. 3 gives 1.0
+        for a pair never tried); phases are re-evaluated on every
+        activation, so a state can fall back to exploration when the peer
+        statistics change.  See :meth:`~repro.core.store.AgentPool.phase`.
         """
-        best = self.learning_rate.alpha(self.max_state_count(state), peer_min_counts)
-        if self.learning_rate.below_exploitation_threshold(best):
-            return Phase.EXPLOITATION
-        if self.learning_rate.below_exploration_threshold(best):
-            return Phase.EXPLORATION_EXPLOITATION
-        return Phase.EXPLORATION
+        return self.pool.phase(self.slot, state, peer_min_counts)
 
     # -- action selection ---------------------------------------------------------------
 
@@ -185,12 +197,7 @@ class QLearningAgent:
         the run-time traces of the paper's Fig. 5).
         """
         if self._rng.random() < self.exploration_epsilon:
-            counts = [self.state_action_count(state, a) for a in self.actions.indices()]
-            min_count = min(counts)
-            candidates = [
-                a for a, c in zip(self.actions.indices(), counts) if c == min_count
-            ]
-            return int(self._rng.choice(candidates))
+            return int(self._rng.choice(self.pool.least_tried(self.slot, state)))
         return self.select_greedy_action(state, current=current)
 
     def select_greedy_action(self, state: int, current: int | None = None) -> int:
@@ -202,9 +209,7 @@ class QLearningAgent:
         equally good, which is common before a state has been learned —
         and uniformly at random otherwise.
         """
-        values = self.q_table.action_values(state)
-        best_value = max(values)
-        candidates = [a for a, v in enumerate(values) if v == best_value]
+        candidates = self.pool.greedy(self.slot, state)
         if current is not None and current in candidates:
             return current
         return int(self._rng.choice(candidates))
@@ -226,49 +231,44 @@ class QLearningAgent:
         learning rate, so the very first update of a pair uses
         ``beta / 1 + ...`` exactly as Eq. 3 prescribes.
         """
-        action = int(action)
-        pair_count = self.transitions.record(state, action, next_state)
-        if pair_count > self._state_max_counts.get(state, 0):
-            self._state_max_counts[state] = pair_count
-        previous = self._action_counts[action]
-        self._action_counts[action] = previous + 1
-        if self._min_action_count is not None and previous == self._min_action_count:
-            # A least-tried action was bumped; the min may have risen.
-            self._min_action_count = None
-
-        alpha = self.learning_rate.alpha(pair_count, peer_min_counts)
-        target = reward + self.gamma * self.q_table.max_value(next_state)
-        self.q_table.update_towards(state, action, target, alpha)
-        return alpha
+        return self.pool.update(
+            self.slot, state, int(action), reward, next_state, peer_min_counts
+        )
 
     def copy_learned_state(self, source: QLearningAgent) -> None:
         """Replace what this agent has learned with a copy of ``source``'s.
 
         The Q-table, the transition counts (and with them ``Num(s, a)``)
-        and ``Num(a)`` are copied, not merged: whatever this agent knew
-        before is gone.  Its RNG and learning constants stay its own.  The
+        and ``Num(a)`` are copied into this agent's own slot, not merged:
+        whatever this agent knew before is gone.  ``source`` may live in
+        another store.  Its RNG and learning constants stay its own.  The
         two agents must have equal action values and index the same dense
         states.
         """
-        self.q_table = source.q_table.copy()
-        self.transitions = source.transitions.copy()
-        self._action_counts = dict(source._action_counts)
-        self.rebuild_count_caches()
+        self.pool.copy_slot(self.slot, source.pool, source.slot)
 
-    def rebuild_count_caches(self) -> None:
-        """Recompute the counter caches from the raw counters.
+    def load_learned_state(
+        self,
+        q_values: Mapping[tuple[int, int], float],
+        transitions: Mapping[tuple[int, int], Mapping[int, int]],
+        action_counts: Sequence[int],
+    ) -> None:
+        """Replace what this agent has learned with the given state.
 
-        Callers that write ``_action_counts`` or record transitions directly
-        (persistence restore, tests poking internals) must call this
-        afterwards, or :meth:`min_action_count` and :meth:`phase` would read
-        stale cached extremes.
+        ``q_values`` maps (state, action) pairs to stored Q-values,
+        ``transitions`` maps pairs to their next states' counts (in
+        first-seen order; their sums become ``Num(s, a)``), and
+        ``action_counts`` is ``Num(a)`` per action index.  Persistence
+        restores through this method.
         """
-        self._min_action_count = None
-        self._state_max_counts = {}
-        for state, action in self.transitions.visited_pairs():
-            count = self.transitions.total(state, action)
-            if count > self._state_max_counts.get(state, 0):
-                self._state_max_counts[state] = count
+        pool, slot = self.pool, self.slot
+        pool.clear_slot(slot)
+        for (state, action), value in q_values.items():
+            pool.set_q(slot, state, action, value)
+        for (state, action), observed in transitions.items():
+            for next_state, count in observed.items():
+                pool.record(slot, state, action, next_state, count)
+        pool.set_action_counts(slot, action_counts)
 
     # -- diagnostics ------------------------------------------------------------------------
 

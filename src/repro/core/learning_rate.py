@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
+import numpy as np
+
 from repro.constants import (
     DEFAULT_ALPHA_TH1,
     DEFAULT_ALPHA_TH2,
@@ -72,8 +74,8 @@ class LearningRateFunction:
         ----------
         own_visits:
             ``Num(s, a)`` — how many times this agent has taken this action in
-            this state (0 means the pair has never been tried; the result is
-            then clamped to 1.0, i.e. a full update on first visit).
+            this state.  0 means the pair has never been tried: the first
+            term ``beta / 0`` is unbounded, so the result is clamped to 1.0.
         peer_min_action_counts:
             For every *other* agent ``j``, the value
             ``min_{a in A_j} Num_j(a)`` — the least-tried action count of that
@@ -84,10 +86,30 @@ class LearningRateFunction:
             raise ConfigurationError(f"own_visits must be >= 0, got {own_visits}")
         if any(c < 0 for c in peer_min_action_counts):
             raise ConfigurationError("peer action counts must be >= 0")
+        if own_visits == 0:
+            # beta / 0 is unbounded, so the min(1, .) clamp gives a full step.
+            return 1.0
         p = self.params
-        own_term = p.beta if own_visits == 0 else p.beta / own_visits
         peer_term = p.beta_prime / (1.0 + sum(peer_min_action_counts))
-        return min(1.0, own_term + peer_term)
+        return min(1.0, p.beta / own_visits + peer_term)
+
+    def alpha_batch(self, own_visits: np.ndarray, peer_sum: np.ndarray) -> np.ndarray:
+        """:meth:`alpha` over arrays of pairs.
+
+        ``peer_sum[i]`` is the exact integer sum of the peer minima that
+        :meth:`alpha` receives as ``peer_min_action_counts``; every other
+        operation is the scalar form's, in its order, so each result is
+        bitwise the scalar one (a pair never visited gets 1.0 as well).
+        """
+        if len(own_visits) and own_visits.min() < 0:
+            raise ConfigurationError(f"own_visits must be >= 0, got {own_visits!r}")
+        if len(peer_sum) and peer_sum.min() < 0:
+            raise ConfigurationError("peer action counts must be >= 0")
+        p = self.params
+        peer_term = p.beta_prime / (1.0 + peer_sum)
+        with np.errstate(divide="ignore"):
+            # beta / 0 = inf, which the clamp turns into 1.0.
+            return np.minimum(1.0, p.beta / own_visits + peer_term)
 
     # -- phase thresholds --------------------------------------------------------
 

@@ -15,12 +15,23 @@ per-frame operation is:
    Algorithm 1 (exploitation, falling back to own-greedy when the following
    agents are not in exploitation yet);
 4. fold the chosen action into the running (QP, threads, frequency) decision.
+
+Everything the agents learn lives in a
+:class:`~repro.core.store.LearningStore`, shared by every controller a
+factory builds.  :meth:`MamutController.apply_external_activation` runs one
+activation of one controller (the scalar engine's path, via
+:meth:`MamutController.decide`); :class:`MamutBatch` runs the same
+activation for many controllers at once, with the pending updates, Eq. 3,
+the phase test and both candidate sets as array operations per pool and
+only each agent's own random draws per session.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.core.agent import QLearningAgent
 from repro.core.config import MamutConfig
@@ -29,15 +40,18 @@ from repro.core.exploitation import expected_q_action
 from repro.core.phases import Phase
 from repro.core.rewards import RewardFunction
 from repro.core.states import SystemState
+from repro.core.store import PHASES, LearningStore
 from repro.errors import LearningError
 from repro.platform.dvfs import DvfsPolicy
 
-__all__ = ["AgentActivation", "MamutController"]
+__all__ = ["AgentActivation", "MamutBatch", "MamutController"]
 
 #: Names of the three agents, also used by the default schedule.
 QP_AGENT = "qp"
 THREAD_AGENT = "threads"
 DVFS_AGENT = "dvfs"
+#: The agents of every controller, in the order of ``MamutController.agents``.
+AGENT_NAMES = (QP_AGENT, THREAD_AGENT, DVFS_AGENT)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,15 +86,6 @@ class AgentActivation:
     reward: Optional[float]
 
 
-@dataclasses.dataclass
-class _PendingUpdate:
-    """Bookkeeping for an action whose consequences are not yet credited."""
-
-    agent_name: str
-    state: int
-    action_index: int
-
-
 class MamutController(Controller):
     """Multi-agent run-time manager for one transcoding session.
 
@@ -90,11 +95,17 @@ class MamutController(Controller):
         Action sets, reward shaping, state space, learning constants and the
         activation schedule.  Use :meth:`MamutConfig.for_request` to derive a
         configuration from a :class:`~repro.video.request.TranscodingRequest`.
+    store:
+        Where the three agents keep what they learn; a controller factory
+        passes the store it shares between all its controllers.  ``None``
+        gives each agent a private one.
     """
 
     dvfs_policy = DvfsPolicy.PER_CORE
 
-    def __init__(self, config: MamutConfig | None = None) -> None:
+    def __init__(
+        self, config: MamutConfig | None = None, store: LearningStore | None = None
+    ) -> None:
         super().__init__()
         self.config = config if config is not None else MamutConfig()
         self.state_space = self.config.state_space
@@ -110,6 +121,7 @@ class MamutController(Controller):
                 seed=self.config.seed,
                 exploration_epsilon=self.config.exploration_epsilon,
                 state_space=self.state_space,
+                store=store,
             ),
             THREAD_AGENT: QLearningAgent(
                 THREAD_AGENT,
@@ -119,6 +131,7 @@ class MamutController(Controller):
                 seed=self.config.seed + 1,
                 exploration_epsilon=self.config.exploration_epsilon,
                 state_space=self.state_space,
+                store=store,
             ),
             DVFS_AGENT: QLearningAgent(
                 DVFS_AGENT,
@@ -128,8 +141,12 @@ class MamutController(Controller):
                 seed=self.config.seed + 2,
                 exploration_epsilon=self.config.exploration_epsilon,
                 state_space=self.state_space,
+                store=store,
             ),
         }
+        #: Each agent's pool and slot, in AGENT_NAMES order; fixed for life.
+        self.agent_pools = tuple(agent.pool for agent in self.agents.values())
+        self.agent_slots = tuple(agent.slot for agent in self.agents.values())
         for name in self.schedule.agent_names:
             if name not in self.agents:
                 raise LearningError(
@@ -144,7 +161,9 @@ class MamutController(Controller):
                 self.config.initial_frequency_ghz
             ),
         }
-        self._pending: Optional[_PendingUpdate] = None
+        # (agent name, state, action index) of the action whose consequences
+        # the next activation credits.
+        self._pending: Optional[tuple[str, int, int]] = None
         self.history: list[AgentActivation] = []
         # chain_after(frame) only depends on frame % hyper_period; exploitation
         # activations hit it every time, so memoise per congruence class.
@@ -210,18 +229,11 @@ class MamutController(Controller):
         """Run one activation whose observation window was averaged externally.
 
         This is :meth:`_activate` with the averaging, discretisation and
-        reward evaluation hoisted out: the batch stepping engine
-        (:mod:`repro.cluster.batch`) reads the windows of every activating
-        session and computes ``current_state`` — the dense
-        :meth:`~repro.core.states.StateSpace.state_index` integer, via
-        :meth:`~repro.core.states.StateSpace.discretize_batch` and
-        :meth:`~repro.core.states.StateSpace.state_index_batch` — and
-        ``reward_value`` (via
-        :meth:`~repro.core.rewards.RewardFunction.total_batch`, bitwise the
-        scalar reward) for all of them in one vectorized shot, then calls
-        this per session — in the session's own order, so exploration RNG
-        draws, Q updates and history stay identical to the scalar path.
-        The window, now consumed, is emptied.
+        reward evaluation hoisted out; ``current_state`` is the dense
+        :meth:`~repro.core.states.StateSpace.state_index` integer.  It is
+        the scalar form of :meth:`MamutBatch.activate`, which the batch
+        stepping engine (:mod:`repro.cluster.batch`) runs for all its
+        activating sessions at once.  The window, now consumed, is emptied.
         ``reward_value`` is ignored when no update is pending (the caller
         may compute it unconditionally).
         """
@@ -230,13 +242,13 @@ class MamutController(Controller):
 
         if self._pending is not None:
             reward = reward_value
-            pending_agent = self.agents[self._pending.agent_name]
-            pending_agent.update(
-                self._pending.state,
-                self._pending.action_index,
+            pending_name, pending_state, pending_action = self._pending
+            self.agents[pending_name].update(
+                pending_state,
+                pending_action,
                 reward,
                 current_state,
-                self._peer_min_counts(self._pending.agent_name),
+                self._peer_min_counts(pending_name),
             )
 
         agent = self.agents[agent_name]
@@ -244,9 +256,7 @@ class MamutController(Controller):
         action_index = self._select_action(agent_name, agent, current_state, phase, frame_index)
 
         self._current_indices[agent_name] = action_index
-        self._pending = _PendingUpdate(
-            agent_name=agent_name, state=current_state, action_index=action_index
-        )
+        self._pending = (agent_name, current_state, action_index)
 
         if self.config.record_history:
             self.history.append(
@@ -298,3 +308,197 @@ class MamutController(Controller):
     def summary(self) -> dict[str, dict]:
         """Per-agent diagnostic snapshot (visited states, Q entries, counts)."""
         return {name: agent.summary() for name, agent in self.agents.items()}
+
+
+#: Position of each agent name in :data:`AGENT_NAMES`.
+_AGENT_IDS = {name: gid for gid, name in enumerate(AGENT_NAMES)}
+_EXPLORATION, _EXPLORATION_EXPLOITATION, _EXPLOITATION = range(len(PHASES))
+
+
+class MamutBatch:
+    """Batch form of :meth:`MamutController.apply_external_activation`.
+
+    Built over a fixed list of controllers (the batch engine builds one per
+    stepper), :meth:`activate` runs one activation step for any subset of
+    them:
+
+    1. the pending updates, grouped by the pending agent's pool
+       (:meth:`~repro.core.store.AgentPool.update_batch`), with the peer
+       minima of Eq. 3 read before the update;
+    2. for the acting agents, grouped by pool, the phase
+       (:meth:`~repro.core.store.AgentPool.phase_batch`) with the peer
+       minima read after the updates, the greedy set and the least-tried
+       set;
+    3. per session, the acting agent's own ``random()`` and ``choice()``
+       draws exactly where the scalar path draws — or, for an agent in
+       exploitation, the scalar Algorithm 1 path after every array write —
+       then the controller's current action, pending update, emptied
+       window and, when recorded, history.
+
+    Sessions only touch their own agents and generators, so the result is
+    bitwise that of calling
+    :meth:`MamutController.apply_external_activation` per controller, in
+    any order.  Besides the controllers the instance keeps only caches:
+    each agent's pool and slot, which never change, and each controller's
+    current action indices and their values (:attr:`values`, one float
+    array per agent of :data:`AGENT_NAMES`), which only activations change.
+    """
+
+    def __init__(self, controllers: Sequence[MamutController]) -> None:
+        self.controllers = list(controllers)
+        count = len(self.controllers)
+        width = len(AGENT_NAMES)
+        # Controllers of one factory share their three pools, so pool ids are
+        # assigned per distinct triple rather than per agent.
+        triples: dict[tuple, int] = {}
+        triple = [
+            triples.setdefault(ctl.agent_pools, len(triples)) for ctl in self.controllers
+        ]
+        index: dict = {}
+        rows = [[index.setdefault(pool, len(index)) for pool in pools] for pools in triples]
+        self.pools = list(index)
+        self.pool_ids = np.array(rows, dtype=np.int64).reshape(-1, width)[triple]
+        self.slots = np.array(
+            [ctl.agent_slots for ctl in self.controllers], dtype=np.int64
+        ).reshape(count, width)
+        self.indices = np.array(
+            [i for ctl in self.controllers for i in ctl._current_indices.values()],
+            dtype=np.int64,
+        ).reshape(count, width)
+        # The value of action a of pool p sits at [p, a].
+        self._action_values = np.zeros(
+            (len(self.pools), max(pool.num_actions for pool in self.pools))
+        )
+        for pid, pool in enumerate(self.pools):
+            self._action_values[pid, : pool.num_actions] = pool.action_values
+        self.values = [
+            self._action_values[self.pool_ids[:, gid], self.indices[:, gid]]
+            for gid in range(width)
+        ]
+
+    def _by_pool(self, pool_id: np.ndarray) -> list[tuple]:
+        """``(pool, positions)`` for each pool that ``pool_id`` names."""
+        order = np.argsort(pool_id, kind="stable")
+        ordered = pool_id[order]
+        cuts = ((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()
+        bounds = [0, *cuts, len(order)]
+        firsts = ordered[bounds[:-1]].tolist()
+        return [
+            (self.pools[pid], order[start:end])
+            for pid, start, end in zip(firsts, bounds[:-1], bounds[1:])
+        ]
+
+    def _minima(self, slots: np.ndarray, pool_ids: np.ndarray) -> np.ndarray:
+        """``min_a Num(a)`` of the agents at ``slots`` of ``pool_ids``."""
+        slot = slots.ravel()
+        minima = np.empty(len(slot), dtype=np.int64)
+        for pool, positions in self._by_pool(pool_ids.ravel()):
+            minima[positions] = pool.min_action_counts[slot[positions]]
+        return minima.reshape(slots.shape)
+
+    def activate(
+        self,
+        lanes: np.ndarray,
+        agent_ids: np.ndarray,
+        frame_indices: Sequence[int],
+        current_states: np.ndarray,
+        reward_values: np.ndarray,
+    ) -> None:
+        """One activation of each controller at ``lanes`` (distinct positions).
+
+        ``agent_ids`` indexes :data:`AGENT_NAMES` (the acting agent), and
+        ``frame_indices``, ``current_states`` and ``reward_values`` are what
+        :meth:`MamutController.apply_external_activation` takes, per lane.
+        """
+        count = len(lanes)
+        lane_list = lanes.tolist()
+        ids = agent_ids.tolist()
+        controllers = [self.controllers[j] for j in lane_list]
+        slots = self.slots[lanes]
+        pool_ids = self.pool_ids[lanes]
+        minima = self._minima(slots, pool_ids)
+
+        # 1. Pending updates, with the peer minima before them.
+        pending = [ctl._pending for ctl in controllers]
+        waiting = [k for k, update in enumerate(pending) if update is not None]
+        if waiting:
+            names, before, taken = zip(*[pending[k] for k in waiting])
+            rows = np.array(waiting, dtype=np.int64)
+            agent = np.array([_AGENT_IDS[name] for name in names], dtype=np.int64)
+            slot = slots[rows, agent]
+            peer = minima[rows, 0] + minima[rows, 1] + minima[rows, 2] - minima[rows, agent]
+            state = np.array(before, dtype=np.int64)
+            action = np.array(taken, dtype=np.int64)
+            for pool, group in self._by_pool(pool_ids[rows, agent]):
+                lane_rows = rows[group]
+                pool.update_batch(
+                    slot[group],
+                    state[group],
+                    action[group],
+                    reward_values[lane_rows],
+                    current_states[lane_rows],
+                    peer[group],
+                )
+                minima[lane_rows, agent[group]] = pool.min_action_counts[slot[group]]
+
+        # 2. Phases and candidate sets of the acting agents, after the updates.
+        every = np.arange(count)
+        slot = slots[every, agent_ids]
+        peer = minima[:, 0] + minima[:, 1] + minima[:, 2] - minima[every, agent_ids]
+        current = self.indices[lanes, agent_ids]
+        chosen = current.tolist()
+        codes = np.empty(count, dtype=np.int8)
+        names = [AGENT_NAMES[gid] for gid in ids]
+        agents = [ctl.agents[name] for ctl, name in zip(controllers, names)]
+        explore, exploit = _EXPLORATION, _EXPLOITATION
+        deferred = []
+        acting_pool = pool_ids[every, agent_ids]
+        for pool, group in self._by_pool(acting_pool):
+            group_slot = slot[group]
+            group_state = current_states[group]
+            phase = pool.phase_batch(group_slot, group_state, peer[group])
+            codes[group] = phase
+            least = pool.least_tried_batch(group_slot, group_state)
+            greedy = pool.greedy_batch(group_slot, group_state)
+            keep = greedy[np.arange(len(group)), current[group]].tolist()
+            epsilon = pool.exploration_epsilon
+            # 3a. The scalar path's draws, from each agent's own generator.
+            for i, (k, code) in enumerate(zip(group.tolist(), phase.tolist())):
+                if code == exploit:
+                    deferred.append(k)
+                    continue
+                rng = agents[k]._rng
+                if code == explore and rng.random() < epsilon:
+                    chosen[k] = int(rng.choice(least[i].nonzero()[0]))
+                elif not keep[i]:
+                    chosen[k] = int(rng.choice(greedy[i].nonzero()[0]))
+
+        # 3b. Algorithm 1, on the updated tables.
+        states = current_states.tolist()
+        for k in deferred:
+            chosen[k] = controllers[k]._select_action(
+                names[k], agents[k], states[k], Phase.EXPLOITATION, frame_indices[k]
+            )
+
+        # 3c. What the controllers keep.
+        for k, (ctl, name, action) in enumerate(zip(controllers, names, chosen)):
+            ctl.window.clear()
+            ctl._current_indices[name] = action
+            ctl._pending = (name, states[k], action)
+            if ctl.config.record_history:
+                ctl.history.append(
+                    AgentActivation(
+                        frame_index=frame_indices[k],
+                        agent=name,
+                        state=ctl.state_space.index_to_state(states[k]),
+                        action_index=action,
+                        action_value=agents[k].actions[action],
+                        phase=PHASES[codes[k]],
+                        reward=None if pending[k] is None else float(reward_values[k]),
+                    )
+                )
+        self.indices[lanes, agent_ids] = chosen
+        values = self._action_values[acting_pool, chosen]
+        for gid in set(ids):
+            acted = agent_ids == gid
+            self.values[gid][lanes[acted]] = values[acted]

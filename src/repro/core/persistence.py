@@ -15,7 +15,13 @@ an agent's states are dense integers; snapshots write each one as its
 JSON is the on-disk format only.  Crash salvage inside a cluster run
 (:func:`snapshot_session`, :func:`restore_session_state`) serialises
 nothing: it keeps a reference to the dying controller and copies each
-agent's Q-table and counters into the replacement.
+agent's Q-table and counters into the replacement.  Both restores write
+into the target agent's own slot of its
+:class:`~repro.core.store.LearningStore` (through
+:meth:`~repro.core.agent.QLearningAgent.load_learned_state` and
+:meth:`~repro.core.agent.QLearningAgent.copy_learned_state`), so restored
+knowledge lands in the store the batch engine reads; a copy may cross
+stores, as it does when a retry is built by a brownout's own factory.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.core.agent import QLearningAgent
-from repro.core.qtable import QTable
 from repro.core.states import StateSpace, SystemState
-from repro.core.transitions import TransitionModel
 from repro.errors import ConfigurationError, LearningError
 
 __all__ = [
@@ -146,18 +150,11 @@ def restore_agent(agent: QLearningAgent, snapshot: Mapping[str, Any]) -> None:
             "match the transition totals"
         )
 
-    agent.q_table = QTable(len(agent.actions), space.size)
-    for (state_index, action), value in q_values.items():
-        agent.q_table.set(state_index, action, value)
-    agent.transitions = TransitionModel(len(agent.actions), space.size)
-    for (state_index, action), observed in transitions.items():
-        for next_state, n in observed.items():
-            for _ in range(n):
-                agent.transitions.record(state_index, action, next_state)
-    agent._action_counts = {a: action_counts.get(a, 0) for a in agent.actions.indices()}
-    # The counters were written behind the agent's back; its cached extremes
-    # (running min action count, per-state max counts) must be rebuilt.
-    agent.rebuild_count_caches()
+    agent.load_learned_state(
+        q_values,
+        transitions,
+        [action_counts.get(a, 0) for a in agent.actions.indices()],
+    )
 
 
 def snapshot_agents(agents: Mapping[str, QLearningAgent]) -> dict[str, Any]:

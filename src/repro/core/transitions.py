@@ -12,29 +12,49 @@ per-pair total ``Num(s, a)`` is also the visit count of Eq. 3, so the agent
 reads it from here rather than counting it a second time.  States are dense
 integer indices in ``[0, num_states)``, and each pair keeps its next states
 in first-seen order, the order in which Algorithm 1 sums over them.
+
+A :class:`TransitionModel` is a view of one agent's slot of an
+:class:`~repro.core.store.AgentPool`: ``Num(s, a)`` lives in the pool's
+rows, and the observations in its append-only transition log, from which
+the per-pair next-state counts are folded only when asked for.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import numpy as np
 
-from repro.errors import LearningError
+from repro.core.store import AgentPool
 
 __all__ = ["TransitionModel"]
 
 
 class TransitionModel:
-    """Counts and probabilities of observed state transitions per action."""
+    """Counts and probabilities of observed state transitions per action.
+
+    A model built this way owns a private pool; :meth:`view` wraps a slot
+    of an existing one.
+    """
 
     def __init__(self, num_actions: int, num_states: int) -> None:
-        if num_actions < 1:
-            raise LearningError(f"num_actions must be >= 1, got {num_actions}")
-        if num_states < 1:
-            raise LearningError(f"num_states must be >= 1, got {num_states}")
-        self.num_actions = int(num_actions)
-        self.num_states = int(num_states)
-        self._counts: Dict[Tuple[int, int], Dict[int, int]] = {}
-        self._totals: Dict[Tuple[int, int], int] = {}
+        pool = AgentPool(num_actions, num_states)
+        self.pool = pool
+        self.slot = pool.add_slot()
+
+    @classmethod
+    def view(cls, pool: AgentPool, slot: int) -> TransitionModel:
+        """The transitions of ``slot`` in ``pool``."""
+        model = cls.__new__(cls)
+        model.pool = pool
+        model.slot = slot
+        return model
+
+    @property
+    def num_actions(self) -> int:
+        return self.pool.num_actions
+
+    @property
+    def num_states(self) -> int:
+        return self.pool.num_states
 
     # -- recording ----------------------------------------------------------------
 
@@ -43,35 +63,20 @@ class TransitionModel:
 
         Returns the pair's new total ``Num(state, action)``.
         """
-        self._check(state, action)
-        self._check_state(next_state)
-        pair = (state, action)
-        counts = self._counts.get(pair)
-        if counts is None:
-            counts = self._counts[pair] = {}
-        counts[next_state] = counts.get(next_state, 0) + 1
-        total = self._totals.get(pair, 0) + 1
-        self._totals[pair] = total
-        return total
-
-    def copy(self) -> TransitionModel:
-        """An independent copy; each pair keeps its first-seen next-state order."""
-        clone = TransitionModel(self.num_actions, self.num_states)
-        clone._counts = {pair: dict(counts) for pair, counts in self._counts.items()}
-        clone._totals = dict(self._totals)
-        return clone
+        return self.pool.record(self.slot, state, action, next_state)
 
     # -- queries -------------------------------------------------------------------
 
     def count(self, state: int, action: int, next_state: int) -> int:
         """Number of times ``state --action--> next_state`` was observed."""
-        self._check(state, action)
-        return self._counts.get((state, action), {}).get(next_state, 0)
+        self.pool._check(state, action)
+        return self.pool.next_counts(self.slot, state, action).get(next_state, 0)
 
     def total(self, state: int, action: int) -> int:
         """``Num(state, action)``: times ``action`` was taken in ``state``."""
-        self._check(state, action)
-        return self._totals.get((state, action), 0)
+        pool = self.pool
+        pool._check(state, action)
+        return int(pool.visits[pool.row_of[self.slot, state], action])
 
     def probability(self, state: int, action: int, next_state: int) -> float:
         """Estimated ``P(state --action--> next_state)`` (0 if never observed)."""
@@ -90,24 +95,14 @@ class TransitionModel:
             return {}
         return {
             next_state: count / total
-            for next_state, count in self._counts[(state, action)].items()
+            for next_state, count in self.pool.next_counts(self.slot, state, action).items()
         }
 
     def visited_pairs(self) -> set[tuple[int, int]]:
         """All (state, action) pairs with at least one recorded transition."""
-        return set(self._totals)
-
-    # -- validation ------------------------------------------------------------------
-
-    def _check_state(self, state: int) -> None:
-        if not 0 <= state < self.num_states:
-            raise LearningError(
-                f"state index {state} out of range [0, {self.num_states})"
-            )
-
-    def _check(self, state: int, action: int) -> None:
-        self._check_state(state)
-        if not 0 <= action < self.num_actions:
-            raise LearningError(
-                f"action index {action} out of range [0, {self.num_actions})"
-            )
+        pool = self.pool
+        states = pool.states_of(self.slot)
+        rows = pool.row_of[self.slot, states]
+        return {
+            (int(states[i]), int(a)) for i, a in zip(*np.nonzero(pool.visits[rows]))
+        }

@@ -12,7 +12,8 @@ lint even if Python would happily execute it.
   (forces new subsystems to state their place in the stack).
 
 Layers are the top-level modules under ``repro`` (``repro.cluster`` ->
-layer ``cluster``), with three finer splits at the bottom of the stack:
+layer ``cluster``; ``constants``, ``errors`` and ``numeric`` are the
+dependency-free bottom), with three finer splits at the bottom of the stack:
 ``video.content`` and ``video.sequence`` (the leaf content/sequence
 models) and ``metrics.records`` (the shared measurement dataclasses).
 Those sub-layers are what make the video <-> metrics package pair acyclic
@@ -39,20 +40,22 @@ __all__ = ["LAYER_DAG", "LayerViolation", "UndeclaredLayer"]
 LAYER_DAG: dict[str, frozenset[str]] = {
     "constants": frozenset(),
     "errors": frozenset(),
-    "video.content": frozenset({"constants", "errors"}),
-    "video.sequence": frozenset({"constants", "errors", "video.content"}),
-    "metrics.records": frozenset({"constants", "errors", "video.sequence"}),
-    "video": frozenset({"constants", "errors", "metrics.records"}),
-    "metrics": frozenset({"constants", "errors", "metrics.records", "video"}),
-    "platform": frozenset({"constants", "errors", "metrics.records"}),
-    "hevc": frozenset({"constants", "errors", "video"}),
-    "telemetry": frozenset({"constants", "errors", "metrics", "metrics.records"}),
-    "core": frozenset({"constants", "errors", "video", "platform"}),
-    "baselines": frozenset({"constants", "errors", "core", "platform", "video"}),
+    "numeric": frozenset(),
+    "video.content": frozenset({"constants", "errors", "numeric"}),
+    "video.sequence": frozenset({"constants", "errors", "numeric", "video.content"}),
+    "metrics.records": frozenset({"constants", "errors", "numeric", "video.sequence"}),
+    "video": frozenset({"constants", "errors", "numeric", "metrics.records"}),
+    "metrics": frozenset({"constants", "errors", "numeric", "metrics.records", "video"}),
+    "platform": frozenset({"constants", "errors", "numeric", "metrics.records"}),
+    "hevc": frozenset({"constants", "errors", "numeric", "video"}),
+    "telemetry": frozenset({"constants", "errors", "numeric", "metrics", "metrics.records"}),
+    "core": frozenset({"constants", "errors", "numeric", "video", "platform"}),
+    "baselines": frozenset({"constants", "errors", "numeric", "core", "platform", "video"}),
     "manager": frozenset(
         {
             "constants",
             "errors",
+            "numeric",
             "core",
             "baselines",
             "video",
@@ -67,6 +70,7 @@ LAYER_DAG: dict[str, frozenset[str]] = {
         {
             "constants",
             "errors",
+            "numeric",
             "core",
             "manager",
             "video",
@@ -82,6 +86,7 @@ LAYER_DAG: dict[str, frozenset[str]] = {
         {
             "constants",
             "errors",
+            "numeric",
             "video",
             "metrics",
             "metrics.records",

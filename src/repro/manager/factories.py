@@ -3,7 +3,10 @@
 A *controller factory* is a callable ``(request, seed) -> Controller``; the
 runner calls it once per session per repetition so that every session gets
 its own controller instance (each video stream has its own agents, as in the
-paper) and every repetition gets fresh exploration randomness.
+paper) and every repetition gets fresh exploration randomness.  The MAMUT
+factories share one learning store between the controllers they build, so
+the batch engine can step their agents together; each agent still learns
+only in its own slot.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from repro.constants import DEFAULT_POWER_CAP_W
 from repro.core.config import MamutConfig
 from repro.core.controller import Controller
 from repro.core.mamut import MamutController
+from repro.core.store import LearningStore
 from repro.video.request import TranscodingRequest
 
 __all__ = [
@@ -33,7 +37,12 @@ ControllerFactory = Callable[[TranscodingRequest, int], Controller]
 def mamut_factory(
     power_cap_w: float = DEFAULT_POWER_CAP_W, record_history: bool = False
 ) -> ControllerFactory:
-    """Factory producing :class:`~repro.core.mamut.MamutController` instances."""
+    """Factory producing :class:`~repro.core.mamut.MamutController` instances.
+
+    The factory owns one :class:`~repro.core.store.LearningStore`, and every
+    controller it builds keeps its agents' learned state there.
+    """
+    store = LearningStore()
 
     def build(request: TranscodingRequest, seed: int) -> Controller:
         config = MamutConfig.for_request(
@@ -42,7 +51,7 @@ def mamut_factory(
             seed=seed,
             record_history=record_history,
         )
-        return MamutController(config)
+        return MamutController(config, store)
 
     return build
 

@@ -27,6 +27,7 @@ from repro.metrics.aggregate import (
 )
 from repro.metrics.records import FrameRecord, PowerSample
 from repro.manager.session import TranscodingSession
+from repro.numeric import ordered_sum
 from repro.platform.dvfs import DvfsPolicy
 from repro.platform.server import MulticoreServer
 from repro.telemetry.config import resolve_telemetry
@@ -159,7 +160,7 @@ class Orchestrator:
                 for session in active
             ]
 
-        duration = sum(record.encode_time_s for record in records) / len(records)
+        duration = ordered_sum(record.encode_time_s for record in records) / len(records)
         return PowerSample(
             step=step,
             power_w=allocation.total_power_w,

@@ -18,6 +18,7 @@ from repro.constants import DEFAULT_POWER_CAP_W
 from repro.core.config import MamutConfig
 from repro.core.mamut import MamutController
 from repro.core.persistence import restore_agents, snapshot_agents
+from repro.core.store import LearningStore
 from repro.manager.factories import ControllerFactory
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
@@ -72,8 +73,11 @@ def pretrained_mamut_factory(
 
     ``knowledge`` maps a resolution class to a snapshot from
     :func:`pretrain_mamut`; requests of a class with no snapshot start from
-    scratch, so partially pre-trained fleets are allowed.
+    scratch, so partially pre-trained fleets are allowed.  Like
+    :func:`~repro.manager.factories.mamut_factory`, the factory owns one
+    learning store that all its controllers share.
     """
+    store = LearningStore()
 
     def build(request: TranscodingRequest, seed: int) -> MamutController:
         config = MamutConfig.for_request(
@@ -82,7 +86,7 @@ def pretrained_mamut_factory(
             seed=seed,
             record_history=record_history,
         )
-        controller = MamutController(config)
+        controller = MamutController(config, store)
         snapshot = knowledge.get(request.resolution_class)
         if snapshot is not None:
             restore_agents(controller.agents, snapshot)

@@ -7,6 +7,7 @@ from typing import Mapping, Sequence
 
 from repro.metrics.qos import qos_violation_pct
 from repro.metrics.records import FrameRecord, PowerSample
+from repro.numeric import ordered_sum
 from repro.video.sequence import ResolutionClass
 
 __all__ = [
@@ -55,8 +56,8 @@ def power_trace_stats(
     duration-weighted sum of the samples, the mean power is energy over
     total duration (0 for an empty trace).
     """
-    total_time = sum(sample.duration_s for sample in power_samples)
-    energy = sum(sample.power_w * sample.duration_s for sample in power_samples)
+    total_time = ordered_sum(sample.duration_s for sample in power_samples)
+    energy = ordered_sum(sample.power_w * sample.duration_s for sample in power_samples)
     mean_power = energy / total_time if total_time > 0 else 0.0
     return energy, total_time, mean_power
 
@@ -147,11 +148,11 @@ def summarize_session(
         session_id=session_id,
         resolution_class=records[0].resolution_class,
         frames=n,
-        mean_fps=sum(r.fps for r in records) / n,
-        mean_psnr_db=sum(r.psnr_db for r in records) / n,
-        mean_bitrate_mbps=sum(r.bitrate_mbps for r in records) / n,
+        mean_fps=ordered_sum(r.fps for r in records) / n,
+        mean_psnr_db=ordered_sum(r.psnr_db for r in records) / n,
+        mean_bitrate_mbps=ordered_sum(r.bitrate_mbps for r in records) / n,
         mean_threads=sum(r.threads for r in records) / n,
-        mean_frequency_ghz=sum(r.frequency_ghz for r in records) / n,
+        mean_frequency_ghz=ordered_sum(r.frequency_ghz for r in records) / n,
         mean_qp=sum(r.qp for r in records) / n,
         qos_violation_pct=qos_violation_pct(records),
     )
@@ -205,7 +206,7 @@ def summarize_experiment(
         duration_s=total_time,
         mean_fps=sum(r.fps for r in all_records) / n,
         mean_threads=sum(r.threads for r in all_records) / n,
-        mean_frequency_ghz=sum(r.frequency_ghz for r in all_records) / n,
-        mean_psnr_db=sum(r.psnr_db for r in all_records) / n,
+        mean_frequency_ghz=ordered_sum(r.frequency_ghz for r in all_records) / n,
+        mean_psnr_db=ordered_sum(r.psnr_db for r in all_records) / n,
         qos_violation_pct=qos_violation_pct(all_records),
     )

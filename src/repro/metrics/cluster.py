@@ -22,6 +22,7 @@ from repro.metrics.records import (
     PowerSample,
     ScalingEvent,
 )
+from repro.numeric import ordered_sum
 
 __all__ = ["ServerSummary", "ClusterSummary", "summarize_cluster"]
 
@@ -275,7 +276,7 @@ def _summarize_server(
         utilization=busy_steps / len(samples) if samples else 0.0,
         mean_power_w=mean_power,
         energy_j=energy,
-        mean_fps=sum(r.fps for r in records) / len(records) if records else 0.0,
+        mean_fps=ordered_sum(r.fps for r in records) / len(records) if records else 0.0,
         qos_violation_pct=qos_violation_pct(records),
     )
 
@@ -334,7 +335,7 @@ def summarize_cluster(
             )
     num_steps = len(fleet_power_by_step)
     fleet_mean_power = (
-        sum(fleet_power_by_step.values()) / num_steps if num_steps > 0 else 0.0
+        ordered_sum(fleet_power_by_step.values()) / num_steps if num_steps > 0 else 0.0
     )
     mean_active = sum(active_by_step.values()) / num_steps if num_steps > 0 else 0.0
 
@@ -398,12 +399,12 @@ def summarize_cluster(
         p99_queue_wait_steps=linear_percentile(queue_waits, 99.0),
         mean_active_sessions=mean_active,
         fleet_mean_power_w=fleet_mean_power,
-        fleet_energy_j=sum(server.energy_j for server in servers),
+        fleet_energy_j=ordered_sum(server.energy_j for server in servers),
         watts_per_session=(
             fleet_mean_power / mean_active if mean_active > 0 else 0.0
         ),
         mean_fps=(
-            sum(r.fps for r in all_records) / len(all_records)
+            ordered_sum(r.fps for r in all_records) / len(all_records)
             if all_records
             else 0.0
         ),

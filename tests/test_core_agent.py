@@ -100,6 +100,14 @@ class TestPhases:
         agent = make_agent()
         assert agent.phase(S0, [5, 5]) is Phase.EXPLORATION
 
+    def test_new_state_is_exploration_whatever_beta(self):
+        # beta + the peer term would be 0.011 < alpha_th2 here; an unvisited
+        # pair's learning rate is 1.0 (Eq. 3's beta / 0, clamped).
+        agent = make_agent(beta=0.01)
+        assert agent.phase(S0, [100, 100]) is Phase.EXPLORATION
+        agent.update(S0, 0, 0.5, S1, [100, 100])
+        assert agent.phase(S0, [100, 100]) is Phase.EXPLOITATION
+
     def test_phase_advances_with_visits_and_peer_coverage(self):
         agent = make_agent(num_actions=2)
         for _ in range(3):
@@ -172,7 +180,7 @@ class TestCounterCaches:
     """ISSUE 5 satellite: cached counter extremes match the brute force."""
 
     def brute_force_min(self, agent):
-        return min(agent._action_counts.values())
+        return min(agent.action_count(a) for a in agent.actions.indices())
 
     def brute_force_phase(self, agent, state, peers):
         # The pre-cache implementation: Eq. 3 evaluated for every action.
@@ -217,15 +225,13 @@ class TestCounterCaches:
         agent.update(S0, 1, 1.0, S1, [])
         assert agent.min_action_count() == 1
 
-    def test_rebuild_count_caches_after_direct_mutation(self):
+    def test_extremes_follow_writes_outside_update(self):
         agent = make_agent(num_actions=2)
         agent.update(S0, 0, 1.0, S1, [])
         assert agent.min_action_count() == 0
-        # Simulate a restore writing the raw counters directly.
-        agent._action_counts[0] = 5
-        agent._action_counts[1] = 3
+        # What a restore writes: raw counters and transitions, no update().
+        agent.pool.set_action_counts(agent.slot, [5, 3])
         for _ in range(4):
             agent.transitions.record(S1, 1, S0)
-        agent.rebuild_count_caches()
         assert agent.min_action_count() == 3
         assert agent.max_state_count(S1) == 4

@@ -33,7 +33,10 @@ class TestAlpha:
 
     def test_first_visit_is_clamped_to_one(self):
         function = LearningRateFunction()
-        assert function.alpha(0, []) <= 1.0
+        assert function.alpha(0, []) == 1.0
+        # beta / 0 is unbounded whatever beta and the peers are.
+        small = LearningRateFunction(LearningRateParameters(beta=0.01))
+        assert small.alpha(0, [100, 100]) == 1.0
 
     def test_decreases_with_own_visits(self):
         function = LearningRateFunction()
