@@ -54,6 +54,7 @@ from repro.cluster import (
     TargetTracking,
     WorkloadGenerator,
 )
+from repro.numeric import ordered_sum
 from repro.video.sequence import ResolutionClass
 from repro.analysis.tables import (
     fig4_scenario_one_sweep,
@@ -1133,7 +1134,7 @@ def _cmd_obs_compare(args: argparse.Namespace) -> int:
             )
             if drift is not None:
                 regressions.append([path, drift])
-    compared = sum(1 for path in base_leaves if not ignored(path))
+    compared = ordered_sum(1 for path in base_leaves if not ignored(path))
     if regressions:
         print(f"REGRESSION: {len(regressions)} of {compared} metrics drifted "
               f"beyond tolerance (rel {args.rel_tol}, abs {args.abs_tol})")

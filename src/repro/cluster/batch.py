@@ -10,23 +10,14 @@ NumPy evaluation per cluster step:
 
 1. **Gather** — every active session's next (QP, threads, frequency)
    decision plus per-frame content descriptors are packed into contiguous
-   struct-of-arrays buffers ordered server-major.  Sessions running a stock
-   :class:`~repro.core.mamut.MamutController` are advanced by the vectorized
-   MAMUT driver (:class:`_MamutDriver` below): on activation steps it reads
-   the observation windows of the activating controllers, and the window
-   averaging, :meth:`~repro.core.states.StateSpace.discretize_batch`,
-   :meth:`~repro.core.states.StateSpace.state_index_batch` and
-   :meth:`~repro.core.rewards.RewardFunction.total_batch` run across all of
-   them in one shot.  The learning step then runs as one
-   :meth:`~repro.core.mamut.MamutBatch.activate` call: the pending Q
-   updates, Eq. 3, the phase test and both candidate sets are array
-   operations over the agents' shared
-   :class:`~repro.core.store.LearningStore` pools, and only each agent's
-   own ``random()``/``choice()`` draws (and Algorithm 1 for an agent in
-   exploitation) stay per session, in the scalar order.  The driver reads
-   its lanes' decisions from the action indices the activation keeps, so
-   no ``Decision`` is built for them.  Every other controller is asked per
-   session via :meth:`~repro.manager.session.TranscodingSession.decide`.
+   struct-of-arrays buffers ordered server-major.  The sessions running a
+   stock :class:`~repro.core.mamut.MamutController` decide together, through
+   one :meth:`~repro.core.mamut.MamutBatch.decide` call per step: the batch
+   form of :meth:`~repro.core.mamut.MamutController.decide`, built once per
+   roster, which leaves their (QP, threads, frequency) values in three
+   arrays, so no ``Decision`` is built for them.  Every other controller is
+   asked per session via
+   :meth:`~repro.manager.session.TranscodingSession.decide`.
 2. **Evaluate** — three calls, each the batch form of what the scalar
    engine calls per session or per server:
    :meth:`~repro.hevc.transcoder.Transcoder.activity_factor_batch` per lane
@@ -54,13 +45,13 @@ NumPy evaluation per cluster step:
 seed)`` the batch engine produces *bitwise identical* results to the scalar
 engine — same frame records, same power samples, same admission ledger, same
 ``ClusterSummary``.  This holds because every batch method the engine calls
-(the allocation and transcode compositions and the models under them)
-evaluates the same IEEE-754 operations in the same order as its scalar form,
-each server's sum of session powers included (transcendental factors go
-through per-QP lookup tables shared between the two forms;
-``tests/test_batch_models.py`` pins every pair the engine calls, and
-``tests/test_core_store.py`` the learning step's), and the per-server
-duration sum is taken in the scalar engine's order.  Fault
+(MAMUT's decide step, the allocation and transcode compositions and the
+models under them) evaluates the same IEEE-754 operations in the same order
+as its scalar form, each server's sum of session powers included
+(transcendental factors go through per-QP lookup tables shared between the
+two forms; ``tests/test_batch_models.py`` pins every pair the engine calls
+but the learning step's, which ``tests/test_core_store.py`` pins), and the
+per-server duration sum is taken in the scalar engine's order.  Fault
 injection preserves the guarantee: fault draws, session salvage and retries
 all happen in orchestrator code outside the stepper, and a crash or recovery
 changes the live roster exactly like an autoscaling resize — the stepper is
@@ -71,10 +62,10 @@ agents learn lives in their learning store, which the scalar engine uses
 too), and the stepper keeps only caches it re-reads when it is built.
 Checkpointed resumes need no special handling either: a replacement session
 constructed mid-video (``TranscodingSession(start_frame_index=...)``) joins a
-rebuilt stepper like any other, because lanes read ``session.frame_index``
-and ``session.step`` fresh at every step.  The equivalence is enforced by
-``tests/test_cluster_batch.py``, ``tests/test_cluster_faults.py`` and
-``tests/test_cluster_domains.py``.
+rebuilt stepper like any other, because a stepper reads ``session.step``
+when it is built and ``session.frame_index`` at every step.  The equivalence
+is enforced by ``tests/test_cluster_batch.py``,
+``tests/test_cluster_faults.py`` and ``tests/test_cluster_domains.py``.
 
 Intermediate ``SessionDemand``/``ServerAllocation``/``TranscodeResult``
 objects are never materialised, which no result can observe.  Each engine
@@ -82,8 +73,8 @@ calls only its own form of a model method, so a model subclass must override
 a scalar method and its ``*_batch`` form together (lanes are grouped by
 model class as well as parameters, so such a subclass gets its own calls).
 Controllers follow a different rule: exactly ``MamutController`` (not
-subclasses) is driven through the vectorized activation path, everything
-else is asked per session through ``decide``.
+subclasses) decides through ``MamutBatch``, everything else is asked per
+session through ``decide``.
 """
 
 from __future__ import annotations
@@ -92,7 +83,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.mamut import AGENT_NAMES, MamutBatch, MamutController
+from repro.core.mamut import MamutBatch, MamutController
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.metrics.records import FrameRecord, PowerSample
@@ -201,175 +192,6 @@ def _group_lanes(tagged: list[tuple]) -> list[tuple]:
     ]
 
 
-#: Memoised per-schedule activation tables keyed by the schedule's slot
-#: triples: (hyper_period, agent names, frame % hyper -> local agent id | -1).
-_SCHEDULE_PATTERNS: dict[tuple, tuple[int, tuple[str, ...], np.ndarray]] = {}
-
-
-def _schedule_pattern(schedule) -> tuple[int, tuple[str, ...], np.ndarray]:
-    key = tuple((slot.name, slot.period, slot.offset) for slot in schedule.slots)
-    cached = _SCHEDULE_PATTERNS.get(key)
-    if cached is None:
-        names = schedule.agent_names
-        local = {name: i for i, name in enumerate(names)}
-        pattern = np.array(
-            [
-                local.get(schedule.agent_at(frame), -1)
-                for frame in range(schedule.hyper_period)
-            ],
-            dtype=np.int64,
-        )
-        cached = (schedule.hyper_period, names, pattern)
-        _SCHEDULE_PATTERNS[key] = cached
-    return cached
-
-
-class _MamutDriver:
-    """Fleet-wide activation engine for stock MAMUT controllers.
-
-    The scalar engine walks every MAMUT session's whole learning path in
-    Python each frame (schedule lookup, averaging, discretisation, reward,
-    Eq. 3, Q update, phase, action choice).  The driver looks up the
-    schedule for all its lanes at once, reads the observation windows of
-    the controllers whose agent is due, and performs the averaging,
-    :meth:`~repro.core.states.StateSpace.discretize_batch`,
-    :meth:`~repro.core.states.StateSpace.state_index_batch` and
-    :meth:`~repro.core.rewards.RewardFunction.total_batch` (bitwise the
-    scalar path's rewards) across *all* activating sessions at once —
-    grouped by identical (state space, reward config) parameters so
-    heterogeneous fleets still vectorize.  The learning step itself — the
-    pending Q updates, Eq. 3, the phase test, both candidate sets and each
-    agent's own random draws — is one
-    :meth:`~repro.core.mamut.MamutBatch.activate` call, which groups the
-    lanes by learning-store pool and empties the windows.
-
-    The windows stay on the controllers (sessions fill them at commit) and
-    everything the agents learn stays in their store, so the driver holds
-    only caches it re-reads when it is built: each lane's step count, the
-    :class:`~repro.core.mamut.MamutBatch` (each agent's pool and slot, and
-    each controller's current action indices and values) and the grouping
-    tables.  It can be dropped at any step.
-    """
-
-    __slots__ = (
-        "positions",
-        "controllers",
-        "steps",
-        "batch",
-        "schedule_groups",
-        "vgid",
-        "vector_members",
-    )
-
-    def __init__(self, lanes: list[_SessionLane], positions: list[int]) -> None:
-        self.positions = np.array(positions, dtype=np.int64)
-        self.controllers: list[MamutController] = [
-            lanes[i].session.controller for i in positions
-        ]
-        count = len(positions)
-        self.steps = np.array(
-            [lanes[i].session.step for i in positions], dtype=np.int64
-        )
-        self.batch = MamutBatch(self.controllers)
-
-        # Activation tables: lanes sharing a schedule are looked up together,
-        # with each schedule's local agent ids remapped onto AGENT_NAMES.
-        by_schedule: dict[tuple, list] = {}
-        for k, ctl in enumerate(self.controllers):
-            key = tuple(
-                (slot.name, slot.period, slot.offset)
-                for slot in ctl.schedule.slots
-            )
-            entry = by_schedule.get(key)
-            if entry is None:
-                hyper, names, pattern = _schedule_pattern(ctl.schedule)
-                gids = np.array([AGENT_NAMES.index(name) for name in names], dtype=np.int64)
-                global_pattern = np.full_like(pattern, -1)
-                scheduled = pattern >= 0
-                global_pattern[scheduled] = gids[pattern[scheduled]]
-                entry = [hyper, global_pattern, []]
-                by_schedule[key] = entry
-            entry[2].append(k)
-        self.schedule_groups = [
-            (np.array(members, dtype=np.int64), hyper, global_pattern)
-            for hyper, global_pattern, members in by_schedule.values()
-        ]
-
-        # Vector groups: lanes whose state space and reward parameters match
-        # share one discretize_batch / total_batch call per activation step.
-        self.vgid = np.empty(count, dtype=np.int64)
-        members_by_key: dict[tuple, int] = {}
-        self.vector_members: list[tuple] = []
-        for k, ctl in enumerate(self.controllers):
-            space = ctl.state_space
-            key = (
-                (
-                    space.fps_target,
-                    space.fps_edges,
-                    space.psnr_edges,
-                    space.bitrate_edges_mbps,
-                    space.power_cap_w,
-                ),
-                ctl.reward_function.config,
-            )
-            gid = members_by_key.get(key)
-            if gid is None:
-                gid = len(self.vector_members)
-                members_by_key[key] = gid
-                self.vector_members.append((space, ctl.reward_function))
-            self.vgid[k] = gid
-
-    # -- per-step operation ------------------------------------------------------------
-
-    def advance(self) -> None:
-        """Run this step's activations (fleet-vectorized) before the gather."""
-        agent_id = np.full(len(self.controllers), -1, dtype=np.int64)
-        for members, hyper, pattern in self.schedule_groups:
-            agent_id[members] = pattern[self.steps[members] % hyper]
-        scheduled = np.nonzero(agent_id >= 0)[0]
-        if not len(scheduled):
-            return
-
-        # An agent acts only on a non-empty window: the scalar decide() test.
-        controllers = self.controllers
-        acting = [j for j in scheduled.tolist() if controllers[j].window.count]
-        if not acting:
-            return
-        pos = np.array(acting, dtype=np.int64)
-
-        # Window averaging: one division per component, on the running sums
-        # the sessions accumulated in arrival order — bitwise the scalar
-        # averages.
-        windows = [controllers[j].window for j in acting]
-        counts = np.array([w.count for w in windows], dtype=np.float64)
-        avg_fps = np.array([w.fps for w in windows]) / counts
-        avg_psnr = np.array([w.psnr_db for w in windows]) / counts
-        avg_bitrate = np.array([w.bitrate_mbps for w in windows]) / counts
-        avg_power = np.array([w.power_w for w in windows]) / counts
-
-        rewards = np.empty(len(pos))
-        states = np.empty(len(pos), dtype=np.int64)
-        vgid = self.vgid[pos]
-        for gid, (space, reward_function) in enumerate(self.vector_members):
-            mask = vgid == gid
-            if not mask.any():
-                continue
-            bins = space.discretize_batch(
-                avg_fps[mask], avg_psnr[mask], avg_bitrate[mask], avg_power[mask]
-            )
-            rewards[mask] = reward_function.total_batch(
-                avg_fps[mask],
-                avg_psnr[mask],
-                avg_bitrate[mask],
-                avg_power[mask],
-            )
-            states[mask] = space.state_index_batch(bins)
-
-        self.batch.activate(
-            pos, agent_id[pos], self.steps[pos].tolist(), states, rewards
-        )
-
-
 class BatchStepper:
     """Advances a fleet of orchestrators one step per call, batched.
 
@@ -383,14 +205,15 @@ class BatchStepper:
     profiler:
         Optional :class:`~repro.telemetry.profiler.StepProfiler`; when given,
         each step charges its wall time to the engine's four phases
-        (``mamut`` activations, ``gather``, ``evaluate``, ``scatter``).
+        (``mamut`` decisions, ``gather``, ``evaluate``, ``scatter``).
         Timing is observe-only — results are bitwise identical either way.
 
     A stepper holds only caches of session, controller and server state
-    (lanes, the fleet allocator's per-server constants, the MAMUT driver's
-    decisions and grouping tables), re-read when it is built.  It can be
-    dropped at any step — or its orchestrators stepped on the scalar engine
-    in between — with nothing to write back.
+    (lanes, the fleet allocator's per-server constants, the
+    :class:`~repro.core.mamut.MamutBatch`'s frame counters, decisions and
+    grouping tables), re-read when it is built.  It can be dropped at any
+    step — or its orchestrators stepped on the scalar engine in between —
+    with nothing to write back.
     """
 
     def __init__(
@@ -410,7 +233,8 @@ class BatchStepper:
         self._roster: list[TranscodingSession] = []
         self._lanes: list[_SessionLane] = []
         self._lane_by_session: dict[TranscodingSession, _SessionLane] = {}
-        self._driver: Optional[_MamutDriver] = None
+        self._mamut: Optional[MamutBatch] = None
+        self._mamut_pos = np.empty(0, dtype=np.int64)
         self._legacy_pos: list[int] = []
         self._counts: list[int] = []
         self._starts: list[int] = []
@@ -455,25 +279,33 @@ class BatchStepper:
             [(lane.model_group, lane.session.transcoder) for lane in lanes]
         )
 
-        # Partition lanes into driver-managed MAMUT controllers and everything
-        # else (exactly MamutController; subclasses are asked through decide).
-        driven_pos: list[int] = []
+        # Exactly MamutController lanes decide as one MamutBatch; every other
+        # controller (subclasses included) is asked through decide.
+        mamut_pos: list[int] = []
         self._legacy_pos = []
         for i, lane in enumerate(lanes):
             if type(lane.session.controller) is MamutController:
-                driven_pos.append(i)
+                mamut_pos.append(i)
             else:
                 self._legacy_pos.append(i)
-        self._driver = _MamutDriver(lanes, driven_pos) if driven_pos else None
+        self._mamut_pos = np.array(mamut_pos, dtype=np.int64)
+        self._mamut = (
+            MamutBatch(
+                [lanes[i].session.controller for i in mamut_pos],
+                [lanes[i].session.step for i in mamut_pos],
+            )
+            if mamut_pos
+            else None
+        )
 
     def flush_window_state(self) -> None:
         """Do nothing: a stepper holds no state that needs writing back.
 
-        The observation windows live on the controllers and the MAMUT
-        driver keeps only caches it re-reads when it is built, so a stepper
-        can be dropped at any step.  The method stays because external
-        instrumentation that subclasses the stepper (the benchmark's traced
-        stepper) wraps it by name.
+        The observation windows live on the controllers and the
+        :class:`~repro.core.mamut.MamutBatch` keeps only caches it re-reads
+        when it is built, so a stepper can be dropped at any step.  The
+        method stays because external instrumentation that subclasses the
+        stepper (the benchmark's traced stepper) wraps it by name.
         """
 
     # -- stepping -------------------------------------------------------------------
@@ -498,24 +330,17 @@ class BatchStepper:
         profiler = self.profiler
 
         # -- gather: controller decisions + per-frame content -------------------
-        # Driver-managed MAMUT fleets run their activations (fleet-vectorized
-        # averaging / discretisation / rewards, per-session RNG + Q updates)
-        # before their cached decisions are read; every other controller
-        # decides per session.
-        if self._driver is not None:
+        if self._mamut is not None:
             with profiler.phase("mamut"):
-                self._driver.advance()
+                self._mamut.decide()
 
         with profiler.phase("gather"):
             qp = np.empty(n, dtype=np.int64)
             threads = np.empty(n, dtype=np.int64)
             freq = np.empty(n)
-            if self._driver is not None:
-                positions = self._driver.positions
-                # One value array per agent, in AGENT_NAMES order.
-                qp[positions], threads[positions], freq[positions] = (
-                    self._driver.batch.values
-                )
+            if self._mamut is not None:
+                positions = self._mamut_pos
+                qp[positions], threads[positions], freq[positions] = self._mamut.values
             for i in self._legacy_pos:
                 decision = lanes[i].session.decide()
                 qp[i] = decision.qp
@@ -612,7 +437,4 @@ class BatchStepper:
 
                 duration = ordered_sum(time_l[start:end]) / count
                 samples.append(PowerSample(step, total_power, duration, count))
-
-            if self._driver is not None:
-                self._driver.steps += 1
         return samples

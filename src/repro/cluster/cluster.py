@@ -1400,7 +1400,7 @@ class ClusterOrchestrator:
                 step=step,
                 kind="zone_outage",
                 server=-1,
-                sessions_lost=sum(s.active_count for s in victims),
+                sessions_lost=ordered_sum(s.active_count for s in victims),
                 detail=(
                     f"{cause}: {len(victims)} servers down for "
                     f"{downtime} steps"
@@ -1500,8 +1500,8 @@ class ClusterOrchestrator:
         "scale down only when the queue is empty" rules and keep idle
         servers powered through the whole tail.
         """
-        warming = sum(1 for s in self._live if s.state == _WARMING)
-        draining = sum(1 for s in self._live if s.state == _DRAINING)
+        warming = ordered_sum(1 for s in self._live if s.state == _WARMING)
+        draining = ordered_sum(1 for s in self._live if s.state == _DRAINING)
         provisioned = len(self._dispatchable) + warming
         signals = AutoscaleSignals(
             step=step,
@@ -1706,25 +1706,25 @@ class ClusterOrchestrator:
             step=step,
             live_servers=len(self._live),
             dispatchable_servers=len(self._dispatchable),
-            warming_servers=sum(
+            warming_servers=ordered_sum(
                 1 for s in self._live if s.state == _WARMING
             ),
-            draining_servers=sum(
+            draining_servers=ordered_sum(
                 1 for s in self._live if s.state == _DRAINING
             ),
             queue_length=len(self._queue),
             arrivals=arrivals,
-            active_sessions=sum(slot.active_count for slot in self._live),
+            active_sessions=ordered_sum(slot.active_count for slot in self._live),
             frames=frames,
             qos_violations=violations,
             dropped=dropped,
             brownout_level=self._brownout_level,
             healthy_servers=len(self._dispatchable),
-            degraded_servers=sum(
+            degraded_servers=ordered_sum(
                 1 for s in self._live if s.health == _DEGRADED
             ),
             failed_servers=len(self._failed_slots),
-            recovering_servers=sum(
+            recovering_servers=ordered_sum(
                 1 for s in self._live if s.health == _RECOVERING
             ),
             available_domains=len({s.zone for s in self._dispatchable}),

@@ -182,7 +182,7 @@ class ClusterSnapshot:
     @property
     def total_active_sessions(self) -> int:
         """Sessions currently running anywhere in the fleet."""
-        return sum(server.active_sessions for server in self.servers)
+        return ordered_sum(server.active_sessions for server in self.servers)
 
     @property
     def dispatchable_power_w(self) -> float:
@@ -208,7 +208,7 @@ class ClusterSnapshot:
     @property
     def total_last_active_sessions(self) -> int:
         """Fleet-wide session count at the last power measurement."""
-        return sum(server.last_active_sessions for server in self.servers)
+        return ordered_sum(server.last_active_sessions for server in self.servers)
 
     def least_loaded(self) -> ServerSnapshot:
         """The server with the fewest active sessions (lowest index on ties)."""

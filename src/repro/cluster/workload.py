@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_BANDWIDTH_MBPS, TARGET_FPS
 from repro.errors import ClusterError
+from repro.numeric import ordered_sum
 from repro.video.catalog import random_sequence
 from repro.video.request import TranscodingRequest
 from repro.video.sequence import ResolutionClass, VideoSequence
@@ -138,7 +139,7 @@ class CompositeTraffic(TrafficModel):
         self.models = tuple(models)
 
     def rate(self, step: int) -> float:
-        return sum(model.rate(step) for model in self.models)
+        return ordered_sum(model.rate(step) for model in self.models)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,7 +183,7 @@ class WorkloadEvent:
     @property
     def total_frames(self) -> int:
         """Frames across the whole playlist."""
-        return sum(len(video) for video in self.playlist)
+        return ordered_sum(len(video) for video in self.playlist)
 
     @property
     def deadline_step(self) -> Optional[int]:

@@ -103,9 +103,9 @@ class QLearningAgent:
             exploration_epsilon=exploration_epsilon,
         )
         self.slot = self.pool.add_slot()
-        self.q_table = QTable.view(self.pool, self.slot)
+        self.q_table = QTable(self.pool, self.slot)
         #: Also holds Num(s, a), as each pair's transition total.
-        self.transitions = TransitionModel.view(self.pool, self.slot)
+        self.transitions = TransitionModel(self.pool, self.slot)
         self._rng = np.random.default_rng(seed)
 
     @property

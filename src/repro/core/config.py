@@ -21,6 +21,10 @@ from repro.video.request import TranscodingRequest
 
 __all__ = ["MamutConfig"]
 
+#: The paper's schedule.  A schedule never changes once built, so every
+#: configuration that names none shares this one (and its activation table).
+_PAPER_SCHEDULE = AgentSchedule.mamut_default()
+
 
 @dataclasses.dataclass
 class MamutConfig:
@@ -83,7 +87,7 @@ class MamutConfig:
                 f"exploration_epsilon must be in [0, 1], got {self.exploration_epsilon}"
             )
         if self.schedule is None:
-            self.schedule = AgentSchedule.mamut_default()
+            self.schedule = _PAPER_SCHEDULE
         if self.initial_qp is None:
             self.initial_qp = self.qp_actions[len(self.qp_actions) // 2]
         if self.initial_threads is None:

@@ -25,6 +25,7 @@ from repro.constants import (
     DEFAULT_BETA_PRIME,
 )
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 
 __all__ = ["LearningRateParameters", "LearningRateFunction"]
 
@@ -90,7 +91,7 @@ class LearningRateFunction:
             # beta / 0 is unbounded, so the min(1, .) clamp gives a full step.
             return 1.0
         p = self.params
-        peer_term = p.beta_prime / (1.0 + sum(peer_min_action_counts))
+        peer_term = p.beta_prime / (1.0 + ordered_sum(peer_min_action_counts))
         return min(1.0, p.beta / own_visits + peer_term)
 
     def alpha_batch(self, own_visits: np.ndarray, peer_sum: np.ndarray) -> np.ndarray:

@@ -18,12 +18,11 @@ per-frame operation is:
 
 Everything the agents learn lives in a
 :class:`~repro.core.store.LearningStore`, shared by every controller a
-factory builds.  :meth:`MamutController.apply_external_activation` runs one
-activation of one controller (the scalar engine's path, via
-:meth:`MamutController.decide`); :class:`MamutBatch` runs the same
-activation for many controllers at once, with the pending updates, Eq. 3,
-the phase test and both candidate sets as array operations per pool and
-only each agent's own random draws per session.
+factory builds.  The step has two forms side by side:
+:meth:`MamutController.decide` for one controller (the scalar engine) and
+:meth:`MamutBatch.decide` for a fleet (the batch engine).  Each piece of the
+batch form sits beside its scalar form in that form's module, and
+``tests/test_core_store.py`` pins the whole step.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from repro.core.agent import QLearningAgent
 from repro.core.config import MamutConfig
 from repro.core.controller import Controller, Decision
 from repro.core.exploitation import expected_q_action
+from repro.core.observation import ObservationWindow
 from repro.core.phases import Phase
 from repro.core.rewards import RewardFunction
 from repro.core.states import SystemState
@@ -231,9 +231,8 @@ class MamutController(Controller):
         This is :meth:`_activate` with the averaging, discretisation and
         reward evaluation hoisted out; ``current_state`` is the dense
         :meth:`~repro.core.states.StateSpace.state_index` integer.  It is
-        the scalar form of :meth:`MamutBatch.activate`, which the batch
-        stepping engine (:mod:`repro.cluster.batch`) runs for all its
-        activating sessions at once.  The window, now consumed, is emptied.
+        the scalar form of :meth:`MamutBatch.activate`.  The window, now
+        consumed, is emptied.
         ``reward_value`` is ignored when no update is pending (the caller
         may compute it unconditionally).
         """
@@ -316,38 +315,67 @@ _EXPLORATION, _EXPLORATION_EXPLOITATION, _EXPLOITATION = range(len(PHASES))
 
 
 class MamutBatch:
-    """Batch form of :meth:`MamutController.apply_external_activation`.
+    """Batch form of :meth:`MamutController.decide`, for the fleet of a roster.
 
-    Built over a fixed list of controllers (the batch engine builds one per
-    stepper), :meth:`activate` runs one activation step for any subset of
-    them:
-
-    1. the pending updates, grouped by the pending agent's pool
-       (:meth:`~repro.core.store.AgentPool.update_batch`), with the peer
-       minima of Eq. 3 read before the update;
-    2. for the acting agents, grouped by pool, the phase
-       (:meth:`~repro.core.store.AgentPool.phase_batch`) with the peer
-       minima read after the updates, the greedy set and the least-tried
-       set;
-    3. per session, the acting agent's own ``random()`` and ``choice()``
-       draws exactly where the scalar path draws — or, for an agent in
-       exploitation, the scalar Algorithm 1 path after every array write —
-       then the controller's current action, pending update, emptied
-       window and, when recorded, history.
+    Built from the controllers and the frame each decides next (its
+    session's frame counter).  :meth:`decide` looks up every schedule
+    (:meth:`~repro.core.schedule.AgentSchedule.agent_at_batch`), averages
+    the windows of the controllers whose agent acts
+    (:meth:`~repro.core.observation.ObservationWindow.average_batch`),
+    discretises and rewards them once per (state space, reward) group, and
+    runs :meth:`activate`, the batch form of
+    :meth:`MamutController.apply_external_activation`: the pending updates
+    (:meth:`~repro.core.store.AgentPool.update_batch`, with the peer minima
+    of Eq. 3 read before them), then the acting agents' phases, greedy and
+    least-tried sets, each as array operations per pool.  Only each agent's
+    own ``random()``/``choice()`` draws, where the scalar path draws, and
+    Algorithm 1 for an agent in exploitation, after every array write, stay
+    per session.
 
     Sessions only touch their own agents and generators, so the result is
-    bitwise that of calling
-    :meth:`MamutController.apply_external_activation` per controller, in
-    any order.  Besides the controllers the instance keeps only caches:
-    each agent's pool and slot, which never change, and each controller's
-    current action indices and their values (:attr:`values`, one float
-    array per agent of :data:`AGENT_NAMES`), which only activations change.
+    bitwise that of the scalar calls per controller, in any order.  Besides
+    the controllers the instance keeps only caches: the frame counters, the
+    lookup and grouping tables, each agent's pool and slot, and each
+    controller's current action indices and values (:attr:`values`, one
+    float array per agent of :data:`AGENT_NAMES`).
     """
 
-    def __init__(self, controllers: Sequence[MamutController]) -> None:
+    def __init__(
+        self, controllers: Sequence[MamutController], frame_indices: Sequence[int]
+    ) -> None:
         self.controllers = list(controllers)
         count = len(self.controllers)
+        self.frame_indices = np.array(frame_indices, dtype=np.int64).reshape(count)
         width = len(AGENT_NAMES)
+
+        # Lanes sharing a schedule are looked up together; each schedule's
+        # agents map onto AGENT_NAMES, and a NULL slot's -1 reads the last -1.
+        schedules: dict[tuple, tuple] = {}
+        for k, ctl in enumerate(self.controllers):
+            schedules.setdefault(ctl.schedule.key, (ctl.schedule, []))[1].append(k)
+        self._schedules = [
+            (
+                schedule,
+                np.array([*map(_AGENT_IDS.get, schedule.agent_names), -1]),
+                slice(None) if len(members) == count else np.array(members),
+            )
+            for schedule, members in schedules.values()
+        ]
+        # Lanes whose state space and reward match are binned and rewarded
+        # together.
+        models: dict[tuple, tuple] = {}
+        self._model_of = np.array(
+            [
+                models.setdefault(
+                    (ctl.state_space.key, ctl.reward_function.key),
+                    (len(models), ctl.state_space, ctl.reward_function),
+                )[0]
+                for ctl in self.controllers
+            ],
+            dtype=np.int64,
+        )
+        self._models = [model[1:] for model in models.values()]
+
         # Controllers of one factory share their three pools, so pool ids are
         # assigned per distinct triple rather than per agent.
         triples: dict[tuple, int] = {}
@@ -375,6 +403,39 @@ class MamutBatch:
             self._action_values[self.pool_ids[:, gid], self.indices[:, gid]]
             for gid in range(width)
         ]
+
+    def decide(self) -> None:
+        """:meth:`MamutController.decide` for every controller, at its frame.
+
+        The decisions are then in :attr:`values`, and every frame counter
+        has moved on to the next frame.
+        """
+        frames = self.frame_indices
+        agent_ids = np.empty(len(frames), dtype=np.int64)
+        for schedule, ids, members in self._schedules:
+            agent_ids[members] = ids[schedule.agent_at_batch(frames[members])]
+        # A scheduled agent acts only on a non-empty window.
+        controllers = self.controllers
+        acting = [
+            j for j in np.flatnonzero(agent_ids >= 0).tolist() if controllers[j].window.count
+        ]
+        if acting:
+            lanes = np.array(acting, dtype=np.int64)
+            averaged = ObservationWindow.average_batch(
+                [controllers[j].window for j in acting]
+            )
+            states = np.empty(len(lanes), dtype=np.int64)
+            rewards = np.empty(len(lanes))
+            model_of = self._model_of[lanes]
+            for model, (space, reward_function) in enumerate(self._models):
+                rows = model_of == model
+                if not rows.any():
+                    continue
+                observed = [column[rows] for column in averaged]
+                states[rows] = space.state_index_batch(space.discretize_batch(*observed))
+                rewards[rows] = reward_function.total_batch(*observed)
+            self.activate(lanes, agent_ids[lanes], frames[lanes].tolist(), states, rewards)
+        frames += 1
 
     def _by_pool(self, pool_id: np.ndarray) -> list[tuple]:
         """``(pool, positions)`` for each pool that ``pool_id`` names."""

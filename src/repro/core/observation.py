@@ -2,12 +2,17 @@
 
 The environment exposes exactly the four quantities listed in the paper's
 Fig. 1 and Sec. III-C: throughput (FPS), video quality (PSNR), output bitrate
-and package power.
+and package power.  A controller averages the frames it saw since it last
+acted: :meth:`ObservationWindow.average` for one window (the scalar engine),
+:meth:`ObservationWindow.average_batch` for many at once (the batch engine).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import LearningError
 
@@ -81,6 +86,22 @@ class ObservationWindow:
             psnr_db=self.psnr_db / n,
             bitrate_mbps=self.bitrate_mbps / n,
             power_w=self.power_w / n,
+        )
+
+    @staticmethod
+    def average_batch(windows: Sequence[ObservationWindow]) -> tuple[np.ndarray, ...]:
+        """:meth:`average` of each window, as fps, PSNR, bitrate and power arrays.
+
+        The same division of each running sum by the count, so bitwise equal.
+        """
+        counts = np.array([w.count for w in windows], dtype=np.float64)
+        if not counts.all():
+            raise LearningError("cannot average an empty observation window")
+        return (
+            np.array([w.fps for w in windows]) / counts,
+            np.array([w.psnr_db for w in windows]) / counts,
+            np.array([w.bitrate_mbps for w in windows]) / counts,
+            np.array([w.power_w for w in windows]) / counts,
         )
 
     def clear(self) -> None:

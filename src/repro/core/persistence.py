@@ -12,11 +12,15 @@ an agent's states are dense integers; snapshots write each one as its
 4-tuple of bin indices, through the agent's
 :class:`~repro.core.states.StateSpace`.
 
-JSON is the on-disk format only.  Crash salvage inside a cluster run
-(:func:`snapshot_session`, :func:`restore_session_state`) serialises
-nothing: it keeps a reference to the dying controller and copies each
-agent's Q-table and counters into the replacement.  Both restores write
-into the target agent's own slot of its
+JSON is the on-disk format only, parsed and checked by
+:func:`restore_agents`.  Copying learned state from one live controller
+into another serialises nothing: :func:`copy_controller_state` copies each
+agent's Q-table and counters.  It serves crash salvage inside a cluster run
+(:func:`snapshot_session` keeps a reference to the dying controller, and
+:func:`restore_session_state` copies from it into the replacement) and
+pre-trained factories, which parse each snapshot once and copy it into
+every controller they build (:mod:`repro.manager.pretrain`).  Both paths
+write into the target agent's own slot of its
 :class:`~repro.core.store.LearningStore` (through
 :meth:`~repro.core.agent.QLearningAgent.load_learned_state` and
 :meth:`~repro.core.agent.QLearningAgent.copy_learned_state`), so restored
@@ -33,6 +37,7 @@ from typing import Any, Mapping
 from repro.core.agent import QLearningAgent
 from repro.core.states import StateSpace, SystemState
 from repro.errors import ConfigurationError, LearningError
+from repro.numeric import ordered_sum
 
 __all__ = [
     "snapshot_agent",
@@ -40,6 +45,7 @@ __all__ = [
     "snapshot_agents",
     "restore_agents",
     "snapshot_controller",
+    "copy_controller_state",
     "snapshot_session",
     "restore_session_state",
     "save_snapshot",
@@ -144,7 +150,7 @@ def restore_agent(agent: QLearningAgent, snapshot: Mapping[str, Any]) -> None:
         raise LearningError(
             f"snapshot does not fit agent {agent.name!r}: {error!r}"
         ) from None
-    if pair_counts != {p: sum(observed.values()) for p, observed in transitions.items()}:
+    if pair_counts != {p: ordered_sum(observed.values()) for p, observed in transitions.items()}:
         raise LearningError(
             f"snapshot of agent {agent.name!r}: state_action_counts do not "
             "match the transition totals"
@@ -238,36 +244,47 @@ def _bin_counts(space: StateSpace) -> tuple[int, int, int, int]:
     )
 
 
+def copy_controller_state(controller: Any, source: Any) -> None:
+    """Replace what ``controller``'s agents learned with copies of ``source``'s.
+
+    Each agent of ``source`` replaces the Q-table, transition counts and
+    action counts of the same-named agent of ``controller``; nothing is
+    merged and nothing is serialised.  Raises :class:`LearningError`,
+    before copying anything, when either side learns nothing or ``source``
+    has an agent ``controller`` lacks, and, at that agent, when a pair
+    differs in action values or state-space bin counts (equal bin counts
+    give equal dense state indices); agents copied before it stay copied.
+    """
+    sources, targets = _agents(source), _agents(controller)
+    if sources is None or targets is None or not sources.keys() <= targets.keys():
+        raise LearningError("the controllers' agents do not correspond")
+    for name, agent in sources.items():
+        target = targets[name]
+        if (
+            target.actions.values != agent.actions.values
+            or _bin_counts(target.state_space) != _bin_counts(agent.state_space)
+        ):
+            raise LearningError(f"agent {name!r} does not fit the controller's")
+        target.copy_learned_state(agent)
+
+
 def restore_session_state(controller: Any, salvage: Mapping[str, Any] | None) -> bool:
     """Copy a :func:`snapshot_session` salvage's learned state into
     ``controller``; returns True when every salvaged agent was copied.
 
-    Each salvaged agent's Q-table, transition counts and action counts
-    replace those of the same-named agent of ``controller``; nothing is
-    merged and nothing is serialised.  Progress (``resume_frame``) is the
-    caller's to apply.  Copying needs the salvaged agent names to be a
-    subset of the controller's and, per agent, equal action values and
-    equal state-space bin counts (equal bin counts give equal dense state
-    indices).  A ``None`` salvage, a side without agents or a mismatch —
-    e.g. a retry dispatched under a brownout ``degraded_factory`` —
-    returns False and the migrated session learns from scratch, which is
-    always safe.  A mismatch in a later agent leaves earlier agents copied;
-    that is harmless (a copied Q-table is just an initialization) and
-    deterministic, so engine equivalence is unaffected.
+    The copy is :func:`copy_controller_state` from the salvaged controller;
+    progress (``resume_frame``) is the caller's to apply.  A ``None``
+    salvage or a copy that function rejects — e.g. into a retry dispatched
+    under a brownout ``degraded_factory`` — returns False, and the migrated
+    session learns the rest from scratch, which is always safe and, like
+    the agents copied before a mismatch, deterministic on both engines.
     """
     if salvage is None:
         return False
-    source = _agents(salvage["controller"])
-    target = _agents(controller)
-    if source is None or target is None or not source.keys() <= target.keys():
+    try:
+        copy_controller_state(controller, salvage["controller"])
+    except LearningError:
         return False
-    for name, agent in source.items():
-        replacement = target[name]
-        if replacement.actions.values != agent.actions.values:
-            return False
-        if _bin_counts(replacement.state_space) != _bin_counts(agent.state_space):
-            return False
-        replacement.copy_learned_state(agent)
     return True
 
 

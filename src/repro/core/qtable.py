@@ -5,9 +5,8 @@ States are dense integer indices in ``[0, num_states)`` — the encoding of
 indices into the owning agent's :class:`~repro.core.actions.ActionSet`.
 A :class:`QTable` is a view of one agent's slot of an
 :class:`~repro.core.store.AgentPool`, where the values live: each visited
-state has a row, and a state without one reads ``initial_value``.
-:meth:`QTable.items` exports only explicitly stored entries (the
-persistence format).
+state has a row, and a state without one reads 0.0.  :meth:`QTable.items`
+exports only explicitly stored entries (the persistence format).
 """
 
 from __future__ import annotations
@@ -26,34 +25,17 @@ class QTable:
 
     Parameters
     ----------
-    num_actions:
-        Size of the owning agent's action set; action indices must fall in
-        ``[0, num_actions)``.
-    num_states:
-        Size of the state space; state indices must fall in
-        ``[0, num_states)``.
-    initial_value:
-        Q-value reported for unvisited (state, action) pairs.
-
-    A table built this way owns a private pool; :meth:`view` wraps a slot
-    of an existing one (what :class:`~repro.core.agent.QLearningAgent`
-    does).
+    pool:
+        The pool holding the values; action indices must fall in
+        ``[0, pool.num_actions)`` and state indices in
+        ``[0, pool.num_states)``.
+    slot:
+        The agent's slot of ``pool``.
     """
 
-    def __init__(
-        self, num_actions: int, num_states: int, initial_value: float = 0.0
-    ) -> None:
-        pool = AgentPool(num_actions, num_states, initial_value)
+    def __init__(self, pool: AgentPool, slot: int) -> None:
         self.pool = pool
-        self.slot = pool.add_slot()
-
-    @classmethod
-    def view(cls, pool: AgentPool, slot: int) -> QTable:
-        """The Q-values of ``slot`` in ``pool``."""
-        table = cls.__new__(cls)
-        table.pool = pool
-        table.slot = slot
-        return table
+        self.slot = slot
 
     @property
     def num_actions(self) -> int:
@@ -63,14 +45,10 @@ class QTable:
     def num_states(self) -> int:
         return self.pool.num_states
 
-    @property
-    def initial_value(self) -> float:
-        return self.pool.initial_value
-
     # -- access --------------------------------------------------------------------
 
     def get(self, state: int, action: int) -> float:
-        """Q-value of a (state, action) pair (``initial_value`` if unvisited)."""
+        """Q-value of a (state, action) pair (0.0 if never written)."""
         pool = self.pool
         pool._check(state, action)
         return float(pool.q[pool.row_of[self.slot, state], action])

@@ -93,10 +93,15 @@ class RewardBreakdown:
 
 
 class RewardFunction:
-    """Computes the reward terms of Sec. III-D for an observation."""
+    """Computes the reward terms of Sec. III-D for an observation.
+
+    Functions that reward every observation alike have equal :attr:`key`;
+    the batch engine rewards their lanes together.
+    """
 
     def __init__(self, config: RewardConfig | None = None) -> None:
         self.config = config if config is not None else RewardConfig()
+        self.key = self.config
         # Constants of Eq. 2, chosen so the PSNR reward is 0 at psnr_min and
         # 1 at psnr_max (the paper states 0 at 30 dB and 1 at 50 dB).
         scale = self.config.psnr_max_db

@@ -8,12 +8,18 @@ that follow a given agent before any agent repeats — e.g. right after
 ``AGqp`` acts, the chain is ``[AGthread, AGdvfs]``; after ``AGthread`` it is
 ``[AGdvfs]``; after ``AGdvfs`` it is empty (the next actor is ``AGdvfs``
 itself, i.e. NULL in the paper's terms).
+
+A schedule keeps its activation table over one hyper-period, which both
+lookups read: :meth:`AgentSchedule.agent_at` for one frame and
+:meth:`AgentSchedule.agent_at_batch` for an array of frames.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.constants import (
     DVFS_AGENT_OFFSET,
@@ -70,7 +76,8 @@ class AgentSchedule:
         One :class:`AgentSlot` per agent.  Two agents must never be scheduled
         on the same frame (the paper's offsets guarantee this); overlapping
         slots raise :class:`~repro.errors.SchedulingError` at construction
-        time, checked over one hyper-period.
+        time, checked over one hyper-period.  Schedules with equal slots in
+        the same order have equal :attr:`key`.
     """
 
     def __init__(self, slots: Iterable[AgentSlot]) -> None:
@@ -81,17 +88,25 @@ class AgentSchedule:
         if len(set(names)) != len(names):
             raise SchedulingError(f"duplicate agent names in schedule: {names}")
         self._slots = tuple(slots)
+        self.key = tuple((slot.name, slot.period, slot.offset) for slot in slots)
 
         hyper_period = 1
         for slot in slots:
             hyper_period = _lcm(hyper_period, slot.period)
         self.hyper_period = hyper_period
+        # The position in ``slots`` of the agent acting at each frame of a
+        # hyper-period, -1 (the trailing None of _names) on a NULL slot.
+        table = []
         for frame in range(hyper_period):
-            active = [slot.name for slot in slots if slot.acts_at(frame)]
+            active = [i for i, slot in enumerate(slots) if slot.acts_at(frame)]
             if len(active) > 1:
                 raise SchedulingError(
-                    f"agents {active} are scheduled on the same frame ({frame})"
+                    f"agents {[names[i] for i in active]} are scheduled on the "
+                    f"same frame ({frame})"
                 )
+            table.append(active[0] if active else -1)
+        self._table = np.array(table, dtype=np.int64)
+        self._names = (*names, None)
 
     @classmethod
     def mamut_default(
@@ -118,15 +133,21 @@ class AgentSchedule:
 
     @property
     def agent_names(self) -> tuple[str, ...]:
-        """Names of all scheduled agents."""
-        return tuple(slot.name for slot in self._slots)
+        """Names of all scheduled agents, in slot order."""
+        return self._names[:-1]
 
     def agent_at(self, frame_index: int) -> Optional[str]:
         """Name of the agent acting right before ``frame_index`` (None = NULL slot)."""
-        for slot in self._slots:
-            if slot.acts_at(frame_index):
-                return slot.name
-        return None
+        if frame_index < 0:
+            raise SchedulingError(f"frame_index must be >= 0, got {frame_index}")
+        return self._names[self._table[frame_index % self.hyper_period]]
+
+    def agent_at_batch(self, frame_index: np.ndarray) -> np.ndarray:
+        """:meth:`agent_at` per frame, as positions in :attr:`agent_names` (-1 = NULL)."""
+        frame_index = np.asarray(frame_index, dtype=np.int64)
+        if len(frame_index) and frame_index.min() < 0:
+            raise SchedulingError(f"frame_index must be >= 0, got {frame_index!r}")
+        return self._table[frame_index % self.hyper_period]
 
     def next_activation(self, frame_index: int) -> tuple[str, int]:
         """The next (agent, frame) activation strictly after ``frame_index``."""

@@ -62,6 +62,9 @@ class StateSpace:
         Upper edges of the bitrate bins (paper: 3 and 6 Mb/s).
     power_cap_w:
         Server power cap; the power state is binary (below / at-or-above).
+
+    Spaces that bin every observation alike have equal :attr:`key`; the
+    batch engine discretises their lanes together.
     """
 
     def __init__(
@@ -88,6 +91,13 @@ class StateSpace:
         self.psnr_edges = tuple(float(e) for e in psnr_edges)
         self.bitrate_edges_mbps = tuple(float(e) for e in bitrate_edges_mbps)
         self.power_cap_w = float(power_cap_w)
+        self.key = (
+            self.fps_target,
+            self.fps_edges,
+            self.psnr_edges,
+            self.bitrate_edges_mbps,
+            self.power_cap_w,
+        )
         self._fps_edge_array = np.array(self.fps_edges)
         self._psnr_edge_array = np.array(self.psnr_edges)
         self._bitrate_edge_array = np.array(self.bitrate_edges_mbps)

@@ -15,11 +15,12 @@ it.  An agent visits few of its space's states, so a pool stores *rows*: a
 row holds one state's Q-values, visit counts and stored flags, and is
 allocated on the first write to that (slot, state).  ``row_of[slot,
 state]`` maps the pair to its row.  Row 0 is the blank row that every state
-without a row reads (Q-values at ``initial_value``, counts 0); nothing
-writes it.  Slot and row arrays grow by doubling, so nothing outside a pool
-may keep a view of them.  The per-slot minimum of ``Num(a)`` and the
-per-row maximum of ``Num(s, a)`` (the extremes Eq. 3 and the phase test
-read) are kept in the pool and updated by every write.
+without a row reads (Q-values and counts 0); nothing writes it.  Slot and
+row arrays grow by doubling, so nothing outside a pool may keep a view of
+them.  The per-slot minimum of ``Num(a)`` and the per-row maximum of
+``Num(s, a)`` (the extremes Eq. 3 and the phase test read) are kept in the
+pool and updated by every write.  :class:`~repro.core.qtable.QTable` and
+:class:`~repro.core.transitions.TransitionModel` are views of one slot.
 
 Each learning step has a scalar form for one slot, which the scalar engine
 runs and which is the oracle, and a ``*_batch`` form over distinct slots of
@@ -67,11 +68,11 @@ class AgentPool:
 
     Parameters
     ----------
-    num_actions, num_states:
-        Every slot's action indices fall in ``[0, num_actions)`` and its
-        state indices in ``[0, num_states)``.
-    initial_value:
-        Q-value of a (state, action) pair that was never written.
+    action_values:
+        The values of the actions every slot's indices address, in index
+        order: the pool's agents share one action set.
+    num_states:
+        Every slot's state indices fall in ``[0, num_states)``.
     gamma:
         Discount factor of the Q update.
     learning_rate_params:
@@ -80,33 +81,25 @@ class AgentPool:
         Probability with which an exploring agent picks a least-tried
         action instead of a greedy one (see
         :class:`~repro.core.agent.QLearningAgent`).
-    action_values:
-        The values of the actions every slot's indices address, when the
-        pool's agents share an action set (a store's pools do).
+
+    A (state, action) pair that was never written has Q-value 0.0.
     """
 
     def __init__(
         self,
-        num_actions: int,
+        action_values: Sequence,
         num_states: int,
-        initial_value: float = 0.0,
         gamma: float = DEFAULT_GAMMA,
         learning_rate_params: LearningRateParameters | None = None,
         exploration_epsilon: float = 0.25,
-        action_values: tuple | None = None,
     ) -> None:
-        if num_actions < 1:
-            raise LearningError(f"num_actions must be >= 1, got {num_actions}")
+        self.action_values = tuple(action_values)
+        self.num_actions = len(self.action_values)
+        if self.num_actions < 1:
+            raise LearningError("a pool needs at least one action")
         if num_states < 1:
             raise LearningError(f"num_states must be >= 1, got {num_states}")
-        if action_values is not None and len(action_values) != num_actions:
-            raise LearningError(
-                f"{len(action_values)} action values for {num_actions} actions"
-            )
-        self.num_actions = int(num_actions)
-        self.action_values = action_values
         self.num_states = int(num_states)
-        self.initial_value = float(initial_value)
         self.gamma = float(gamma)
         self.learning_rate = LearningRateFunction(learning_rate_params)
         self.exploration_epsilon = float(exploration_epsilon)
@@ -122,7 +115,7 @@ class AgentPool:
 
         #: Rows in use, the blank row 0 included.
         self.rows = 1
-        self.q = np.full((2, self.num_actions), self.initial_value)
+        self.q = np.zeros((2, self.num_actions))
         #: Num(s, a) per row, and max_a Num(s, a).
         self.visits = np.zeros((2, self.num_actions), dtype=np.int64)
         self.row_max = np.zeros(2, dtype=np.int64)
@@ -198,7 +191,7 @@ class AgentPool:
         needed = first + count
         if needed > len(self.q):
             length = max(needed, 2 * len(self.q))
-            self.q = _grown(self.q, length, self.initial_value)
+            self.q = _grown(self.q, length)
             self.visits = _grown(self.visits, length)
             self.row_max = _grown(self.row_max, length)
             self.stored = _grown(self.stored, length)
@@ -534,11 +527,10 @@ class LearningStore:
         pool = self._pools.get(key)
         if pool is None:
             pool = self._pools[key] = AgentPool(
-                len(values),
+                values,
                 num_states,
                 gamma=gamma,
                 learning_rate_params=params,
                 exploration_epsilon=exploration_epsilon,
-                action_values=values,
             )
         return pool

@@ -31,22 +31,12 @@ __all__ = ["TransitionModel"]
 class TransitionModel:
     """Counts and probabilities of observed state transitions per action.
 
-    A model built this way owns a private pool; :meth:`view` wraps a slot
-    of an existing one.
+    The view of ``slot`` of ``pool``.
     """
 
-    def __init__(self, num_actions: int, num_states: int) -> None:
-        pool = AgentPool(num_actions, num_states)
+    def __init__(self, pool: AgentPool, slot: int) -> None:
         self.pool = pool
-        self.slot = pool.add_slot()
-
-    @classmethod
-    def view(cls, pool: AgentPool, slot: int) -> TransitionModel:
-        """The transitions of ``slot`` in ``pool``."""
-        model = cls.__new__(cls)
-        model.pool = pool
-        model.slot = slot
-        return model
+        self.slot = slot
 
     @property
     def num_actions(self) -> int:

@@ -8,8 +8,10 @@ turns the reproduction's runtime-tested contracts into parse-time errors:
 * **Layering** (LAY001-002): the declared layer DAG — telemetry cannot
   reach the engines it observes, device/video models cannot depend on the
   fleet machinery above them.
-* **Scalar/batch parity** (PAR101-102): ``foo``/``foo_batch`` entry-point
-  pairs keep shared parameters and transcendental backends in sync.
+* **Scalar/batch parity** (PAR101-103): ``foo``/``foo_batch`` entry-point
+  pairs keep shared parameters and transcendental backends in sync, and no
+  ``repro`` module sums with the builtin ``sum()``, whose float result
+  changed in Python 3.12.
 * **Telemetry purity** (TEL101): observe/record/emit code paths never
   assign into the objects they are handed.
 

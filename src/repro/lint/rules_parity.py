@@ -10,7 +10,9 @@ arithmetic.  Two drift classes have bitten before:
   through ``math.exp`` while the batch path goes through ``np.exp``,
   whose SIMD kernels may differ in the last ULP.
 
-Both are now parse-time findings:
+A third is the interpreter's: Python 3.12's builtin ``sum()`` adds floats
+with compensation, so a sum can give another double there than on 3.10/3.11.
+All three are now parse-time findings:
 
 * **PAR101** — parameter drift: a name shared by the pair appears in a
   different relative order, or with a different default, on the two sides
@@ -22,6 +24,9 @@ Both are now parse-time findings:
   idiom — both paths reading one shared table built with ``math`` — passes,
   and a batch side that evaluates the function elementwise through
   ``math`` (e.g. ``RewardFunction.total_batch``) counts as agreement.
+* **PAR103** — a builtin ``sum()`` call in a ``repro`` module other than
+  :mod:`repro.numeric`, whose ``ordered_sum`` adds left to right on every
+  version (and returns the same int for ints, so no call is exempt).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterable, Optional
 from repro.lint.base import LintModule, Rule
 from repro.lint.findings import Finding
 
-__all__ = ["ParityParameterDrift", "ParityMathBackendMix"]
+__all__ = ["BuiltinSum", "ParityParameterDrift", "ParityMathBackendMix"]
 
 _BATCH_SUFFIX = "_batch"
 
@@ -255,3 +260,25 @@ class ParityMathBackendMix(Rule):
                     )
                 )
         return findings
+
+
+class BuiltinSum(Rule):
+    code = "PAR103"
+    name = "builtin-sum"
+    description = (
+        "A builtin sum() call in a repro module: Python 3.12's compensated "
+        "float sum() gives other doubles than 3.10/3.11's; use "
+        "repro.numeric.ordered_sum."
+    )
+
+    def check(self, module: LintModule) -> list[Finding]:
+        # An imported ``sum`` is not the builtin.
+        if module.module in (None, "repro.numeric") or "sum" in module.aliases:
+            return []
+        return [
+            self.finding(module, node, "builtin sum(); use repro.numeric.ordered_sum")
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+        ]

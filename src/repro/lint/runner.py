@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 from repro.lint.base import LintModule, Rule
 from repro.lint.findings import Finding, parse_suppressions
 from repro.lint.rules_layering import LayerViolation, UndeclaredLayer
-from repro.lint.rules_parity import ParityMathBackendMix, ParityParameterDrift
+from repro.lint.rules_parity import BuiltinSum, ParityMathBackendMix, ParityParameterDrift
 from repro.lint.rules_purity import TelemetryPurity
 from repro.lint.rules_rng import GlobalRngCall, SeedlessRng, WallClockEntropy
 
@@ -34,6 +34,7 @@ _RULE_CLASSES = (
     UndeclaredLayer,
     ParityParameterDrift,
     ParityMathBackendMix,
+    BuiltinSum,
     TelemetryPurity,
 )
 

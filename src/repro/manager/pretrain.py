@@ -3,7 +3,11 @@
 The paper evaluates agents that have had time to learn.  Instead of paying
 the warm-up cost in every run, a controller can be pre-trained once per
 resolution class on representative content and its knowledge copied into the
-per-session controllers of later experiments:
+per-session controllers of later experiments.  The factory parses and checks
+each class's snapshot once, on that class's first controller, and seeds
+every controller by copying learned state in memory
+(:func:`~repro.core.persistence.copy_controller_state`, the copy crash
+salvage makes too):
 
 >>> knowledge = pretrain_mamut(ResolutionClass.HR, frames=2000)
 >>> factory = pretrained_mamut_factory({ResolutionClass.HR: knowledge})
@@ -17,7 +21,7 @@ from typing import Any, Mapping, Optional
 from repro.constants import DEFAULT_POWER_CAP_W
 from repro.core.config import MamutConfig
 from repro.core.mamut import MamutController
-from repro.core.persistence import restore_agents, snapshot_agents
+from repro.core.persistence import copy_controller_state, restore_agents, snapshot_agents
 from repro.core.store import LearningStore
 from repro.manager.factories import ControllerFactory
 from repro.manager.orchestrator import Orchestrator
@@ -73,11 +77,16 @@ def pretrained_mamut_factory(
 
     ``knowledge`` maps a resolution class to a snapshot from
     :func:`pretrain_mamut`; requests of a class with no snapshot start from
-    scratch, so partially pre-trained fleets are allowed.  Like
+    scratch, so partially pre-trained fleets are allowed.  A class's
+    snapshot is read once, when the factory builds that class's first
+    controller; a snapshot or a request that does not fit raises
+    :class:`~repro.errors.LearningError`.  Like
     :func:`~repro.manager.factories.mamut_factory`, the factory owns one
     learning store that all its controllers share.
     """
     store = LearningStore()
+    # Per class, a controller that holds the parsed snapshot and never acts.
+    parsed: dict[ResolutionClass, MamutController] = {}
 
     def build(request: TranscodingRequest, seed: int) -> MamutController:
         config = MamutConfig.for_request(
@@ -89,7 +98,12 @@ def pretrained_mamut_factory(
         controller = MamutController(config, store)
         snapshot = knowledge.get(request.resolution_class)
         if snapshot is not None:
-            restore_agents(controller.agents, snapshot)
+            source = parsed.get(request.resolution_class)
+            if source is None:
+                source = MamutController(config)
+                restore_agents(source.agents, snapshot)
+                parsed[request.resolution_class] = source
+            copy_controller_state(controller, source)
         return controller
 
     return build

@@ -19,6 +19,7 @@ from repro.manager.orchestrator import Orchestrator, OrchestratorResult
 from repro.manager.scenario import SessionSpec
 from repro.manager.session import TranscodingSession
 from repro.metrics.aggregate import ExperimentSummary
+from repro.numeric import ordered_sum
 from repro.platform.server import MulticoreServer
 from repro.video.sequence import ResolutionClass, VideoSequence
 
@@ -152,7 +153,7 @@ class ExperimentRunner:
                 for w in range(warmup_videos)
             ]
             playlist = warmup + list(spec.playlist)
-            warmup_steps[spec.request.user_id] = sum(len(v) for v in warmup)
+            warmup_steps[spec.request.user_id] = ordered_sum(len(v) for v in warmup)
             sessions.append(
                 TranscodingSession(
                     request=spec.request,
@@ -218,7 +219,7 @@ class ExperimentRunner:
         n = len(summaries)
 
         def mean(values: Sequence[float]) -> float:
-            return sum(values) / len(values) if values else 0.0
+            return ordered_sum(values) / len(values) if values else 0.0
 
         per_class_threads: dict[str, float] = {}
         per_class_freq: dict[str, float] = {}

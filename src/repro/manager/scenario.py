@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_BANDWIDTH_MBPS, TARGET_FPS
 from repro.errors import ScenarioError
+from repro.numeric import ordered_sum
 from repro.video.catalog import hr_sequences, lr_sequences, make_sequence, random_sequence
 from repro.video.request import TranscodingRequest
 from repro.video.sequence import ResolutionClass, VideoSequence
@@ -52,7 +53,7 @@ class SessionSpec:
     @property
     def total_frames(self) -> int:
         """Total number of frames across the playlist."""
-        return sum(len(video) for video in self.playlist)
+        return ordered_sum(len(video) for video in self.playlist)
 
 
 def _build_request(
@@ -167,8 +168,8 @@ def scenario_two(
 
 def scenario_label(specs: Sequence[SessionSpec]) -> str:
     """Compact label such as ``"2HR3LR"`` for a list of session specs."""
-    num_hr = sum(1 for s in specs if s.resolution_class is ResolutionClass.HR)
-    num_lr = sum(1 for s in specs if s.resolution_class is ResolutionClass.LR)
+    num_hr = ordered_sum(1 for s in specs if s.resolution_class is ResolutionClass.HR)
+    num_lr = ordered_sum(1 for s in specs if s.resolution_class is ResolutionClass.LR)
     parts = []
     if num_hr:
         parts.append(f"{num_hr}HR")

@@ -18,8 +18,9 @@ and returns the resource demand the server needs for its allocation, and
 contention scale and server power, then commits it.  The batch engine
 (:mod:`repro.cluster.batch`) decides per session, evaluates the transcode
 math fleet-wide in one NumPy batch and commits each session's results.
-Sessions whose controller its vectorized MAMUT driver advances skip
-``decide`` and only commit; the driver reads their windows itself.
+Sessions running a stock MAMUT controller skip ``decide`` and only commit:
+the engine decides for all of them at once
+(:meth:`~repro.core.mamut.MamutBatch.decide`), reading their windows itself.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.errors import ScenarioError
 from repro.hevc.params import EncoderConfig, Preset
 from repro.hevc.transcoder import Transcoder
 from repro.metrics.records import FrameRecord
+from repro.numeric import ordered_sum
 from repro.platform.server import SessionDemand
 from repro.video.request import TranscodingRequest
 from repro.video.sequence import ResolutionClass, VideoSequence
@@ -134,7 +136,7 @@ class TranscodingSession:
     @property
     def total_frames(self) -> int:
         """Total frames across the playlist."""
-        return sum(len(video) for video in self.playlist)
+        return ordered_sum(len(video) for video in self.playlist)
 
     def terminate(self) -> None:
         """Kill the session in place (its server crashed mid-playlist).
@@ -181,8 +183,9 @@ class TranscodingSession:
         The frame's fps, PSNR, bitrate and server power join the
         controller's observation window, after a video change has reset the
         controller, so the next decision of a still-active session sees
-        them.  Sessions whose controller is advanced out-of-band (the batch
-        engine's MAMUT driver) commit without a preceding :meth:`decide`.
+        them.  Sessions whose controller decides out-of-band (the batch
+        engine's :class:`~repro.core.mamut.MamutBatch`) commit without a
+        preceding :meth:`decide`.
         """
         if not self.active:
             raise ScenarioError(f"session {self.session_id!r} has finished")

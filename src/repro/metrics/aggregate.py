@@ -151,9 +151,9 @@ def summarize_session(
         mean_fps=ordered_sum(r.fps for r in records) / n,
         mean_psnr_db=ordered_sum(r.psnr_db for r in records) / n,
         mean_bitrate_mbps=ordered_sum(r.bitrate_mbps for r in records) / n,
-        mean_threads=sum(r.threads for r in records) / n,
+        mean_threads=ordered_sum(r.threads for r in records) / n,
         mean_frequency_ghz=ordered_sum(r.frequency_ghz for r in records) / n,
-        mean_qp=sum(r.qp for r in records) / n,
+        mean_qp=ordered_sum(r.qp for r in records) / n,
         qos_violation_pct=qos_violation_pct(records),
     )
 
@@ -204,8 +204,8 @@ def summarize_experiment(
         mean_power_w=mean_power,
         energy_j=energy,
         duration_s=total_time,
-        mean_fps=sum(r.fps for r in all_records) / n,
-        mean_threads=sum(r.threads for r in all_records) / n,
+        mean_fps=ordered_sum(r.fps for r in all_records) / n,
+        mean_threads=ordered_sum(r.threads for r in all_records) / n,
         mean_frequency_ghz=ordered_sum(r.frequency_ghz for r in all_records) / n,
         mean_psnr_db=ordered_sum(r.psnr_db for r in all_records) / n,
         qos_violation_pct=qos_violation_pct(all_records),

@@ -230,7 +230,7 @@ class ClusterSummary:
     @property
     def frames(self) -> int:
         """Frames transcoded fleet-wide."""
-        return sum(server.frames for server in self.servers)
+        return ordered_sum(server.frames for server in self.servers)
 
     def to_dict(self) -> dict:
         """JSON-ready dict: every field, with ``servers`` as a list of dicts.
@@ -265,7 +265,7 @@ def _summarize_server(
     samples: Sequence[PowerSample],
 ) -> ServerSummary:
     records = [r for session in records_by_session.values() for r in session]
-    busy_steps = sum(1 for sample in samples if sample.active_sessions > 0)
+    busy_steps = ordered_sum(1 for sample in samples if sample.active_sessions > 0)
     energy, elapsed, mean_power = power_trace_stats(samples)
     return ServerSummary(
         server_index=index,
@@ -337,7 +337,7 @@ def summarize_cluster(
     fleet_mean_power = (
         ordered_sum(fleet_power_by_step.values()) / num_steps if num_steps > 0 else 0.0
     )
-    mean_active = sum(active_by_step.values()) / num_steps if num_steps > 0 else 0.0
+    mean_active = ordered_sum(active_by_step.values()) / num_steps if num_steps > 0 else 0.0
 
     all_records = [
         r
@@ -351,7 +351,7 @@ def summarize_cluster(
     transients = [
         s for s in fleet_trace if s.warming_servers > 0 or s.draining_servers > 0
     ]
-    transient_frames = sum(s.frames for s in transients)
+    transient_frames = ordered_sum(s.frames for s in transients)
 
     return ClusterSummary(
         servers=servers,
@@ -371,27 +371,27 @@ def summarize_cluster(
         brownout_steps=brownout_steps,
         failed=failed,
         retried=retried,
-        server_crashes=sum(1 for e in fault_events if e.kind == "crash"),
-        stragglers=sum(1 for e in fault_events if e.kind == "straggler"),
-        warmup_failures=sum(
+        server_crashes=ordered_sum(1 for e in fault_events if e.kind == "crash"),
+        stragglers=ordered_sum(1 for e in fault_events if e.kind == "straggler"),
+        warmup_failures=ordered_sum(
             1 for e in fault_events if e.kind == "warmup_failure"
         ),
         mean_healthy_servers=(
-            sum(s.healthy_servers for s in fleet_trace) / len(fleet_trace)
+            ordered_sum(s.healthy_servers for s in fleet_trace) / len(fleet_trace)
             if fleet_trace
             else 0.0
         ),
-        failed_domains=sum(1 for e in fault_events if e.kind == "zone_outage"),
+        failed_domains=ordered_sum(1 for e in fault_events if e.kind == "zone_outage"),
         recomputed_frames=recomputed_frames,
         checkpoint_writes=checkpoint_writes,
         checkpoint_energy_j=checkpoint_energy_j,
         mean_available_domains=(
-            sum(s.available_domains for s in fleet_trace) / len(fleet_trace)
+            ordered_sum(s.available_domains for s in fleet_trace) / len(fleet_trace)
             if fleet_trace
             else 0.0
         ),
         mean_queue_wait_steps=(
-            sum(queue_waits) / len(queue_waits) if queue_waits else 0.0
+            ordered_sum(queue_waits) / len(queue_waits) if queue_waits else 0.0
         ),
         max_queue_wait_steps=max(queue_waits, default=0),
         p50_queue_wait_steps=linear_percentile(queue_waits, 50.0),
@@ -411,10 +411,10 @@ def summarize_cluster(
         qos_violation_pct=qos_violation_pct(all_records),
         scale_up_events=len(scale_ups),
         scale_down_events=len(scale_downs),
-        servers_added=sum(e.servers for e in scale_ups),
-        servers_removed=sum(e.servers for e in scale_downs),
+        servers_added=ordered_sum(e.servers for e in scale_ups),
+        servers_removed=ordered_sum(e.servers for e in scale_downs),
         mean_fleet_size=(
-            sum(s.live_servers for s in fleet_trace) / len(fleet_trace)
+            ordered_sum(s.live_servers for s in fleet_trace) / len(fleet_trace)
             if fleet_trace
             else float(len(servers))
         ),
@@ -422,18 +422,18 @@ def summarize_cluster(
             max((s.live_servers for s in fleet_trace), default=len(servers))
         ),
         mean_queue_length=(
-            sum(s.queue_length for s in fleet_trace) / len(fleet_trace)
+            ordered_sum(s.queue_length for s in fleet_trace) / len(fleet_trace)
             if fleet_trace
             else 0.0
         ),
         transient_steps=len(transients),
         transient_mean_queue_length=(
-            sum(s.queue_length for s in transients) / len(transients)
+            ordered_sum(s.queue_length for s in transients) / len(transients)
             if transients
             else 0.0
         ),
         transient_qos_violation_pct=(
-            100.0 * sum(s.qos_violations for s in transients) / transient_frames
+            100.0 * ordered_sum(s.qos_violations for s in transients) / transient_frames
             if transient_frames > 0
             else 0.0
         ),

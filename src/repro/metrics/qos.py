@@ -5,13 +5,14 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.metrics.records import FrameRecord
+from repro.numeric import ordered_sum
 
 __all__ = ["violations", "qos_violation_pct", "qos_violation_pct_fps"]
 
 
 def violations(records: Iterable[FrameRecord]) -> int:
     """Number of frames processed below their session's FPS target."""
-    return sum(1 for record in records if record.is_violation)
+    return ordered_sum(1 for record in records if record.is_violation)
 
 
 def qos_violation_pct(records: Sequence[FrameRecord]) -> float:
@@ -25,5 +26,5 @@ def qos_violation_pct_fps(fps_values: Sequence[float], target_fps: float) -> flo
     """Δ computed directly from a series of per-frame FPS values."""
     if not fps_values:
         return 0.0
-    below = sum(1 for fps in fps_values if fps < target_fps)
+    below = ordered_sum(1 for fps in fps_values if fps < target_fps)
     return 100.0 * below / len(fps_values)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.numeric import ordered_sum
+
 __all__ = ["format_table"]
 
 
@@ -39,7 +41,7 @@ def format_table(
                 cells.append(value.rjust(widths[column]))
         return "  ".join(cells)
 
-    separator = "-" * (sum(widths) + 2 * (len(widths) - 1))
+    separator = "-" * (ordered_sum(widths) + 2 * (len(widths) - 1))
     lines = [format_row(list(headers)), separator]
     lines.extend(format_row(row) for row in rendered_rows)
     return "\n".join(lines)

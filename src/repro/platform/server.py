@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import AllocationError
+from repro.numeric import ordered_sum
 from repro.platform.dvfs import DvfsDriver, DvfsPolicy
 from repro.platform.power import PowerModel
 from repro.platform.topology import CpuTopology
@@ -168,7 +169,7 @@ class MulticoreServer:
 
         cores = self.topology.physical_cores
         hw_threads = self.topology.hardware_threads
-        total_threads = sum(d.threads for d in demands)
+        total_threads = ordered_sum(d.threads for d in demands)
         scale = self.topology.contention_scale(total_threads)
 
         busy_physical = float(min(total_threads, cores))

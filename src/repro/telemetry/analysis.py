@@ -36,6 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from repro.metrics.aggregate import linear_percentile
 from repro.metrics.cluster import ClusterSummary
+from repro.numeric import ordered_sum
 from repro.telemetry.trace import MARKER_KINDS, TERMINAL_KINDS, ListTraceSink
 
 __all__ = [
@@ -86,7 +87,7 @@ class LatencyStats:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return cls(
             count=len(values),
-            mean=sum(values) / len(values),
+            mean=ordered_sum(values) / len(values),
             p50=linear_percentile(values, 50.0),
             p95=linear_percentile(values, 95.0),
             p99=linear_percentile(values, 99.0),
@@ -239,11 +240,11 @@ class TraceAnalysis:
     @property
     def retried(self) -> int:
         """Successful re-dispatches, summed over all lifecycles."""
-        return sum(l.retries for l in self.lifecycles.values())
+        return ordered_sum(l.retries for l in self.lifecycles.values())
 
     @property
     def interrupted(self) -> int:
-        return sum(l.interruptions for l in self.lifecycles.values())
+        return ordered_sum(l.interruptions for l in self.lifecycles.values())
 
     def fault_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -287,7 +288,7 @@ class TraceAnalysis:
         waits = self.queue_waits()
         check("admitted (queue-wait population)", len(waits), summary.admitted)
         if waits:
-            check("mean queue wait", sum(waits) / len(waits), summary.mean_queue_wait_steps)
+            check("mean queue wait", ordered_sum(waits) / len(waits), summary.mean_queue_wait_steps)
             check("max queue wait", max(waits), summary.max_queue_wait_steps)
             check("p50 queue wait", linear_percentile(waits, 50.0), summary.p50_queue_wait_steps)
             check("p95 queue wait", linear_percentile(waits, 95.0), summary.p95_queue_wait_steps)
@@ -304,7 +305,7 @@ class TraceAnalysis:
         if self.interrupted == 0:
             check(
                 "frames",
-                sum(l.frames for l in self.served()),
+                ordered_sum(l.frames for l in self.served()),
                 summary.frames,
             )
         return mismatches

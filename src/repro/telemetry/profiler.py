@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import time
 
+from repro.numeric import ordered_sum
+
 __all__ = ["StepProfiler", "PhaseStats", "NULL_PROFILER"]
 
 
@@ -98,7 +100,7 @@ class StepProfiler:
         rather than whole-process wall time.
         """
         phase_rows = [stats.to_dict() for stats in self._phases.values()]
-        instrumented_s = sum(row["total_s"] for row in phase_rows)
+        instrumented_s = ordered_sum(row["total_s"] for row in phase_rows)
         for row in phase_rows:
             row["share"] = (
                 row["total_s"] / instrumented_s if instrumented_s > 0 else 0.0

@@ -36,6 +36,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 from repro.telemetry.metrics import NULL_REGISTRY, QUEUE_WAIT_EDGES, Histogram
 from repro.telemetry.trace import NULL_TRACER
 
@@ -167,8 +168,8 @@ class ShedRateObjective(SloObjective):
         return (deltas.shed, deltas.arrivals)
 
     def value(self, window: Sequence) -> float:
-        shed = sum(entry[0] for entry in window)
-        arrivals = sum(entry[1] for entry in window)
+        shed = ordered_sum(entry[0] for entry in window)
+        arrivals = ordered_sum(entry[1] for entry in window)
         if arrivals == 0:
             return 0.0
         return 100.0 * shed / arrivals
@@ -191,8 +192,8 @@ class ViolationRateObjective(SloObjective):
         return (deltas.violations, deltas.frames)
 
     def value(self, window: Sequence) -> float:
-        violations = sum(entry[0] for entry in window)
-        frames = sum(entry[1] for entry in window)
+        violations = ordered_sum(entry[0] for entry in window)
+        frames = ordered_sum(entry[1] for entry in window)
         if frames == 0:
             return 0.0
         return 100.0 * violations / frames
@@ -256,7 +257,7 @@ class _ObjectiveState:
     def burn_rate(self) -> float:
         if not self.breach_window:
             return 0.0
-        breached_fraction = sum(self.breach_window) / len(self.breach_window)
+        breached_fraction = ordered_sum(self.breach_window) / len(self.breach_window)
         return breached_fraction / (self.objective.error_budget_pct / 100.0)
 
 

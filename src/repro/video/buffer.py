@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from repro.constants import TARGET_FPS
 from repro.errors import VideoError
 from repro.metrics.records import FrameRecord
+from repro.numeric import ordered_sum
 
 __all__ = ["PlaybackStats", "PlaybackBuffer", "playback_stats_from_records"]
 
@@ -110,7 +111,7 @@ class PlaybackBuffer:
                 next_play_time = arrival + frame_period
             else:
                 in_stall = False
-                buffered = sum(1 for a in arrivals[index + 1:] if a <= next_play_time)
+                buffered = ordered_sum(1 for a in arrivals[index + 1:] if a <= next_play_time)
                 max_buffered = max(max_buffered, buffered)
                 next_play_time += frame_period
 

@@ -14,6 +14,7 @@ from typing import Iterator, Sequence
 
 from repro.constants import HR_RESOLUTION, LR_RESOLUTION
 from repro.errors import VideoError
+from repro.numeric import ordered_sum
 from repro.video.content import ContentModel, ContentProfile, FrameContent
 
 __all__ = ["ResolutionClass", "Frame", "VideoSequence"]
@@ -201,9 +202,9 @@ class VideoSequence:
     @property
     def mean_complexity(self) -> float:
         """Average spatial complexity over the whole sequence."""
-        return sum(self._complexity) / len(self)
+        return ordered_sum(self._complexity) / len(self)
 
     @property
     def mean_motion(self) -> float:
         """Average temporal activity over the whole sequence."""
-        return sum(self._motion) / len(self)
+        return ordered_sum(self._motion) / len(self)

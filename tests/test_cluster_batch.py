@@ -12,11 +12,11 @@ from __future__ import annotations
 import builtins
 import itertools
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
 
+import test_cluster_golden as cluster_golden
 from engine_fixtures import compensated_sum, run_batch
 from repro.cluster import (
     AlwaysAdmit,
@@ -37,7 +37,6 @@ from repro.cluster import (
 from repro.cluster.brownout import BrownoutController
 from repro.cluster.dispatch import PowerAware
 from repro.core.persistence import snapshot_controller
-from repro.core.phases import Phase
 from repro.core.states import SystemState
 from repro.errors import ClusterError, ScenarioError
 from repro.hevc.complexity import ComplexityModel, ComplexityModelParameters
@@ -53,7 +52,6 @@ from repro.manager.factories import (
     static_factory,
 )
 from repro.manager.orchestrator import Orchestrator
-from repro.manager.pretrain import pretrain_mamut, pretrained_mamut_factory
 from repro.manager.session import TranscodingSession
 from repro.platform.dvfs import DvfsDriver
 from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
@@ -781,44 +779,16 @@ class TestEnginesInEveryPhase:
     :func:`~repro.manager.pretrain.pretrain_mamut` knowledge also act in
     exploration-exploitation and in Algorithm 1's exploitation, the paths
     the batch activation (:class:`~repro.core.mamut.MamutBatch`) rewrites.
+    The run is ``tests/test_cluster_golden.py``'s three-phase scenario,
+    whose outputs that file also pins to literals.
     """
 
-    @pytest.fixture(scope="class")
-    def knowledge(self):
-        return {
-            resolution: pretrain_mamut(resolution, frames=2000)
-            for resolution in (ResolutionClass.HR, ResolutionClass.LR)
-        }
-
-    def run(self, engine, knowledge):
-        workload = WorkloadGenerator(PoissonTraffic(1.0), seed=3, frames_per_video=48)
-        cluster = ClusterOrchestrator(
-            4,
-            workload,
-            controller_factory=pretrained_mamut_factory(knowledge, record_history=True),
-            seed=3,
-            engine=engine,
-        )
-        result = cluster.run(60)
-        controllers = {
-            session.session_id: session.controller
-            for orch in cluster.orchestrators
-            for session in orch.sessions
-        }
-        return result, controllers
-
-    def test_engines_agree_in_every_phase(self, knowledge):
-        scalar, scalar_controllers = self.run("scalar", knowledge)
-        batch, batch_controllers = self.run("batch", knowledge)
+    def test_engines_agree_in_every_phase(self):
+        scalar, scalar_controllers = cluster_golden.run_phases("scalar")
+        batch, batch_controllers = cluster_golden.run_phases("batch")
         assert batch.summary() == scalar.summary()
         assert batch_controllers.keys() == scalar_controllers.keys()
         for session_id, controller in batch_controllers.items():
             theirs = scalar_controllers[session_id]
             assert snapshot_controller(controller) == snapshot_controller(theirs)
             assert controller.history == theirs.history
-        phases = Counter(
-            entry.phase
-            for controller in batch_controllers.values()
-            for entry in controller.history
-        )
-        assert all(phases[phase] > 0 for phase in Phase), phases

@@ -7,7 +7,7 @@ SLO report, the summary and the raw result — to sha256 literals, so a refactor
 cluster loop that changes any output by a byte fails here, even when it
 changes both engines alike.
 
-Two scenarios, each on both engines (the literals are shared, which also
+Three scenarios, each on both engines (the literals are shared, which also
 checks the engines against each other):
 
 * ``chaos`` — a flash crowd with per-class patience under
@@ -18,6 +18,12 @@ checks the engines against each other):
   tail cut at three steps.
 * ``overload`` — ``tests/test_telemetry.py``'s flash-crowd scenario, whose
   run ends with requests still queued (abandoned).
+* the three-phase run — a Poisson fleet of controllers seeded with
+  :func:`~repro.manager.pretrain.pretrain_mamut` knowledge, whose agents act
+  in exploration, exploration-exploitation and Algorithm 1's exploitation
+  (the other scenarios' agents start from scratch and only explore).  Its
+  summary, every controller's snapshot and every activation history are
+  pinned in ``GOLDEN_PHASES``.
 
 A deliberate output change regenerates the literals (printed as JSON) with
 ``PYTHONPATH=src python tests/test_cluster_golden.py``.
@@ -26,9 +32,11 @@ A deliberate output change regenerates the literals (printed as JSON) with
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -43,11 +51,15 @@ from repro.cluster import (
     FlashCrowdTraffic,
     KillEntry,
     KillSchedule,
+    PoissonTraffic,
     PredictiveScaling,
     QueueWhileWarming,
     WorkloadGenerator,
 )
+from repro.core.persistence import snapshot_controller
+from repro.core.phases import Phase
 from repro.manager.factories import mamut_factory, static_factory
+from repro.manager.pretrain import pretrain_mamut, pretrained_mamut_factory
 from repro.telemetry import (
     ListTraceSink,
     QueueWaitObjective,
@@ -262,9 +274,77 @@ def test_overload_scenario_ends_with_abandoned_requests():
     assert result.abandoned > 0
 
 
+@functools.lru_cache(maxsize=None)
+def phase_knowledge() -> dict:
+    """Pre-trained HR and LR knowledge (read-only, shared by every run)."""
+    return {
+        resolution: pretrain_mamut(resolution, frames=2000)
+        for resolution in (ResolutionClass.HR, ResolutionClass.LR)
+    }
+
+
+def run_phases(engine: str, knowledge: dict | None = None):
+    """The three-phase run: pretrained controllers, 4 servers, 60 steps.
+
+    ``knowledge`` defaults to :func:`phase_knowledge`.  Returns the result
+    and every session's controller by session id.
+    """
+    if knowledge is None:
+        knowledge = phase_knowledge()
+    workload = WorkloadGenerator(PoissonTraffic(1.0), seed=3, frames_per_video=48)
+    cluster = ClusterOrchestrator(
+        4,
+        workload,
+        controller_factory=pretrained_mamut_factory(knowledge, record_history=True),
+        seed=3,
+        engine=engine,
+    )
+    result = cluster.run(60)
+    controllers = {
+        session.session_id: session.controller
+        for orch in cluster.orchestrators
+        for session in orch.sessions
+    }
+    return result, controllers
+
+
+def phase_digests(result, controllers) -> dict[str, str]:
+    """sha256 of the three-phase run's outputs, as pinned in ``GOLDEN_PHASES``."""
+    return {
+        "summary": _sha(result.summary().to_dict()),
+        "snapshots": _sha(
+            [(sid, snapshot_controller(ctl)) for sid, ctl in controllers.items()]
+        ),
+        "histories": _sha(
+            repr([(sid, ctl.history) for sid, ctl in controllers.items()])
+        ),
+    }
+
+
+GOLDEN_PHASES = {
+    "summary": "c925f2615c360c584daa50f95c93ef4f1054c6e54550df8af51b0eae4d75d9b8",
+    "snapshots": "13547c9a150d3f8d002a6ff6b2da76421294cabf48e29a6188a272eaa6fa8556",
+    "histories": "f7190c0567012512af4f3ab7aa33db05bf035a7f418ebe70dc7f6e8bbff84d1f",
+}
+
+
+@pytest.mark.parametrize("engine", ["batch", "scalar"])
+def test_three_phase_run_matches_golden_digests(engine):
+    assert phase_digests(*run_phases(engine)) == GOLDEN_PHASES
+
+
+def test_three_phase_run_reaches_every_phase():
+    _, controllers = run_phases("batch")
+    phases = Counter(
+        entry.phase for controller in controllers.values() for entry in controller.history
+    )
+    assert all(phases[phase] > 0 for phase in Phase), phases
+
+
 if __name__ == "__main__":
     golden = {
         name: digests(*run_scenario(name, "scalar")) for name in sorted(SCENARIOS)
     }
+    golden["GOLDEN_PHASES"] = phase_digests(*run_phases("scalar"))
     json.dump(golden, sys.stdout, indent=4)
     sys.stdout.write("\n")

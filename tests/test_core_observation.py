@@ -89,9 +89,40 @@ class TestSinglePassAveraging:
             window = window_of(observations)
             assert window.count == n
             averaged = window.average()
-            # One left-to-right pass per component, as the batch driver's
+            # One left-to-right pass per component, as the batch form's
             # averaging of the same sums assumes.
             for attribute in ("fps", "psnr_db", "bitrate_mbps", "power_w"):
                 assert getattr(averaged, attribute) == left_to_right_mean(
                     [getattr(o, attribute) for o in observations]
                 )
+
+
+class TestAverageBatch:
+    def test_equals_the_scalar_average_bitwise(self):
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        windows = [
+            window_of(
+                [
+                    Observation(
+                        fps=float(rng.uniform(1, 60)),
+                        psnr_db=float(rng.uniform(20, 55)),
+                        bitrate_mbps=float(rng.uniform(0.1, 10)),
+                        power_w=float(rng.uniform(40, 200)),
+                    )
+                    for _ in range(n)
+                ]
+            )
+            for n in rng.integers(1, 30, size=200).tolist()
+        ]
+        columns = ObservationWindow.average_batch(windows)
+        scalar = [window.average() for window in windows]
+        for column, attribute in zip(columns, ("fps", "psnr_db", "bitrate_mbps", "power_w")):
+            assert column.tolist() == [getattr(mean, attribute) for mean in scalar]
+
+    def test_an_empty_window_is_rejected(self):
+        full = window_of([Observation(fps=20.0, psnr_db=30.0, bitrate_mbps=2.0, power_w=60.0)])
+        with pytest.raises(LearningError):
+            ObservationWindow.average_batch([full, ObservationWindow()])
+        assert [len(column) for column in ObservationWindow.average_batch([])] == [0] * 4

@@ -13,6 +13,7 @@ from repro.core.config import MamutConfig
 from repro.core.mamut import MamutController
 from repro.core.observation import Observation
 from repro.core.persistence import (
+    copy_controller_state,
     load_snapshot,
     restore_agent,
     restore_agents,
@@ -231,6 +232,17 @@ class TestBadSnapshots:
         salvage = snapshot_session(_SessionStub(source, frame_index=0))
         assert not restore_session_state(target, salvage)
         assert snapshot_controller(target) == before
+        with pytest.raises(LearningError):
+            copy_controller_state(target, source)
+        assert snapshot_controller(target) == before
+
+    def test_copy_controller_state_rejects_other_action_values(self, hr_request, lr_request):
+        source = MamutController(MamutConfig.for_request(hr_request, seed=0))
+        target = MamutController(MamutConfig.for_request(lr_request, seed=1))
+        with pytest.raises(LearningError):
+            copy_controller_state(target, source)
+        with pytest.raises(LearningError):
+            copy_controller_state(target, object())
 
 
 class TestRestoreRebuildsCaches:

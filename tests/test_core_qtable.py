@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.qtable import QTable
 from repro.core.states import StateSpace, SystemState
+from repro.core.store import AgentPool
 from repro.errors import LearningError
 
 
@@ -14,16 +15,12 @@ S0 = SPACE.state_index(SystemState(0, 0, 0, 0))
 S1 = SPACE.state_index(SystemState(1, 2, 1, 0))
 
 
-def make_table(num_actions=3, initial_value=0.0) -> QTable:
-    return QTable(num_actions, SPACE.size, initial_value=initial_value)
+def make_table(num_actions=3) -> QTable:
+    pool = AgentPool(range(num_actions), SPACE.size)
+    return QTable(pool, pool.add_slot())
 
 
 class TestQTable:
-    def test_unvisited_entries_default_to_initial_value(self):
-        table = make_table(num_actions=4, initial_value=0.5)
-        assert table.get(S0, 0) == pytest.approx(0.5)
-        assert len(table) == 0
-
     def test_set_and_get(self):
         table = make_table(num_actions=3)
         table.set(S0, 1, 2.5)
@@ -68,22 +65,13 @@ class TestQTable:
 
     def test_invalid_num_actions_rejected(self):
         with pytest.raises(LearningError):
-            QTable(num_actions=0, num_states=SPACE.size)
+            make_table(num_actions=0)
 
 
-class TestArrayMode:
-    """The lazily grown dense array behind the table."""
+class TestRowStorage:
+    """The pool rows behind the table, allocated on a state's first write."""
 
-    def test_defaults_and_set_get(self):
-        table = make_table(initial_value=0.5)
-        assert table.get(S0, 0) == pytest.approx(0.5)
-        assert len(table) == 0
-        table.set(S1, 2, 3.0)
-        assert table.get(S1, 2) == pytest.approx(3.0)
-        assert table.get(S1, 0) == pytest.approx(0.5)
-        assert len(table) == 1
-
-    def test_matches_dict_mode_operation_for_operation(self):
+    def test_matches_a_reference_dict_operation_for_operation(self):
         """A plain ``{(state, action): value}`` dict is the reference model."""
         import numpy as np
 
@@ -140,7 +128,7 @@ class TestArrayMode:
         assert table.get(0, 0) == 0.0
 
     def test_items_export_only_stored_entries(self):
-        table = make_table(initial_value=0.5)
+        table = make_table()
         table.set(S1, 2, -2.0)
         table.update_towards(S0, 0, target=1.5, alpha=0.5)
-        assert sorted(table.items()) == [((S0, 0), 1.0), ((S1, 2), -2.0)]
+        assert sorted(table.items()) == [((S0, 0), 0.75), ((S1, 2), -2.0)]

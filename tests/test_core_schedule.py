@@ -112,3 +112,36 @@ class TestValidation:
         assert schedule.agent_at(0) == "x"
         assert schedule.agent_at(2) == "y"
         assert schedule.chain_after(0) == ["y"]
+
+
+class TestBatchLookup:
+    @pytest.mark.parametrize(
+        "slots",
+        [
+            None,
+            # Slot order unlike the default's, NULL slots at 4 and 5.
+            [AgentSlot("threads", 3, 0), AgentSlot("dvfs", 6, 1), AgentSlot("qp", 6, 2)],
+        ],
+        ids=["paper", "custom"],
+    )
+    def test_equals_agent_at(self, slots):
+        schedule = AgentSchedule.mamut_default() if slots is None else AgentSchedule(slots)
+        frames = list(range(3 * schedule.hyper_period)) + [10**9 + 7, 0]
+        positions = schedule.agent_at_batch(frames).tolist()
+        names = [schedule.agent_at(frame) for frame in frames]
+        assert [
+            None if position == -1 else schedule.agent_names[position]
+            for position in positions
+        ] == names
+        assert None in names
+
+    def test_negative_frames_rejected(self, schedule):
+        with pytest.raises(SchedulingError):
+            schedule.agent_at(-1)
+        with pytest.raises(SchedulingError):
+            schedule.agent_at_batch([3, -1])
+        assert schedule.agent_at_batch([]).tolist() == []
+
+    def test_equal_slots_give_equal_keys(self, schedule):
+        assert AgentSchedule.mamut_default().key == schedule.key
+        assert AgentSchedule.mamut_default(qp_name="q").key != schedule.key

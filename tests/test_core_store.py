@@ -2,11 +2,13 @@
 
 Every ``*_batch`` method of :class:`~repro.core.store.AgentPool` must give
 bitwise what its scalar form gives slot by slot, and
+:meth:`~repro.core.mamut.MamutBatch.decide` and
 :meth:`~repro.core.mamut.MamutBatch.activate` must leave controllers in
 exactly the state per-controller
-:meth:`~repro.core.mamut.MamutController.apply_external_activation` leaves
-them in: same Q-values, counts, transitions, generator states, pending
-updates, current actions and history.  Comparisons use ``==``.
+:meth:`~repro.core.mamut.MamutController.decide` and
+:meth:`~repro.core.mamut.MamutController.apply_external_activation` leave
+them in: same decisions, Q-values, counts, transitions, generator states,
+pending updates, current actions and history.  Comparisons use ``==``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,12 @@ from repro.core.actions import ActionSet, default_thread_actions
 from repro.core.agent import QLearningAgent
 from repro.core.config import MamutConfig
 from repro.core.learning_rate import LearningRateFunction, LearningRateParameters
+from repro.core import mamut
+from repro.core.exploitation import expected_q_action
 from repro.core.mamut import AGENT_NAMES, MamutBatch, MamutController
 from repro.core.persistence import snapshot_agent
+from repro.core.rewards import RewardConfig
+from repro.core.schedule import AgentSchedule, AgentSlot
 from repro.core.states import StateSpace
 from repro.core.store import PHASES, AgentPool, LearningStore
 from repro.errors import LearningError
@@ -32,7 +38,7 @@ FAST = LearningRateParameters(beta=0.3, beta_prime=0.2, alpha_th1=0.5, alpha_th2
 
 def _trained_pool(seed, num_actions=5, slots=6, steps=300, params=FAST):
     """A pool whose slots saw random updates over a handful of states."""
-    pool = AgentPool(num_actions, SPACE.size, learning_rate_params=params)
+    pool = AgentPool(range(num_actions), SPACE.size, learning_rate_params=params)
     for _ in range(slots):
         pool.add_slot()
     rng = np.random.default_rng(seed)
@@ -166,7 +172,7 @@ class TestSlots:
         target.update(slot, 5, 1, 1.0, 6, [])  # replaced, not merged
         target.copy_slot(slot, source, 2)
         assert _slot_state(target, slot) == _slot_state(source, 2)
-        assert _slot_state(target, first) == _slot_state(AgentPool(5, SPACE.size), 0)
+        assert _slot_state(target, first) == _slot_state(AgentPool(range(5), SPACE.size), 0)
 
     def test_copy_within_a_pool_and_onto_itself(self):
         pool, _ = _trained_pool(4)
@@ -178,7 +184,7 @@ class TestSlots:
 
     def test_copy_needs_the_same_shape(self):
         source, _ = _trained_pool(3)
-        target = AgentPool(source.num_actions + 1, SPACE.size)
+        target = AgentPool(range(source.num_actions + 1), SPACE.size)
         with pytest.raises(LearningError):
             target.copy_slot(target.add_slot(), source, 0)
 
@@ -187,13 +193,13 @@ class TestSlots:
         pool.next_counts(0, states[0], 0)  # fold everything so far
         pool.record(0, states[0], 0, states[1])
         pool.clear_slot(0)
-        assert _slot_state(pool, 0) == _slot_state(AgentPool(5, SPACE.size), 0)
+        assert _slot_state(pool, 0) == _slot_state(AgentPool(range(5), SPACE.size), 0)
         pool.record(0, 7, 2, 8, 3)
         assert dict(pool.next_counts(0, 7, 2)) == {8: 3}
         assert pool.max_state_count(0, 7) == 3
 
     def test_pools_grow_in_place(self):
-        pool = AgentPool(3, SPACE.size)
+        pool = AgentPool(range(3), SPACE.size)
         for _ in range(40):
             pool.add_slot()
         for slot in range(40):
@@ -266,7 +272,7 @@ class TestMamutBatch:
     def test_activate_equals_scalar_activations(self):
         scalar = _population(1)
         batch = _population(1)
-        fleet = MamutBatch(batch)
+        fleet = MamutBatch(batch, [0] * len(batch))
         rng = np.random.default_rng(11)
         states = rng.choice(SPACE.size, size=5, replace=False)
         schedule = scalar[0].schedule
@@ -307,8 +313,83 @@ class TestMamutBatch:
 
     def test_builds_from_current_actions(self):
         controllers = _population(2)
-        fleet = MamutBatch(controllers)
+        fleet = MamutBatch(controllers, range(len(controllers)))
         decisions = [ctl.current_decision() for ctl in controllers]
         assert fleet.values[0].tolist() == [d.qp for d in decisions]
         assert fleet.values[1].tolist() == [d.threads for d in decisions]
         assert fleet.values[2].tolist() == [d.frequency_ghz for d in decisions]
+
+
+def _decide_fleet(seed):
+    """Two schedules, two (state space, reward) configurations, shared and
+    private stores, and thresholds every phase is reached under."""
+    store = LearningStore()
+    # Slots in another order than AGENT_NAMES, and NULL slots at 4 and 5.
+    short = AgentSchedule(
+        [AgentSlot("threads", 3, 0), AgentSlot("dvfs", 6, 1), AgentSlot("qp", 6, 2)]
+    )
+    tight = dict(
+        state_space=StateSpace(bitrate_edges_mbps=(2.0, 4.0), power_cap_w=60.0),
+        reward=RewardConfig(bandwidth_mbps=4.0, power_cap_w=60.0),
+    )
+    controllers = []
+    for i in range(16):
+        config = MamutConfig(
+            thread_actions=default_thread_actions(
+                ResolutionClass.HR if i % 2 else ResolutionClass.LR
+            ),
+            learning_rate=FAST,
+            schedule=short if i % 4 < 2 else None,
+            seed=seed * 100 + i,
+            record_history=True,
+            **(tight if i % 3 == 0 else {}),
+        )
+        controllers.append(MamutController(config, store if i % 5 else None))
+    return controllers
+
+
+class TestMamutBatchDecide:
+    def test_decide_equals_scalar_decide(self, monkeypatch):
+        chained = []
+
+        def counted(*args, **kwargs):
+            chained.append(args)
+            return expected_q_action(*args, **kwargs)
+
+        monkeypatch.setattr(mamut, "expected_q_action", counted)
+        scalar = _decide_fleet(3)
+        batch = _decide_fleet(3)
+        rng = np.random.default_rng(5)
+        starts = rng.integers(0, 40, size=len(scalar))
+        fleet = MamutBatch(batch, starts.tolist())
+        # A few distinct observations, so states repeat and phases advance.
+        observations = [
+            (25.0, 36.0, 1.5, 50.0),
+            (20.0, 42.0, 3.0, 65.0),
+            (31.0, 33.0, 5.0, 58.0),
+        ]
+        for round_index in range(400):
+            if round_index % 97 == 50:
+                # A video boundary: windows and pending updates are dropped.
+                for j in rng.choice(len(scalar), size=4, replace=False):
+                    scalar[j].reset()
+                    batch[j].reset()
+            if round_index:
+                for mine, theirs in zip(batch, scalar):
+                    observed = observations[rng.integers(len(observations))]
+                    mine.window.add(*observed)
+                    theirs.window.add(*observed)
+            decisions = [
+                ctl.decide(int(start) + round_index) for ctl, start in zip(scalar, starts)
+            ]
+            fleet.decide()
+            assert fleet.values[0].tolist() == [d.qp for d in decisions]
+            assert fleet.values[1].tolist() == [d.threads for d in decisions]
+            assert fleet.values[2].tolist() == [d.frequency_ghz for d in decisions]
+        assert fleet.frame_indices.tolist() == (starts + 400).tolist()
+        for mine, theirs in zip(batch, scalar):
+            assert _controller_state(mine) == _controller_state(theirs)
+        phases = {entry.phase for ctl in scalar for entry in ctl.history}
+        assert phases == set(PHASES)
+        assert chained  # Algorithm 1 ran
+        assert (len(fleet._schedules), len(fleet._models)) == (2, 2)

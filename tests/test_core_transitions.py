@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.states import StateSpace, SystemState
+from repro.core.store import AgentPool
 from repro.core.transitions import TransitionModel
 from repro.errors import LearningError
 
@@ -14,7 +15,8 @@ S0, S1, S2 = (SPACE.state_index(SystemState(f, 0, 0, 0)) for f in range(3))
 
 
 def make_model(num_actions: int) -> TransitionModel:
-    return TransitionModel(num_actions, SPACE.size)
+    pool = AgentPool(range(num_actions), SPACE.size)
+    return TransitionModel(pool, pool.add_slot())
 
 
 class TestTransitionModel:
@@ -73,4 +75,4 @@ class TestTransitionModel:
 
     def test_invalid_num_actions_rejected(self):
         with pytest.raises(LearningError):
-            TransitionModel(num_actions=0, num_states=SPACE.size)
+            make_model(0)

@@ -1,5 +1,6 @@
 """Scalar/batch parity rules: PAR101 (parameter drift), PAR102
-(math/numpy transcendental backend mix — the ULP-divergence class)."""
+(math/numpy transcendental backend mix — the ULP-divergence class), PAR103
+(builtin ``sum()``, whose float result changed in Python 3.12)."""
 
 from __future__ import annotations
 
@@ -194,3 +195,55 @@ class TestParityMathBackendMix:
             """,
         )
         assert codes_of(findings) == ["PAR102"]
+
+
+class TestBuiltinSum:
+    def test_float_and_int_sums_flagged(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "repro/metrics/mod.py",
+            """
+            def mean(values):
+                return sum(values) / len(values)
+
+            def count(records):
+                return sum(1 for record in records if record)
+            """,
+        )
+        assert codes_of(findings) == ["PAR103", "PAR103"]
+
+    def test_ordered_sum_and_array_sums_pass(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "repro/metrics/mod.py",
+            """
+            import numpy as np
+
+            from repro.numeric import ordered_sum
+
+            def total(values, array):
+                return ordered_sum(values) + np.sum(array) + array.sum()
+            """,
+        )
+        assert findings == []
+
+    def test_numeric_module_and_non_repro_files_exempt(self, tmp_path):
+        source = """
+            def total(values):
+                return sum(values)
+            """
+        assert lint_snippet(tmp_path, "repro/numeric.py", source) == []
+        assert lint_snippet(tmp_path, "bench.py", source) == []
+
+    def test_imported_sum_is_not_the_builtin(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "repro/metrics/mod.py",
+            """
+            from numpy import sum
+
+            def total(values):
+                return sum(values)
+            """,
+        )
+        assert findings == []

@@ -89,6 +89,11 @@ class TestSelfRun:
                 "        return np.exp(x)\n",
             ),
             (
+                "PAR103",
+                "repro/cluster/state.py",
+                "\ndef _mut_mean(values):\n    return sum(values) / len(values)\n",
+            ),
+            (
                 "TEL101",
                 "repro/telemetry/trace.py",
                 "\nclass _MutHook:\n"

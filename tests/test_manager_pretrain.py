@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.config import MamutConfig
+from repro.core.mamut import MamutController
+from repro.core.persistence import restore_agents, snapshot_controller
+from repro.errors import LearningError
+from repro.manager import pretrain
 from repro.manager.pretrain import pretrain_mamut, pretrained_mamut_factory
 from repro.manager.runner import ExperimentRunner
 from repro.manager.scenario import scenario_one
@@ -29,6 +36,35 @@ class TestPretrain:
         assert all(
             entry["q_entries"] == 0 for entry in controller.summary().values()
         )
+
+    def test_factory_parses_each_snapshot_once(self, monkeypatch, hr_request, lr_request):
+        knowledge = {
+            resolution: pretrain_mamut(resolution, frames=300, seed=0)
+            for resolution in (ResolutionClass.HR, ResolutionClass.LR)
+        }
+        parsed = []
+
+        def counted(agents, snapshot):
+            parsed.append(snapshot)
+            restore_agents(agents, snapshot)
+
+        monkeypatch.setattr(pretrain, "restore_agents", counted)
+        factory = pretrained_mamut_factory(knowledge)
+        requests = [hr_request, lr_request, hr_request, hr_request, lr_request]
+        controllers = [factory(request, seed) for seed, request in enumerate(requests)]
+        assert parsed == [knowledge[ResolutionClass.HR], knowledge[ResolutionClass.LR]]
+        # Each equals a controller restored from the snapshot on its own.
+        for seed, (request, controller) in enumerate(zip(requests, controllers)):
+            expected = MamutController(MamutConfig.for_request(request, seed=seed))
+            restore_agents(expected.agents, knowledge[request.resolution_class])
+            assert snapshot_controller(controller) == snapshot_controller(expected)
+
+    def test_knowledge_that_does_not_fit_raises(self, lr_request):
+        snapshot = pretrain_mamut(ResolutionClass.HR, frames=300, seed=0)
+        factory = pretrained_mamut_factory({ResolutionClass.LR: snapshot})
+        for seed in range(2):
+            with pytest.raises(LearningError):
+                factory(lr_request, seed)
 
     def test_pretrained_controller_beats_cold_start_on_short_runs(self):
         """With only a short measured window, a pre-trained MAMUT should not

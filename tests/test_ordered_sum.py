@@ -68,3 +68,11 @@ def test_manager_golden_literals_hold(fleet, run, compensated):
 
 def test_idle_golden_literal_holds(compensated):
     assert manager_golden.idle_digest() == manager_golden.GOLDEN_IDLE
+
+
+@pytest.mark.parametrize("engine", ["batch", "scalar"])
+def test_three_phase_golden_literals_hold(engine, compensated):
+    # Pre-trained under the patch too: Algorithm 1 runs in pre-training.
+    knowledge = cluster_golden.phase_knowledge.__wrapped__()
+    outputs = cluster_golden.run_phases(engine, knowledge)
+    assert cluster_golden.phase_digests(*outputs) == cluster_golden.GOLDEN_PHASES

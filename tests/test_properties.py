@@ -12,6 +12,7 @@ from repro.core.observation import Observation, ObservationWindow
 from repro.core.qtable import QTable
 from repro.core.rewards import RewardFunction
 from repro.core.states import StateSpace, SystemState
+from repro.core.store import AgentPool
 from repro.core.transitions import TransitionModel
 from repro.errors import LearningError
 from repro.hevc.complexity import ComplexityModel
@@ -179,7 +180,8 @@ def test_average_observation_stays_within_the_component_ranges(batch):
 )
 @settings(max_examples=100)
 def test_q_update_moves_towards_the_target(initial, target, alpha):
-    table = QTable(num_actions=1, num_states=StateSpace().size)
+    pool = AgentPool((1,), StateSpace().size)
+    table = QTable(pool, pool.add_slot())
     state = 0
     table.set(state, 0, initial)
     new_value = table.update_towards(state, 0, target, alpha)
@@ -194,7 +196,8 @@ def test_q_update_moves_towards_the_target(initial, target, alpha):
 @settings(max_examples=60)
 def test_transition_probabilities_form_a_distribution(transitions):
     space = StateSpace()
-    model = TransitionModel(num_actions=1, num_states=space.size)
+    pool = AgentPool((1,), space.size)
+    model = TransitionModel(pool, pool.add_slot())
     source = space.state_index(SystemState(0, 0, 0, 0))
     for target_bin in transitions:
         model.record(source, 0, space.state_index(SystemState(target_bin, 0, 0, 0)))
