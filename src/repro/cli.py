@@ -81,7 +81,6 @@ from repro.telemetry import (
     analyze_trace,
     configure_logging,
     provenance_mismatches,
-    provenance_of,
     stamp_provenance,
 )
 from repro.video.catalog import make_sequence

@@ -457,6 +457,7 @@ class ClusterOrchestrator:
             )
         self.provision_warmup_steps = int(provision_warmup_steps)
         self._stepper: Optional[BatchStepper] = None
+        self._fleet_changed = False
         self._slots = [
             _ServerSlot(index, Orchestrator(server=server_factory()), 0)
             for index in range(num_servers)
@@ -722,9 +723,10 @@ class ClusterOrchestrator:
         # The batch stepper's per-server constants are bound to the stepped
         # (live) fleet; state flips that keep the same servers powered on
         # (warming -> active, active -> draining) don't invalidate it.  A
-        # stepper holds only caches, so it is dropped with nothing to save.
+        # stepper holds only caches, so it is dropped with nothing to save;
+        # the next one takes over its lanes and MAMUT rows.
         if live != self._live:
-            self._stepper = None
+            self._fleet_changed = True
         self._live = live
         self.fleet_power_cap_w = len(self._dispatchable) * self.power_cap_w
 
@@ -1646,11 +1648,13 @@ class ClusterOrchestrator:
             return 0, 0
         stepped = [slot.orchestrator.active_sessions() for slot in live]
         if self.engine == "batch":
-            if self._stepper is None:
+            if self._stepper is None or self._fleet_changed:
                 self._stepper = BatchStepper(
                     [slot.orchestrator for slot in live],
                     profiler=self._profiler,
+                    previous=self._stepper,
                 )
+                self._fleet_changed = False
             step_samples = self._stepper.step(step)
         else:
             step_samples = []

@@ -28,6 +28,7 @@ batch form sits beside its scalar form in that form's module, and
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -312,6 +313,30 @@ class MamutController(Controller):
 #: Position of each agent name in :data:`AGENT_NAMES`.
 _AGENT_IDS = {name: gid for gid, name in enumerate(AGENT_NAMES)}
 _EXPLORATION, _EXPLORATION_EXPLOITATION, _EXPLOITATION = range(len(PHASES))
+#: A MamutBatch row: schedule group, (state space, reward) group, then each
+#: agent's pool id and slot, in AGENT_NAMES order.
+_ROW_WIDTH = 2 + 2 * len(AGENT_NAMES)
+
+
+def _intern(ids: dict, table: list, key, value) -> int:
+    """The id of ``key``; a new key gets the next id, and ``value`` joins ``table``."""
+    found = ids.get(key)
+    if found is None:
+        found = ids[key] = len(table)
+        table.append(value)
+    return found
+
+
+def _members(group_of: np.ndarray) -> list[tuple]:
+    """``(group id, positions)`` of each group in ``group_of``.
+
+    A group that spans every position indexes with a basic slice.
+    """
+    if not len(group_of):
+        return []
+    if (group_of == group_of[0]).all():
+        return [(int(group_of[0]), slice(None))]
+    return [(gid, np.flatnonzero(group_of == gid)) for gid in np.unique(group_of).tolist()]
 
 
 class MamutBatch:
@@ -332,6 +357,17 @@ class MamutBatch:
     Algorithm 1 for an agent in exploitation, after every array write, stay
     per session.
 
+    Each controller has a row (its schedule group, its (state space,
+    reward) group, and its agents' pool ids and slots), read once from the
+    controller, since all of it is fixed for the controller's life.  An
+    instance built with ``previous`` (the instance of an earlier roster,
+    which is not used again) takes over its rows and grouping tables: its
+    rows are re-gathered in the new roster's order with one take, only
+    controllers that joined are read, and rows of controllers that left
+    are dropped.  The frame counters are passed in at every build, and a
+    carried controller's current action indices are read again when its
+    frame counter is not where ``previous`` left it.
+
     Sessions only touch their own agents and generators, so the result is
     bitwise that of the scalar calls per controller, in any order.  Besides
     the controllers the instance keeps only caches: the frame counters, the
@@ -341,67 +377,102 @@ class MamutBatch:
     """
 
     def __init__(
-        self, controllers: Sequence[MamutController], frame_indices: Sequence[int]
+        self,
+        controllers: Sequence[MamutController],
+        frame_indices: Sequence[int],
+        previous: Optional["MamutBatch"] = None,
     ) -> None:
         self.controllers = list(controllers)
         count = len(self.controllers)
         self.frame_indices = np.array(frame_indices, dtype=np.int64).reshape(count)
         width = len(AGENT_NAMES)
 
+        if previous is None:
+            # Grouping tables, one entry per distinct key, in first-seen order.
+            self._schedule_ids: dict[tuple, int] = {}
+            self._schedule_table: list[tuple] = []
+            self._model_ids: dict[tuple, int] = {}
+            self._models: list[tuple] = []
+            self._pool_index: dict = {}
+            self.pools: list = []
+            self._action_values = np.zeros((0, 0))
+            self._row_of: dict[MamutController, int] = {}
+            table = np.empty((0, _ROW_WIDTH), dtype=np.int64)
+            frames = np.empty(0, dtype=np.int64)
+            indices = np.empty((0, width), dtype=np.int64)
+        else:
+            self._schedule_ids = previous._schedule_ids
+            self._schedule_table = previous._schedule_table
+            self._model_ids = previous._model_ids
+            self._models = previous._models
+            self._pool_index = previous._pool_index
+            self.pools = previous.pools
+            self._action_values = previous._action_values
+            self._row_of = previous._row_of
+            table = previous._table
+            frames = previous.frame_indices
+            indices = previous.indices
+
+        # Rows of the previous roster, then one appended per joining controller.
+        order = np.fromiter(
+            map(self._row_of.get, self.controllers, itertools.repeat(-1)),
+            dtype=np.int64,
+            count=count,
+        )
+        joining = np.flatnonzero(order < 0)
+        if len(joining):
+            order[joining] = np.arange(len(table), len(table) + len(joining))
+            rows = [self._row(self.controllers[k]) for k in joining.tolist()]
+            table = np.concatenate([table, np.array(rows, dtype=np.int64)])
+            frames = np.concatenate([frames, np.full(len(joining), -1, dtype=np.int64)])
+            indices = np.concatenate([indices, np.empty((len(joining), width), dtype=np.int64)])
+            if len(self._action_values) < len(self.pools):
+                # The value of action a of pool p sits at [p, a].
+                self._action_values = np.zeros(
+                    (len(self.pools), max(pool.num_actions for pool in self.pools))
+                )
+                for pid, pool in enumerate(self.pools):
+                    self._action_values[pid, : pool.num_actions] = pool.action_values
+        self._table = table = table[order]
+        self._row_of = dict(zip(self.controllers, range(count)))
+
         # Lanes sharing a schedule are looked up together; each schedule's
         # agents map onto AGENT_NAMES, and a NULL slot's -1 reads the last -1.
-        schedules: dict[tuple, tuple] = {}
-        for k, ctl in enumerate(self.controllers):
-            schedules.setdefault(ctl.schedule.key, (ctl.schedule, []))[1].append(k)
-        self._schedules = [
-            (
-                schedule,
-                np.array([*map(_AGENT_IDS.get, schedule.agent_names), -1]),
-                slice(None) if len(members) == count else np.array(members),
-            )
-            for schedule, members in schedules.values()
-        ]
+        self._schedules = []
+        for gid, members in _members(table[:, 0]):
+            schedule = self._schedule_table[gid]
+            ids = np.array([*map(_AGENT_IDS.get, schedule.agent_names), -1])
+            self._schedules.append((schedule, ids, members))
         # Lanes whose state space and reward match are binned and rewarded
         # together.
-        models: dict[tuple, tuple] = {}
-        self._model_of = np.array(
-            [
-                models.setdefault(
-                    (ctl.state_space.key, ctl.reward_function.key),
-                    (len(models), ctl.state_space, ctl.reward_function),
-                )[0]
-                for ctl in self.controllers
-            ],
-            dtype=np.int64,
-        )
-        self._models = [model[1:] for model in models.values()]
-
-        # Controllers of one factory share their three pools, so pool ids are
-        # assigned per distinct triple rather than per agent.
-        triples: dict[tuple, int] = {}
-        triple = [
-            triples.setdefault(ctl.agent_pools, len(triples)) for ctl in self.controllers
-        ]
-        index: dict = {}
-        rows = [[index.setdefault(pool, len(index)) for pool in pools] for pools in triples]
-        self.pools = list(index)
-        self.pool_ids = np.array(rows, dtype=np.int64).reshape(-1, width)[triple]
-        self.slots = np.array(
-            [ctl.agent_slots for ctl in self.controllers], dtype=np.int64
-        ).reshape(count, width)
-        self.indices = np.array(
-            [i for ctl in self.controllers for i in ctl._current_indices.values()],
-            dtype=np.int64,
-        ).reshape(count, width)
-        # The value of action a of pool p sits at [p, a].
-        self._action_values = np.zeros(
-            (len(self.pools), max(pool.num_actions for pool in self.pools))
-        )
-        for pid, pool in enumerate(self.pools):
-            self._action_values[pid, : pool.num_actions] = pool.action_values
+        self._model_of = table[:, 1]
+        self.pool_ids = table[:, 2 : 2 + width]
+        self.slots = table[:, 2 + width :]
+        # A controller's action indices change only when one of its agents
+        # acts, which happens only while it decides a frame.  So a carried row
+        # whose frame counter is where the previous instance left it is
+        # current; a joining controller, or one that has decided frames
+        # elsewhere since (on the scalar engine), is read again.
+        self.indices = indices = indices[order]
+        for k in np.flatnonzero(frames[order] != self.frame_indices).tolist():
+            indices[k] = list(self.controllers[k]._current_indices.values())
         self.values = [
-            self._action_values[self.pool_ids[:, gid], self.indices[:, gid]]
+            self._action_values[self.pool_ids[:, gid], indices[:, gid]]
             for gid in range(width)
+        ]
+
+    def _row(self, ctl: MamutController) -> list[int]:
+        """The row of a joining controller: its groups, pool ids and slots."""
+        return [
+            _intern(self._schedule_ids, self._schedule_table, ctl.schedule.key, ctl.schedule),
+            _intern(
+                self._model_ids,
+                self._models,
+                (ctl.state_space.key, ctl.reward_function.key),
+                (ctl.state_space, ctl.reward_function),
+            ),
+            *[_intern(self._pool_index, self.pools, pool, pool) for pool in ctl.agent_pools],
+            *ctl.agent_slots,
         ]
 
     def decide(self) -> None:

@@ -11,7 +11,6 @@ JSON.  Exit codes follow the usual contract: 0 clean, 1 findings,
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import sys

@@ -23,7 +23,7 @@ from repro.core.config import MamutConfig
 from repro.core.mamut import MamutController
 from repro.core.persistence import copy_controller_state, restore_agents, snapshot_agents
 from repro.core.store import LearningStore
-from repro.manager.factories import ControllerFactory
+from repro.manager.factories import ControllerFactory, mamut_configs
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.platform.server import MulticoreServer
@@ -82,19 +82,16 @@ def pretrained_mamut_factory(
     controller; a snapshot or a request that does not fit raises
     :class:`~repro.errors.LearningError`.  Like
     :func:`~repro.manager.factories.mamut_factory`, the factory owns one
-    learning store that all its controllers share.
+    learning store that all its controllers share, and controllers of one
+    request class share their configuration's parts.
     """
     store = LearningStore()
+    config_for = mamut_configs(power_cap_w, record_history)
     # Per class, a controller that holds the parsed snapshot and never acts.
     parsed: dict[ResolutionClass, MamutController] = {}
 
     def build(request: TranscodingRequest, seed: int) -> MamutController:
-        config = MamutConfig.for_request(
-            request,
-            power_cap_w=power_cap_w,
-            seed=seed,
-            record_history=record_history,
-        )
+        config = config_for(request, seed)
         controller = MamutController(config, store)
         snapshot = knowledge.get(request.resolution_class)
         if snapshot is not None:

@@ -18,7 +18,7 @@ identical; ``tests/test_batch_models.py`` pins the pair.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -215,44 +215,73 @@ class FleetAllocator:
     """Batch form of :meth:`MulticoreServer.allocate` over a fleet of servers.
 
     Built once per fleet, it caches every server's core count, hardware
-    threads, SMT efficiency, base power and parked-core idle power, and
-    groups the servers by power model (class, parameters and voltage table)
-    so each group costs one ``busy_core_power_batch`` call per step.  Each
-    server's ``dvfs_policy`` is read at every step, because a joining
-    chip-wide session switches it.
+    threads, SMT efficiency, base power, parked-core idle power and idle
+    power, and groups the servers by power model (class, parameters and
+    voltage table) so each group costs one ``busy_core_power_batch`` call per
+    step.  Each server's ``dvfs_policy`` is read at every step, because a
+    joining chip-wide session switches it.
 
     Parameters
     ----------
     servers:
         The fleet, in the order :meth:`allocate_batch` lays out its arrays.
+    previous:
+        Optional allocator of an earlier fleet, not used again.  All of a
+        server's cached values are fixed for its life, so the new allocator
+        takes over the previous one's and reads only the servers that joined.
     """
 
-    def __init__(self, servers: Sequence[MulticoreServer]) -> None:
+    def __init__(
+        self,
+        servers: Sequence[MulticoreServer],
+        previous: Optional["FleetAllocator"] = None,
+    ) -> None:
         self.servers = list(servers)
-        topologies = [server.topology for server in self.servers]
-        models = [server.power_model for server in self.servers]
-        self._cores = np.array([t.physical_cores for t in topologies], dtype=np.int64)
-        self._hw_threads = np.array([t.hardware_threads for t in topologies], dtype=np.int64)
-        self._smt_efficiency = np.array([t.smt_efficiency for t in topologies])
-        self._base_power_w = np.array([model.params.base_power_w for model in models])
-        self._parked_core_w = np.array(
-            [
-                model.idle_core_power(server.dvfs.min_frequency_ghz)
-                for model, server in zip(models, self.servers)
-            ]
+        # Power-model keys interned to ids, and one model per id.
+        self._power_ids: dict[tuple, int] = {}
+        self._power_table: list[PowerModel] = []
+        known: dict[MulticoreServer, tuple] = {}
+        if previous is not None:
+            self._power_ids, self._power_table = previous._power_ids, previous._power_table
+            known = previous._rows
+        rows = [known.get(server) or self._read(server) for server in self.servers]
+        self._rows = dict(zip(self.servers, rows))
+        cores, threads, smt, base, parked, idle, power_ids = (
+            [list(column) for column in zip(*rows)] if rows else [[]] * 7
         )
-        self._idle_power_w = np.array([server.idle_power_w for server in self.servers])
+        self._cores = np.array(cores, dtype=np.int64)
+        self._hw_threads = np.array(threads, dtype=np.int64)
+        self._smt_efficiency = np.array(smt, dtype=float)
+        self._base_power_w = np.array(base, dtype=float)
+        self._parked_core_w = np.array(parked, dtype=float)
+        self._idle_power_w = np.array(idle, dtype=float)
 
         # Models with equal keys compute the same doubles, so any one of
-        # them serves its group.
-        keys = [
-            (type(m), m.params, tuple(m.voltage_table._freqs), tuple(m.voltage_table._volts))
-            for m in models
-        ]
-        by_key = dict(zip(keys, models))
-        group_of = {key: group for group, key in enumerate(by_key)}
-        self._power_models = list(by_key.values())
-        self._power_group = np.array([group_of[key] for key in keys], dtype=np.int64)
+        # them serves its group; the fleet's groups are numbered in order of
+        # first appearance.
+        present = list(dict.fromkeys(power_ids))
+        number = dict(zip(present, range(len(present))))
+        self._power_models = [self._power_table[power_id] for power_id in present]
+        self._power_group = np.array([number[p] for p in power_ids], dtype=np.int64)
+
+    def _read(self, server: MulticoreServer) -> tuple:
+        """A joining server's cached values, in the order ``__init__`` unpacks."""
+        model = server.power_model
+        table = model.voltage_table
+        key = (type(model), model.params, tuple(table._freqs), tuple(table._volts))
+        power_id = self._power_ids.setdefault(key, len(self._power_ids))
+        if power_id == len(self._power_table):
+            self._power_table.append(model)
+        topology = server.topology
+        return (
+            topology.physical_cores,
+            topology.hardware_threads,
+            topology.smt_efficiency,
+            model.params.base_power_w,
+            model.idle_core_power(server.dvfs.min_frequency_ghz),
+            server.idle_power_w,
+            power_id,
+        )
 
     def allocate_batch(
         self,

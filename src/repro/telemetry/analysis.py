@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.metrics.aggregate import linear_percentile
 from repro.metrics.cluster import ClusterSummary

@@ -27,7 +27,7 @@ analysis.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 __all__ = [
     "Counter",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.numeric import ordered_sum

@@ -67,7 +67,6 @@ entirely.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 __all__ = [
     "TraceSink",

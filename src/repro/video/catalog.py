@@ -16,7 +16,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.constants import HR_RESOLUTION, LR_RESOLUTION
 from repro.errors import VideoError
 from repro.video.content import ContentProfile
 from repro.video.sequence import ResolutionClass, VideoSequence

@@ -10,11 +10,15 @@ objects with plain ``==`` (dataclass equality → exact float equality).
 from __future__ import annotations
 
 import builtins
+import collections
+import dataclasses
 import itertools
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import test_cluster_golden as cluster_golden
 from engine_fixtures import compensated_sum, run_batch
@@ -34,10 +38,15 @@ from repro.cluster import (
     RoundRobin,
     WorkloadGenerator,
 )
+from repro.cluster import batch as batch_module
 from repro.cluster.brownout import BrownoutController
 from repro.cluster.dispatch import PowerAware
+from repro.core.config import MamutConfig
+from repro.core.mamut import MamutBatch, MamutController
 from repro.core.persistence import snapshot_controller
+from repro.core.schedule import AgentSchedule, AgentSlot
 from repro.core.states import SystemState
+from repro.core.store import LearningStore
 from repro.errors import ClusterError, ScenarioError
 from repro.hevc.complexity import ComplexityModel, ComplexityModelParameters
 from repro.hevc.decoder import HevcDecoder
@@ -792,3 +801,208 @@ class TestEnginesInEveryPhase:
             theirs = scalar_controllers[session_id]
             assert snapshot_controller(controller) == snapshot_controller(theirs)
             assert controller.history == theirs.history
+
+
+#: A session joining :class:`TestCarriedRoster`'s fleet: its server,
+#: controller kind, number of videos, frames per video and start frame.
+_JOINS = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from(["mamut", "eager", "static", "heuristic"]),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
+
+#: One round of edits, then steps: sessions that join, a running session
+#: killed (its server crashed), a server leaving or rejoining the stepped
+#: fleet, steps on the scalar engine, then steps on the engine under test,
+#: and whether those build a new stepper even when nothing asks for one.
+_ROUNDS = st.tuples(
+    st.lists(_JOINS, max_size=2),
+    st.one_of(st.none(), st.integers(0, 63)),
+    st.one_of(st.none(), st.integers(0, 2)),
+    st.integers(0, 2),
+    st.integers(1, 4),
+    st.booleans(),
+)
+
+
+def _eager_mamut_factory():
+    """MAMUT controllers whose agents act every third frame, always exploring.
+
+    The paper's agents act every 6 to 24 frames and mostly keep their
+    action early on; these change actions on most activations, so a stale
+    action index shows in the next frame's record.
+    """
+    store = LearningStore()
+    schedule = AgentSchedule(
+        [AgentSlot("qp", 3, 0), AgentSlot("threads", 3, 1), AgentSlot("dvfs", 3, 2)]
+    )
+
+    def build(request, seed):
+        config = MamutConfig.for_request(request, seed=seed, record_history=True)
+        config = dataclasses.replace(config, schedule=schedule, exploration_epsilon=1.0)
+        return MamutController(config, store)
+
+    return build
+
+
+def _replay(script, mode):
+    """Run ``script``, stepping each round's last steps the way ``mode`` says.
+
+    ``"scalar"`` steps everything on the scalar engine.  ``"carried"``
+    builds each stepper with ``previous=`` the last one, ``"fresh"`` without;
+    both build one after a fleet change, after scalar steps, and where the
+    script asks.  Returns the sessions, in join order, and every step's
+    power samples.
+    """
+    factories = {
+        "mamut": mamut_factory(record_history=True),
+        "eager": _eager_mamut_factory(),
+        "static": static_factory(qp=32, threads=4, frequency_ghz=2.4),
+        "heuristic": heuristic_factory(),
+    }
+    orchestrators = [Orchestrator() for _ in range(3)]
+    live = [True] * 3
+    sessions, samples = [], []
+    stepper, stale, step = None, True, 0
+
+    def run_scalar(fleet, steps):
+        nonlocal step
+        for _ in range(steps):
+            samples.append([orch.run_step(step) or orch.idle_step(step) for orch in fleet])
+            step += 1
+
+    for joins, kill, toggle, scalar_steps, steps, new_stepper in script:
+        for server, controller, videos, frames, start in joins:
+            n = len(sessions)
+            resolution = ResolutionClass.HR if n % 2 else ResolutionClass.LR
+            playlist = [
+                random_sequence(resolution, rng=7 * n + v, num_frames=frames)
+                for v in range(videos)
+            ]
+            request = TranscodingRequest(user_id=f"user-{n}", sequence=playlist[0])
+            session = TranscodingSession(
+                request,
+                factories[controller](request, n),
+                playlist=playlist,
+                start_frame_index=start % frames,
+            )
+            orchestrators[server].add_session(session)
+            sessions.append(session)
+        running = [session for session in sessions if session.active]
+        if kill is not None and running:
+            running[kill % len(running)].terminate()
+        if toggle is not None:
+            live[toggle] = not live[toggle]
+            stale = True
+        fleet = [orch for orch, on in zip(orchestrators, live) if on]
+        run_scalar(fleet, scalar_steps)
+        if mode == "scalar":
+            run_scalar(fleet, steps)
+            continue
+        if stale or scalar_steps or new_stepper:
+            previous = stepper if mode == "carried" else None
+            stepper = BatchStepper(fleet, previous=previous)
+            stale = False
+        for _ in range(steps):
+            samples.append(stepper.step(step))
+            step += 1
+    return sessions, samples
+
+
+def _controller_state(controller):
+    return (
+        snapshot_controller(controller),
+        getattr(controller, "history", None),
+        getattr(controller, "_pending", None),
+        dict(getattr(controller, "_current_indices", {})),
+        controller.window.count,
+    )
+
+
+class TestCarriedRoster:
+    """Lanes and ``MamutBatch`` rows carried over roster and stepper changes.
+
+    A fleet of three servers goes through a random script of membership
+    edits: sessions of every controller kind join and finish or are killed,
+    videos of one to four frames wrap, servers leave the stepped fleet and
+    rejoin it, and stretches run on the scalar engine.  Every edit is
+    stepped by a stepper that took over the previous one's lanes and rows
+    and, separately, by a fresh stepper; both must match the scalar engine
+    bitwise in every record, power sample and controller.
+    """
+
+    @given(script=st.lists(_ROUNDS, min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    # Carried lanes whose sessions the scalar engine moved to another video
+    # and another action, and a server whose sessions leave the roster and
+    # come back.
+    @example(
+        script=[
+            (
+                [(0, "eager", 3, 2, 0), (1, "static", 2, 3, 1), (1, "mamut", 2, 2, 1)],
+                None, None, 0, 2, True,
+            ),
+            ([], None, None, 2, 3, False),
+            ([], None, 0, 0, 1, False),
+            ([(2, "heuristic", 1, 4, 0)], None, 0, 0, 3, False),
+        ]
+    )
+    def test_carried_and_fresh_steppers_equal_scalar(self, script):
+        sessions, samples = _replay(script, "scalar")
+        for mode in ("carried", "fresh"):
+            theirs, their_samples = _replay(script, mode)
+            assert their_samples == samples
+            assert [s.records for s in theirs] == [s.records for s in sessions]
+            assert [_controller_state(s.controller) for s in theirs] == [
+                _controller_state(s.controller) for s in sessions
+            ]
+
+    def test_taken_over_lanes_follow_a_scalar_video_change(self):
+        """A stepper taking over rows re-reads a lane the scalar engine moved."""
+        joins = [(0, "eager", 3, 2, 0), (0, "static", 3, 2, 1)]
+        sessions, _ = _replay([(joins, None, None, 2, 1, True)], "scalar")
+        # The two scalar steps move both sessions to another video, and the
+        # MAMUT controller's agents to other actions.
+        assert [s.video_index for s in sessions] == [1, 2]
+        first, _, last = sessions[0].records
+        assert (first.threads, first.frequency_ghz) != (last.threads, last.frequency_ghz)
+        script = [(joins, None, None, 0, 1, True), ([], None, None, 2, 4, False)]
+        scalar, samples = _replay(script, "scalar")
+        carried, carried_samples = _replay(script, "carried")
+        assert carried_samples == samples
+        assert [s.records for s in carried] == [s.records for s in scalar]
+
+
+class TestRosterWork:
+    """A roster change reads only the sessions and controllers that joined.
+
+    ``tests/test_cluster_golden.py``'s chaos scenario (autoscaling, faults,
+    brownout, MAMUT and static lanes) builds many steppers on the batch
+    engine; each session still gets one lane, and each MAMUT controller one
+    ``MamutBatch`` row read from it.
+    """
+
+    def test_each_session_and_controller_is_read_once(self, monkeypatch):
+        counts = collections.Counter()
+
+        def count(owner, name, key):
+            method = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(batch_module._SessionLane, "__init__", "lanes")
+        count(batch_module.BatchStepper, "__init__", "steppers")
+        count(TranscodingSession, "__init__", "sessions")
+        count(MamutBatch, "_row", "rows")
+        count(MamutController, "__init__", "controllers")
+        cluster_golden.run_scenario("chaos_drained", "batch")
+        assert counts["steppers"] > 1
+        assert counts["lanes"] == counts["sessions"]
+        assert counts["rows"] == counts["controllers"]
+        assert 0 < counts["controllers"] < counts["sessions"]

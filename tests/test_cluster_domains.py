@@ -18,8 +18,6 @@ end-to-end in ``test_cluster_faults.py``:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.cluster import (

@@ -393,3 +393,58 @@ class TestMamutBatchDecide:
         assert phases == set(PHASES)
         assert chained  # Algorithm 1 ran
         assert (len(fleet._schedules), len(fleet._models)) == (2, 2)
+
+    def test_carried_rows_decide_like_the_scalar_form(self):
+        """Instances built with ``previous`` over changing rosters.
+
+        Every 20 rounds the roster changes (controllers leave, join and come
+        back, in a new order) and a few controllers decide frames on their
+        own in between, on the scalar form, which moves their frame counters
+        and actions away from the carried rows.
+        """
+        scalar = _decide_fleet(4)
+        batch = _decide_fleet(4)
+        rng = np.random.default_rng(8)
+        frames = rng.integers(0, 40, size=len(scalar))
+        observations = [
+            (25.0, 36.0, 1.5, 50.0),
+            (20.0, 42.0, 3.0, 65.0),
+            (31.0, 33.0, 5.0, 58.0),
+        ]
+
+        def observe(j):
+            observed = observations[rng.integers(len(observations))]
+            scalar[j].window.add(*observed)
+            batch[j].window.add(*observed)
+
+        fleet = None
+        for round_index in range(300):
+            if round_index % 20 == 0:
+                for j in rng.choice(len(scalar), size=3, replace=False).tolist():
+                    for _ in range(2):
+                        observe(j)
+                        assert batch[j].decide(frames[j]) == scalar[j].decide(frames[j])
+                        frames[j] += 1
+                size = int(rng.integers(1, len(scalar) + 1))
+                members = rng.permutation(len(scalar))[:size]
+                fleet = MamutBatch(
+                    [batch[j] for j in members], frames[members], previous=fleet
+                )
+                current = [batch[j].current_decision() for j in members.tolist()]
+                assert fleet.values[0].tolist() == [d.qp for d in current]
+                assert fleet.values[1].tolist() == [d.threads for d in current]
+                assert fleet.values[2].tolist() == [d.frequency_ghz for d in current]
+            for j in members.tolist():
+                observe(j)
+            decisions = [scalar[j].decide(frames[j]) for j in members.tolist()]
+            fleet.decide()
+            frames[members] += 1
+            assert fleet.values[0].tolist() == [d.qp for d in decisions]
+            assert fleet.values[1].tolist() == [d.threads for d in decisions]
+            assert fleet.values[2].tolist() == [d.frequency_ghz for d in decisions]
+            assert fleet.frame_indices.tolist() == frames[members].tolist()
+        for mine, theirs in zip(batch, scalar):
+            assert _controller_state(mine) == _controller_state(theirs)
+        assert {entry.phase for ctl in scalar for entry in ctl.history} == set(PHASES)
+        # Rows of controllers that left are dropped.
+        assert set(fleet._row_of) == {batch[j] for j in members.tolist()}

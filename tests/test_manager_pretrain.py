@@ -59,6 +59,15 @@ class TestPretrain:
             restore_agents(expected.agents, knowledge[request.resolution_class])
             assert snapshot_controller(controller) == snapshot_controller(expected)
 
+    def test_controllers_of_one_class_share_config_parts(self, hr_request, lr_request):
+        snapshot = pretrain_mamut(ResolutionClass.HR, frames=300, seed=0)
+        factory = pretrained_mamut_factory({ResolutionClass.HR: snapshot})
+        first, second = factory(hr_request, 1), factory(hr_request, 2)
+        assert first.state_space is second.state_space
+        assert first.config.reward is second.config.reward
+        assert (first.config.seed, second.config.seed) == (1, 2)
+        assert factory(lr_request, 3).state_space is not first.state_space
+
     def test_knowledge_that_does_not_fit_raises(self, lr_request):
         snapshot = pretrain_mamut(ResolutionClass.HR, frames=300, seed=0)
         factory = pretrained_mamut_factory({ResolutionClass.LR: snapshot})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import MamutConfig
 from repro.errors import ScenarioError
 from repro.manager.factories import (
     heuristic_factory,
@@ -43,6 +44,33 @@ class TestFactories:
         lr_request = small_specs[1].request
         assert len(mamut_factory()(hr_request, 0).config.thread_actions) == 12
         assert len(mamut_factory()(lr_request, 0).config.thread_actions) == 5
+
+    def test_mamut_controllers_of_one_class_share_config_parts(self, small_specs):
+        hr_request = small_specs[0].request
+        lr_request = small_specs[1].request
+        factory = mamut_factory(power_cap_w=90.0)
+        first, second, other = (
+            factory(hr_request, 1),
+            factory(hr_request, 2),
+            factory(lr_request, 3),
+        )
+        assert first.state_space is second.state_space
+        assert first.config.reward is second.config.reward
+        assert first.config.thread_actions is second.config.thread_actions
+        assert other.state_space is not first.state_space
+        # Each is the configuration MamutConfig.for_request builds for it.
+        for controller, request, seed in (
+            (first, hr_request, 1),
+            (second, hr_request, 2),
+            (other, lr_request, 3),
+        ):
+            expected = MamutConfig.for_request(request, power_cap_w=90.0, seed=seed)
+            assert controller.config.seed == seed
+            assert controller.config.reward == expected.reward
+            assert controller.state_space.key == expected.state_space.key
+            assert list(controller.config.thread_actions) == list(expected.thread_actions)
+        # Another factory builds its own.
+        assert mamut_factory(power_cap_w=90.0)(hr_request, 1).state_space is not first.state_space
 
 
 class TestRunner:

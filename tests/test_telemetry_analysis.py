@@ -12,7 +12,6 @@ is a strong end-to-end check on both.
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
