@@ -1,9 +1,10 @@
 """Ablation: exploration intensity of the MAMUT agents.
 
 The reproduction uses epsilon-greedy exploration inside the paper's
-exploration phase (see DESIGN.md).  This ablation sweeps the exploration
-epsilon to show the trade-off it controls: more exploration covers the design
-space faster but disturbs QoS while it lasts.
+exploration phase (see the ``exploration_epsilon`` parameter of
+:class:`~repro.core.agent.QLearningAgent`).  This ablation sweeps that
+epsilon to show the trade-off it controls: more exploration covers the
+design space faster but disturbs QoS while it lasts.
 """
 
 from __future__ import annotations

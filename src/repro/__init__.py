@@ -20,8 +20,9 @@ Quick start::
     result = Orchestrator([session]).run()
     print(result.summary().qos_violation_pct)
 
-See ``DESIGN.md`` for the module map and ``EXPERIMENTS.md`` for the
-paper-versus-measured comparison of every table and figure.
+See the README's "Package layout" section for the module map; its
+Quickstart regenerates the paper's tables and figures
+(``python -m repro.cli table1``, ``table2``, ``fig2``, ``fig4``, ``fig5``).
 """
 
 from repro.constants import (

@@ -215,7 +215,8 @@ class BatchStepper:
         The per-server orchestrators, in fleet order.  Sessions may join and
         leave between steps (the roster is re-gathered automatically); the
         stepper reads each orchestrator's live ``active_sessions()`` exactly
-        like the scalar engine does.
+        like the scalar engine does, once per step, and keeps the lists it
+        stepped as ``stepped``.
     profiler:
         Optional :class:`~repro.telemetry.profiler.StepProfiler`; when given,
         each step charges its wall time to the engine's four phases
@@ -256,6 +257,9 @@ class BatchStepper:
             previous=previous._allocator if previous is not None else None,
         )
 
+        # Each orchestrator's sessions as the last step found them, before
+        # it advanced them (the caller reads them instead of asking again).
+        self.stepped: list[list[TranscodingSession]] = []
         # The current roster and its lanes, in fleet order; the per-lane
         # arrays hold one row per lane.  Re-gathered whenever membership
         # changes.
@@ -383,7 +387,7 @@ class BatchStepper:
         Idle servers contribute their idle power exactly like
         :meth:`~repro.manager.orchestrator.Orchestrator.idle_step`.
         """
-        actives = [orch.active_sessions() for orch in self.orchestrators]
+        self.stepped = actives = [orch.active_sessions() for orch in self.orchestrators]
         flat = [session for sessions in actives for session in sessions]
 
         if not flat:

@@ -41,7 +41,9 @@ Scheduling decisions are O(servers): per-server active-session counts are
 maintained incrementally (updated once per step as the engines advance, and
 on every dispatch) instead of walking each orchestrator's session list per
 arrival, and consecutive decisions within a step derive their snapshot from
-the previous one instead of rebuilding it.
+the previous one instead of rebuilding it.  The fleet census (rosters and
+server counts by lifecycle and health) is taken once per membership or
+health change, and each live server's sessions are listed once per step.
 
 Every request outcome is counted once.  Each :class:`ClusterResult` count
 is bumped by one call that also bumps the Prometheus counter mirroring it,
@@ -139,9 +141,7 @@ class _ServerSlot:
         "active_count",
         "samples",
         "ready_step",
-        "throttle_until",
-        "recover_step",
-        "recovery_ready_step",
+        "health_until",
         "warmup_fails",
         "zone",
         "rack",
@@ -162,9 +162,9 @@ class _ServerSlot:
         self.active_count = 0
         self.samples: list[PowerSample] = []
         self.ready_step = commissioned_step
-        self.throttle_until = 0
-        self.recover_step: Optional[int] = None
-        self.recovery_ready_step = 0
+        # When the health spell ends: FAILED comes back on power,
+        # RECOVERING finishes its reboot, DEGRADED's throttle expires.
+        self.health_until = 0
         self.warmup_fails = False
         # Failure-domain identity and crash history; the orchestrator
         # assigns the domain from its topology right after construction.
@@ -294,27 +294,8 @@ class ClusterResult:
 
     def summary(self) -> ClusterSummary:
         """Aggregate the run into fleet-level metrics."""
-        return summarize_cluster(
-            self.records_by_server,
-            self.samples_by_server,
-            arrivals=self.arrivals,
-            admitted=self.admitted,
-            rejected=self.rejected,
-            abandoned=self.abandoned,
-            queue_waits=self.queue_waits,
-            steps=self.steps,
-            scaling_events=self.scaling_events,
-            fleet_trace=self.fleet_trace,
-            dropped=self.dropped,
-            degraded_sessions=self.degraded_sessions,
-            brownout_steps=self.brownout_steps,
-            failed=self.failed,
-            retried=self.retried,
-            fault_events=self.fault_events,
-            recomputed_frames=self.recomputed_frames,
-            checkpoint_writes=self.checkpoint_writes,
-            checkpoint_energy_j=self.checkpoint_energy_j,
-        )
+        fields = dataclasses.fields(self)
+        return summarize_cluster(**{f.name: getattr(self, f.name) for f in fields})
 
 
 class ClusterOrchestrator:
@@ -349,8 +330,10 @@ class ClusterOrchestrator:
         ``"batch"`` (default) advances the fleet through the vectorized
         :class:`~repro.cluster.batch.BatchStepper`; ``"scalar"`` steps each
         server's sessions one by one.  Both engines produce identical
-        results for the same seed; use ``"scalar"`` when sessions carry
-        models whose *methods* (not just parameters) were overridden.
+        results for the same seed.  The batch engine calls each model's
+        ``*_batch`` form, so a model subclass that overrides a method and
+        its ``*_batch`` form together runs on it; use ``"scalar"`` for one
+        that overrides only the scalar method.
     autoscaler:
         Optional :class:`~repro.cluster.autoscale.AutoscalePolicy` consulted
         once per step (after admission, before stepping); in the drain tail
@@ -440,7 +423,6 @@ class ClusterOrchestrator:
         )
         self.server_factory = server_factory
         self.power_cap_w = float(power_cap_w)
-        self.fleet_power_cap_w = num_servers * self.power_cap_w
         self.seed = int(seed)
         self.engine = engine
         self.autoscaler = autoscaler
@@ -462,8 +444,6 @@ class ClusterOrchestrator:
             _ServerSlot(index, Orchestrator(server=server_factory()), 0)
             for index in range(num_servers)
         ]
-        self._dispatchable: list[_ServerSlot] = list(self._slots)
-        self._live: list[_ServerSlot] = list(self._slots)
         self._scaling_events: list[ScalingEvent] = []
         self._fleet_trace: list[FleetSample] = []
         self._ran = False
@@ -507,6 +487,9 @@ class ClusterOrchestrator:
         )
         self._fault_events: list[FaultEvent] = []
         self._failed_slots: list[_ServerSlot] = []
+        # The rosters and fleet counts, taken once the slots have domains.
+        self._live: list[_ServerSlot] = []
+        self._refresh_fleet_views()
         # Crashed requests waiting for their retry, in crash order.
         self._retry_queue: list[_InFlight] = []
         # Running sessions by id(session), in dispatch order; a session
@@ -543,29 +526,31 @@ class ClusterOrchestrator:
             slot.orchestrator.profiler = telemetry.profiler
         m = telemetry.metrics
         # Counters mirroring a ledger count or a fault kind are keyed by it
-        # (see _count and _fault).  Registration order is the order of the
-        # exported text, so the two kinds stay interleaved with the gauges.
+        # (see _count and _fault), and gauges mirroring a FleetSample field
+        # by the field (see _record_fleet_sample).  Registration order is the
+        # order of the exported text, so the kinds stay interleaved.
         ledger = self._ledger_metrics = {}
         faults = self._fault_metrics = {}
-        self._m_queue = m.gauge(
+        fleet = self._fleet_metrics = {}
+        fleet["queue_length"] = m.gauge(
             "repro_queue_length", "Admission queue length at end of step"
         )
-        self._m_live = m.gauge(
+        fleet["live_servers"] = m.gauge(
             "repro_live_servers", "Powered-on servers (warming/draining included)"
         )
-        self._m_dispatchable = m.gauge(
+        fleet["dispatchable_servers"] = m.gauge(
             "repro_dispatchable_servers", "Servers accepting new sessions"
         )
-        self._m_warming = m.gauge(
+        fleet["warming_servers"] = m.gauge(
             "repro_warming_servers", "Commissioned servers still provisioning"
         )
-        self._m_draining = m.gauge(
+        fleet["draining_servers"] = m.gauge(
             "repro_draining_servers", "Servers finishing sessions before retire"
         )
-        self._m_active = m.gauge(
+        fleet["active_sessions"] = m.gauge(
             "repro_active_sessions", "Running sessions fleet-wide"
         )
-        self._m_brownout = m.gauge(
+        fleet["brownout_level"] = m.gauge(
             "repro_brownout_level", "Fleet-wide degradation level (0 = normal)"
         )
         self._m_power = m.gauge(
@@ -597,7 +582,7 @@ class ClusterOrchestrator:
             QUEUE_WAIT_EDGES,
             "Queue wait of admitted requests, in steps",
         )
-        self._m_healthy = m.gauge(
+        fleet["healthy_servers"] = m.gauge(
             "repro_fleet_healthy_servers",
             "Dispatchable servers in full health",
         )
@@ -615,7 +600,7 @@ class ClusterOrchestrator:
             "repro_failed_total",
             "Admitted requests lost to crashes past their retry budget",
         )
-        self._m_domains = m.gauge(
+        fleet["available_domains"] = m.gauge(
             "repro_fleet_available_domains",
             "Failure zones with at least one dispatchable server",
         )
@@ -656,14 +641,6 @@ class ClusterOrchestrator:
                 },
             ).inc()
 
-    def _count_scaling(self, direction: str) -> None:
-        if self._metrics.enabled:
-            self._metrics.counter(
-                "repro_scaling_events_total",
-                "Fleet resizes by direction and policy",
-                labels={"direction": direction, "policy": self.autoscaler.name},
-            ).inc()
-
     def _walk_inflight(self, step: int) -> None:
         """Retire the sessions that ended this step from the in-flight registry.
 
@@ -702,7 +679,11 @@ class ClusterOrchestrator:
     # -- state -------------------------------------------------------------------------
 
     def _refresh_fleet_views(self) -> None:
-        """Rebuild the dispatchable/live rosters after a membership change.
+        """Take the fleet census after a membership or health change.
+
+        The one place the fleet is counted: the rosters, the live slots that
+        are not dispatchable (``_offline``) and the warming ones, and the
+        server counts, keyed by their :class:`FleetSample` field.
 
         Only fully healthy ACTIVE slots are dispatchable — degraded
         (throttled) and recovering servers take no new sessions, which is
@@ -714,12 +695,26 @@ class ClusterOrchestrator:
         the resize path, which is what keeps both engines bitwise equal
         under any fault schedule.
         """
-        self._dispatchable = [
-            s for s in self._slots if s.state == _ACTIVE and s.health == _HEALTHY
-        ]
         live = [
             s for s in self._slots if s.state != _RETIRED and s.health != _FAILED
         ]
+        self._dispatchable = [
+            s for s in live if s.state == _ACTIVE and s.health == _HEALTHY
+        ]
+        self._offline = offline = [
+            s for s in live if s.state != _ACTIVE or s.health != _HEALTHY
+        ]
+        self._warming = [s for s in offline if s.state == _WARMING]
+        states = [s.state for s in offline]
+        healths = [s.health for s in offline]
+        self._census = {
+            "warming_servers": len(self._warming),
+            "draining_servers": states.count(_DRAINING),
+            "degraded_servers": healths.count(_DEGRADED),
+            "failed_servers": len(self._failed_slots),
+            "recovering_servers": healths.count(_RECOVERING),
+            "available_domains": len({s.zone for s in self._dispatchable}),
+        }
         # The batch stepper's per-server constants are bound to the stepped
         # (live) fleet; state flips that keep the same servers powered on
         # (warming -> active, active -> draining) don't invalidate it.  A
@@ -741,8 +736,8 @@ class ClusterOrchestrator:
         fleet's power, not just the dispatchable slots) and the warming
         pipeline feeds ``warming_servers``/``warming_ready_in`` (so
         admission can queue toward capacity that is about to exist).  Built
-        from the incrementally maintained per-server counters — O(servers),
-        no session-list walks.
+        from the incrementally maintained per-server counters and the fleet
+        census — O(servers), no session-list walks and no recounts.
         """
         servers = tuple(
             ServerSnapshot(
@@ -761,39 +756,27 @@ class ClusterOrchestrator:
             )
             for index, slot in enumerate(self._dispatchable)
         )
-        offline_power_w = 0.0
-        warming = 0
-        degraded = 0
-        recovering = 0
-        next_ready: Optional[int] = None
-        for slot in self._live:
-            if slot.state == _ACTIVE and slot.health == _HEALTHY:
-                continue
-            # Powered on but not dispatchable: warming, draining, throttled
-            # or rebooting servers all draw real power against the budget.
-            offline_power_w += slot.last_power_w
-            if slot.health == _DEGRADED:
-                degraded += 1
-            elif slot.health == _RECOVERING:
-                recovering += 1
-            if slot.state == _WARMING:
-                warming += 1
-                ready_in = max(0, slot.ready_step - step)
-                if next_ready is None or ready_in < next_ready:
-                    next_ready = ready_in
+        census = self._census
         return ClusterSnapshot(
             step=step,
             servers=servers,
             queue_length=queue_length,
             power_cap_w=self.fleet_power_cap_w,
-            offline_power_w=offline_power_w,
-            warming_servers=warming,
-            warming_ready_in=next_ready,
+            # Powered on but not dispatchable: warming, draining, throttled
+            # or rebooting servers all draw real power against the budget.
+            offline_power_w=ordered_sum(
+                (slot.last_power_w for slot in self._offline), 0.0
+            ),
+            warming_servers=census["warming_servers"],
+            warming_ready_in=min(
+                (max(0, slot.ready_step - step) for slot in self._warming),
+                default=None,
+            ),
             brownout_level=self._brownout_level,
             queue_by_class=self._queue_class_view(queue_length),
-            degraded_servers=degraded,
-            failed_servers=len(self._failed_slots),
-            recovering_servers=recovering,
+            degraded_servers=census["degraded_servers"],
+            failed_servers=census["failed_servers"],
+            recovering_servers=census["recovering_servers"],
         )
 
     def _queue_class_view(self, queue_length: int) -> dict[str, int]:
@@ -878,6 +861,8 @@ class ClusterOrchestrator:
         """
         if duration < 0:
             raise ClusterError(f"duration must be >= 0, got {duration}")
+        if max_drain_steps is not None and max_drain_steps < 0:
+            raise ClusterError(f"max_drain_steps must be >= 0, got {max_drain_steps}")
         if self._ran:
             raise ClusterError(
                 "this ClusterOrchestrator has already run; create a fresh "
@@ -1250,9 +1235,10 @@ class ClusterOrchestrator:
     def _update_fleet(self, step: int) -> None:
         """Activate warmed-up servers; retire drained ones; heal the sick.
 
-        Walks the live roster, not the append-only slot history, so the
-        per-step cost tracks the current fleet rather than every server
-        ever commissioned.  Failure recovery is folded in here: crashed
+        Walks the failed and the non-dispatchable live slots (every slot a
+        step can change), not the append-only slot history, so the per-step
+        cost tracks the fleet's transients rather than every server ever
+        commissioned.  Failure recovery is folded in here: crashed
         servers whose seeded downtime has elapsed come back on power and
         reboot through the provisioning warm-up before rejoining the
         dispatchable roster, and straggler throttles expire.  All of it is
@@ -1261,17 +1247,16 @@ class ClusterOrchestrator:
         """
         changed = False
         for slot in list(self._failed_slots):
-            if slot.recover_step is not None and step >= slot.recover_step:
+            if step >= slot.health_until:
                 # Back on power: reboot through the warm-up like a freshly
                 # commissioned server (idle draw, no new sessions) before
                 # returning to full health below.
                 slot.health = _RECOVERING
-                slot.recover_step = None
-                slot.recovery_ready_step = step + self.provision_warmup_steps
+                slot.health_until = step + self.provision_warmup_steps
                 self._failed_slots.remove(slot)
                 changed = True
-        for slot in self._live:
-            if slot.health == _RECOVERING and step >= slot.recovery_ready_step:
+        for slot in self._offline:
+            if slot.health == _RECOVERING and step >= slot.health_until:
                 slot.health = _HEALTHY
                 # A reboot resets the observed uptime; a throttle expiring
                 # below does not (the machine never went down).
@@ -1286,7 +1271,7 @@ class ClusterOrchestrator:
                     )
                 )
                 changed = True
-            elif slot.health == _DEGRADED and step >= slot.throttle_until:
+            elif slot.health == _DEGRADED and step >= slot.health_until:
                 slot.health = _HEALTHY
                 self._fault(
                     FaultEvent(
@@ -1360,17 +1345,17 @@ class ClusterOrchestrator:
                 changed = True
             elif slot.health == _HEALTHY and faults.straggles():
                 slot.health = _DEGRADED
-                slot.throttle_until = step + faults.throttle_steps()
+                slot.health_until = step + faults.throttle_steps()
                 self._fault(
                     FaultEvent(
                         step=step,
                         kind="straggler",
                         server=slot.index,
-                        detail=f"throttled until step {slot.throttle_until}",
+                        detail=f"throttled until step {slot.health_until}",
                     ),
                     f"server-{slot.index}",
                     server=slot.index,
-                    until=slot.throttle_until,
+                    until=slot.health_until,
                 )
                 changed = True
         if changed:
@@ -1440,7 +1425,7 @@ class ClusterOrchestrator:
         slot.health = _FAILED
         if downtime is None:
             downtime = faults.downtime_steps()
-        slot.recover_step = step + downtime
+        slot.health_until = step + downtime
         slot.active_count = 0
         slot.crashes += 1
         self._failed_slots.append(slot)
@@ -1450,7 +1435,7 @@ class ClusterOrchestrator:
                 kind="crash",
                 server=slot.index,
                 sessions_lost=len(sessions),
-                detail=f"down until step {slot.recover_step}",
+                detail=f"down until step {slot.health_until}",
                 zone=slot.zone,
                 rack=slot.rack,
             ),
@@ -1502,8 +1487,7 @@ class ClusterOrchestrator:
         "scale down only when the queue is empty" rules and keep idle
         servers powered through the whole tail.
         """
-        warming = ordered_sum(1 for s in self._live if s.state == _WARMING)
-        draining = ordered_sum(1 for s in self._live if s.state == _DRAINING)
+        warming = self._census["warming_servers"]
         provisioned = len(self._dispatchable) + warming
         signals = AutoscaleSignals(
             step=step,
@@ -1511,7 +1495,7 @@ class ClusterOrchestrator:
             arrivals=arrivals,
             provisioned_servers=provisioned,
             warming_servers=warming,
-            draining_servers=draining,
+            draining_servers=self._census["draining_servers"],
             min_servers=self.min_servers,
             max_servers=self.max_servers,
             draining_tail=not admitting,
@@ -1524,13 +1508,9 @@ class ClusterOrchestrator:
         if target > provisioned:
             self._commission(target - provisioned, step, provisioned, decision.reason)
         elif target < provisioned:
-            self._decommission(
-                provisioned - target, step, provisioned, decision.reason
-            )
+            self._decommission(provisioned - target, step, provisioned, decision.reason)
 
-    def _commission(
-        self, count: int, step: int, provisioned: int, reason: str
-    ) -> None:
+    def _commission(self, count: int, step: int, provisioned: int, reason: str) -> None:
         """Grow by ``count``: rescue draining servers, then power on fresh ones.
 
         A draining server is already warm, so cancelling its decommission
@@ -1539,7 +1519,7 @@ class ClusterOrchestrator:
         first (ties to the oldest) — they hold the most capacity.
         """
         remaining = count
-        draining = [s for s in self._live if s.state == _DRAINING]
+        draining = [s for s in self._offline if s.state == _DRAINING]
         for slot in sorted(draining, key=lambda s: (-s.active_count, s.index)):
             if remaining == 0:
                 break
@@ -1564,31 +1544,9 @@ class ClusterOrchestrator:
                     # by construction, like every other fault draw.
                     slot.warmup_fails = self.faults.provision_fails()
             self._slots.append(slot)
-        self._refresh_fleet_views()
-        _LOG.debug(
-            "step %d: scale up +%d (%d -> %d): %s",
-            step,
-            count,
-            provisioned,
-            provisioned + count,
-            reason,
-        )
-        self._count_scaling("up")
-        self._scaling_events.append(
-            ScalingEvent(
-                step=step,
-                direction="up",
-                servers=count,
-                fleet_before=provisioned,
-                fleet_after=provisioned + count,
-                policy=self.autoscaler.name,
-                reason=reason,
-            )
-        )
+        self._resized(step, count, provisioned, reason)
 
-    def _decommission(
-        self, count: int, step: int, provisioned: int, reason: str
-    ) -> None:
+    def _decommission(self, count: int, step: int, provisioned: int, reason: str) -> None:
         """Shrink by ``count``: cancel warming servers first, then drain.
 
         Draining servers take no new sessions and retire once their last
@@ -1597,12 +1555,11 @@ class ClusterOrchestrator:
         so capacity is released as quickly as possible.
         """
         remaining = count
-        for slot in reversed(self._live):
+        for slot in reversed(self._warming):
             if remaining == 0:
                 break
-            if slot.state == _WARMING:
-                slot.state = _RETIRED
-                remaining -= 1
+            slot.state = _RETIRED
+            remaining -= 1
         if remaining > 0:
             candidates = sorted(
                 self._dispatchable, key=lambda s: (s.active_count, -s.index)
@@ -1612,23 +1569,34 @@ class ClusterOrchestrator:
                     slot.state = _RETIRED
                 else:
                     slot.state = _DRAINING
+        self._resized(step, -count, provisioned, reason)
+
+    def _resized(self, step: int, delta: int, provisioned: int, reason: str) -> None:
+        """After a resize by ``delta`` servers: census, log, counter, event."""
         self._refresh_fleet_views()
+        direction = "up" if delta > 0 else "down"
         _LOG.debug(
-            "step %d: scale down -%d (%d -> %d): %s",
+            "step %d: scale %s %+d (%d -> %d): %s",
             step,
-            count,
+            direction,
+            delta,
             provisioned,
-            provisioned - count,
+            provisioned + delta,
             reason,
         )
-        self._count_scaling("down")
+        if self._metrics.enabled:
+            self._metrics.counter(
+                "repro_scaling_events_total",
+                "Fleet resizes by direction and policy",
+                labels={"direction": direction, "policy": self.autoscaler.name},
+            ).inc()
         self._scaling_events.append(
             ScalingEvent(
                 step=step,
-                direction="down",
-                servers=count,
+                direction=direction,
+                servers=abs(delta),
                 fleet_before=provisioned,
-                fleet_after=provisioned - count,
+                fleet_after=provisioned + delta,
                 policy=self.autoscaler.name,
                 reason=reason,
             )
@@ -1639,14 +1607,14 @@ class ClusterOrchestrator:
 
         Idle and warming servers sample their idle power.  The per-slot
         active counts are refreshed here — the once-per-step walk that keeps
-        every scheduling decision O(servers).
+        every scheduling decision O(servers) — from the session lists the
+        engine stepped (on the batch engine, the stepper's).
         """
         live = self._live
         if not live:
             # Every server down at once (a fault schedule can do what
             # autoscaling never would); nothing to step or sample.
             return 0, 0
-        stepped = [slot.orchestrator.active_sessions() for slot in live]
         if self.engine == "batch":
             if self._stepper is None or self._fleet_changed:
                 self._stepper = BatchStepper(
@@ -1656,7 +1624,9 @@ class ClusterOrchestrator:
                 )
                 self._fleet_changed = False
             step_samples = self._stepper.step(step)
+            stepped = self._stepper.stepped
         else:
+            stepped = [slot.orchestrator.active_sessions() for slot in live]
             step_samples = []
             for slot in live:
                 sample = slot.orchestrator.run_step(step)
@@ -1710,12 +1680,6 @@ class ClusterOrchestrator:
             step=step,
             live_servers=len(self._live),
             dispatchable_servers=len(self._dispatchable),
-            warming_servers=ordered_sum(
-                1 for s in self._live if s.state == _WARMING
-            ),
-            draining_servers=ordered_sum(
-                1 for s in self._live if s.state == _DRAINING
-            ),
             queue_length=len(self._queue),
             arrivals=arrivals,
             active_sessions=ordered_sum(slot.active_count for slot in self._live),
@@ -1724,27 +1688,13 @@ class ClusterOrchestrator:
             dropped=dropped,
             brownout_level=self._brownout_level,
             healthy_servers=len(self._dispatchable),
-            degraded_servers=ordered_sum(
-                1 for s in self._live if s.health == _DEGRADED
-            ),
-            failed_servers=len(self._failed_slots),
-            recovering_servers=ordered_sum(
-                1 for s in self._live if s.health == _RECOVERING
-            ),
-            available_domains=len({s.zone for s in self._dispatchable}),
+            **self._census,
         )
         self._fleet_trace.append(sample)
         self._profiler.count_step()
         if self._metrics.enabled:
-            self._m_healthy.set(sample.healthy_servers)
-            self._m_domains.set(sample.available_domains)
-            self._m_queue.set(sample.queue_length)
-            self._m_live.set(sample.live_servers)
-            self._m_dispatchable.set(sample.dispatchable_servers)
-            self._m_warming.set(sample.warming_servers)
-            self._m_draining.set(sample.draining_servers)
-            self._m_active.set(sample.active_sessions)
-            self._m_brownout.set(sample.brownout_level)
+            for field, gauge in self._fleet_metrics.items():
+                gauge.set(getattr(sample, field))
             self._m_power.set(ordered_sum(slot.last_power_w for slot in self._live))
             self._m_frames.inc(frames)
             self._m_violations.inc(violations)

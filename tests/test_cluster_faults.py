@@ -23,6 +23,10 @@ Covers the contracts of the fault subsystem:
 * **Brownout-aware autoscaling** — a sustained brownout level produces
   exactly one appropriately-sized scale-up (no flapping) and freezes
   scale-downs until the level clears.
+* **Fleet census** — under drawn autoscaled chaos fleets, every fleet
+  sample and every snapshot admission sees count the warming, draining,
+  degraded, failed and recovering servers and the available zones exactly
+  as a recount over the slots does, on both engines.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import builtins
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engine_fixtures import compensated_sum
 from repro.cluster import (
@@ -43,9 +49,11 @@ from repro.cluster import (
     FailureTopology,
     FaultConfig,
     FaultInjector,
+    FlashCrowdTraffic,
     KillEntry,
     KillSchedule,
     PoissonTraffic,
+    PredictiveScaling,
     ReactiveThreshold,
     ServerSnapshot,
     WorkloadGenerator,
@@ -57,7 +65,8 @@ from repro.errors import ClusterError
 from repro.manager.factories import static_factory
 from repro.manager.pretrain import pretrain_mamut, pretrained_mamut_factory
 from repro.metrics.cluster import ClusterSummary
-from repro.telemetry import QueueWaitObjective, TelemetryConfig
+from repro.numeric import ordered_sum
+from repro.telemetry import QueueWaitObjective, Telemetry, TelemetryConfig
 from repro.telemetry.trace import TERMINAL_KINDS, ListTraceSink
 from repro.video.sequence import ResolutionClass
 
@@ -776,3 +785,213 @@ class TestSummaryRoundTrip:
         assert loaded.server_crashes == 0
         assert loaded.mean_healthy_servers == 0.0
         assert loaded.arrivals == result.arrivals
+
+
+def recount(cluster, step):
+    """The fleet census recounted over every slot, at this moment."""
+    slots = cluster._slots
+    live = [
+        s for s in slots
+        if s.state != cluster_module._RETIRED and s.health != cluster_module._FAILED
+    ]
+    dispatchable = [
+        s for s in live
+        if s.state == cluster_module._ACTIVE and s.health == cluster_module._HEALTHY
+    ]
+    offline = [s for s in live if s not in dispatchable]
+    warming = [s for s in live if s.state == cluster_module._WARMING]
+    return {
+        "live_servers": len(live),
+        "dispatchable_servers": len(dispatchable),
+        "warming_servers": len(warming),
+        "draining_servers": sum(s.state == cluster_module._DRAINING for s in live),
+        "degraded_servers": sum(s.health == cluster_module._DEGRADED for s in live),
+        "failed_servers": sum(
+            s.health == cluster_module._FAILED and s.state != cluster_module._RETIRED
+            for s in slots
+        ),
+        "recovering_servers": sum(
+            s.health == cluster_module._RECOVERING for s in live
+        ),
+        "available_domains": len({s.zone for s in dispatchable}),
+        "offline_power_w": ordered_sum((s.last_power_w for s in offline), 0.0),
+        "warming_ready_in": min(
+            (max(0, s.ready_step - step) for s in warming), default=None
+        ),
+    }
+
+
+_SAMPLE_COUNTS = (
+    "live_servers",
+    "dispatchable_servers",
+    "warming_servers",
+    "draining_servers",
+    "degraded_servers",
+    "failed_servers",
+    "recovering_servers",
+    "available_domains",
+)
+_SNAPSHOT_COUNTS = (
+    "warming_servers",
+    "degraded_servers",
+    "failed_servers",
+    "recovering_servers",
+    "offline_power_w",
+    "warming_ready_in",
+)
+
+
+@st.composite
+def chaos_fleets(draw):
+    """A 1-6 server autoscaled fleet under every fault mode and brownout."""
+    zones = draw(st.integers(1, 3))
+    kills = draw(
+        st.lists(
+            st.builds(
+                KillEntry,
+                zone=st.integers(0, zones - 1),
+                step=st.integers(0, 23),
+                duration=st.integers(1, 6),
+            ),
+            max_size=2,
+        )
+    )
+    faults = FaultConfig(
+        crash_mtbf_steps=draw(st.sampled_from([None, 12.0, 40.0])),
+        crash_mttr_steps=draw(st.sampled_from([2.0, 6.0])),
+        straggler_mtbf_steps=draw(st.sampled_from([None, 8.0, 30.0])),
+        straggler_duration_steps=3.0,
+        warmup_failure_rate=draw(st.sampled_from([0.0, 0.4])),
+        max_retries=draw(st.integers(0, 2)),
+        retry_backoff_steps=1,
+        seed=draw(st.integers(0, 999)),
+        topology=FailureTopology(zones=zones, seed=draw(st.integers(0, 9))),
+        zone_mtbf_steps=draw(st.sampled_from([None, 15.0, 40.0])),
+        zone_mttr_steps=4.0,
+        kill_schedule=KillSchedule(tuple(kills)),
+    )
+    return {
+        "servers": draw(st.integers(1, 6)),
+        "autoscaler": draw(st.sampled_from(["reactive", "predictive"])),
+        "warmup": draw(st.integers(0, 3)),
+        "brownout": draw(st.booleans()),
+        "seed": draw(st.integers(0, 999)),
+        "faults": faults,
+    }
+
+
+def run_census_checked(engine, fleet):
+    """Run ``fleet`` on ``engine``, checking every count against a recount.
+
+    Each snapshot admission decides on and each autoscaling signal is
+    checked when the policy sees it; each step's fleet sample is checked
+    against the recount taken when the step ends.
+    """
+    workload = WorkloadGenerator(
+        FlashCrowdTraffic(0.6, peak_multiplier=5.0, start=4, duration=8),
+        seed=fleet["seed"],
+        playlist_videos=2,
+        frames_per_video=6,
+        patience_steps=4,
+    )
+    if fleet["autoscaler"] == "reactive":
+        autoscaler = ReactiveThreshold(sessions_per_server=3, scale_down_cooldown_steps=2)
+    else:
+        autoscaler = PredictiveScaling(
+            sessions_per_server=3, service_steps=12, scale_down_cooldown_steps=2
+        )
+    cluster = ClusterOrchestrator(
+        fleet["servers"],
+        workload,
+        admission=CapacityThreshold(
+            max_sessions_per_server=3, max_queue=6, brownout_extra_sessions=1
+        ),
+        controller_factory=static_factory(qp=32, threads=2, frequency_ghz=2.4),
+        seed=fleet["seed"],
+        engine=engine,
+        autoscaler=autoscaler,
+        max_servers=2 * fleet["servers"] + 2,
+        provision_warmup_steps=fleet["warmup"],
+        brownout=(
+            BrownoutController(sessions_per_server=3, enter_steps=1, exit_steps=2)
+            if fleet["brownout"]
+            else None
+        ),
+        faults=fleet["faults"],
+    )
+
+    def check_snapshot(snapshot):
+        expected = recount(cluster, snapshot.step)
+        assert len(snapshot.servers) == expected["dispatchable_servers"]
+        for field in _SNAPSHOT_COUNTS:
+            assert getattr(snapshot, field) == expected[field], field
+
+    decide = cluster.admission.decide
+
+    def checked_decide(event, snapshot):
+        check_snapshot(snapshot)
+        return decide(event, snapshot)
+
+    scale = cluster.autoscaler.decide
+
+    def checked_scale(signals):
+        check_snapshot(signals.snapshot)
+        expected = recount(cluster, signals.step)
+        assert signals.warming_servers == expected["warming_servers"]
+        assert signals.draining_servers == expected["draining_servers"]
+        assert signals.provisioned_servers == (
+            expected["dispatchable_servers"] + expected["warming_servers"]
+        )
+        return scale(signals)
+
+    cluster.admission.decide = checked_decide
+    cluster.autoscaler.decide = checked_scale
+    hub = Telemetry()
+    recounts = []
+    hub.record_step = lambda step: recounts.append(recount(cluster, step))
+    result = cluster.run(24, max_drain_steps=30, telemetry=hub)
+    assert len(result.fleet_trace) == len(recounts)
+    for sample, expected in zip(result.fleet_trace, recounts):
+        for field in _SAMPLE_COUNTS:
+            assert getattr(sample, field) == expected[field], (sample.step, field)
+    return result
+
+
+class TestFleetCensus:
+    """The cached fleet counts equal a recount over the slots at every read."""
+
+    @given(fleet=chaos_fleets())
+    @settings(max_examples=30, deadline=None)
+    def test_counts_match_a_recount_on_both_engines(self, fleet):
+        batch = run_census_checked("batch", fleet)
+        scalar = run_census_checked("scalar", fleet)
+        assert batch.fleet_trace == scalar.fleet_trace
+
+    def test_the_draws_reach_every_count(self):
+        # The recount only guards counts the drawn fleets move: one drawn
+        # shape reaches every one of them.
+        fleet = {
+            "servers": 4,
+            "autoscaler": "predictive",
+            "warmup": 2,
+            "brownout": True,
+            "seed": 1,
+            "faults": FaultConfig(
+                crash_mtbf_steps=12.0,
+                crash_mttr_steps=6.0,
+                straggler_mtbf_steps=8.0,
+                straggler_duration_steps=3.0,
+                warmup_failure_rate=0.4,
+                max_retries=2,
+                retry_backoff_steps=1,
+                seed=5,
+                topology=FailureTopology(zones=3, seed=1),
+                zone_mtbf_steps=15.0,
+                zone_mttr_steps=4.0,
+                kill_schedule=KillSchedule((KillEntry(zone=1, step=6, duration=4),)),
+            ),
+        }
+        trace = run_census_checked("batch", fleet).fleet_trace
+        for field in _SAMPLE_COUNTS:
+            assert max(getattr(sample, field) for sample in trace) > 0, field
+        assert min(sample.available_domains for sample in trace) < 3

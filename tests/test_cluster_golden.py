@@ -26,7 +26,9 @@ checks the engines against each other):
   pinned in ``GOLDEN_PHASES``.
 
 A deliberate output change regenerates the literals (printed as JSON) with
-``PYTHONPATH=src python tests/test_cluster_golden.py``.
+``PYTHONPATH=src python tests/test_cluster_golden.py``.  ``GOLDEN_LOG`` pins
+the drained chaos run's ``repro.cluster`` debug lines (resizes and brownout
+level changes) as the literal strings the logger prints.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import logging
 import sys
 from collections import Counter
 
@@ -272,6 +275,56 @@ def test_chaos_scenario_exercises_every_ledger_path():
 def test_overload_scenario_ends_with_abandoned_requests():
     _, result, _ = run_scenario("overload", "batch")
     assert result.abandoned > 0
+
+
+#: The ``repro.cluster`` debug lines of the drained chaos run: every resize
+#: and every brownout level change, in order, as literal strings.
+GOLDEN_LOG = (
+    "step 0: scale up +5 (3 -> 8): forecast 2.00/step -> 40 concurrent sessions",
+    "step 2: scale up +2 (6 -> 8): forecast 1.72/step -> 34 concurrent sessions",
+    "step 3: scale up +1 (7 -> 8): forecast 1.65/step -> 33 concurrent sessions",
+    "step 4: scale up +2 (6 -> 8): forecast 1.58/step -> 32 concurrent sessions",
+    "step 6: scale up +4 (4 -> 8): forecast 1.47/step -> 29 concurrent sessions",
+    "step 8: scale up +2 (6 -> 8): forecast 1.48/step -> 30 concurrent sessions",
+    "step 9: scale up +1 (7 -> 8): forecast 1.53/step -> 31 concurrent sessions",
+    "step 14: scale down -1 (9 -> 8): forecast 2.38/step -> 48 concurrent sessions",
+    "step 15: brownout level 0 -> 1",
+    "step 17: scale down -1 (9 -> 8): forecast 2.82/step -> 56 concurrent sessions",
+    "step 18: scale down -4 (12 -> 8): forecast 3.34/step -> 67 concurrent sessions",
+    "step 19: scale down -1 (9 -> 8): forecast 3.30/step -> 66 concurrent sessions",
+    "step 28: scale up +1 (7 -> 8): forecast 2.44/step -> 49 concurrent sessions",
+    "step 30: scale up +2 (6 -> 8): forecast 2.08/step -> 42 concurrent sessions",
+    "step 32: scale up +1 (7 -> 8): forecast 1.68/step -> 34 concurrent sessions",
+    "step 34: scale up +1 (7 -> 8): forecast 1.36/step -> 27 concurrent sessions",
+    "step 36: scale up +1 (7 -> 8): forecast 1.28/step -> 26 concurrent sessions",
+    "step 39: scale up +1 (7 -> 8): forecast 1.31/step -> 26 concurrent sessions",
+    "step 40: brownout level 1 -> 0",
+    "step 40: scale down -1 (9 -> 8): forecast 1.28/step -> 26 concurrent sessions",
+    "step 41: scale down -1 (9 -> 8): forecast 1.25/step -> 25 concurrent sessions",
+    "step 46: scale down -1 (9 -> 8): forecast 1.18/step -> 24 concurrent sessions",
+    "step 47: scale up +1 (7 -> 8): forecast 1.06/step -> 21 concurrent sessions",
+    "step 54: scale up +2 (6 -> 8): forecast 0.99/step -> 20 concurrent sessions",
+    "step 59: scale up +4 (2 -> 6): forecast 0.66/step -> 13 concurrent sessions",
+    "step 65: scale down -6 (14 -> 8): forecast 0.35/step -> 7 concurrent sessions",
+    "step 71: scale down -6 (8 -> 2): forecast 0.19/step -> 4 concurrent sessions",
+)
+
+
+@pytest.mark.parametrize("engine", ["batch", "scalar"])
+def test_debug_lines_match_golden(engine, caplog, monkeypatch):
+    # Listen on the cluster's own logger: once the CLI has configured
+    # logging, the "repro" logger no longer propagates to the root logger,
+    # where caplog listens by default.
+    logger = logging.getLogger("repro.cluster")
+    monkeypatch.setattr(logger, "propagate", False)
+    caplog.set_level(logging.DEBUG, logger="repro.cluster")
+    logger.addHandler(caplog.handler)
+    build, duration, _ = SCENARIOS["chaos_drained"]
+    try:
+        build(engine).run(duration)
+    finally:
+        logger.removeHandler(caplog.handler)
+    assert tuple(record.getMessage() for record in caplog.records) == GOLDEN_LOG
 
 
 @functools.lru_cache(maxsize=None)

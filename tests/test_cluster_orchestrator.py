@@ -151,6 +151,14 @@ class TestClusterRun:
         with pytest.raises(ClusterError):
             make_cluster().run(-1)
 
+    def test_negative_drain_bound_rejected_before_the_first_step(self):
+        # A bound below 0 used to end the tail at once, like 0.
+        cluster = make_cluster(rate=2.0)
+        with pytest.raises(ClusterError, match="max_drain_steps"):
+            cluster.run(10, max_drain_steps=-1)
+        assert not any(orch.sessions for orch in cluster.orchestrators)
+        assert not cluster.workload.consumed
+
     def test_consumed_workload_rejected(self):
         # Reusing a workload generator would continue its random stream
         # instead of reproducing the trace — refuse it loudly.
