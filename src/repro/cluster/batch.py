@@ -13,10 +13,10 @@ NumPy evaluation per cluster step:
    struct-of-arrays buffers ordered server-major.  The sessions running a
    stock :class:`~repro.core.mamut.MamutController` decide together, through
    one :meth:`~repro.core.mamut.MamutBatch.decide` call per step: the batch
-   form of :meth:`~repro.core.mamut.MamutController.decide`, rebuilt from
-   the previous one's rows on every roster change, which leaves their (QP,
-   threads, frequency) values in three arrays, so no ``Decision`` is built
-   for them.  Every other controller is asked per session via
+   form of :meth:`~repro.core.mamut.MamutController.decide`, re-rostered on
+   every roster change, which leaves their (QP, threads, frequency) values
+   in three arrays, so no ``Decision`` is built for them.  Every other
+   controller is asked per session via
    :meth:`~repro.manager.session.TranscodingSession.decide`.
 2. **Evaluate** — three calls, each the batch form of what the scalar
    engine calls per session or per server:
@@ -45,9 +45,10 @@ NumPy evaluation per cluster step:
 a roster; its video's static columns, model group, frame counter and (for a
 MAMUT controller) its ``MamutBatch`` row are rows of arrays that every
 roster change re-gathers in the new order with one take, reading only the
-sessions and controllers that joined.  A change of the live fleet builds a
-new stepper with ``previous=`` the old one, which takes over its lanes and
-rows, so a session's lane outlives the rosters and steppers it runs under.
+sessions and controllers that joined.  These caches live per stepper
+lineage: a change of the live fleet builds a new stepper with ``previous=``
+the old one, which takes them over, its one ``MamutBatch`` and one
+``FleetAllocator`` included.
 
 **Equivalence guarantee.**  For the same ``(workload seed, policies, cluster
 seed)`` the batch engine produces *bitwise identical* results to the scalar
@@ -63,16 +64,17 @@ per-server duration sum is taken in the scalar engine's order.  Fault
 injection preserves the guarantee: fault draws, session salvage and retries
 all happen in orchestrator code outside the stepper, and a crash or recovery
 changes the live roster exactly like an autoscaling resize — the stepper is
-replaced by one over the surviving fleet, which takes over its lanes and
-rows.  Nothing needs writing back when a stepper is dropped: every session's
+replaced by one over the surviving fleet, which takes over its caches.
+Nothing needs writing back when a stepper is dropped: every session's
 state, its controller's observation window included, lives on the session
 and controller (what the agents learn lives in their learning store, which
 the scalar engine uses too), and the stepper keeps only caches.  Each
 carried value is either fixed for its session's or controller's life or
-checked against it: a stepper that takes over rows re-reads every frame
-counter at its first roster, and a lane or ``MamutBatch`` row whose session
-has moved on since (stepped by the scalar engine in between) re-reads its
-video and its action indices.  Checkpointed resumes need no special handling
+moves only when the lineage steps it, so a lineage must step its sessions
+alone: a stepper that takes over rows checks their frame counters, and a
+session stepped elsewhere since (on the scalar engine) raises
+:class:`~repro.errors.ClusterError`; a stepper built without ``previous``
+reads it afresh.  Checkpointed resumes need no special handling
 either: a replacement session constructed mid-video
 (``TranscodingSession(start_frame_index=...)``) joins a roster like any
 other, because a joining session's lane reads ``session.step`` and its
@@ -100,6 +102,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.mamut import MamutBatch, MamutController
+from repro.errors import ClusterError
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.metrics.records import FrameRecord, PowerSample
@@ -123,7 +126,6 @@ class _SessionLane:
         "session_id",
         "target_fps",
         "controller",
-        "video_index",
         "video_name",
         "resolution_class",
         "complexity_col",
@@ -165,7 +167,6 @@ class _SessionLane:
         """
         session = self.session
         video = session.current_video
-        self.video_index = session.video_index
         self.video_name = video.name
         self.resolution_class = video.resolution_class
         self.complexity_col = video.complexity_column
@@ -224,24 +225,24 @@ class BatchStepper:
         Timing is observe-only — results are bitwise identical either way.
     previous:
         Optional stepper this one replaces, typically over a fleet that
-        gained or lost servers; it is not stepped again.  The new stepper
-        takes over its lanes, its allocator's per-server rows and its
-        :class:`~repro.core.mamut.MamutBatch` rows, so sessions, servers and
-        controllers that stay are not read again.
+        gained or lost servers; it must not be stepped again.  The new
+        stepper takes over its caches: its lanes, its
+        :class:`~repro.core.mamut.MamutBatch` and its fleet allocator, moved
+        to the new fleet in place.  Sessions, servers and controllers that
+        stay are not read again.
 
     A stepper holds only caches of session, controller and server state:
     lanes, the fleet allocator's per-server constants, and the
-    :class:`~repro.core.mamut.MamutBatch`'s frame counters, decisions and
-    grouping tables.  Each lane is built once per session, and its row (the
+    :class:`~repro.core.mamut.MamutBatch`'s rows, frame counters, decisions
+    and grouping tables, so it can be dropped at any step with nothing to
+    write back.  Each lane is built once per session, and its row (the
     current video's static columns, its model group and its session's frame
     counter) is carried from roster to roster and from stepper to stepper.
     A roster change re-gathers the rows in the new order with one take and
     reads only the sessions that joined.  Between its own calls a stepper
-    assumes it alone steps its orchestrators; one built with ``previous``
-    re-reads every frame counter at its first roster, so its rows may have
-    been stepped on the scalar engine since, and a lane or MAMUT row whose
-    counter moved re-reads its video and its action indices.  So a stepper
-    can be dropped at any step, with nothing to write back.
+    assumes its lineage alone steps its orchestrators: one built with
+    ``previous`` checks the frame counters it takes over and raises
+    :class:`~repro.errors.ClusterError` if a session moved since.
     """
 
     def __init__(
@@ -252,10 +253,7 @@ class BatchStepper:
     ) -> None:
         self.orchestrators = list(orchestrators)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self._allocator = FleetAllocator(
-            [orch.server for orch in self.orchestrators],
-            previous=previous._allocator if previous is not None else None,
-        )
+        servers = [orch.server for orch in self.orchestrators]
 
         # Each orchestrator's sessions as the last step found them, before
         # it advanced them (the caller reads them instead of asking again).
@@ -270,7 +268,10 @@ class BatchStepper:
         self._model_groups: list[tuple] = []
         self._mamut_pos = np.empty(0, dtype=np.int64)
         self._legacy_pos: list[int] = []
+        # The lineage's caches, built by its first stepper.
         if previous is None:
+            self._allocator = FleetAllocator(servers)
+            self._mamut = MamutBatch()
             # Model keys interned to small ints, so regrouping lanes after a
             # roster change compares ints rather than parameter dataclasses.
             self._group_ids: dict[tuple, int] = {}
@@ -278,16 +279,24 @@ class BatchStepper:
             self._lane_rows = np.empty(0, dtype=object)
             self._video = np.empty((len(_VIDEO_COLUMNS), 0))
             self._lane_table = np.empty((0, 3), dtype=np.int64)
-            self._mamut: Optional[MamutBatch] = None
         else:
+            # A row changes only when its session commits a frame, so the rows
+            # taken over are current if no frame counter moved since.
+            lanes = previous._lane_rows.tolist()
+            steps = np.fromiter((lane.session.step for lane in lanes), np.int64, len(lanes))
+            if (previous._lane_table[:, 2] != steps).any():
+                raise ClusterError(
+                    "a session moved on outside the stepper lineage since its last step; "
+                    "build a BatchStepper without previous= to take it over"
+                )
+            self._allocator = previous._allocator
+            self._allocator.set_fleet(servers)
+            self._mamut = previous._mamut
             self._group_ids = previous._group_ids
             self._row_of = previous._row_of
             self._lane_rows = previous._lane_rows
             self._video = previous._video
             self._lane_table = previous._lane_table
-            self._mamut = previous._mamut
-        # Rows taken over may belong to sessions stepped elsewhere since.
-        self._check_rows = previous is not None
 
     # -- roster maintenance --------------------------------------------------------
 
@@ -299,7 +308,7 @@ class BatchStepper:
         Each row holds a lane, its video's static columns (``_video``) and
         three ints (``_lane_table``): its model group, whether it decides in
         the :class:`~repro.core.mamut.MamutBatch`, and its session's frame
-        counter as this stepper left it.
+        counter as this lineage left it.
         """
         count = len(roster)
         rows = np.fromiter(
@@ -337,23 +346,9 @@ class BatchStepper:
         self._lane_rows = lane_rows = lane_rows[rows]
         self._lanes = lanes = lane_rows.tolist()
         self._row_of = dict(zip(roster, range(count)))
-        self._video = video = video[:, rows]
+        self._video = video[:, rows]
         self._lane_table = table = table[rows]
         group_of, batched, frames = table.T
-        if self._check_rows:
-            # A session changes video only when it commits a frame, so a
-            # taken-over lane whose frame counter is where the previous
-            # stepper left it is current; one stepped since (on the scalar
-            # engine) re-reads its video if it has moved to another.
-            steps = np.fromiter(
-                (session.step for session in roster), dtype=np.int64, count=count
-            )
-            for i in np.flatnonzero(frames != steps).tolist():
-                lane = lanes[i]
-                if lane.video_index != lane.session.video_index:
-                    video[:, i] = lane.refresh_video()
-            frames[:] = steps
-            self._check_rows = False
 
         self._roster = roster
         self._counts = counts = [len(sessions) for sessions in actives]
@@ -362,12 +357,7 @@ class BatchStepper:
 
         self._mamut_pos = mamut_pos = np.flatnonzero(batched)
         self._legacy_pos = np.flatnonzero(batched == 0).tolist()
-        if len(mamut_pos) or self._mamut is not None:
-            self._mamut = MamutBatch(
-                [lanes[i].controller for i in mamut_pos.tolist()],
-                frames[mamut_pos],
-                previous=self._mamut,
-            )
+        self._mamut.roster([lanes[i].controller for i in mamut_pos.tolist()], frames[mamut_pos])
 
     def flush_window_state(self) -> None:
         """Do nothing: a stepper holds no state that needs writing back.

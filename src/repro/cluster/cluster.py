@@ -33,9 +33,9 @@ Step 5 runs on one of two engines selected by the ``engine`` parameter:
 per step via :class:`~repro.cluster.batch.BatchStepper`; ``"scalar"`` steps
 server by server and session by session through the scalar model calls.  The
 engines are seed-for-seed equivalent — same results, the batch engine is
-just what makes thousand-server fleets tractable.  Fleet resizes rebuild the
-batch stepper's per-server constants; membership changes are therefore
-identical on both engines.
+just what makes thousand-server fleets tractable.  A fleet resize hands the
+batch stepper's caches to a new stepper over the new fleet; membership
+changes are therefore identical on both engines.
 
 Scheduling decisions are O(servers): per-server active-session counts are
 maintained incrementally (updated once per step as the engines advance, and
@@ -715,11 +715,12 @@ class ClusterOrchestrator:
             "recovering_servers": healths.count(_RECOVERING),
             "available_domains": len({s.zone for s in self._dispatchable}),
         }
-        # The batch stepper's per-server constants are bound to the stepped
-        # (live) fleet; state flips that keep the same servers powered on
-        # (warming -> active, active -> draining) don't invalidate it.  A
-        # stepper holds only caches, so it is dropped with nothing to save;
-        # the next one takes over its lanes and MAMUT rows.
+        # A batch stepper is bound to the stepped (live) fleet; state flips
+        # that keep the same servers powered on (warming -> active, active
+        # -> draining) don't invalidate it.  A stepper holds only caches, so
+        # it is dropped with nothing to save: the next one takes them over
+        # (its lanes, its MamutBatch and its allocator, moved to the new
+        # fleet in place).
         if live != self._live:
             self._fleet_changed = True
         self._live = live

@@ -314,8 +314,8 @@ class MamutController(Controller):
 _AGENT_IDS = {name: gid for gid, name in enumerate(AGENT_NAMES)}
 _EXPLORATION, _EXPLORATION_EXPLOITATION, _EXPLOITATION = range(len(PHASES))
 #: A MamutBatch row: schedule group, (state space, reward) group, then each
-#: agent's pool id and slot, in AGENT_NAMES order.
-_ROW_WIDTH = 2 + 2 * len(AGENT_NAMES)
+#: agent's pool id, slot and current action index, in AGENT_NAMES order.
+_ROW_WIDTH = 2 + 3 * len(AGENT_NAMES)
 
 
 def _intern(ids: dict, table: list, key, value) -> int:
@@ -342,8 +342,9 @@ def _members(group_of: np.ndarray) -> list[tuple]:
 class MamutBatch:
     """Batch form of :meth:`MamutController.decide`, for the fleet of a roster.
 
-    Built from the controllers and the frame each decides next (its
-    session's frame counter).  :meth:`decide` looks up every schedule
+    Built empty, it is laid out by :meth:`roster` over controllers and the
+    frame each decides next (its session's frame counter).  :meth:`decide`
+    looks up every schedule
     (:meth:`~repro.core.schedule.AgentSchedule.agent_at_batch`), averages
     the windows of the controllers whose agent acts
     (:meth:`~repro.core.observation.ObservationWindow.average_batch`),
@@ -357,63 +358,51 @@ class MamutBatch:
     Algorithm 1 for an agent in exploitation, after every array write, stay
     per session.
 
-    Each controller has a row (its schedule group, its (state space,
-    reward) group, and its agents' pool ids and slots), read once from the
-    controller, since all of it is fixed for the controller's life.  An
-    instance built with ``previous`` (the instance of an earlier roster,
-    which is not used again) takes over its rows and grouping tables: its
-    rows are re-gathered in the new roster's order with one take, only
-    controllers that joined are read, and rows of controllers that left
-    are dropped.  The frame counters are passed in at every build, and a
-    carried controller's current action indices are read again when its
-    frame counter is not where ``previous`` left it.
+    One instance serves a run's rosters one after another.  Each controller
+    has a row (its schedule group, its (state space, reward) group, and its
+    agents' pool ids, slots and current action indices), read once, when it
+    joins a roster.  The groups, pools and slots are fixed for the
+    controller's life, and the action indices change only while it decides
+    here, so a controller that decides elsewhere (on the scalar form) must
+    be outside the roster meanwhile: leaving drops its row, and rejoining
+    reads it again.
 
     Sessions only touch their own agents and generators, so the result is
     bitwise that of the scalar calls per controller, in any order.  Besides
     the controllers the instance keeps only caches: the frame counters, the
-    lookup and grouping tables, each agent's pool and slot, and each
-    controller's current action indices and values (:attr:`values`, one
-    float array per agent of :data:`AGENT_NAMES`).
+    rows, the lookup and grouping tables and the current decisions
+    (:attr:`values`, one float array per agent of :data:`AGENT_NAMES`).
     """
 
-    def __init__(
-        self,
-        controllers: Sequence[MamutController],
-        frame_indices: Sequence[int],
-        previous: Optional["MamutBatch"] = None,
+    def __init__(self) -> None:
+        # Grouping tables, one entry per distinct key, in first-seen order.
+        self._schedule_ids: dict[tuple, int] = {}
+        self._schedule_table: list[tuple] = []
+        self._model_ids: dict[tuple, int] = {}
+        self._models: list[tuple] = []
+        self._pool_index: dict = {}
+        self.pools: list = []
+        self._action_values = np.zeros((0, 0))
+        self._row_of: dict[MamutController, int] = {}
+        self._table = np.empty((0, _ROW_WIDTH), dtype=np.int64)
+        self.roster([], [])
+
+    def roster(
+        self, controllers: Sequence[MamutController], frame_indices: Sequence[int]
     ) -> None:
+        """Lay the instance out over ``controllers``, deciding ``frame_indices`` next.
+
+        The rows are re-gathered in the new order with one take: only
+        controllers that joined are read, and rows of those that left are
+        dropped.
+        """
         self.controllers = list(controllers)
         count = len(self.controllers)
         self.frame_indices = np.array(frame_indices, dtype=np.int64).reshape(count)
         width = len(AGENT_NAMES)
 
-        if previous is None:
-            # Grouping tables, one entry per distinct key, in first-seen order.
-            self._schedule_ids: dict[tuple, int] = {}
-            self._schedule_table: list[tuple] = []
-            self._model_ids: dict[tuple, int] = {}
-            self._models: list[tuple] = []
-            self._pool_index: dict = {}
-            self.pools: list = []
-            self._action_values = np.zeros((0, 0))
-            self._row_of: dict[MamutController, int] = {}
-            table = np.empty((0, _ROW_WIDTH), dtype=np.int64)
-            frames = np.empty(0, dtype=np.int64)
-            indices = np.empty((0, width), dtype=np.int64)
-        else:
-            self._schedule_ids = previous._schedule_ids
-            self._schedule_table = previous._schedule_table
-            self._model_ids = previous._model_ids
-            self._models = previous._models
-            self._pool_index = previous._pool_index
-            self.pools = previous.pools
-            self._action_values = previous._action_values
-            self._row_of = previous._row_of
-            table = previous._table
-            frames = previous.frame_indices
-            indices = previous.indices
-
-        # Rows of the previous roster, then one appended per joining controller.
+        # Rows of the current roster, then one appended per joining controller.
+        table = self._table
         order = np.fromiter(
             map(self._row_of.get, self.controllers, itertools.repeat(-1)),
             dtype=np.int64,
@@ -424,8 +413,6 @@ class MamutBatch:
             order[joining] = np.arange(len(table), len(table) + len(joining))
             rows = [self._row(self.controllers[k]) for k in joining.tolist()]
             table = np.concatenate([table, np.array(rows, dtype=np.int64)])
-            frames = np.concatenate([frames, np.full(len(joining), -1, dtype=np.int64)])
-            indices = np.concatenate([indices, np.empty((len(joining), width), dtype=np.int64)])
             if len(self._action_values) < len(self.pools):
                 # The value of action a of pool p sits at [p, a].
                 self._action_values = np.zeros(
@@ -447,22 +434,16 @@ class MamutBatch:
         # together.
         self._model_of = table[:, 1]
         self.pool_ids = table[:, 2 : 2 + width]
-        self.slots = table[:, 2 + width :]
-        # A controller's action indices change only when one of its agents
-        # acts, which happens only while it decides a frame.  So a carried row
-        # whose frame counter is where the previous instance left it is
-        # current; a joining controller, or one that has decided frames
-        # elsewhere since (on the scalar engine), is read again.
-        self.indices = indices = indices[order]
-        for k in np.flatnonzero(frames[order] != self.frame_indices).tolist():
-            indices[k] = list(self.controllers[k]._current_indices.values())
+        self.slots = table[:, 2 + width : 2 + 2 * width]
+        # A view: what activate writes there is carried with the row.
+        self.indices = indices = table[:, 2 + 2 * width :]
         self.values = [
             self._action_values[self.pool_ids[:, gid], indices[:, gid]]
             for gid in range(width)
         ]
 
     def _row(self, ctl: MamutController) -> list[int]:
-        """The row of a joining controller: its groups, pool ids and slots."""
+        """A joining controller's row: groups, pool ids, slots and action indices."""
         return [
             _intern(self._schedule_ids, self._schedule_table, ctl.schedule.key, ctl.schedule),
             _intern(
@@ -473,6 +454,7 @@ class MamutBatch:
             ),
             *[_intern(self._pool_index, self.pools, pool, pool) for pool in ctl.agent_pools],
             *ctl.agent_slots,
+            *ctl._current_indices.values(),
         ]
 
     def decide(self) -> None:

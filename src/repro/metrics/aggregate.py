@@ -24,11 +24,14 @@ __all__ = [
 def linear_percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0..100) with linear interpolation.
 
-    The single percentile definition shared by the cluster summary, the
-    trace-analysis layer and the SLO engine: sorting plus the same
-    interpolation arithmetic everywhere means a percentile derived from a
-    span stream reconciles *exactly* (same floats) with one derived from
-    the ledger.  Matches ``numpy.percentile(..., method="linear")``.
+    One of two percentile definitions in the package, and the exact one:
+    the cluster summary's queue-wait percentiles and the trace-analysis
+    layer both use it, so a percentile derived from a span stream
+    reconciles *exactly* (same floats) with one derived from the ledger.
+    Matches ``numpy.percentile(..., method="linear")``.  The other is the
+    bucketed estimate :meth:`~repro.telemetry.metrics.Histogram.quantile`,
+    which the SLO engine's queue-wait objective
+    (:class:`~repro.telemetry.slo.QueueWaitObjective`) evaluates.
     Returns 0.0 for an empty sequence.
     """
     if not values:

@@ -18,7 +18,7 @@ identical; ``tests/test_batch_models.py`` pins the pair.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -214,36 +214,36 @@ class MulticoreServer:
 class FleetAllocator:
     """Batch form of :meth:`MulticoreServer.allocate` over a fleet of servers.
 
-    Built once per fleet, it caches every server's core count, hardware
-    threads, SMT efficiency, base power, parked-core idle power and idle
-    power, and groups the servers by power model (class, parameters and
-    voltage table) so each group costs one ``busy_core_power_batch`` call per
-    step.  Each server's ``dvfs_policy`` is read at every step, because a
-    joining chip-wide session switches it.
+    It caches every server's core count, hardware threads, SMT efficiency,
+    base power, parked-core idle power and idle power, and groups the
+    servers by power model (class, parameters and voltage table) so each
+    group costs one ``busy_core_power_batch`` call per step.  Each server's
+    ``dvfs_policy`` is read at every step, because a joining chip-wide
+    session switches it.
 
     Parameters
     ----------
     servers:
         The fleet, in the order :meth:`allocate_batch` lays out its arrays.
-    previous:
-        Optional allocator of an earlier fleet, not used again.  All of a
-        server's cached values are fixed for its life, so the new allocator
-        takes over the previous one's and reads only the servers that joined.
+        :meth:`set_fleet` moves the allocator to another fleet in place.
     """
 
-    def __init__(
-        self,
-        servers: Sequence[MulticoreServer],
-        previous: Optional["FleetAllocator"] = None,
-    ) -> None:
-        self.servers = list(servers)
+    def __init__(self, servers: Sequence[MulticoreServer]) -> None:
         # Power-model keys interned to ids, and one model per id.
         self._power_ids: dict[tuple, int] = {}
         self._power_table: list[PowerModel] = []
-        known: dict[MulticoreServer, tuple] = {}
-        if previous is not None:
-            self._power_ids, self._power_table = previous._power_ids, previous._power_table
-            known = previous._rows
+        self._rows: dict[MulticoreServer, tuple] = {}
+        self.set_fleet(servers)
+
+    def set_fleet(self, servers: Sequence[MulticoreServer]) -> None:
+        """Lay the allocator out over ``servers``, reading only those that joined.
+
+        All of a server's cached values are fixed for its life, so the rows
+        of servers that stay are kept and those of servers that left are
+        dropped.
+        """
+        self.servers = list(servers)
+        known = self._rows
         rows = [known.get(server) or self._read(server) for server in self.servers]
         self._rows = dict(zip(self.servers, rows))
         cores, threads, smt, base, parked, idle, power_ids = (
@@ -265,7 +265,7 @@ class FleetAllocator:
         self._power_group = np.array([number[p] for p in power_ids], dtype=np.int64)
 
     def _read(self, server: MulticoreServer) -> tuple:
-        """A joining server's cached values, in the order ``__init__`` unpacks."""
+        """A joining server's cached values, in the order :meth:`set_fleet` unpacks."""
         model = server.power_model
         table = model.voltage_table
         key = (type(model), model.params, tuple(table._freqs), tuple(table._volts))

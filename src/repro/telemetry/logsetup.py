@@ -24,11 +24,12 @@ _HANDLER_FLAG = "_repro_handler"
 def configure_logging(level: str = "info", stream=None) -> logging.Logger:
     """Configure the root ``repro`` logger and return it.
 
-    Idempotent: repeated calls adjust the level but never stack handlers,
-    so tests and long-lived processes can reconfigure freely.  The handler
-    writes bare messages to ``stream`` (default stdout, matching the
-    CLI's table output) and the logger does not propagate, keeping host
-    applications' logging untouched.
+    Idempotent: repeated calls adjust the level and the stream but never
+    stack handlers, so tests and long-lived processes can reconfigure
+    freely.  The handler writes bare messages to ``stream`` (default the
+    ``sys.stdout`` of this call, matching the CLI's table output) and the
+    logger does not propagate, keeping host applications' logging
+    untouched.
     """
     if level not in LOG_LEVELS:
         raise ValueError(f"unknown log level {level!r}; choose from {LOG_LEVELS}")
@@ -39,8 +40,11 @@ def configure_logging(level: str = "info", stream=None) -> logging.Logger:
         if getattr(handler, _HANDLER_FLAG, False):
             break
     else:
-        handler = logging.StreamHandler(stream if stream is not None else sys.stdout)
+        handler = logging.StreamHandler()
         handler.setFormatter(logging.Formatter("%(message)s"))
         setattr(handler, _HANDLER_FLAG, True)
         logger.addHandler(handler)
+    # Assigned rather than setStream(), which flushes the old stream first;
+    # that stream may be closed by now, and the handler flushes every record.
+    handler.stream = stream if stream is not None else sys.stdout
     return logger

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.core.config import MamutConfig
@@ -14,6 +16,21 @@ from repro.video.content import ContentProfile
 from repro.video.request import TranscodingRequest
 from repro.video.sequence import Frame, VideoSequence
 from repro.video.content import FrameContent
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Undo a test's ``configure_logging``: level, handlers and propagation.
+
+    Without it, a CLI test leaves the ``repro`` logger writing to that
+    test's captured stdout, closed by then, and hidden from ``caplog``.
+    """
+    logger = logging.getLogger("repro")
+    level, handlers, propagate = logger.level, list(logger.handlers), logger.propagate
+    yield
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
+    logger.propagate = propagate
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -325,3 +326,15 @@ class TestObservabilityCommands:
         assert main(["obs", "compare", str(a), str(b), "--rel-tol", "0.01"]) == 0
         assert main(["obs", "compare", str(a), str(b),
                      "--ignore", "summary.fleet_mean_power_w"]) == 0
+
+
+def test_caplog_sees_repro_records_after_the_cli_tests(caplog):
+    """Runs after this file's CLI tests, which each configure logging.
+
+    The ``repro`` logger is restored after every test, so it propagates to
+    the root logger, where ``caplog`` listens, instead of writing to a CLI
+    test's closed capture stream.
+    """
+    caplog.set_level(logging.INFO, logger="repro")
+    logging.getLogger("repro.cli").info("after the CLI tests")
+    assert caplog.messages == ["after the CLI tests"]

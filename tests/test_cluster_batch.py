@@ -64,7 +64,7 @@ from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
 from repro.platform.dvfs import DvfsDriver
 from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
-from repro.platform.server import MulticoreServer
+from repro.platform.server import FleetAllocator, MulticoreServer
 from repro.platform.topology import CpuTopology
 from repro.video.catalog import random_sequence
 from repro.video.request import TranscodingRequest
@@ -851,10 +851,10 @@ def _replay(script, mode):
     """Run ``script``, stepping each round's last steps the way ``mode`` says.
 
     ``"scalar"`` steps everything on the scalar engine.  ``"carried"``
-    builds each stepper with ``previous=`` the last one, ``"fresh"`` without;
-    both build one after a fleet change, after scalar steps, and where the
-    script asks.  Returns the sessions, in join order, and every step's
-    power samples.
+    builds each stepper with ``previous=`` the last one unless scalar steps
+    ran since, ``"fresh"`` always without; both build one after a fleet
+    change, after scalar steps, and where the script asks.  Returns the
+    sessions, in join order, and every step's power samples.
     """
     factories = {
         "mamut": mamut_factory(record_history=True),
@@ -902,8 +902,8 @@ def _replay(script, mode):
             run_scalar(fleet, steps)
             continue
         if stale or scalar_steps or new_stepper:
-            previous = stepper if mode == "carried" else None
-            stepper = BatchStepper(fleet, previous=previous)
+            carried = mode == "carried" and not scalar_steps
+            stepper = BatchStepper(fleet, previous=stepper if carried else None)
             stale = False
         for _ in range(steps):
             samples.append(stepper.step(step))
@@ -928,16 +928,17 @@ class TestCarriedRoster:
     edits: sessions of every controller kind join and finish or are killed,
     videos of one to four frames wrap, servers leave the stepped fleet and
     rejoin it, and stretches run on the scalar engine.  Every edit is
-    stepped by a stepper that took over the previous one's lanes and rows
-    and, separately, by a fresh stepper; both must match the scalar engine
+    stepped by a stepper that took over the previous one's caches (a
+    stretch on the scalar engine starts a new lineage instead) and,
+    separately, by a fresh stepper; both must match the scalar engine
     bitwise in every record, power sample and controller.
     """
 
     @given(script=st.lists(_ROUNDS, min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
-    # Carried lanes whose sessions the scalar engine moved to another video
-    # and another action, and a server whose sessions leave the roster and
-    # come back.
+    # A new lineage after the scalar engine moved sessions to another video
+    # and another action, then a server whose sessions leave the roster and
+    # come back within one lineage.
     @example(
         script=[
             (
@@ -959,20 +960,21 @@ class TestCarriedRoster:
                 _controller_state(s.controller) for s in sessions
             ]
 
-    def test_taken_over_lanes_follow_a_scalar_video_change(self):
-        """A stepper taking over rows re-reads a lane the scalar engine moved."""
-        joins = [(0, "eager", 3, 2, 0), (0, "static", 3, 2, 1)]
-        sessions, _ = _replay([(joins, None, None, 2, 1, True)], "scalar")
-        # The two scalar steps move both sessions to another video, and the
-        # MAMUT controller's agents to other actions.
-        assert [s.video_index for s in sessions] == [1, 2]
-        first, _, last = sessions[0].records
-        assert (first.threads, first.frequency_ghz) != (last.threads, last.frequency_ghz)
-        script = [(joins, None, None, 0, 1, True), ([], None, None, 2, 4, False)]
-        scalar, samples = _replay(script, "scalar")
-        carried, carried_samples = _replay(script, "carried")
-        assert carried_samples == samples
-        assert [s.records for s in carried] == [s.records for s in scalar]
+    def test_handing_over_after_a_scalar_step_raises(self):
+        """A stepper refuses rows whose sessions were stepped elsewhere since."""
+        orchestrator = Orchestrator()
+        factories = [_eager_mamut_factory(), static_factory(qp=32, threads=4, frequency_ghz=2.4)]
+        for n, factory in enumerate(factories):
+            sequence = random_sequence(ResolutionClass.LR, rng=n, num_frames=4)
+            request = TranscodingRequest(user_id=f"user-{n}", sequence=sequence)
+            orchestrator.add_session(TranscodingSession(request, factory(request, n)))
+        first = BatchStepper([orchestrator])
+        first.step(0)
+        carried = BatchStepper([orchestrator], previous=first)
+        carried.step(1)
+        orchestrator.run_step(2)
+        with pytest.raises(ClusterError, match="without previous="):
+            BatchStepper([orchestrator], previous=carried)
 
 
 class TestRosterWork:
@@ -980,8 +982,9 @@ class TestRosterWork:
 
     ``tests/test_cluster_golden.py``'s chaos scenario (autoscaling, faults,
     brownout, MAMUT and static lanes) builds many steppers on the batch
-    engine; each session still gets one lane, and each MAMUT controller one
-    ``MamutBatch`` row read from it.
+    engine, all of one lineage: they share one ``MamutBatch`` and one
+    ``FleetAllocator``, each session gets one lane, and each MAMUT
+    controller one ``MamutBatch`` row read from it.
     """
 
     def test_each_session_and_controller_is_read_once(self, monkeypatch):
@@ -998,11 +1001,14 @@ class TestRosterWork:
 
         count(batch_module._SessionLane, "__init__", "lanes")
         count(batch_module.BatchStepper, "__init__", "steppers")
+        count(MamutBatch, "__init__", "mamut_batches")
+        count(FleetAllocator, "__init__", "allocators")
         count(TranscodingSession, "__init__", "sessions")
         count(MamutBatch, "_row", "rows")
         count(MamutController, "__init__", "controllers")
         cluster_golden.run_scenario("chaos_drained", "batch")
         assert counts["steppers"] > 1
+        assert counts["mamut_batches"] == counts["allocators"] == 1
         assert counts["lanes"] == counts["sessions"]
         assert counts["rows"] == counts["controllers"]
         assert 0 < counts["controllers"] < counts["sessions"]

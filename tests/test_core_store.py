@@ -272,7 +272,8 @@ class TestMamutBatch:
     def test_activate_equals_scalar_activations(self):
         scalar = _population(1)
         batch = _population(1)
-        fleet = MamutBatch(batch, [0] * len(batch))
+        fleet = MamutBatch()
+        fleet.roster(batch, [0] * len(batch))
         rng = np.random.default_rng(11)
         states = rng.choice(SPACE.size, size=5, replace=False)
         schedule = scalar[0].schedule
@@ -313,7 +314,8 @@ class TestMamutBatch:
 
     def test_builds_from_current_actions(self):
         controllers = _population(2)
-        fleet = MamutBatch(controllers, range(len(controllers)))
+        fleet = MamutBatch()
+        fleet.roster(controllers, range(len(controllers)))
         decisions = [ctl.current_decision() for ctl in controllers]
         assert fleet.values[0].tolist() == [d.qp for d in decisions]
         assert fleet.values[1].tolist() == [d.threads for d in decisions]
@@ -361,7 +363,8 @@ class TestMamutBatchDecide:
         batch = _decide_fleet(3)
         rng = np.random.default_rng(5)
         starts = rng.integers(0, 40, size=len(scalar))
-        fleet = MamutBatch(batch, starts.tolist())
+        fleet = MamutBatch()
+        fleet.roster(batch, starts.tolist())
         # A few distinct observations, so states repeat and phases advance.
         observations = [
             (25.0, 36.0, 1.5, 50.0),
@@ -395,12 +398,12 @@ class TestMamutBatchDecide:
         assert (len(fleet._schedules), len(fleet._models)) == (2, 2)
 
     def test_carried_rows_decide_like_the_scalar_form(self):
-        """Instances built with ``previous`` over changing rosters.
+        """One instance re-rostered over changing rosters.
 
         Every 20 rounds the roster changes (controllers leave, join and come
-        back, in a new order) and a few controllers decide frames on their
-        own in between, on the scalar form, which moves their frame counters
-        and actions away from the carried rows.
+        back, in a new order).  Before each change a few controllers outside
+        the roster decide frames on their own, on the scalar form, which
+        moves their frame counters and actions away from their last rows.
         """
         scalar = _decide_fleet(4)
         batch = _decide_fleet(4)
@@ -417,19 +420,22 @@ class TestMamutBatchDecide:
             scalar[j].window.add(*observed)
             batch[j].window.add(*observed)
 
-        fleet = None
+        fleet = MamutBatch()
+        members = np.empty(0, dtype=np.int64)
+        rejoined = 0
         for round_index in range(300):
             if round_index % 20 == 0:
-                for j in rng.choice(len(scalar), size=3, replace=False).tolist():
+                outside = np.setdiff1d(np.arange(len(scalar)), members)
+                moved = rng.choice(outside, size=min(3, len(outside)), replace=False)
+                for j in moved.tolist():
                     for _ in range(2):
                         observe(j)
                         assert batch[j].decide(frames[j]) == scalar[j].decide(frames[j])
                         frames[j] += 1
                 size = int(rng.integers(1, len(scalar) + 1))
                 members = rng.permutation(len(scalar))[:size]
-                fleet = MamutBatch(
-                    [batch[j] for j in members], frames[members], previous=fleet
-                )
+                rejoined += len(np.intersect1d(moved, members))
+                fleet.roster([batch[j] for j in members], frames[members])
                 current = [batch[j].current_decision() for j in members.tolist()]
                 assert fleet.values[0].tolist() == [d.qp for d in current]
                 assert fleet.values[1].tolist() == [d.threads for d in current]
@@ -446,5 +452,6 @@ class TestMamutBatchDecide:
         for mine, theirs in zip(batch, scalar):
             assert _controller_state(mine) == _controller_state(theirs)
         assert {entry.phase for ctl in scalar for entry in ctl.history} == set(PHASES)
+        assert rejoined
         # Rows of controllers that left are dropped.
         assert set(fleet._row_of) == {batch[j] for j in members.tolist()}

@@ -17,6 +17,7 @@ The load-bearing guarantees pinned here:
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -557,6 +558,14 @@ class TestLogging:
     def test_unknown_level_is_rejected(self):
         with pytest.raises(ValueError):
             configure_logging("loud")
+
+    def test_a_second_call_writes_to_its_own_stream(self):
+        first, second = io.StringIO(), io.StringIO()
+        configure_logging("info", stream=first)
+        configure_logging("info", stream=second)
+        logging.getLogger("repro.test").info("to the second stream")
+        assert first.getvalue() == ""
+        assert second.getvalue() == "to the second stream\n"
 
 
 # -- output-path validation ----------------------------------------------------------
