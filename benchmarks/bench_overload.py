@@ -45,6 +45,7 @@ from repro.cluster import (
 )
 from repro.manager.factories import static_factory
 from repro.metrics.report import format_table
+from repro.numeric import ordered_sum
 from repro.telemetry import LOG_LEVELS, configure_logging, stamp_provenance
 
 _LOG = logging.getLogger("repro.benchmarks.overload")
@@ -119,7 +120,7 @@ def _run_config(scenario: dict, *, max_queue: int, patience, brownout) -> dict:
     out = summary.to_dict()
     # Derived metric the summary does not carry; from_dict ignores it.
     out["mean_psnr_db"] = (
-        sum(r.psnr_db for r in records) / len(records) if records else 0.0
+        ordered_sum(r.psnr_db for r in records) / len(records) if records else 0.0
     )
     return out
 

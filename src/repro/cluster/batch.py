@@ -30,16 +30,17 @@ NumPy evaluation per cluster step:
    rate, and each group calls the batch methods of its first lane's
    transcoder; the allocator groups servers by power model itself.  No
    topology, power or timing formula lives in this module.
-3. **Scatter** — every session's results go back through
-   :meth:`~repro.manager.session.TranscodingSession.commit` (the same
-   ``FrameRecord`` the scalar path creates, and the same bookkeeping,
-   which also adds the frame to the controller's observation window), and
-   one ``PowerSample`` per server is emitted; a server with no active
-   sessions is sampled through
+3. **Scatter** — one
+   :meth:`~repro.manager.session.TranscodingSession.commit_batch` call, the
+   batch form of the scalar engine's per-session ``commit``, writes every
+   session's frame to the run's :class:`~repro.metrics.records.FrameLedger`
+   as columns (no ``FrameRecord`` is built; the sessions' record views
+   build one only when it is read) and moves each session's counters and
+   observation window forward.  One ``PowerSample`` per server is emitted;
+   a server with no active sessions is sampled through
    :meth:`~repro.manager.orchestrator.Orchestrator.idle_step`, as on the
-   scalar engine.  A commit that wraps an active session's ``frame_index``
-   to 0 crossed a video boundary: the loop refreshes that lane's video
-   columns on the spot.
+   scalar engine.  The sessions the commit moved to a new video get their
+   lanes' video columns refreshed on the spot.
 
 **Roster changes.**  Each session gets one lane, built when it first joins
 a roster; its video's static columns, model group, frame counter and (for a
@@ -66,9 +67,10 @@ all happen in orchestrator code outside the stepper, and a crash or recovery
 changes the live roster exactly like an autoscaling resize — the stepper is
 replaced by one over the surviving fleet, which takes over its caches.
 Nothing needs writing back when a stepper is dropped: every session's
-state, its controller's observation window included, lives on the session
-and controller (what the agents learn lives in their learning store, which
-the scalar engine uses too), and the stepper keeps only caches.  Each
+state, its controller's observation window included, lives on the session,
+its frame ledger and its controller (what the agents learn lives in their
+learning store, which the scalar engine uses too), and the stepper keeps
+only caches.  Each
 carried value is either fixed for its session's or controller's life or
 moves only when the lineage steps it, so a lineage must step its sessions
 alone: a stepper that takes over rows checks their frame counters, and a
@@ -105,7 +107,7 @@ from repro.core.mamut import MamutBatch, MamutController
 from repro.errors import ClusterError
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
-from repro.metrics.records import FrameRecord, PowerSample
+from repro.metrics.records import PowerSample
 from repro.numeric import ordered_sum
 from repro.platform.server import FleetAllocator
 from repro.telemetry.profiler import NULL_PROFILER
@@ -114,29 +116,16 @@ __all__ = ["BatchStepper"]
 
 
 class _SessionLane:
-    """One session's identity and the Python side of its current video.
+    """One session, its controller and the content columns of its current video.
 
-    Built once per session: every field but the video ones is fixed for the
-    session's life, and the video ones are re-read (:meth:`refresh_video`)
-    when the session moves to another video.
+    Built once per session; the content columns are re-read
+    (:meth:`refresh_video`) when the session moves to another video.
     """
 
-    __slots__ = (
-        "session",
-        "session_id",
-        "target_fps",
-        "controller",
-        "video_name",
-        "resolution_class",
-        "complexity_col",
-        "motion_col",
-        "scene_col",
-    )
+    __slots__ = ("session", "controller", "complexity_col", "motion_col", "scene_col")
 
     def __init__(self, session: TranscodingSession) -> None:
         self.session = session
-        self.session_id = session.session_id
-        self.target_fps = session.request.target_fps
         self.controller = session.controller
 
     def model_key(self) -> tuple:
@@ -167,8 +156,6 @@ class _SessionLane:
         """
         session = self.session
         video = session.current_video
-        self.video_name = video.name
-        self.resolution_class = video.resolution_class
         self.complexity_col = video.complexity_column
         self.motion_col = video.motion_column
         self.scene_col = video.scene_change_column
@@ -235,9 +222,12 @@ class BatchStepper:
     lanes, the fleet allocator's per-server constants, and the
     :class:`~repro.core.mamut.MamutBatch`'s rows, frame counters, decisions
     and grouping tables, so it can be dropped at any step with nothing to
-    write back.  Each lane is built once per session, and its row (the
-    current video's static columns, its model group and its session's frame
-    counter) is carried from roster to roster and from stepper to stepper.
+    write back.  Each step's frames go to the sessions' frame ledgers
+    through one :meth:`~repro.manager.session.TranscodingSession.commit_batch`
+    call, which builds no ``FrameRecord``.  Each lane is built once per
+    session, and its row (the current video's static columns, its model
+    group and its session's frame counter) is carried from roster to roster
+    and from stepper to stepper.
     A roster change re-gathers the rows in the new order with one take and
     reads only the sessions that joined.  Between its own calls a stepper
     assumes its lineage alone steps its orchestrators: one built with
@@ -447,52 +437,34 @@ class BatchStepper:
 
         # -- scatter -------------------------------------------------------------
         with profiler.phase("scatter"):
-            fps_l = fps.tolist()
-            psnr_l = psnr.tolist()
-            bitrate_l = bitrate.tolist()
+            counts = self._counts
+            moved = TranscodingSession.commit_batch(
+                self._roster,
+                fidx_l,
+                qp,
+                threads,
+                freq,
+                fps,
+                psnr,
+                bitrate,
+                total_time,
+                np.repeat(server_power, counts),
+            )
+            for i in moved:
+                # The commit moved the session to a new video.
+                self._video[:, i] = lanes[i].refresh_video()
+
             time_l = total_time.tolist()
             power_l = server_power.tolist()
-            qp_l = qp.tolist()
-            threads_l = threads.tolist()
-            freq_list = freq.tolist()
-
             samples: list[PowerSample] = []
-            make_record = FrameRecord
             for server_index, orch in enumerate(self.orchestrators):
-                count = self._counts[server_index]
+                count = counts[server_index]
                 if not count:
                     samples.append(orch.idle_step(step))
                     continue
                 start = self._starts[server_index]
-                end = start + count
-                total_power = power_l[server_index]
-                for i in range(start, end):
-                    lane = lanes[i]
-                    session = lane.session
-                    # Positional construction, field order of the dataclass.
-                    record = make_record(
-                        lane.session_id,
-                        session.step,
-                        lane.video_name,
-                        fidx_l[i],
-                        lane.resolution_class,
-                        qp_l[i],
-                        threads_l[i],
-                        freq_list[i],
-                        fps_l[i],
-                        psnr_l[i],
-                        bitrate_l[i],
-                        time_l[i],
-                        total_power,
-                        lane.target_fps,
-                    )
-                    session.commit(record)
-                    if session.frame_index == 0 and session.active:
-                        # The commit wrapped the frame index into a new video.
-                        self._video[:, i] = lane.refresh_video()
-
-                duration = ordered_sum(time_l[start:end]) / count
-                samples.append(PowerSample(step, total_power, duration, count))
+                duration = ordered_sum(time_l[start : start + count]) / count
+                samples.append(PowerSample(step, power_l[server_index], duration, count))
             # Every lane has committed one frame.
             self._lane_table[:, 2] += 1
         return samples

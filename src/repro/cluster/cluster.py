@@ -79,7 +79,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from collections import deque
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.constants import DEFAULT_POWER_CAP_W
 from repro.errors import ClusterError
@@ -99,7 +99,8 @@ from repro.metrics.cluster import ClusterSummary, summarize_cluster
 from repro.metrics.records import (
     FaultEvent,
     FleetSample,
-    FrameRecord,
+    FrameLedger,
+    FrameRecordView,
     PowerSample,
     ScalingEvent,
 )
@@ -219,8 +220,14 @@ class ClusterResult:
     Attributes
     ----------
     records_by_server:
-        One ``{session_id: [FrameRecord, ...]}`` mapping per server, in
-        commissioning order (decommissioned servers keep their entry).
+        One ``{session_id: records}`` mapping per server, in commissioning
+        order (decommissioned servers keep their entry).  Each ``records``
+        is a :class:`~repro.metrics.records.FrameRecordView` of the run's
+        frame ledger, fixed at the frames the session committed: a
+        read-only sequence of :class:`~repro.metrics.records.FrameRecord`
+        that builds each record when it is read, compares equal to another
+        view, tuple or list of the same records and has the ``repr`` of
+        their tuple.
     samples_by_server:
         One power trace per server; a server contributes one sample per
         cluster step it was powered on (idle and warm-up steps included), so
@@ -272,7 +279,7 @@ class ClusterResult:
         the per-server power traces.
     """
 
-    records_by_server: tuple[Mapping[str, Sequence[FrameRecord]], ...]
+    records_by_server: tuple[Mapping[str, FrameRecordView], ...]
     samples_by_server: tuple[tuple[PowerSample, ...], ...]
     arrivals: int
     admitted: int
@@ -440,6 +447,8 @@ class ClusterOrchestrator:
         self.provision_warmup_steps = int(provision_warmup_steps)
         self._stepper: Optional[BatchStepper] = None
         self._fleet_changed = False
+        # Every frame of the run, in one block of rows per dispatched session.
+        self._frames = FrameLedger()
         self._slots = [
             _ServerSlot(index, Orchestrator(server=server_factory()), 0)
             for index in range(num_servers)
@@ -670,7 +679,7 @@ class ClusterOrchestrator:
                     "served",
                     step,
                     entry.event.request.user_id,
-                    frames=len(session.records),
+                    frames=session.step,
                     completed=True,
                 )
         for key in ended:
@@ -914,7 +923,7 @@ class ClusterOrchestrator:
                 "served",
                 steps,
                 entry.event.request.user_id,
-                frames=len(entry.session.records),
+                frames=entry.session.step,
                 completed=False,
             )
         for event in self._queue:
@@ -929,7 +938,7 @@ class ClusterOrchestrator:
         return ClusterResult(
             records_by_server=tuple(
                 {
-                    session.session_id: tuple(session.records)
+                    session.session_id: session.records.fixed()
                     for session in slot.orchestrator.sessions
                 }
                 for slot in self._slots
@@ -1214,6 +1223,7 @@ class ClusterOrchestrator:
             controller=controller,
             playlist=entry.playlist,
             start_frame_index=start_frame,
+            ledger=self._frames,
         )
         slot = self._dispatchable[index]
         slot.orchestrator.add_session(session)
@@ -1449,7 +1459,7 @@ class ClusterOrchestrator:
         for session in sessions:
             entry = self._inflight.pop(id(session))
             request_id = entry.event.request.user_id
-            frames_done = len(session.records)
+            frames_done = session.step
             entry.attempt += 1
             tracer.emit(
                 "interrupted",
@@ -1635,7 +1645,7 @@ class ClusterOrchestrator:
                     sample = slot.orchestrator.idle_step(step)
                 step_samples.append(sample)
 
-        frames = violations = 0
+        frames = 0
         ckpt_interval = self._ckpt_interval
         for slot, sample, sessions in zip(live, step_samples, stepped):
             if ckpt_interval is not None:
@@ -1656,22 +1666,26 @@ class ClusterOrchestrator:
                         writes += 1
                 if writes:
                     extra_w = writes * self._ckpt_power
-                    sample = dataclasses.replace(
-                        sample, power_w=sample.power_w + extra_w
+                    sample = PowerSample(
+                        sample.step,
+                        sample.power_w + extra_w,
+                        sample.duration_s,
+                        sample.active_sessions,
                     )
                     self._count("checkpoint_writes", writes)
                     self._count("checkpoint_energy_j", extra_w * sample.duration_s)
             slot.samples.append(sample)
             slot.last_power_w = sample.power_w
             slot.last_active = sample.active_sessions
+            frames += len(sessions)
             still_active = 0
             for session in sessions:
-                frames += 1
-                if session.records[-1].is_violation:
-                    violations += 1
                 if session.active:
                     still_active += 1
             slot.active_count = still_active
+        violations = TranscodingSession.last_frame_violations(
+            [session for sessions in stepped for session in sessions]
+        )
         return frames, violations
 
     def _record_fleet_sample(

@@ -5,19 +5,22 @@ calls per session and step:
 
 1. :meth:`TranscodingSession.decide` runs the controller for the next frame
    and remembers its decision;
-2. :meth:`TranscodingSession.commit` takes the frame's record, advances to
-   the next frame (or the next video of the playlist) and, while the
-   session is still active, adds the frame's measurements to the
-   controller's observation window.  This is the only place a frame is
-   observed, so the window a controller averages is the same on either
-   engine.
+2. :meth:`TranscodingSession.commit` stores the frame's record in the
+   session's block of its :class:`~repro.metrics.records.FrameLedger`,
+   advances to the next frame (or the next video of the playlist) and,
+   while the session is still active, adds the frame's measurements to the
+   controller's observation window.  :meth:`TranscodingSession.commit_batch`
+   is its batch form, for many sessions at once.  These are the only places
+   a frame is observed, so the window a controller averages is the same on
+   either engine.
 
 The scalar engine wraps the pair: :meth:`TranscodingSession.prepare` decides
 and returns the resource demand the server needs for its allocation, and
 :meth:`TranscodingSession.execute` transcodes the frame under the granted
 contention scale and server power, then commits it.  The batch engine
 (:mod:`repro.cluster.batch`) decides per session, evaluates the transcode
-math fleet-wide in one NumPy batch and commits each session's results.
+math fleet-wide in one NumPy batch and commits every session's results
+with one ``commit_batch`` call.
 Sessions running a stock MAMUT controller skip ``decide`` and only commit:
 the engine decides for all of them at once
 (:meth:`~repro.core.mamut.MamutBatch.decide`), reading their windows itself.
@@ -27,11 +30,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core.controller import Controller, Decision
 from repro.errors import ScenarioError
 from repro.hevc.params import EncoderConfig, Preset
 from repro.hevc.transcoder import Transcoder
-from repro.metrics.records import FrameRecord
+from repro.metrics.records import FrameLedger, FrameRecord, FrameRecordView
 from repro.numeric import ordered_sum
 from repro.platform.server import SessionDemand
 from repro.video.request import TranscodingRequest
@@ -67,6 +72,16 @@ class TranscodingSession:
         to 0.  The cluster's checkpointed crash recovery dispatches retry
         sessions from the last checkpointed frame of the interrupted video
         instead of replaying it from the start.
+    ledger:
+        The run's frame ledger, in which the session reserves one block of
+        rows, one per frame left in its playlist; a private ledger is made
+        when omitted.
+
+    ``records`` is a live, read-only view of the committed frames: it
+    grows with every commit and builds a
+    :class:`~repro.metrics.records.FrameRecord` only when one is read.  A
+    commit past the reserved block (the playlist grew after construction)
+    raises :class:`~repro.errors.ScenarioError`.
     """
 
     def __init__(
@@ -77,6 +92,7 @@ class TranscodingSession:
         transcoder: Optional[Transcoder] = None,
         preset: Optional[Preset] = None,
         start_frame_index: int = 0,
+        ledger: Optional[FrameLedger] = None,
     ) -> None:
         self.request = request
         self.controller = controller
@@ -93,11 +109,16 @@ class TranscodingSession:
         self.transcoder = transcoder if transcoder is not None else Transcoder()
         self._preset_override = preset
 
-        self.records: list[FrameRecord] = []
         self._video_index = 0
         self._frame_index = start_frame_index
-        self._step = 0
+        self._video_frames = len(self.playlist[0])
         self._pending: Optional[Decision] = None
+        # The session's block of the ledger: rows _first_row to _end_row,
+        # the next frame going to _row.
+        self._ledger = ledger if ledger is not None else FrameLedger()
+        frames = self.total_frames - start_frame_index
+        self._first_row = self._row = self._ledger.reserve(frames)
+        self._end_row = self._first_row + frames
 
     # -- identity / progress --------------------------------------------------------
 
@@ -121,7 +142,12 @@ class TranscodingSession:
     @property
     def step(self) -> int:
         """Number of frames transcoded so far (across the whole playlist)."""
-        return self._step
+        return self._row - self._first_row
+
+    @property
+    def records(self) -> FrameRecordView:
+        """The committed frames' records, in step order (a live view)."""
+        return FrameRecordView(self._ledger, self, self._first_row)
 
     @property
     def video_index(self) -> int:
@@ -152,6 +178,8 @@ class TranscodingSession:
         self._video_index = len(self.playlist)
         self._frame_index = 0
         self._pending = None
+        # Close the ledger block, so no later commit can write to it.
+        self._end_row = self._row
 
     def preset_for(self, video: VideoSequence) -> Preset:
         """Encoder preset used for a given video."""
@@ -173,36 +201,139 @@ class TranscodingSession:
             raise ScenarioError(f"session {self.session_id!r} has finished")
         if self._pending is not None:
             raise ScenarioError("decide() called twice without commit()")
-        decision = self.controller.decide(self._step)
+        decision = self.controller.decide(self.step)
         self._pending = decision
         return decision
 
     def commit(self, record: FrameRecord) -> None:
         """Close the step: record the frame and advance the playlist.
 
-        The frame's fps, PSNR, bitrate and server power join the
-        controller's observation window, after a video change has reset the
-        controller, so the next decision of a still-active session sees
-        them.  Sessions whose controller decides out-of-band (the batch
-        engine's :class:`~repro.core.mamut.MamutBatch`) commit without a
-        preceding :meth:`decide`.
+        The record's per-frame fields go to the session's next ledger row;
+        its session id, step, video name, resolution class and target FPS
+        are the session's own.  The frame's fps, PSNR, bitrate and server
+        power join the controller's observation window, after a video change
+        has reset the controller, so the next decision of a still-active
+        session sees them.  Sessions whose controller decides out-of-band
+        (the batch engine's :class:`~repro.core.mamut.MamutBatch`) commit
+        without a preceding :meth:`decide`.
         """
         if not self.active:
             raise ScenarioError(f"session {self.session_id!r} has finished")
+        row = self._row
+        if row >= self._end_row:
+            raise ScenarioError(self._past_block())
         self._pending = None
-        self.records.append(record)
-        self._step += 1
-        self._frame_index += 1
-        if self._frame_index >= len(self.playlist[self._video_index]):
-            self._frame_index = 0
-            self._video_index += 1
-            if not self.active:
-                return
-            # A new video starts: clear the controller's per-video transient
-            # state while keeping its learned knowledge (Scenario II).
-            self.controller.reset()
+        ledger = self._ledger
+        ledger.ints[row] = (record.frame_index, record.qp, record.threads, self._video_index)
+        ledger.floats[row] = (
+            record.frequency_ghz,
+            record.fps,
+            record.psnr_db,
+            record.bitrate_mbps,
+            record.encode_time_s,
+            record.power_w,
+        )
+        self._row = row + 1
+        frame = self._frame_index + 1
+        if frame < self._video_frames:
+            self._frame_index = frame
+        elif not self._next_video():
+            return
         self.controller.window.add(
             record.fps, record.psnr_db, record.bitrate_mbps, record.power_w
+        )
+
+    @staticmethod
+    def commit_batch(
+        sessions: Sequence["TranscodingSession"],
+        frame_index: Sequence[int],
+        qp: np.ndarray,
+        threads: np.ndarray,
+        frequency_ghz: np.ndarray,
+        fps: np.ndarray,
+        psnr_db: np.ndarray,
+        bitrate_mbps: np.ndarray,
+        encode_time_s: np.ndarray,
+        power_w: np.ndarray,
+    ) -> list[int]:
+        """:meth:`commit` for many sessions at once (the batch engine's scatter).
+
+        Every argument after ``sessions`` holds one value per session, the
+        fields of the frame :meth:`commit` would take.  The frames go to
+        their sessions' ledgers as one block write per ledger, then one
+        loop moves each session's counters and observation window forward
+        exactly as :meth:`commit` does.  Nothing is written or moved when
+        any session has no row left in its block (it finished, or its
+        playlist grew).  Returns the positions of the sessions that started
+        a new video and are still active.
+        """
+        rows = np.array([session._row for session in sessions])
+        past = np.flatnonzero(rows >= [session._end_row for session in sessions])
+        if len(past):
+            raise ScenarioError(sessions[past[0]]._past_block())
+        ints = np.array(
+            (frame_index, qp, threads, [session._video_index for session in sessions])
+        ).T
+        floats = np.array(
+            (frequency_ghz, fps, psnr_db, bitrate_mbps, encode_time_s, power_w)
+        ).T
+        for ledger, positions in _ledger_groups(sessions):
+            ledger.ints[rows[positions]] = ints[positions]
+            ledger.floats[rows[positions]] = floats[positions]
+
+        moved = []
+        for position, session, fps_, psnr_, bitrate_, power_ in zip(
+            range(len(sessions)),
+            sessions,
+            fps.tolist(),
+            psnr_db.tolist(),
+            bitrate_mbps.tolist(),
+            power_w.tolist(),
+        ):
+            session._pending = None
+            session._row += 1
+            frame = session._frame_index + 1
+            if frame < session._video_frames:
+                session._frame_index = frame
+            elif session._next_video():
+                moved.append(position)
+            else:
+                continue
+            session.controller.window.add(fps_, psnr_, bitrate_, power_)
+        return moved
+
+    @staticmethod
+    def last_frame_violations(sessions: Sequence["TranscodingSession"]) -> int:
+        """How many of ``sessions`` committed their last frame below their FPS target.
+
+        Every session must have committed a frame.
+        """
+        if not sessions:
+            return 0
+        rows = np.array([session._row - 1 for session in sessions])
+        targets = np.array([session.request.target_fps for session in sessions])
+        return ordered_sum(
+            ledger.violations(rows[positions], targets[positions])
+            for ledger, positions in _ledger_groups(sessions)
+        )
+
+    def _next_video(self) -> bool:
+        """Move to the next video of the playlist; False when none is left."""
+        self._frame_index = 0
+        self._video_index += 1
+        if not self.active:
+            return False
+        # A new video starts: clear the controller's per-video transient
+        # state while keeping its learned knowledge (Scenario II).
+        self._video_frames = len(self.playlist[self._video_index])
+        self.controller.reset()
+        return True
+
+    def _past_block(self) -> str:
+        return (
+            f"session {self.session_id!r} has no row left in its frame ledger "
+            f"block of {self._end_row - self._first_row} frames (it finished, "
+            "or its playlist grew after it was built)"
         )
 
     def _encoder_config(
@@ -246,7 +377,7 @@ class TranscodingSession:
 
         record = FrameRecord(
             session_id=self.session_id,
-            step=self._step,
+            step=self.step,
             video_name=video.name,
             frame_index=frame.index,
             resolution_class=video.resolution_class,
@@ -262,3 +393,18 @@ class TranscodingSession:
         )
         self.commit(record)
         return record
+
+
+def _ledger_groups(sessions: Sequence[TranscodingSession]) -> list[tuple]:
+    """``(ledger, positions)`` per ledger the sessions write to.
+
+    A run's sessions share one ledger, whose positions are a basic slice;
+    sessions built by hand each have their own.
+    """
+    ledgers = [session._ledger for session in sessions]
+    if ledgers.count(ledgers[0]) == len(ledgers):
+        return [(ledgers[0], slice(None))]
+    groups: dict[int, tuple] = {}
+    for position, ledger in enumerate(ledgers):
+        groups.setdefault(id(ledger), (ledger, []))[1].append(position)
+    return [(ledger, np.array(positions)) for ledger, positions in groups.values()]

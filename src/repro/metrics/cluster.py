@@ -11,14 +11,16 @@ traces plus the admission ledger into a :class:`ClusterSummary`.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Mapping, Sequence
 
 from repro.metrics.aggregate import linear_percentile, power_trace_stats
-from repro.metrics.qos import qos_violation_pct
+from repro.metrics.qos import violations
 from repro.metrics.records import (
     FaultEvent,
     FleetSample,
     FrameRecord,
+    FrameRecordView,
     PowerSample,
     ScalingEvent,
 )
@@ -259,25 +261,51 @@ class ClusterSummary:
         return cls(**kwargs)
 
 
+def _frame_columns(records: Sequence[FrameRecord]) -> tuple[list[float], int]:
+    """One session's frames as the fold reads them: FPS values in order and
+    the number of violations.
+
+    A :class:`~repro.metrics.records.FrameRecordView` reads its ledger
+    columns; any other sequence of records is read record by record.
+    """
+    if isinstance(records, FrameRecordView):
+        return records.fps_and_violations()
+    return [record.fps for record in records], violations(records)
+
+
+def _frame_figures(sessions: list[tuple[list[float], int]]) -> tuple[int, float, float]:
+    """Frames, mean FPS and Δ of the sessions' frames (0 for each without frames).
+
+    The FPS values are added session by session, frame by frame, left to
+    right.
+    """
+    frames = ordered_sum(len(fps) for fps, _ in sessions)
+    if not frames:
+        return 0, 0.0, 0.0
+    fps_sum = ordered_sum(itertools.chain.from_iterable(fps for fps, _ in sessions))
+    below = ordered_sum(count for _, count in sessions)
+    return frames, fps_sum / frames, 100.0 * below / frames
+
+
 def _summarize_server(
     index: int,
-    records_by_session: Mapping[str, Sequence[FrameRecord]],
+    sessions: list[tuple[list[float], int]],
     samples: Sequence[PowerSample],
 ) -> ServerSummary:
-    records = [r for session in records_by_session.values() for r in session]
+    frames, mean_fps, violation_pct = _frame_figures(sessions)
     busy_steps = ordered_sum(1 for sample in samples if sample.active_sessions > 0)
     energy, elapsed, mean_power = power_trace_stats(samples)
     return ServerSummary(
         server_index=index,
-        sessions_served=len(records_by_session),
-        frames=len(records),
+        sessions_served=len(sessions),
+        frames=frames,
         busy_steps=busy_steps,
         total_steps=len(samples),
         utilization=busy_steps / len(samples) if samples else 0.0,
         mean_power_w=mean_power,
         energy_j=energy,
-        mean_fps=ordered_sum(r.fps for r in records) / len(records) if records else 0.0,
-        qos_violation_pct=qos_violation_pct(records),
+        mean_fps=mean_fps,
+        qos_violation_pct=violation_pct,
     )
 
 
@@ -311,16 +339,26 @@ def summarize_cluster(
     keyed by the samples' ``step`` field, so servers commissioned or
     decommissioned mid-run (shorter traces) aggregate onto the steps they
     actually ran.
+
+    Each session's records are read once, as FPS values and a violation
+    count (ledger views read their columns), and every frame figure is
+    folded from those in the servers', sessions' and frames' order, left to
+    right.
     """
     if len(records_by_server) != len(samples_by_server):
         raise ValueError(
             "records_by_server and samples_by_server must have one entry per server"
         )
+    columns = [
+        [_frame_columns(records) for records in by_session.values()]
+        for by_session in records_by_server
+    ]
     servers = tuple(
-        _summarize_server(index, records, samples)
-        for index, (records, samples) in enumerate(
-            zip(records_by_server, samples_by_server)
-        )
+        _summarize_server(index, sessions, samples)
+        for index, (sessions, samples) in enumerate(zip(columns, samples_by_server))
+    )
+    _, mean_fps, violation_pct = _frame_figures(
+        [session for sessions in columns for session in sessions]
     )
 
     fleet_power_by_step: dict[int, float] = {}
@@ -338,13 +376,6 @@ def summarize_cluster(
         ordered_sum(fleet_power_by_step.values()) / num_steps if num_steps > 0 else 0.0
     )
     mean_active = ordered_sum(active_by_step.values()) / num_steps if num_steps > 0 else 0.0
-
-    all_records = [
-        r
-        for records in records_by_server
-        for session in records.values()
-        for r in session
-    ]
 
     scale_ups = [e for e in scaling_events if e.direction == "up"]
     scale_downs = [e for e in scaling_events if e.direction == "down"]
@@ -403,12 +434,8 @@ def summarize_cluster(
         watts_per_session=(
             fleet_mean_power / mean_active if mean_active > 0 else 0.0
         ),
-        mean_fps=(
-            ordered_sum(r.fps for r in all_records) / len(all_records)
-            if all_records
-            else 0.0
-        ),
-        qos_violation_pct=qos_violation_pct(all_records),
+        mean_fps=mean_fps,
+        qos_violation_pct=violation_pct,
         scale_up_events=len(scale_ups),
         scale_down_events=len(scale_downs),
         servers_added=ordered_sum(e.servers for e in scale_ups),

@@ -1,12 +1,28 @@
-"""Per-frame and per-step measurement records."""
+"""Per-frame and per-step measurement records.
+
+Committed frames are stored as columns in a :class:`FrameLedger`, one per
+run; a :class:`FrameRecordView` reads a session's block of it and builds a
+:class:`FrameRecord` only when one is read.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.video.sequence import ResolutionClass
 
-__all__ = ["FrameRecord", "PowerSample", "ScalingEvent", "FaultEvent", "FleetSample"]
+__all__ = [
+    "FrameRecord",
+    "FrameLedger",
+    "FrameRecordView",
+    "PowerSample",
+    "ScalingEvent",
+    "FaultEvent",
+    "FleetSample",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,6 +77,146 @@ class FrameRecord:
     def is_violation(self) -> bool:
         """True when the frame was processed below the real-time target."""
         return self.fps < self.target_fps
+
+
+class FrameLedger:
+    """The frames of one run, stored as columns.
+
+    Each session reserves one contiguous block of rows when it is built,
+    sized to the frames left in its playlist, and writes its ``k``-th
+    committed frame to the block's ``k``-th row.  A row holds only what
+    varies from frame to frame: four ints in ``ints`` (frame index, QP,
+    threads and the frame's video index within the playlist) and six floats
+    in ``floats`` (frequency, FPS, PSNR, bitrate, encode time and server
+    power, in :data:`FLOAT_COLUMNS` order).  The rest of a
+    :class:`FrameRecord` (session id, step, video name, resolution class
+    and target FPS) comes from the session and the block.
+
+    The columns grow by reallocation, so views read them through the
+    ledger, never keep them.
+    """
+
+    #: Float columns, in row order; ``fps`` is column 1.
+    FLOAT_COLUMNS = (
+        "frequency_ghz",
+        "fps",
+        "psnr_db",
+        "bitrate_mbps",
+        "encode_time_s",
+        "power_w",
+    )
+
+    __slots__ = ("ints", "floats", "reserved")
+
+    def __init__(self) -> None:
+        self.ints = np.empty((0, 4), dtype=np.int64)
+        self.floats = np.empty((0, len(self.FLOAT_COLUMNS)))
+        self.reserved = 0
+
+    def reserve(self, rows: int) -> int:
+        """Reserve a block of ``rows`` rows; returns its first row."""
+        first = self.reserved
+        self.reserved = end = first + rows
+        capacity = len(self.ints)
+        if end > capacity:
+            capacity = max(end, 2 * capacity)
+            ints = np.empty((capacity, 4), dtype=np.int64)
+            floats = np.empty((capacity, len(self.FLOAT_COLUMNS)))
+            ints[:first] = self.ints[:first]
+            floats[:first] = self.floats[:first]
+            self.ints, self.floats = ints, floats
+        return first
+
+    def violations(self, rows, targets) -> int:
+        """How many of ``rows`` hold an FPS below the matching ``targets``."""
+        return int(np.count_nonzero(self.floats[rows, 1] < targets))
+
+
+class FrameRecordView(Sequence):
+    """One session's frame records, read from its block of a :class:`FrameLedger`.
+
+    Indexing and iteration build :class:`FrameRecord` objects on demand, with
+    the semantics of a tuple: negative indices count from the end, a slice
+    gives a tuple of records, ``==`` compares the records with another view,
+    a tuple or a list, and ``repr`` is the ``repr`` of the records' tuple.
+
+    ``session`` supplies what the rows do not hold: ``session_id``,
+    ``request.target_fps`` and the ``playlist`` the rows' video indices point
+    into.  A view built with ``length=None`` is live: its length is the
+    session's ``step``, so it grows with every commit.  :meth:`fixed` gives
+    a view that keeps its current length.
+    """
+
+    __slots__ = ("_ledger", "_session", "_first", "_length")
+
+    def __init__(self, ledger: FrameLedger, session, first_row: int, length=None) -> None:
+        self._ledger = ledger
+        self._session = session
+        self._first = first_row
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._session.step if self._length is None else self._length
+
+    def fixed(self) -> "FrameRecordView":
+        """A view of the records committed so far, which later commits do not grow."""
+        return FrameRecordView(self._ledger, self._session, self._first, len(self))
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]
+        if isinstance(index, slice):
+            return tuple(map(self._record, positions))
+        return self._record(positions)
+
+    def __iter__(self):
+        return self._records(0, len(self))
+
+    def _record(self, step: int) -> FrameRecord:
+        return next(self._records(step, step + 1))
+
+    def _records(self, start: int, stop: int):
+        """Build the records of steps ``start`` to ``stop``, reading their rows once."""
+        session = self._session
+        session_id = session.session_id
+        target_fps = session.request.target_fps
+        playlist = session.playlist
+        rows = slice(self._first + start, self._first + stop)
+        videos = {}
+        for step, (frame_index, qp, threads, video_index), floats in zip(
+            range(start, stop),
+            self._ledger.ints[rows].tolist(),
+            self._ledger.floats[rows].tolist(),
+        ):
+            video = videos.get(video_index)
+            if video is None:
+                sequence = playlist[video_index]
+                videos[video_index] = video = (sequence.name, sequence.resolution_class)
+            yield FrameRecord(
+                session_id,
+                step,
+                video[0],
+                frame_index,
+                video[1],
+                qp,
+                threads,
+                *floats,
+                target_fps,
+            )
+
+    def fps_and_violations(self) -> tuple[list[float], int]:
+        """The records' FPS values in order, and how many are below the target."""
+        fps = self._ledger.floats[self._first : self._first + len(self), 1]
+        return fps.tolist(), int(np.count_nonzero(fps < self._session.request.target_fps))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (FrameRecordView, tuple, list)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -62,6 +62,7 @@ from repro.manager.factories import (
 )
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
+from repro.metrics.records import FrameRecord
 from repro.platform.dvfs import DvfsDriver
 from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
 from repro.platform.server import FleetAllocator, MulticoreServer
@@ -984,7 +985,9 @@ class TestRosterWork:
     brownout, MAMUT and static lanes) builds many steppers on the batch
     engine, all of one lineage: they share one ``MamutBatch`` and one
     ``FleetAllocator``, each session gets one lane, and each MAMUT
-    controller one ``MamutBatch`` row read from it.
+    controller one ``MamutBatch`` row read from it.  Frames go to the run's
+    frame ledger as columns: ``run()`` and ``summary()`` build no
+    ``FrameRecord``.
     """
 
     def test_each_session_and_controller_is_read_once(self, monkeypatch):
@@ -1006,7 +1009,10 @@ class TestRosterWork:
         count(TranscodingSession, "__init__", "sessions")
         count(MamutBatch, "_row", "rows")
         count(MamutController, "__init__", "controllers")
-        cluster_golden.run_scenario("chaos_drained", "batch")
+        count(FrameRecord, "__init__", "frame_records")
+        _, result, _ = cluster_golden.run_scenario("chaos_drained", "batch")
+        assert result.summary().frames > 0
+        assert counts["frame_records"] == 0
         assert counts["steppers"] > 1
         assert counts["mamut_batches"] == counts["allocators"] == 1
         assert counts["lanes"] == counts["sessions"]
