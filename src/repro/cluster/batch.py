@@ -152,7 +152,10 @@ class _SessionLane:
         """Re-read the session's current video; returns its video-static values.
 
         The values are one lane's entries of the stepper's
-        :data:`_VIDEO_COLUMNS`, in that order.
+        :data:`_VIDEO_COLUMNS`, in that order.  The first read of a video's
+        columns draws its content (see
+        :class:`~repro.video.sequence.VideoSequence`), so a served video
+        draws here.
         """
         session = self.session
         video = session.current_video

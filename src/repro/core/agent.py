@@ -195,9 +195,15 @@ class QLearningAgent:
         the full subset still gets covered without the controller behaving as
         a uniform-random policy for long stretches (which would contradict
         the run-time traces of the paper's Fig. 5).
+
+        The draws are ``random()`` and then, for a least-tried pick,
+        ``integers(0, len(candidates))`` as an index into the candidates:
+        the value and stream ``Generator.choice(candidates)`` gives, at a
+        fraction of its per-call cost.
         """
         if self._rng.random() < self.exploration_epsilon:
-            return int(self._rng.choice(self.pool.least_tried(self.slot, state)))
+            candidates = self.pool.least_tried(self.slot, state)
+            return candidates[self._rng.integers(0, len(candidates))]
         return self.select_greedy_action(state, current=current)
 
     def select_greedy_action(self, state: int, current: int | None = None) -> int:
@@ -207,12 +213,14 @@ class QLearningAgent:
         applied) when it belongs to the argmax set — the controller should
         not jump to an arbitrary operating point when several actions look
         equally good, which is common before a state has been learned —
-        and uniformly at random otherwise.
+        and uniformly at random otherwise, through one
+        ``integers(0, len(candidates))`` draw used as an index (what
+        ``Generator.choice(candidates)`` draws and returns).
         """
         candidates = self.pool.greedy(self.slot, state)
         if current is not None and current in candidates:
             return current
-        return int(self._rng.choice(candidates))
+        return candidates[self._rng.integers(0, len(candidates))]
 
     # -- learning ---------------------------------------------------------------------------
 

@@ -354,7 +354,7 @@ class MamutBatch:
     (:meth:`~repro.core.store.AgentPool.update_batch`, with the peer minima
     of Eq. 3 read before them), then the acting agents' phases, greedy and
     least-tried sets, each as array operations per pool.  Only each agent's
-    own ``random()``/``choice()`` draws, where the scalar path draws, and
+    own ``random()``/``integers()`` draws, where the scalar path draws, and
     Algorithm 1 for an agent in exploitation, after every array write, stay
     per session.
 
@@ -583,9 +583,12 @@ class MamutBatch:
                     continue
                 rng = agents[k]._rng
                 if code == explore and rng.random() < epsilon:
-                    chosen[k] = int(rng.choice(least[i].nonzero()[0]))
+                    candidates = least[i].nonzero()[0]
                 elif not keep[i]:
-                    chosen[k] = int(rng.choice(greedy[i].nonzero()[0]))
+                    candidates = greedy[i].nonzero()[0]
+                else:
+                    continue
+                chosen[k] = int(candidates[rng.integers(0, len(candidates))])
 
         # 3b. Algorithm 1, on the updated tables.
         states = current_states.tolist()

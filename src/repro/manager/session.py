@@ -110,6 +110,9 @@ class TranscodingSession:
         self._preset_override = preset
 
         self._video_index = 0
+        #: True while there are frames left to transcode.  Kept beside
+        #: ``_video_index``, which only ``_next_video`` and ``terminate`` move.
+        self.active = True
         self._frame_index = start_frame_index
         self._video_frames = len(self.playlist[0])
         self._pending: Optional[Decision] = None
@@ -126,11 +129,6 @@ class TranscodingSession:
     def session_id(self) -> str:
         """Identifier of the session (the requesting user's id)."""
         return self.request.user_id
-
-    @property
-    def active(self) -> bool:
-        """True while there are frames left to transcode."""
-        return self._video_index < len(self.playlist)
 
     @property
     def current_video(self) -> VideoSequence:
@@ -176,6 +174,7 @@ class TranscodingSession:
         re-dispatched as a fresh session.
         """
         self._video_index = len(self.playlist)
+        self.active = False
         self._frame_index = 0
         self._pending = None
         # Close the ledger block, so no later commit can write to it.
@@ -321,6 +320,7 @@ class TranscodingSession:
         """Move to the next video of the playlist; False when none is left."""
         self._frame_index = 0
         self._video_index += 1
+        self.active = self._video_index < len(self.playlist)
         if not self.active:
             return False
         # A new video starts: clear the controller's per-video transient

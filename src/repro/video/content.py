@@ -16,7 +16,10 @@ the one implementation of that process: a single loop that returns the
 content as three columns (complexity, motion, scene change), which is how
 :class:`~repro.video.sequence.VideoSequence` stores it.
 :meth:`ContentModel.generate` wraps the same loop and returns one
-:class:`FrameContent` per frame.
+:class:`FrameContent` per frame.  Each Gaussian term is drawn through
+``Generator.standard_normal`` and scaled as ``loc + scale * z``, which is
+what ``Generator.normal(loc, scale)`` computes from the same draw, so the
+streams are those of ``normal`` without its per-call argument handling.
 """
 
 from __future__ import annotations
@@ -135,9 +138,10 @@ class ContentModel:
         Returns ``(complexity, motion, scene_change)``, one entry per frame.
         Each frame draws, in order: a uniform for the scene change, a new
         level if the scene changes, the complexity noise and the motion
-        noise.  Every seeded result depends on that order.  The clamps are
-        ``min``/``max`` on Python floats, which give the values ``np.clip``
-        gives at a small fraction of its per-call cost.
+        noise.  Every seeded result depends on that order.  The three
+        Gaussian terms are ``loc + scale * standard_normal()``, exactly
+        ``Generator.normal(loc, scale)``'s arithmetic on the same draw, and
+        the clamps are comparisons on Python floats.
         """
         if num_frames < 0:
             raise VideoError(f"num_frames must be >= 0, got {num_frames}")
@@ -154,7 +158,7 @@ class ContentModel:
         rho_m = self._RHO_MOTION
         pull_m = (1.0 - rho_m) * float(profile.motion)
         random = self._rng.random
-        normal = self._rng.normal
+        standard_normal = self._rng.standard_normal
 
         level, current, motion = self._level, self._current, self._motion
         complexity_col: list[float] = []
@@ -164,11 +168,14 @@ class ContentModel:
             scene_change = random() < scene_change_rate
             if scene_change:
                 # A new scene re-draws the local complexity level around the mean.
-                level = current = min(max(normal(mean, level_sigma), 0.4), 2.0)
-            current = rho_c * current + pull_c * level + normal(0.0, variability) * noise_scale
-            current = min(max(current, 0.4), 2.0)
-            motion = rho_m * motion + pull_m + normal(0.0, motion_sigma)
-            motion = min(max(motion, 0.0), 1.0)
+                level = mean + level_sigma * standard_normal()
+                level = current = 0.4 if level < 0.4 else 2.0 if level > 2.0 else level
+            # The 0.0 is normal(0.0, scale)'s loc: it turns a -0.0 term into 0.0.
+            noise = 0.0 + variability * standard_normal()
+            current = rho_c * current + pull_c * level + noise * noise_scale
+            current = 0.4 if current < 0.4 else 2.0 if current > 2.0 else current
+            motion = rho_m * motion + pull_m + (0.0 + motion_sigma * standard_normal())
+            motion = 0.0 if motion < 0.0 else 1.0 if motion > 1.0 else motion
             complexity_col.append(current)
             motion_col.append(motion)
             scene_col.append(scene_change)

@@ -1,15 +1,18 @@
 """Video sequences and frames.
 
 A :class:`VideoSequence` is the unit of work a transcoding user submits,
-mirroring a decoded JCT-VC test sequence.  Its per-frame content is generated
-up front and stored as three columns (complexity, motion, scene change); a
-:class:`Frame` object is built only when the sequence is indexed or iterated.
+mirroring a decoded JCT-VC test sequence.  Its per-frame content is drawn on
+its first read and kept as three columns (complexity, motion, scene change),
+so a video nobody transcodes (a rejected, shed or never-reached request)
+draws nothing.  A :class:`Frame` object is built only when the sequence is
+indexed or iterated.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Iterator, Sequence
 
 from repro.constants import HR_RESOLUTION, LR_RESOLUTION
@@ -101,6 +104,13 @@ class VideoSequence:
     seed:
         Seed for the content model, making the sequence reproducible.
 
+    The content is drawn from ``ContentModel(profile, seed)`` on its first
+    read (the columns, indexing, iteration, :attr:`frames`,
+    :attr:`mean_complexity` or :attr:`mean_motion`) and kept.  Each
+    sequence owns its seed, so the order in which sequences are first read
+    moves no stream.  ``len``, the name, the resolution and the other
+    static attributes never draw.
+
     Integer indexing and iteration build :class:`Frame` objects on demand,
     with the semantics of a list.  :attr:`complexity_column`,
     :attr:`motion_column` and :attr:`scene_change_column` expose the same
@@ -130,15 +140,17 @@ class VideoSequence:
         self.frame_rate = float(frame_rate)
         self.profile = profile if profile is not None else ContentProfile()
         self.seed = int(seed)
+        self._num_frames = int(num_frames)
 
-        self._complexity, self._motion, self._scene_change = ContentModel(
-            self.profile, seed=self.seed
-        ).columns(num_frames)
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """(complexity, motion, scene change), drawn on the first read."""
+        return ContentModel(self.profile, seed=self.seed).columns(self._num_frames)
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._complexity)
+        return self._num_frames
 
     def __iter__(self) -> Iterator[Frame]:
         return map(self._frame, range(len(self)))
@@ -149,10 +161,11 @@ class VideoSequence:
         return self._frame(range(len(self))[index])
 
     def _frame(self, index: int) -> Frame:
+        complexity, motion, scene_change = self._columns
         content = FrameContent(
-            complexity=self._complexity[index],
-            motion=self._motion[index],
-            scene_change=self._scene_change[index],
+            complexity=complexity[index],
+            motion=motion[index],
+            scene_change=scene_change[index],
         )
         return Frame(index=index, width=self.width, height=self.height, content=content)
 
@@ -172,17 +185,17 @@ class VideoSequence:
     @property
     def complexity_column(self) -> tuple[float, ...]:
         """Spatial complexity of every frame, in frame order."""
-        return self._complexity
+        return self._columns[0]
 
     @property
     def motion_column(self) -> tuple[float, ...]:
         """Temporal activity of every frame, in frame order."""
-        return self._motion
+        return self._columns[1]
 
     @property
     def scene_change_column(self) -> tuple[bool, ...]:
         """Scene-change flag of every frame, in frame order."""
-        return self._scene_change
+        return self._columns[2]
 
     @property
     def resolution_class(self) -> ResolutionClass:
@@ -202,9 +215,9 @@ class VideoSequence:
     @property
     def mean_complexity(self) -> float:
         """Average spatial complexity over the whole sequence."""
-        return ordered_sum(self._complexity) / len(self)
+        return ordered_sum(self._columns[0]) / len(self)
 
     @property
     def mean_motion(self) -> float:
         """Average temporal activity over the whole sequence."""
-        return ordered_sum(self._motion) / len(self)
+        return ordered_sum(self._columns[1]) / len(self)

@@ -67,7 +67,9 @@ from repro.platform.dvfs import DvfsDriver
 from repro.platform.power import PowerModel, PowerModelParameters, VoltageTable
 from repro.platform.server import FleetAllocator, MulticoreServer
 from repro.platform.topology import CpuTopology
+from repro.telemetry import analyze_trace
 from repro.video.catalog import random_sequence
+from repro.video.content import ContentModel
 from repro.video.request import TranscodingRequest
 from repro.video.sequence import ResolutionClass
 
@@ -987,7 +989,9 @@ class TestRosterWork:
     ``FleetAllocator``, each session gets one lane, and each MAMUT
     controller one ``MamutBatch`` row read from it.  Frames go to the run's
     frame ledger as columns: ``run()`` and ``summary()`` build no
-    ``FrameRecord``.
+    ``FrameRecord``.  A video draws its content when a session first reads
+    it, so no video of a request that never reached a server (rejected,
+    shed or dropped) is drawn, and none is drawn twice.
     """
 
     def test_each_session_and_controller_is_read_once(self, monkeypatch):
@@ -1018,3 +1022,37 @@ class TestRosterWork:
         assert counts["lanes"] == counts["sessions"]
         assert counts["rows"] == counts["controllers"]
         assert 0 < counts["controllers"] < counts["sessions"]
+
+    def test_only_videos_sessions_reach_draw_content(self, monkeypatch):
+        playlists = {}
+        arrivals = WorkloadGenerator.arrivals
+
+        def recorded(generator, step):
+            events = arrivals(generator, step)
+            playlists.update((event.request.user_id, event.playlist) for event in events)
+            return events
+
+        drawn = collections.Counter()  # content seed -> frames drawn
+        columns = ContentModel.columns
+
+        def counted(model, num_frames):
+            drawn[model.seed] += num_frames
+            return columns(model, num_frames)
+
+        monkeypatch.setattr(WorkloadGenerator, "arrivals", recorded)
+        monkeypatch.setattr(ContentModel, "columns", counted)
+        _, result, sink = cluster_golden.run_scenario("chaos_drained", "batch")
+
+        # Every generated video has its own content seed, so a seed names a video.
+        videos = {video.seed: video for playlist in playlists.values() for video in playlist}
+        assert len(videos) == sum(map(len, playlists.values()))
+        # Only generated videos draw, each once and whole.
+        assert drawn.keys() <= videos.keys()
+        assert all(frames == len(videos[seed]) for seed, frames in drawn.items())
+
+        lifecycles = analyze_trace(sink).lifecycles
+        unserved = [user for user, lc in lifecycles.items() if lc.first_dispatch_step is None]
+        assert {lifecycles[user].terminal_kind for user in unserved} == {"rejected", "dropped"}
+        assert len(unserved) == result.rejected + result.dropped
+        assert not {video.seed for user in unserved for video in playlists[user]} & drawn.keys()
+        assert 0 < sum(drawn.values()) < sum(map(len, videos.values()))

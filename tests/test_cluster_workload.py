@@ -12,6 +12,7 @@ from repro.cluster.workload import (
     PoissonTraffic,
     WorkloadGenerator,
 )
+from repro.video.content import ContentModel
 from repro.video.sequence import ResolutionClass
 
 
@@ -101,6 +102,20 @@ class TestWorkloadGenerator:
             assert len(event.playlist) == 3
             assert event.total_frames == 72
             assert event.playlist[0] is event.request.sequence
+
+    def test_arrivals_draw_no_content(self, monkeypatch):
+        # A request's videos draw their content when a session first reads
+        # them, so a request that is never served costs no content draws.
+        drawn = []
+        monkeypatch.setattr(
+            ContentModel, "columns", lambda model, count: drawn.append(count)
+        )
+        events = WorkloadGenerator(
+            PoissonTraffic(1.0), seed=0, playlist_videos=2, frames_per_video=24
+        ).generate(20)
+        assert events and all(event.total_frames == 48 for event in events)
+        assert all(event.request.num_frames == 24 for event in events)
+        assert drawn == []
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ClusterError):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.actions import ActionSet
 from repro.core.agent import QLearningAgent
@@ -163,6 +166,47 @@ class TestSelection:
         assert [a.select_exploration_action(S0) for _ in range(20)] == [
             b.select_exploration_action(S0) for _ in range(20)
         ]
+
+
+#: One agent draw: whether ``random()`` comes first, and the candidates,
+#: as a list of action indices (the scalar form) or as the indices of a
+#: mask's set entries (the batch form).
+_DRAWS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.one_of(
+            st.lists(st.integers(0, 2**16), min_size=1, max_size=40),
+            st.lists(st.booleans(), min_size=1, max_size=40)
+            .filter(any)
+            .map(lambda mask: np.flatnonzero(mask)),
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestIntegerIndexDrawsAsChoice:
+    """``c[rng.integers(0, len(c))]`` draws what ``rng.choice(c)`` draws.
+
+    Both selection forms index their candidates with one ``integers`` draw
+    instead of calling ``Generator.choice``; every seeded agent stream (and
+    so every pinned digest) rests on the two drawing the same value and
+    leaving the generator in the same state on the installed NumPy.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), draws=_DRAWS)
+    def test_same_values_and_end_state(self, seed, draws):
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        for random_first, candidates in draws:
+            if random_first:
+                assert a.random() == b.random()
+            assert int(a.choice(candidates)) == int(
+                candidates[b.integers(0, len(candidates))]
+            )
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestSummary:

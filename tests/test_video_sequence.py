@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.video.sequence as sequence_module
 from repro.constants import HR_RESOLUTION, LR_RESOLUTION
 from repro.errors import VideoError
-from repro.video.content import ContentProfile
+from repro.video.content import ContentModel, ContentProfile
 from repro.video.sequence import Frame, ResolutionClass, VideoSequence
 from repro.video.content import FrameContent
 
@@ -139,3 +142,93 @@ class TestVideoSequence:
         a = self.make(seed=5, profile=ContentProfile(scene_change_rate=0.1))
         b = self.make(seed=5, profile=ContentProfile(scene_change_rate=0.1))
         assert list(a) == list(b)
+
+
+#: Every way to read a sequence's content.
+CONTENT_READS = {
+    "complexity_column": lambda video: video.complexity_column,
+    "motion_column": lambda video: video.motion_column,
+    "scene_change_column": lambda video: video.scene_change_column,
+    "index": lambda video: video[len(video) // 2],
+    "negative index": lambda video: video[-1],
+    "iteration": lambda video: list(video),
+    "frames": lambda video: video.frames,
+    "mean_complexity": lambda video: video.mean_complexity,
+    "mean_motion": lambda video: video.mean_motion,
+}
+
+#: Attributes that never read the content.
+STATIC_READS = {
+    "len": len,
+    "name": lambda video: video.name,
+    "resolution_class": lambda video: video.resolution_class,
+    "pixels_per_frame": lambda video: video.pixels_per_frame,
+    "duration_seconds": lambda video: video.duration_seconds,
+}
+
+
+@pytest.fixture
+def models_built(monkeypatch):
+    """Counts the content models the sequence module builds."""
+    built = []
+
+    class Counted(ContentModel):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sequence_module, "ContentModel", Counted)
+    return built
+
+
+def lazy_sequence(seed: int = 0, num_frames: int = 30) -> VideoSequence:
+    return VideoSequence(
+        name="lazy",
+        width=832,
+        height=480,
+        frame_rate=30.0,
+        num_frames=num_frames,
+        profile=ContentProfile(variability=0.1, scene_change_rate=0.1),
+        seed=seed,
+    )
+
+
+class TestContentDrawnOnFirstRead:
+    """A sequence draws its content on the first read of it, exactly once."""
+
+    def test_static_reads_draw_nothing(self, models_built):
+        video = lazy_sequence()
+        for read in STATIC_READS.values():
+            read(video)
+        assert len(video) == 30
+        assert video.duration_seconds == 1.0
+        assert models_built == []
+
+    @pytest.mark.parametrize("first", sorted(CONTENT_READS))
+    def test_first_content_read_draws_once(self, models_built, first):
+        video = lazy_sequence()
+        CONTENT_READS[first](video)
+        assert len(models_built) == 1
+        for read in CONTENT_READS.values():
+            read(video)
+        assert len(models_built) == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        reads=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(sorted(CONTENT_READS))),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_any_first_read_order_gives_the_eager_columns(self, reads):
+        videos = [lazy_sequence(seed=seed, num_frames=8 + seed) for seed in range(4)]
+        for k, read in reads:
+            CONTENT_READS[read](videos[k])
+        for seed, video in enumerate(videos):
+            eager = ContentModel(video.profile, seed=seed).columns(8 + seed)
+            assert (
+                video.complexity_column,
+                video.motion_column,
+                video.scene_change_column,
+            ) == eager
