@@ -39,8 +39,9 @@ NumPy evaluation per cluster step:
    observation window forward.  One ``PowerSample`` per server is emitted;
    a server with no active sessions is sampled through
    :meth:`~repro.manager.orchestrator.Orchestrator.idle_step`, as on the
-   scalar engine.  The sessions the commit moved to a new video get their
-   lanes' video columns refreshed on the spot.
+   scalar engine.
+4. **Content** — the sessions the commit moved to a new video get their
+   lanes' video columns refreshed, which draws that video's content.
 
 **Roster changes.**  Each session gets one lane, built when it first joins
 a roster; its video's static columns, model group, frame counter and (for a
@@ -210,9 +211,11 @@ class BatchStepper:
         stepped as ``stepped``.
     profiler:
         Optional :class:`~repro.telemetry.profiler.StepProfiler`; when given,
-        each step charges its wall time to the engine's four phases
-        (``mamut`` decisions, ``gather``, ``evaluate``, ``scatter``).
-        Timing is observe-only — results are bitwise identical either way.
+        each step charges its wall time to the engine's phases: ``mamut``
+        decisions, ``gather``, ``evaluate``, ``scatter`` and ``content``
+        (reading the video a session joins with or moves to, which draws
+        its content).  Timing is observe-only — results are bitwise
+        identical either way.
     previous:
         Optional stepper this one replaces, typically over a fleet that
         gained or lost servers; it must not be stepped again.  The new
@@ -313,10 +316,9 @@ class BatchStepper:
             rows[joining] = np.arange(len(lane_rows), len(lane_rows) + len(joining))
             joined = [_SessionLane(roster[k]) for k in joining.tolist()]
             lane_rows = np.concatenate([lane_rows, np.array(joined, dtype=object)])
-            video = np.concatenate(
-                [video, np.array([lane.refresh_video() for lane in joined], dtype=float).T],
-                axis=1,
-            )
+            with self.profiler.phase("content"):
+                static = [lane.refresh_video() for lane in joined]
+            video = np.concatenate([video, np.array(static, dtype=float).T], axis=1)
             group_ids = self._group_ids
             # Exactly MamutController lanes decide as one MamutBatch; every
             # other controller (subclasses included) is asked through decide.
@@ -453,10 +455,6 @@ class BatchStepper:
                 total_time,
                 np.repeat(server_power, counts),
             )
-            for i in moved:
-                # The commit moved the session to a new video.
-                self._video[:, i] = lanes[i].refresh_video()
-
             time_l = total_time.tolist()
             power_l = server_power.tolist()
             samples: list[PowerSample] = []
@@ -470,4 +468,11 @@ class BatchStepper:
                 samples.append(PowerSample(step, power_l[server_index], duration, count))
             # Every lane has committed one frame.
             self._lane_table[:, 2] += 1
+
+        if moved:
+            # The commit moved these sessions to a new video, whose first
+            # read draws its content.
+            with profiler.phase("content"):
+                for i in moved:
+                    self._video[:, i] = lanes[i].refresh_video()
         return samples

@@ -806,12 +806,13 @@ class ClusterOrchestrator:
         queue_length: int,
         base: Optional[ClusterSnapshot],
     ) -> ClusterSnapshot:
-        """The snapshot for the next decision, derived from the previous one.
+        """The snapshot for the next decision or the autoscaler's signals,
+        derived from the step's previous one.
 
-        Between two decisions of the same step only the queue (its length
-        and per-class breakdown) changes — dispatches update the base
-        through :meth:`_bump_server` — so the previous snapshot is reused
-        instead of being rebuilt from the fleet.
+        Between two reads in the same step only the queue (its length and
+        per-class breakdown) changes — dispatches update the base through
+        :meth:`_bump_server` — so the previous snapshot is reused instead of
+        being rebuilt from the fleet.
         """
         if base is None:
             return self.snapshot(step, queue_length)
@@ -960,10 +961,13 @@ class ClusterOrchestrator:
 
         A window step (``admitting``) injects faults, ages the queue and
         runs admission before the fleet steps.  A drain-tail step does none
-        of these, and its autoscaler may only shrink the fleet.
+        of these, and its autoscaler may only shrink the fleet.  A step
+        builds at most one :class:`ClusterSnapshot`: the autoscaler derives
+        its own from the last one admission saw.
         """
         self._update_fleet(step)
         arrivals = dropped = 0
+        snapshot: Optional[ClusterSnapshot] = None
         if admitting:
             if self.faults is not None:
                 self._inject_faults(step)
@@ -971,21 +975,23 @@ class ClusterOrchestrator:
             # requests past their patience deadline are dropped, never
             # admitted, and never counted in the queue waits.
             dropped = self._age_queue(step)
-            arrivals = self._admit_step(step)
+            arrivals, snapshot = self._admit_step(step)
         if self.autoscaler is not None:
-            self._autoscale(step, arrivals, admitting)
+            self._autoscale(step, arrivals, admitting, snapshot)
         frames, violations = self._advance(step)
         self._record_fleet_sample(step, arrivals, frames, violations, dropped)
         self._walk_inflight(step)
 
-    def _admit_step(self, step: int) -> int:
+    def _admit_step(self, step: int) -> tuple[int, Optional[ClusterSnapshot]]:
         """Brownout, then one admission decision per request; returns the
-        step's arrivals.
+        step's arrivals and its last snapshot.
 
         Crash survivors whose backoff has elapsed get first claim on
         capacity — they were admitted before anyone queued — then queued
         requests (FIFO: stop at the first one the policy keeps queued), then
-        the step's new arrivals.
+        the step's new arrivals.  The last snapshot is the brownout
+        observation's or the last decision's, bumped by every dispatch
+        (``None`` when the step observed and decided nothing).
         """
         queue = self._queue
         snapshot: Optional[ClusterSnapshot] = None
@@ -1066,7 +1072,7 @@ class ClusterOrchestrator:
                     event.request.user_id,
                     queue_length=len(queue),
                 )
-        return arrivals
+        return arrivals, snapshot
 
     def _admit(
         self,
@@ -1489,20 +1495,31 @@ class ClusterOrchestrator:
                 self._retry_queue.append(entry)
             session.terminate()
 
-    def _autoscale(self, step: int, arrivals: int, admitting: bool) -> None:
+    def _autoscale(
+        self,
+        step: int,
+        arrivals: int,
+        admitting: bool,
+        snapshot: Optional[ClusterSnapshot],
+    ) -> None:
         """Consult the policy and execute its (clamped) fleet-size target.
 
         In the drain tail (not ``admitting``) the fleet may only shrink, and
         the policy sees an effective queue of 0: the leftover queue can
         never be served, and a backlog nobody will admit must not block
         "scale down only when the queue is empty" rules and keep idle
-        servers powered through the whole tail.
+        servers powered through the whole tail.  The policy's snapshot is
+        derived from ``snapshot``, the step's last admission snapshot
+        (nothing but the queue moves between the two), or built when the
+        step has none.
         """
         warming = self._census["warming_servers"]
         provisioned = len(self._dispatchable) + warming
         signals = AutoscaleSignals(
             step=step,
-            snapshot=self.snapshot(step, len(self._queue) if admitting else 0),
+            snapshot=self._derive_snapshot(
+                step, len(self._queue) if admitting else 0, snapshot
+            ),
             arrivals=arrivals,
             provisioned_servers=provisioned,
             warming_servers=warming,

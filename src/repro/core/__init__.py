@@ -27,8 +27,6 @@ from repro.core.actions import (
     default_thread_actions,
 )
 from repro.core.rewards import RewardConfig, RewardFunction, RewardBreakdown
-from repro.core.qtable import QTable
-from repro.core.transitions import TransitionModel
 from repro.core.learning_rate import LearningRateFunction
 from repro.core.store import LearningStore
 from repro.core.phases import Phase
@@ -57,8 +55,6 @@ __all__ = [
     "RewardConfig",
     "RewardFunction",
     "RewardBreakdown",
-    "QTable",
-    "TransitionModel",
     "LearningRateFunction",
     "LearningStore",
     "Phase",

@@ -5,8 +5,8 @@ frequencies), a slot of a :class:`~repro.core.store.LearningStore` pool and
 its own random generator.  The slot holds everything the agent learns: its
 Q-table, its empirical transition model (whose per-pair totals are the
 per-(state, action) visit counts), its per-action visit counters and their
-extremes; :attr:`~QLearningAgent.q_table` and
-:attr:`~QLearningAgent.transitions` are views of it, and the learning
+extremes.  The agent is a view of it, reading and writing through the
+pool's methods with its :attr:`~QLearningAgent.slot`, and the learning
 constants (``gamma``, Eq. 3, the exploration probability) are the pool's.
 States are the dense integers of
 :meth:`~repro.core.states.StateSpace.state_index`.
@@ -28,10 +28,8 @@ from repro.constants import DEFAULT_GAMMA
 from repro.core.actions import ActionSet
 from repro.core.learning_rate import LearningRateFunction, LearningRateParameters
 from repro.core.phases import Phase
-from repro.core.qtable import QTable
 from repro.core.states import StateSpace
 from repro.core.store import LearningStore
-from repro.core.transitions import TransitionModel
 from repro.errors import LearningError
 
 __all__ = ["QLearningAgent"]
@@ -103,9 +101,6 @@ class QLearningAgent:
             exploration_epsilon=exploration_epsilon,
         )
         self.slot = self.pool.add_slot()
-        self.q_table = QTable(self.pool, self.slot)
-        #: Also holds Num(s, a), as each pair's transition total.
-        self.transitions = TransitionModel(self.pool, self.slot)
         self._rng = np.random.default_rng(seed)
 
     @property
@@ -127,7 +122,7 @@ class QLearningAgent:
 
     def state_action_count(self, state: int, action: int) -> int:
         """``Num(s, a)`` for this agent."""
-        return self.transitions.total(state, action)
+        return self.pool.visit_count(self.slot, state, action)
 
     def action_count(self, action: int) -> int:
         """``Num(a)``: total times this agent has taken the given action."""
@@ -151,10 +146,7 @@ class QLearningAgent:
 
     def known_states(self) -> set[int]:
         """States in which this agent has taken at least one action."""
-        pool = self.pool
-        states = pool.states_of(self.slot)
-        rows = pool.row_of[self.slot, states]
-        return set(states[pool.row_max[rows] > 0].tolist())
+        return {state for state, _ in self.pool.visited_pairs(self.slot)}
 
     # -- learning rate / phase --------------------------------------------------------
 
@@ -286,6 +278,6 @@ class QLearningAgent:
             "name": self.name,
             "actions": len(self.actions),
             "visited_states": len(self.known_states()),
-            "q_entries": len(self.q_table),
+            "q_entries": len(self.pool.stored_q(self.slot)),
             "min_action_count": self.min_action_count(),
         }

@@ -7,10 +7,12 @@ fresh controller — which enables pre-training once and reusing the knowledge
 across experiments (see :mod:`repro.manager.pretrain`).
 
 Snapshots cover, per agent: the Q-table, the per-(state, action) and
-per-action visit counters, and the empirical transition counts.  In memory
-an agent's states are dense integers; snapshots write each one as its
-4-tuple of bin indices, through the agent's
-:class:`~repro.core.states.StateSpace`.
+per-action visit counters, and the empirical transition counts.
+:func:`snapshot_agent` reads them from the agent's slot of its
+:class:`~repro.core.store.AgentPool` (its stored Q-values, visited pairs,
+``Num(s, a)`` and next-state counts).  In memory an agent's states are
+dense integers; snapshots write each one as its 4-tuple of bin indices,
+through the agent's :class:`~repro.core.states.StateSpace`.
 
 JSON is the on-disk format only, parsed and checked by
 :func:`restore_agents`.  Copying learned state from one live controller
@@ -63,8 +65,8 @@ def _state_key(space: StateSpace, state: int) -> str:
 def snapshot_agent(agent: QLearningAgent) -> dict[str, Any]:
     """Serialise one agent's learned state into a JSON-compatible dict."""
     space = agent.state_space
-    transitions = agent.transitions
-    pairs = transitions.visited_pairs()
+    pool, slot = agent.pool, agent.slot
+    pairs = pool.visited_pairs(slot)
 
     def pair_key(state: int, action: int) -> str:
         return f"{_state_key(space, state)}|{action}"
@@ -75,17 +77,17 @@ def snapshot_agent(agent: QLearningAgent) -> dict[str, Any]:
         "action_values": list(agent.actions.values),
         "q_values": {
             pair_key(state, action): value
-            for (state, action), value in agent.q_table.items()
+            for (state, action), value in pool.stored_q(slot).items()
         },
         "state_action_counts": {
-            pair_key(state, action): transitions.total(state, action)
+            pair_key(state, action): pool.visit_count(slot, state, action)
             for state, action in pairs
         },
         "action_counts": {str(a): agent.action_count(a) for a in agent.actions.indices()},
         "transitions": {
             pair_key(state, action): {
-                _state_key(space, next_state): transitions.count(state, action, next_state)
-                for next_state in transitions.distribution(state, action)
+                _state_key(space, next_state): count
+                for next_state, count in pool.next_counts(slot, state, action).items()
             }
             for state, action in pairs
         },

@@ -19,8 +19,11 @@ without a row reads (Q-values and counts 0); nothing writes it.  Slot and
 row arrays grow by doubling, so nothing outside a pool may keep a view of
 them.  The per-slot minimum of ``Num(a)`` and the per-row maximum of
 ``Num(s, a)`` (the extremes Eq. 3 and the phase test read) are kept in the
-pool and updated by every write.  :class:`~repro.core.qtable.QTable` and
-:class:`~repro.core.transitions.TransitionModel` are views of one slot.
+pool and updated by every write.  This module is the only one that reads
+a pool's rows: an agent (:class:`~repro.core.agent.QLearningAgent`),
+Algorithm 1 (:mod:`repro.core.exploitation`) and persistence read a slot
+through the pool's methods, and every method that takes a state or an
+action rejects one out of range with :class:`~repro.errors.LearningError`.
 
 Each learning step has a scalar form for one slot, which the scalar engine
 runs and which is the oracle, and a ``*_batch`` form over distinct slots of
@@ -167,8 +170,7 @@ class AgentPool:
         if source is self and source_slot == slot:
             return
         entries = source._slot_entries(source_slot)
-        states = np.flatnonzero(source.row_of[source_slot])
-        source_rows = source.row_of[source_slot, states]
+        states, source_rows = source._slot_rows(source_slot)
         action_counts = source.action_counts[source_slot].copy()
         self.clear_slot(slot)
         if len(states):
@@ -220,6 +222,11 @@ class AgentPool:
         """States in which ``slot`` has a row, ascending."""
         return np.flatnonzero(self.row_of[slot])
 
+    def _slot_rows(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """The states in which ``slot`` has a row, ascending, and those rows."""
+        states = self.states_of(slot)
+        return states, self.row_of[slot, states]
+
     # -- reads --------------------------------------------------------------------------
 
     def q_values(self, slot: int, state: int) -> list[float]:
@@ -240,6 +247,44 @@ class AgentPool:
     def min_action_count(self, slot: int) -> int:
         """``min_a Num(a)`` of ``slot``."""
         return int(self.min_action_counts[slot])
+
+    def visit_count(self, slot: int, state: int, action: int) -> int:
+        """``Num(state, action)`` of ``slot``."""
+        self._check(state, action)
+        return int(self.visits[self.row_of[slot, state], action])
+
+    def distribution(self, slot: int, state: int, action: int) -> dict[int, float]:
+        """``P(state --action--> s')`` of ``slot`` for every observed ``s'``.
+
+        ``Num(state --action--> s') / Num(state, action)``, in first-seen
+        order (the order Algorithm 1 sums in); empty when the pair has
+        never been tried.
+        """
+        total = self.visit_count(slot, state, action)
+        if not total:
+            return {}
+        return {
+            next_state: count / total
+            for next_state, count in self.next_counts(slot, state, action).items()
+        }
+
+    def stored_q(self, slot: int) -> dict[tuple[int, int], float]:
+        """``slot``'s explicitly written Q-values by (state, action), ascending.
+
+        What persistence exports: a pair that reads 0.0 because it was
+        never written is left out.
+        """
+        states, rows = self._slot_rows(slot)
+        q = self.q
+        return {
+            (int(states[i]), int(a)): float(q[rows[i], a])
+            for i, a in zip(*np.nonzero(self.stored[rows]))
+        }
+
+    def visited_pairs(self, slot: int) -> set[tuple[int, int]]:
+        """Every (state, action) pair ``slot`` has taken at least once."""
+        states, rows = self._slot_rows(slot)
+        return {(int(states[i]), int(a)) for i, a in zip(*np.nonzero(self.visits[rows]))}
 
     # -- writes ---------------------------------------------------------------------------
 
@@ -322,6 +367,7 @@ class AgentPool:
         Folds the log entries added since the last call first.  The mapping
         is the pool's own: read it, do not change it.
         """
+        self._check(state, action)
         end = self._log_len
         if self._folded < end:
             starts = self._log_start.tolist()

@@ -65,10 +65,6 @@ class OrchestratorResult:
             return empty_experiment_summary(self.power_samples)
         return summarize_experiment(self.records_by_session, self.power_samples)
 
-    def all_records(self) -> list[FrameRecord]:
-        """All frame records of all sessions, flattened."""
-        return [r for records in self.records_by_session.values() for r in records]
-
 
 class Orchestrator:
     """Runs a set of transcoding sessions on one server.

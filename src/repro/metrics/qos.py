@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 from repro.metrics.records import FrameRecord
 from repro.numeric import ordered_sum
 
-__all__ = ["violations", "qos_violation_pct", "qos_violation_pct_fps"]
+__all__ = ["violations", "qos_violation_pct"]
 
 
 def violations(records: Iterable[FrameRecord]) -> int:
@@ -20,11 +20,3 @@ def qos_violation_pct(records: Sequence[FrameRecord]) -> float:
     if not records:
         return 0.0
     return 100.0 * violations(records) / len(records)
-
-
-def qos_violation_pct_fps(fps_values: Sequence[float], target_fps: float) -> float:
-    """Δ computed directly from a series of per-frame FPS values."""
-    if not fps_values:
-        return 0.0
-    below = ordered_sum(1 for fps in fps_values if fps < target_fps)
-    return 100.0 * below / len(fps_values)

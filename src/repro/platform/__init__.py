@@ -5,7 +5,8 @@ E5-2667 v4 server with per-core DVFS (1.2-3.2 GHz) and power measured at the
 package level.  This package models that platform:
 
 * :mod:`repro.platform.topology` — sockets, cores, SMT threads;
-* :mod:`repro.platform.dvfs` — a sysfs-like per-core frequency driver;
+* :mod:`repro.platform.dvfs` — the supported frequency points, behind a
+  sysfs-like facade;
 * :mod:`repro.platform.power` — voltage/frequency table and power model;
 * :mod:`repro.platform.server` — thread allocation, contention, and the
   per-step power computation, once per server for the multi-user

@@ -113,9 +113,9 @@ class MulticoreServer:
     power_model:
         Package power model.
     dvfs_driver:
-        The platform's frequency driver.  The server reads only its lowest
-        frequency, at which idle cores are parked; the driver's per-core
-        state is not written by allocations.
+        The platform's frequency points.  The server reads only the lowest,
+        at which idle cores are parked; the frequencies sessions run at
+        travel in each step's allocation.
     dvfs_policy:
         ``PER_CORE`` parks idle cores at the minimum frequency; ``CHIP_WIDE``
         leaves idle cores at the highest frequency any session requested.

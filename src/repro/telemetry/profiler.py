@@ -1,8 +1,10 @@
 """Step profiler: per-phase wall-time accounting for the stepping engines.
 
-The batch engine's speedup over the scalar loop comes from four distinct
-phases (gather decisions, fused model eval, MAMUT fleet activation, scatter
-records); the scalar engine has its own three (decide, allocate, execute).
+The batch engine's step has five phases (``mamut``: the MAMUT fleet's
+decisions and activations; ``gather``; ``evaluate``: the fused model
+evaluation; ``scatter``: the frame commit and power samples; ``content``:
+reading the video a session joins with or moves to, which draws its
+content); the scalar engine has its own three (decide, allocate, execute).
 The profiler wraps each phase in a context manager and accumulates wall
 time, so ``bench_step_throughput.py`` and the cluster CLI can *attribute*
 throughput instead of only measuring it end to end.
@@ -66,8 +68,8 @@ class StepProfiler:
             ...fused model eval...
         profiler.count_step()
 
-    Phases nest freely (a cluster-level phase may contain engine-level
-    ones); each charges only its own wall-clock span.
+    A phase charges its whole wall-clock span: nothing is subtracted for a
+    phase entered inside it, so the engines keep their phases apart.
     """
 
     enabled = True

@@ -143,16 +143,18 @@ class TestMonoAgentController:
         controller.decide(0)
         for frame in range(1, 300):
             decide_after(controller, frame, obs())
-        assert len(controller.agent.q_table) > 0
+        agent = controller.agent
+        assert len(agent.pool.stored_q(agent.slot)) > 0
 
     def test_reset_keeps_q_table(self):
         controller = MonoAgentController()
         controller.decide(0)
         for frame in range(1, 120):
             decide_after(controller, frame, obs())
-        entries = len(controller.agent.q_table)
+        agent = controller.agent
+        entries = agent.pool.stored_q(agent.slot)
         controller.reset()
-        assert len(controller.agent.q_table) == entries
+        assert agent.pool.stored_q(agent.slot) == entries
 
     def test_acts_only_every_period(self):
         controller = MonoAgentController(MonoAgentConfig(period=6))

@@ -26,18 +26,22 @@ Covers the contracts of the fault subsystem:
 * **Fleet census** — under drawn autoscaled chaos fleets, every fleet
   sample and every snapshot admission sees count the warming, draining,
   degraded, failed and recovering servers and the available zones exactly
-  as a recount over the slots does, on both engines.
+  as a recount over the slots does, on both engines; a step builds at most
+  one snapshot, and the autoscaler's, derived from admission's last one,
+  equals a fresh one.
 """
 
 from __future__ import annotations
 
 import builtins
+import collections
 import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_cluster_golden as cluster_golden
 from engine_fixtures import compensated_sum
 from repro.cluster import (
     AutoscaleSignals,
@@ -995,3 +999,30 @@ class TestFleetCensus:
         for field in _SAMPLE_COUNTS:
             assert max(getattr(sample, field) for sample in trace) > 0, field
         assert min(sample.available_domains for sample in trace) < 3
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_one_snapshot_per_step(self, engine, monkeypatch):
+        # The golden chaos run observes brownout, admits, dispatches, queues
+        # and autoscales on most steps: the autoscaler's snapshot is derived
+        # from the last one admission saw instead of being built again.
+        fresh = ClusterOrchestrator.snapshot
+        built = collections.Counter()  # step -> snapshot() calls
+
+        def counted(cluster, step, queue_length):
+            built[step] += 1
+            return fresh(cluster, step, queue_length)
+
+        monkeypatch.setattr(ClusterOrchestrator, "snapshot", counted)
+        cluster = cluster_golden.chaos_cluster(engine)
+        compared = []
+        decide = cluster.autoscaler.decide
+
+        def checked(signals):
+            queue = 0 if signals.draining_tail else len(cluster._queue)
+            compared.append(signals.snapshot == fresh(cluster, signals.step, queue))
+            return decide(signals)
+
+        cluster.autoscaler.decide = checked
+        result = cluster.run(60)
+        assert max(built.values()) == 1
+        assert len(compared) == result.steps and all(compared)

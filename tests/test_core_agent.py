@@ -45,7 +45,7 @@ class TestCounters:
         assert agent.state_action_count(S0, 2) == 1
         assert agent.action_count(2) == 1
         assert agent.known_states() == {S0}
-        assert agent.transitions.total(S0, 2) == 1
+        assert agent.pool.visit_count(agent.slot, S0, 2) == 1
 
     def test_min_action_count_tracks_least_tried(self):
         agent = make_agent(num_actions=2)
@@ -58,11 +58,11 @@ class TestCounters:
 class TestUpdate:
     def test_q_learning_update_rule(self):
         agent = make_agent(gamma=0.5, beta=0.3, beta_prime=0.0)
-        agent.q_table.set(S1, 0, 2.0)
+        agent.pool.set_q(agent.slot, S1, 0, 2.0)
         alpha = agent.update(S0, 1, reward=1.0, next_state=S1, peer_min_counts=[])
         # First visit: alpha = 0.3/1 = 0.3; target = 1 + 0.5*2 = 2.0.
         assert alpha == pytest.approx(0.3)
-        assert agent.q_table.get(S0, 1) == pytest.approx(0.3 * 2.0)
+        assert agent.pool.q_values(agent.slot, S0)[1] == pytest.approx(0.3 * 2.0)
 
     def test_peer_counts_enter_the_learning_rate(self):
         agent = make_agent()
@@ -138,7 +138,7 @@ class TestPhases:
 class TestSelection:
     def test_greedy_picks_highest_q(self):
         agent = make_agent(num_actions=3)
-        agent.q_table.set(S0, 1, 5.0)
+        agent.pool.set_q(agent.slot, S0, 1, 5.0)
         assert agent.select_greedy_action(S0) == 1
 
     def test_greedy_tie_prefers_current(self):
@@ -157,7 +157,7 @@ class TestSelection:
 
     def test_exploration_with_zero_epsilon_is_greedy(self):
         agent = make_agent(num_actions=3, epsilon=0.0)
-        agent.q_table.set(S0, 2, 1.0)
+        agent.pool.set_q(agent.slot, S0, 2, 1.0)
         assert agent.select_exploration_action(S0) == 2
 
     def test_seed_reproducibility(self):
@@ -276,6 +276,6 @@ class TestCounterCaches:
         # What a restore writes: raw counters and transitions, no update().
         agent.pool.set_action_counts(agent.slot, [5, 3])
         for _ in range(4):
-            agent.transitions.record(S1, 1, S0)
+            agent.pool.record(agent.slot, S1, 1, S0)
         assert agent.min_action_count() == 3
         assert agent.max_state_count(S1) == 4

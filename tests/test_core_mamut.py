@@ -142,8 +142,9 @@ class TestAdaptation:
         assert visited, "the QP agent should have visited at least one state"
         low_qp_index = qp_agent.actions.index_of(22)
         high_qp_index = qp_agent.actions.index_of(37)
-        low = max(qp_agent.q_table.get(s, low_qp_index) for s in visited)
-        high = max(qp_agent.q_table.get(s, high_qp_index) for s in visited)
+        pool, slot = qp_agent.pool, qp_agent.slot
+        low = max(pool.q_values(slot, s)[low_qp_index] for s in visited)
+        high = max(pool.q_values(slot, s)[high_qp_index] for s in visited)
         assert high > low
 
 

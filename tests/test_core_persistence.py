@@ -71,8 +71,8 @@ class TestAgentSnapshot:
         restore_agent(target, snapshot)
 
         for state in (S0, S1):
-            assert target.q_table.action_values(state) == pytest.approx(
-                source.q_table.action_values(state)
+            assert target.pool.q_values(target.slot, state) == pytest.approx(
+                source.pool.q_values(source.slot, state)
             )
         assert target.state_action_count(S0, 1) == source.state_action_count(S0, 1)
         assert target.action_count(1) == source.action_count(1)
@@ -83,8 +83,8 @@ class TestAgentSnapshot:
         snapshot = snapshot_agent(source)
         target = QLearningAgent("demo", ActionSet("demo", (10, 20, 30)))
         restore_agent(target, snapshot)
-        assert target.transitions.probability(S0, 1, S1) == pytest.approx(
-            source.transitions.probability(S0, 1, S1)
+        assert target.pool.distribution(target.slot, S0, 1) == pytest.approx(
+            source.pool.distribution(source.slot, S0, 1)
         )
 
     def test_restoring_into_mismatched_action_set_fails(self):
@@ -137,7 +137,8 @@ class TestControllerSnapshot:
         target = MamutController(MamutConfig.for_request(hr_request, seed=99))
         restore_agents(target.agents, snapshot)
         for name, agent in source.agents.items():
-            assert len(target.agents[name].q_table) == len(agent.q_table)
+            restored = target.agents[name]
+            assert restored.pool.stored_q(restored.slot) == agent.pool.stored_q(agent.slot)
             assert target.agents[name].min_action_count() == agent.min_action_count()
 
     def test_unknown_agent_names_rejected(self, hr_request):

@@ -13,6 +13,9 @@ pending updates, current actions and history.  Comparisons use ``==``.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,11 +66,11 @@ def _slot_state(pool, slot):
             s: (
                 pool.q_values(slot, s),
                 pool.visit_counts(slot, s),
-                pool.stored[pool.row_of[slot, s]].tolist(),
                 pool.max_state_count(slot, s),
             )
             for s in states
         },
+        "stored": pool.stored_q(slot),
         "action_counts": pool.action_counts[slot].tolist(),
         "min": pool.min_action_count(slot),
         "next": {
@@ -220,6 +223,24 @@ class TestSlots:
         assert a.pool.action_values == (1, 2, 3)
         assert len({id(a.pool), id(c.pool), id(d.pool), id(e.pool)}) == 4
         assert store.pool((1, 2, 3), SPACE.size) is a.pool
+
+
+class TestOneReader:
+    """Only the store knows how a pool lays out its rows."""
+
+    #: The pool's row arrays and the slot-to-row map.
+    ROW_FORMAT = {"row_of", "row_max", "visits", "stored", "q"}
+
+    def test_only_the_store_reads_pool_rows(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        readers = {
+            (path.relative_to(package).as_posix(), node.attr)
+            for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in self.ROW_FORMAT
+        }
+        assert sorted(r for r in readers if r[0] != "core/store.py") == []
+        assert {attr for path, attr in readers} == self.ROW_FORMAT  # the scan sees them
 
 
 # -- the batch activation against the scalar one ----------------------------------------

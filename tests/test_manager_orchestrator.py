@@ -115,11 +115,6 @@ class TestOrchestrator:
         fps_crowded = crowd.summary().sessions["s0"].mean_fps
         assert fps_crowded < fps_alone
 
-    def test_all_records_flattening(self):
-        sessions = [session("a", num_frames=5), session("b", "BQMall", num_frames=5)]
-        result = Orchestrator(sessions).run()
-        assert len(result.all_records()) == 10
-
 
 class TestDynamicSessions:
     def test_add_session_before_run(self):

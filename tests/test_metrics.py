@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics.aggregate import summarize_experiment, summarize_session
-from repro.metrics.qos import qos_violation_pct, qos_violation_pct_fps, violations
+from repro.metrics.qos import qos_violation_pct, violations
 from repro.metrics.records import FrameRecord, PowerSample
 from repro.metrics.report import format_table
 from repro.video.sequence import ResolutionClass
@@ -44,10 +44,6 @@ class TestQos:
         records = [record(fps=f) for f in (20.0, 25.0, 25.0, 25.0)]
         assert qos_violation_pct(records) == pytest.approx(25.0)
         assert qos_violation_pct([]) == 0.0
-
-    def test_violation_percentage_from_fps_values(self):
-        assert qos_violation_pct_fps([20.0, 26.0], 24.0) == pytest.approx(50.0)
-        assert qos_violation_pct_fps([], 24.0) == 0.0
 
 
 class TestSessionSummary:

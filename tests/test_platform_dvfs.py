@@ -14,40 +14,26 @@ def driver() -> DvfsDriver:
     return DvfsDriver()
 
 
-class TestDvfsDriver:
-    def test_initial_frequency_is_lowest(self, driver):
-        assert driver.get_frequency(0) == pytest.approx(driver.min_frequency_ghz)
+AVAILABLE = "/sys/devices/system/cpu/cpu{}/cpufreq/scaling_available_frequencies"
 
+
+class TestDvfsDriver:
     def test_available_frequencies_sorted(self, driver):
         freqs = driver.available_frequencies_ghz
         assert list(freqs) == sorted(freqs)
-        assert driver.max_frequency_ghz == pytest.approx(3.2)
+        assert freqs[-1] == pytest.approx(3.2)
         assert driver.min_frequency_ghz == pytest.approx(1.2)
 
-    def test_set_and_get_per_core(self, driver):
-        driver.set_frequency(3, 2.9)
-        assert driver.get_frequency(3) == pytest.approx(2.9)
-        assert driver.get_frequency(4) == pytest.approx(driver.min_frequency_ghz)
-
-    def test_unsupported_frequency_rejected(self, driver):
-        with pytest.raises(DvfsError):
-            driver.set_frequency(0, 2.0)
-
     def test_unknown_core_rejected(self, driver):
-        with pytest.raises(DvfsError):
-            driver.set_frequency(99, 2.3)
-        with pytest.raises(DvfsError):
-            driver.get_frequency(-1)
-
-    def test_closest_available(self, driver):
-        assert driver.closest_available(2.0) == pytest.approx(1.9)
-        assert driver.closest_available(3.5) == pytest.approx(3.2)
-        with pytest.raises(DvfsError):
-            driver.closest_available(0.0)
+        for core in (16, 99, -1):
+            with pytest.raises(DvfsError):
+                driver.sysfs_read(AVAILABLE.format(core))
 
     def test_custom_topology_core_count(self):
         driver = DvfsDriver(topology=CpuTopology(sockets=1, cores_per_socket=4))
-        assert len(driver.frequencies()) == 4
+        assert driver.sysfs_read(AVAILABLE.format(3))
+        with pytest.raises(DvfsError):
+            driver.sysfs_read(AVAILABLE.format(4))
 
     def test_out_of_range_available_frequency_rejected(self):
         with pytest.raises(DvfsError):
@@ -57,34 +43,24 @@ class TestDvfsDriver:
         with pytest.raises(DvfsError):
             DvfsDriver(available_frequencies_ghz=())
 
-    def test_initial_frequency_override(self):
-        driver = DvfsDriver(initial_frequency_ghz=3.2)
-        assert driver.get_frequency(0) == pytest.approx(3.2)
-
 
 class TestSysfsFacade:
-    def test_read_current_frequency_in_khz(self, driver):
-        driver.set_frequency(2, 2.6)
-        value = driver.sysfs_read("/sys/devices/system/cpu/cpu2/cpufreq/scaling_cur_freq")
-        assert value == str(int(2.6e6))
-
     def test_read_available_frequencies(self, driver):
-        value = driver.sysfs_read(
-            "/sys/devices/system/cpu/cpu0/cpufreq/scaling_available_frequencies"
-        )
+        value = driver.sysfs_read(AVAILABLE.format(0))
         assert value.split() == [
             str(int(f * 1e6)) for f in DEFAULT_AVAILABLE_FREQUENCIES_GHZ
         ]
 
     def test_malformed_paths_rejected(self, driver):
         with pytest.raises(DvfsError):
-            driver.sysfs_read("/sys/devices/system/cpu/cpufreq/scaling_cur_freq")
+            driver.sysfs_read("/sys/devices/system/cpu/cpufreq/scaling_available_frequencies")
         with pytest.raises(DvfsError):
-            driver.sysfs_read("/sys/devices/system/cpu/cpuX/cpufreq/scaling_cur_freq")
+            driver.sysfs_read(AVAILABLE.format("X"))
 
     def test_unknown_attribute_rejected(self, driver):
-        with pytest.raises(DvfsError):
-            driver.sysfs_read("/sys/devices/system/cpu/cpu0/cpufreq/energy_bias")
+        for attribute in ("energy_bias", "scaling_cur_freq"):
+            with pytest.raises(DvfsError):
+                driver.sysfs_read(f"/sys/devices/system/cpu/cpu0/cpufreq/{attribute}")
 
 
 class TestDvfsPolicy:

@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.observation import Observation, ObservationWindow
-from repro.core.qtable import QTable
 from repro.core.rewards import RewardFunction
 from repro.core.states import StateSpace, SystemState
 from repro.core.store import AgentPool
-from repro.core.transitions import TransitionModel
 from repro.errors import LearningError
 from repro.hevc.complexity import ComplexityModel
 from repro.hevc.params import EncoderConfig
@@ -181,10 +179,10 @@ def test_average_observation_stays_within_the_component_ranges(batch):
 @settings(max_examples=100)
 def test_q_update_moves_towards_the_target(initial, target, alpha):
     pool = AgentPool((1,), StateSpace().size)
-    table = QTable(pool, pool.add_slot())
+    slot = pool.add_slot()
     state = 0
-    table.set(state, 0, initial)
-    new_value = table.update_towards(state, 0, target, alpha)
+    pool.set_q(slot, state, 0, initial)
+    new_value = pool.update_towards(slot, state, 0, target, alpha)
     assert abs(new_value - target) <= abs(initial - target) + 1e-9
 
 
@@ -197,10 +195,10 @@ def test_q_update_moves_towards_the_target(initial, target, alpha):
 def test_transition_probabilities_form_a_distribution(transitions):
     space = StateSpace()
     pool = AgentPool((1,), space.size)
-    model = TransitionModel(pool, pool.add_slot())
+    slot = pool.add_slot()
     source = space.state_index(SystemState(0, 0, 0, 0))
     for target_bin in transitions:
-        model.record(source, 0, space.state_index(SystemState(target_bin, 0, 0, 0)))
-    distribution = model.distribution(source, 0)
+        pool.record(slot, source, 0, space.state_index(SystemState(target_bin, 0, 0, 0)))
+    distribution = pool.distribution(slot, source, 0)
     assert sum(distribution.values()) == pytest.approx(1.0)
     assert all(0.0 < p <= 1.0 for p in distribution.values())

@@ -438,7 +438,7 @@ class TestProfiler:
         cluster.run(DURATION, telemetry=TelemetryConfig(profile=True))
         report = cluster.telemetry.profiler.report()
         phases = {phase["name"] for phase in report["phases"]}
-        assert {"gather", "evaluate", "scatter"} <= phases
+        assert {"gather", "evaluate", "scatter", "content"} <= phases
         assert report["steps"] > 0
         assert report["steps_per_s"] > 0
         assert all(p["calls"] > 0 and p["total_s"] >= 0 for p in report["phases"])
