@@ -12,7 +12,7 @@ learning rate (the peer term of Eq. 3 does not apply to a single agent).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.constants import (
     DEFAULT_ALPHA_TH1,
@@ -160,8 +160,8 @@ class MonoAgentController(Controller):
             exploration_epsilon=self.config.exploration_epsilon,
             state_space=self.state_space,
         )
-        self._current_index = self._initial_action_index(actions)
-        self._pending: Optional[tuple[int, int]] = None
+        # The agent's slot holds the action it applies and its owed update.
+        self.agent.pool.current[self.agent.slot] = self._initial_action_index(actions)
 
     @property
     def name(self) -> str:
@@ -170,7 +170,7 @@ class MonoAgentController(Controller):
     def reset(self) -> None:
         """Clear per-video transient state; the Q-table is kept."""
         super().reset()
-        self._pending = None
+        self.agent.pool.pending[self.agent.slot] = -1
 
     # -- Controller interface ----------------------------------------------------------
 
@@ -185,23 +185,25 @@ class MonoAgentController(Controller):
         averaged = self.window.average()
         self.window.clear()
         state = self.state_space.state_index(self.state_space.discretize(averaged))
+        pool, slot = self.agent.pool, self.agent.slot
 
-        if self._pending is not None:
-            previous_state, previous_action = self._pending
+        previous_state, previous_action = pool.pending[slot].tolist()
+        if previous_state >= 0:
             reward = self.reward_function.total(averaged)
             self.agent.update(previous_state, previous_action, reward, state, [])
 
+        current = int(pool.current[slot])
         phase = self.agent.phase(state, [])
         if phase is Phase.EXPLORATION:
-            action = self.agent.select_exploration_action(state, current=self._current_index)
+            action = self.agent.select_exploration_action(state, current=current)
         else:
-            action = self.agent.select_greedy_action(state, current=self._current_index)
+            action = self.agent.select_greedy_action(state, current=current)
 
-        self._current_index = action
-        self._pending = (state, action)
+        pool.current[slot] = action
+        pool.pending[slot] = state, action
 
     def _current_decision(self) -> Decision:
-        qp, threads, frequency = self.agent.actions[self._current_index]
+        qp, threads, frequency = self.agent.actions[self.agent.pool.current[self.agent.slot]]
         return Decision(qp=qp, threads=threads, frequency_ghz=frequency)
 
     @staticmethod

@@ -45,12 +45,12 @@ NumPy evaluation per cluster step:
 
 **Roster changes.**  Each session gets one lane, built when it first joins
 a roster; its video's static columns, model group, frame counter and (for a
-MAMUT controller) its ``MamutBatch`` row are rows of arrays that every
-roster change re-gathers in the new order with one take, reading only the
-sessions and controllers that joined.  These caches live per stepper
-lineage: a change of the live fleet builds a new stepper with ``previous=``
-the old one, which takes them over, its one ``MamutBatch`` and one
-``FleetAllocator`` included.
+MAMUT controller) its ``MamutBatch`` row, fixed for the controller's life,
+are rows of arrays that every roster change re-gathers in the new order with
+one take, reading only the sessions and controllers that joined.  These
+caches live per stepper lineage: a change of the live fleet builds a new
+stepper with ``previous=`` the old one, which takes them over, its one
+``MamutBatch`` and one ``FleetAllocator`` included.
 
 **Equivalence guarantee.**  For the same ``(workload seed, policies, cluster
 seed)`` the batch engine produces *bitwise identical* results to the scalar
@@ -69,12 +69,12 @@ changes the live roster exactly like an autoscaling resize — the stepper is
 replaced by one over the surviving fleet, which takes over its caches.
 Nothing needs writing back when a stepper is dropped: every session's
 state, its controller's observation window included, lives on the session,
-its frame ledger and its controller (what the agents learn lives in their
-learning store, which the scalar engine uses too), and the stepper keeps
-only caches.  Each
-carried value is either fixed for its session's or controller's life or
-moves only when the lineage steps it, so a lineage must step its sessions
-alone: a stepper that takes over rows checks their frame counters, and a
+its frame ledger and its controller (what the agents learn, apply and are
+owed lives in their learning store's slots, which the scalar engine uses
+too), and the stepper keeps only caches.  Each carried value is either
+fixed for its session's or controller's life or moves only when the
+lineage steps it, so a lineage must step its sessions alone: a stepper
+that takes over rows checks their frame counters, and a
 session stepped elsewhere since (on the scalar engine) raises
 :class:`~repro.errors.ClusterError`; a stepper built without ``previous``
 reads it afresh.  Checkpointed resumes need no special handling
@@ -226,14 +226,14 @@ class BatchStepper:
 
     A stepper holds only caches of session, controller and server state:
     lanes, the fleet allocator's per-server constants, and the
-    :class:`~repro.core.mamut.MamutBatch`'s rows, frame counters, decisions
-    and grouping tables, so it can be dropped at any step with nothing to
-    write back.  Each step's frames go to the sessions' frame ledgers
-    through one :meth:`~repro.manager.session.TranscodingSession.commit_batch`
-    call, which builds no ``FrameRecord``.  Each lane is built once per
-    session, and its row (the current video's static columns, its model
-    group and its session's frame counter) is carried from roster to roster
-    and from stepper to stepper.
+    :class:`~repro.core.mamut.MamutBatch`'s decisions and grouping tables,
+    so it can be dropped at any step with nothing to write back.  Each
+    step's frames go to the sessions' frame ledgers through one
+    :meth:`~repro.manager.session.TranscodingSession.commit_batch` call,
+    which builds no ``FrameRecord``.  Each lane is built once per session,
+    and its row (the current video's static columns, its model group, its
+    session's frame counter and its controller's ``MamutBatch`` row) is
+    carried from roster to roster and from stepper to stepper.
     A roster change re-gathers the rows in the new order with one take and
     reads only the sessions that joined.  Between its own calls a stepper
     assumes its lineage alone steps its orchestrators: one built with
@@ -274,7 +274,7 @@ class BatchStepper:
             self._row_of: dict[TranscodingSession, int] = {}
             self._lane_rows = np.empty(0, dtype=object)
             self._video = np.empty((len(_VIDEO_COLUMNS), 0))
-            self._lane_table = np.empty((0, 3), dtype=np.int64)
+            self._lane_table = np.empty((0, 3 + MamutBatch.ROW_WIDTH), dtype=np.int64)
         else:
             # A row changes only when its session commits a frame, so the rows
             # taken over are current if no frame counter moved since.
@@ -302,9 +302,9 @@ class BatchStepper:
         """Map the new roster to rows; read only the sessions that joined.
 
         Each row holds a lane, its video's static columns (``_video``) and
-        three ints (``_lane_table``): its model group, whether it decides in
-        the :class:`~repro.core.mamut.MamutBatch`, and its session's frame
-        counter as this lineage left it.
+        ints (``_lane_table``): its model group, whether it decides in the
+        :class:`~repro.core.mamut.MamutBatch`, its session's frame counter as
+        this lineage left it, then its controller's row there (or zeros).
         """
         count = len(roster)
         rows = np.fromiter(
@@ -319,31 +319,28 @@ class BatchStepper:
             with self.profiler.phase("content"):
                 static = [lane.refresh_video() for lane in joined]
             video = np.concatenate([video, np.array(static, dtype=float).T], axis=1)
-            group_ids = self._group_ids
-            # Exactly MamutController lanes decide as one MamutBatch; every
-            # other controller (subclasses included) is asked through decide.
-            table = np.concatenate(
-                [
-                    table,
-                    np.array(
-                        [
-                            (
-                                group_ids.setdefault(lane.model_key(), len(group_ids)),
-                                type(lane.controller) is MamutController,
-                                lane.session.step,
-                            )
-                            for lane in joined
-                        ],
-                        dtype=np.int64,
-                    ),
-                ]
-            )
+            group_ids, mamut = self._group_ids, self._mamut
+            no_row = (0,) * MamutBatch.ROW_WIDTH
+            joined_rows = []
+            for lane in joined:
+                # Exactly MamutController lanes decide as one MamutBatch; every
+                # other controller (subclasses included) is asked through decide.
+                batched = type(lane.controller) is MamutController
+                joined_rows.append(
+                    (
+                        group_ids.setdefault(lane.model_key(), len(group_ids)),
+                        batched,
+                        lane.session.step,
+                        *(mamut.row(lane.controller) if batched else no_row),
+                    )
+                )
+            table = np.concatenate([table, np.array(joined_rows, dtype=np.int64)])
         self._lane_rows = lane_rows = lane_rows[rows]
         self._lanes = lanes = lane_rows.tolist()
         self._row_of = dict(zip(roster, range(count)))
         self._video = video[:, rows]
         self._lane_table = table = table[rows]
-        group_of, batched, frames = table.T
+        group_of, batched = table[:, 0], table[:, 1]
 
         self._roster = roster
         self._counts = counts = [len(sessions) for sessions in actives]
@@ -352,7 +349,7 @@ class BatchStepper:
 
         self._mamut_pos = mamut_pos = np.flatnonzero(batched)
         self._legacy_pos = np.flatnonzero(batched == 0).tolist()
-        self._mamut.roster([lanes[i].controller for i in mamut_pos.tolist()], frames[mamut_pos])
+        self._mamut.roster([lanes[i].controller for i in mamut_pos.tolist()], table[mamut_pos, 3:])
 
     def flush_window_state(self) -> None:
         """Do nothing: a stepper holds no state that needs writing back.
@@ -389,7 +386,7 @@ class BatchStepper:
         batched = len(self._mamut_pos) > 0
         if batched:
             with profiler.phase("mamut"):
-                self._mamut.decide()
+                self._mamut.decide(self._lane_table[self._mamut_pos, 2])
 
         with profiler.phase("gather"):
             qp = np.empty(n, dtype=np.int64)

@@ -8,6 +8,8 @@ per-(state, action) visit counts), its per-action visit counters and their
 extremes.  The agent is a view of it, reading and writing through the
 pool's methods with its :attr:`~QLearningAgent.slot`, and the learning
 constants (``gamma``, Eq. 3, the exploration probability) are the pool's.
+The slot also holds the action the agent applies and the update it is
+owed (the pool's ``current`` and ``pending``), which its controller keeps.
 States are the dense integers of
 :meth:`~repro.core.states.StateSpace.state_index`.
 The multi-agent coordination (who acts when, chained exploitation, reward

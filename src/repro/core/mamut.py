@@ -18,7 +18,8 @@ per-frame operation is:
 
 Everything the agents learn lives in a
 :class:`~repro.core.store.LearningStore`, shared by every controller a
-factory builds.  The step has two forms side by side:
+factory builds, and so do the action each applies and the update each is
+owed.  The step has two forms side by side:
 :meth:`MamutController.decide` for one controller (the scalar engine) and
 :meth:`MamutBatch.decide` for a fleet (the batch engine).  Each piece of the
 batch form sits beside its scalar form in that form's module, and
@@ -28,7 +29,6 @@ batch form sits beside its scalar form in that form's module, and
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,9 +97,9 @@ class MamutController(Controller):
         activation schedule.  Use :meth:`MamutConfig.for_request` to derive a
         configuration from a :class:`~repro.video.request.TranscodingRequest`.
     store:
-        Where the three agents keep what they learn; a controller factory
-        passes the store it shares between all its controllers.  ``None``
-        gives each agent a private one.
+        Where the three agents keep what they learn, apply and are owed; a
+        controller factory passes the store it shares between all its
+        controllers.  ``None`` gives each agent a private one.
     """
 
     dvfs_policy = DvfsPolicy.PER_CORE
@@ -155,20 +155,12 @@ class MamutController(Controller):
                     f"known agents: {sorted(self.agents)}"
                 )
 
-        self._current_indices: dict[str, int] = {
-            QP_AGENT: self.config.qp_actions.index_of(self.config.initial_qp),
-            THREAD_AGENT: self.config.thread_actions.index_of(self.config.initial_threads),
-            DVFS_AGENT: self.config.dvfs_actions.index_of(
-                self.config.initial_frequency_ghz
-            ),
-        }
-        # (agent name, state, action index) of the action whose consequences
-        # the next activation credits.
-        self._pending: Optional[tuple[str, int, int]] = None
+        initial = (
+            self.config.initial_qp, self.config.initial_threads, self.config.initial_frequency_ghz
+        )
+        for agent, value in zip(self.agents.values(), initial):
+            agent.pool.current[agent.slot] = agent.actions.index_of(value)
         self.history: list[AgentActivation] = []
-        # chain_after(frame) only depends on frame % hyper_period; exploitation
-        # activations hit it every time, so memoise per congruence class.
-        self._chain_cache: dict[int, list[str]] = {}
 
     # -- Controller interface ----------------------------------------------------------
 
@@ -179,7 +171,8 @@ class MamutController(Controller):
     def reset(self) -> None:
         """Clear per-video transient state; learned knowledge is kept."""
         super().reset()
-        self._pending = None
+        for pool, slot in zip(self.agent_pools, self.agent_slots):
+            pool.pending[slot] = -1
 
     def decide(self, frame_index: int) -> Decision:
         agent_name = self.schedule.agent_at(frame_index)
@@ -191,11 +184,10 @@ class MamutController(Controller):
 
     def current_decision(self) -> Decision:
         """The (QP, threads, frequency) currently applied to the session."""
-        return Decision(
-            qp=self.config.qp_actions[self._current_indices[QP_AGENT]],
-            threads=self.config.thread_actions[self._current_indices[THREAD_AGENT]],
-            frequency_ghz=self.config.dvfs_actions[self._current_indices[DVFS_AGENT]],
+        qp, threads, frequency = (
+            agent.actions[agent.pool.current[agent.slot]] for agent in self.agents.values()
         )
+        return Decision(qp=qp, threads=threads, frequency_ghz=frequency)
 
     # -- learning machinery -----------------------------------------------------------------
 
@@ -213,11 +205,8 @@ class MamutController(Controller):
         current_state = self.state_space.state_index(
             self.state_space.discretize(averaged)
         )
-        reward_value = (
-            self.reward_function.total(averaged) if self._pending is not None else None
-        )
         self.apply_external_activation(
-            agent_name, frame_index, current_state, reward_value
+            agent_name, frame_index, current_state, self.reward_function.total(averaged)
         )
 
     def apply_external_activation(
@@ -240,23 +229,26 @@ class MamutController(Controller):
         self.window.clear()
         reward: Optional[float] = None
 
-        if self._pending is not None:
-            reward = reward_value
-            pending_name, pending_state, pending_action = self._pending
-            self.agents[pending_name].update(
-                pending_state,
-                pending_action,
-                reward,
-                current_state,
-                self._peer_min_counts(pending_name),
-            )
+        for pending_name, owing in self.agents.items():
+            pending_state, pending_action = owing.pool.pending[owing.slot].tolist()
+            if pending_state >= 0:  # the last actor's; no other agent is owed
+                reward = reward_value
+                owing.update(
+                    pending_state,
+                    pending_action,
+                    reward,
+                    current_state,
+                    self._peer_min_counts(pending_name),
+                )
+                owing.pool.pending[owing.slot] = -1
+                break
 
         agent = self.agents[agent_name]
         phase = agent.phase(current_state, self._peer_min_counts(agent_name))
         action_index = self._select_action(agent_name, agent, current_state, phase, frame_index)
 
-        self._current_indices[agent_name] = action_index
-        self._pending = (agent_name, current_state, action_index)
+        agent.pool.current[agent.slot] = action_index
+        agent.pool.pending[agent.slot] = current_state, action_index
 
         if self.config.record_history:
             self.history.append(
@@ -280,7 +272,7 @@ class MamutController(Controller):
         frame_index: int,
     ) -> int:
         """Pick an action for the scheduled agent according to its phase."""
-        current = self._current_indices[agent_name]
+        current = int(agent.pool.current[agent.slot])
         if phase is Phase.EXPLORATION:
             return agent.select_exploration_action(state, current=current)
         if phase is Phase.EXPLORATION_EXPLOITATION:
@@ -289,12 +281,7 @@ class MamutController(Controller):
         # Exploitation: use Algorithm 1 over the chain of following agents,
         # but only when they have all reached exploitation for this state
         # (Sec. IV-C); otherwise fall back to the agent's own Q-table.
-        chain_key = frame_index % self.schedule.hyper_period
-        chain_names = self._chain_cache.get(chain_key)
-        if chain_names is None:
-            chain_names = self.schedule.chain_after(frame_index)
-            self._chain_cache[chain_key] = chain_names
-        chain = [self.agents[name] for name in chain_names]
+        chain = [self.agents[name] for name in self.schedule.chain_after(frame_index)]
         peers_ready = all(
             peer.phase(state, self._peer_min_counts(peer.name)) is Phase.EXPLOITATION
             for peer in chain
@@ -313,9 +300,6 @@ class MamutController(Controller):
 #: Position of each agent name in :data:`AGENT_NAMES`.
 _AGENT_IDS = {name: gid for gid, name in enumerate(AGENT_NAMES)}
 _EXPLORATION, _EXPLORATION_EXPLOITATION, _EXPLOITATION = range(len(PHASES))
-#: A MamutBatch row: schedule group, (state space, reward) group, then each
-#: agent's pool id, slot and current action index, in AGENT_NAMES order.
-_ROW_WIDTH = 2 + 3 * len(AGENT_NAMES)
 
 
 def _intern(ids: dict, table: list, key, value) -> int:
@@ -342,15 +326,14 @@ def _members(group_of: np.ndarray) -> list[tuple]:
 class MamutBatch:
     """Batch form of :meth:`MamutController.decide`, for the fleet of a roster.
 
-    Built empty, it is laid out by :meth:`roster` over controllers and the
-    frame each decides next (its session's frame counter).  :meth:`decide`
-    looks up every schedule
+    Built empty, it is laid out by :meth:`roster` over controllers and their
+    rows.  :meth:`decide` looks up every schedule at each controller's frame
     (:meth:`~repro.core.schedule.AgentSchedule.agent_at_batch`), averages
     the windows of the controllers whose agent acts
     (:meth:`~repro.core.observation.ObservationWindow.average_batch`),
     discretises and rewards them once per (state space, reward) group, and
     runs :meth:`activate`, the batch form of
-    :meth:`MamutController.apply_external_activation`: the pending updates
+    :meth:`MamutController.apply_external_activation`: the owed updates
     (:meth:`~repro.core.store.AgentPool.update_batch`, with the peer minima
     of Eq. 3 read before them), then the acting agents' phases, greedy and
     least-tried sets, each as array operations per pool.  Only each agent's
@@ -358,21 +341,23 @@ class MamutBatch:
     Algorithm 1 for an agent in exploitation, after every array write, stay
     per session.
 
-    One instance serves a run's rosters one after another.  Each controller
-    has a row (its schedule group, its (state space, reward) group, and its
-    agents' pool ids, slots and current action indices), read once, when it
-    joins a roster.  The groups, pools and slots are fixed for the
-    controller's life, and the action indices change only while it decides
-    here, so a controller that decides elsewhere (on the scalar form) must
-    be outside the roster meanwhile: leaving drops its row, and rejoining
-    reads it again.
+    One instance serves a run's rosters one after another.  A controller's
+    :meth:`row` (its schedule group, its (state space, reward) group and its
+    agents' pool ids and slots) is fixed for its life, so the caller reads
+    it once and carries it.  What the agents apply and are owed lives in
+    their slots (``current``, ``pending``), which both forms read and write:
+    a controller may decide on the scalar form in or out of a roster, and
+    only its entry of :attr:`values` is stale until the next :meth:`roster`.
 
     Sessions only touch their own agents and generators, so the result is
     bitwise that of the scalar calls per controller, in any order.  Besides
-    the controllers the instance keeps only caches: the frame counters, the
-    rows, the lookup and grouping tables and the current decisions
+    the controllers the instance keeps only caches: the grouping tables,
+    the roster's pool ids and slots and the current decisions
     (:attr:`values`, one float array per agent of :data:`AGENT_NAMES`).
     """
+
+    #: Entries of a :meth:`row`.
+    ROW_WIDTH = 2 + 2 * len(AGENT_NAMES)
 
     def __init__(self) -> None:
         # Grouping tables, one entry per distinct key, in first-seen order.
@@ -383,67 +368,11 @@ class MamutBatch:
         self._pool_index: dict = {}
         self.pools: list = []
         self._action_values = np.zeros((0, 0))
-        self._row_of: dict[MamutController, int] = {}
-        self._table = np.empty((0, _ROW_WIDTH), dtype=np.int64)
         self.roster([], [])
 
-    def roster(
-        self, controllers: Sequence[MamutController], frame_indices: Sequence[int]
-    ) -> None:
-        """Lay the instance out over ``controllers``, deciding ``frame_indices`` next.
-
-        The rows are re-gathered in the new order with one take: only
-        controllers that joined are read, and rows of those that left are
-        dropped.
-        """
-        self.controllers = list(controllers)
-        count = len(self.controllers)
-        self.frame_indices = np.array(frame_indices, dtype=np.int64).reshape(count)
-        width = len(AGENT_NAMES)
-
-        # Rows of the current roster, then one appended per joining controller.
-        table = self._table
-        order = np.fromiter(
-            map(self._row_of.get, self.controllers, itertools.repeat(-1)),
-            dtype=np.int64,
-            count=count,
-        )
-        joining = np.flatnonzero(order < 0)
-        if len(joining):
-            order[joining] = np.arange(len(table), len(table) + len(joining))
-            rows = [self._row(self.controllers[k]) for k in joining.tolist()]
-            table = np.concatenate([table, np.array(rows, dtype=np.int64)])
-            if len(self._action_values) < len(self.pools):
-                # The value of action a of pool p sits at [p, a].
-                self._action_values = np.zeros(
-                    (len(self.pools), max(pool.num_actions for pool in self.pools))
-                )
-                for pid, pool in enumerate(self.pools):
-                    self._action_values[pid, : pool.num_actions] = pool.action_values
-        self._table = table = table[order]
-        self._row_of = dict(zip(self.controllers, range(count)))
-
-        # Lanes sharing a schedule are looked up together; each schedule's
-        # agents map onto AGENT_NAMES, and a NULL slot's -1 reads the last -1.
-        self._schedules = []
-        for gid, members in _members(table[:, 0]):
-            schedule = self._schedule_table[gid]
-            ids = np.array([*map(_AGENT_IDS.get, schedule.agent_names), -1])
-            self._schedules.append((schedule, ids, members))
-        # Lanes whose state space and reward match are binned and rewarded
-        # together.
-        self._model_of = table[:, 1]
-        self.pool_ids = table[:, 2 : 2 + width]
-        self.slots = table[:, 2 + width : 2 + 2 * width]
-        # A view: what activate writes there is carried with the row.
-        self.indices = indices = table[:, 2 + 2 * width :]
-        self.values = [
-            self._action_values[self.pool_ids[:, gid], indices[:, gid]]
-            for gid in range(width)
-        ]
-
-    def _row(self, ctl: MamutController) -> list[int]:
-        """A joining controller's row: groups, pool ids, slots and action indices."""
+    def row(self, ctl: MamutController) -> list[int]:
+        """``ctl``'s row: its schedule group, its (state space, reward) group,
+        then its agents' pool ids and slots, in :data:`AGENT_NAMES` order."""
         return [
             _intern(self._schedule_ids, self._schedule_table, ctl.schedule.key, ctl.schedule),
             _intern(
@@ -454,16 +383,54 @@ class MamutBatch:
             ),
             *[_intern(self._pool_index, self.pools, pool, pool) for pool in ctl.agent_pools],
             *ctl.agent_slots,
-            *ctl._current_indices.values(),
         ]
 
-    def decide(self) -> None:
+    def roster(self, controllers: Sequence[MamutController], rows: np.ndarray) -> None:
+        """Lay the instance out over ``controllers`` and their rows.
+
+        ``rows[j]`` is what :meth:`row` gave for ``controllers[j]``.  No
+        controller is read: :attr:`values` comes from the agents' slots.
+        """
+        self.controllers = list(controllers)
+        width = len(AGENT_NAMES)
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(self.controllers), self.ROW_WIDTH)
+        if len(self._action_values) < len(self.pools):
+            # The value of action a of pool p sits at [p, a].
+            self._action_values = np.zeros(
+                (len(self.pools), max(pool.num_actions for pool in self.pools))
+            )
+            for pid, pool in enumerate(self.pools):
+                self._action_values[pid, : pool.num_actions] = pool.action_values
+
+        # Lanes sharing a schedule are looked up together; each schedule's
+        # agents map onto AGENT_NAMES, and a NULL slot's -1 reads the last -1.
+        self._schedules = []
+        for gid, members in _members(rows[:, 0]):
+            schedule = self._schedule_table[gid]
+            ids = np.array([*map(_AGENT_IDS.get, schedule.agent_names), -1])
+            self._schedules.append((schedule, ids, members))
+        # Lanes whose state space and reward match are binned and rewarded
+        # together.
+        self._model_of = rows[:, 1]
+        self.pool_ids = rows[:, 2 : 2 + width]
+        self.slots = rows[:, 2 + width :]
+        slot = self.slots.ravel()
+        current = np.empty(len(slot), dtype=np.int64)
+        for pool, positions in self._by_pool(self.pool_ids.ravel()):
+            current[positions] = pool.current[slot[positions]]
+        current = current.reshape(self.slots.shape)
+        self.values = [
+            self._action_values[self.pool_ids[:, gid], current[:, gid]]
+            for gid in range(width)
+        ]
+
+    def decide(self, frame_indices: np.ndarray) -> None:
         """:meth:`MamutController.decide` for every controller, at its frame.
 
-        The decisions are then in :attr:`values`, and every frame counter
-        has moved on to the next frame.
+        ``frame_indices`` holds one frame per controller, in roster order.
+        The decisions are then in :attr:`values`.
         """
-        frames = self.frame_indices
+        frames = np.asarray(frame_indices, dtype=np.int64)
         agent_ids = np.empty(len(frames), dtype=np.int64)
         for schedule, ids, members in self._schedules:
             agent_ids[members] = ids[schedule.agent_at_batch(frames[members])]
@@ -488,10 +455,11 @@ class MamutBatch:
                 states[rows] = space.state_index_batch(space.discretize_batch(*observed))
                 rewards[rows] = reward_function.total_batch(*observed)
             self.activate(lanes, agent_ids[lanes], frames[lanes].tolist(), states, rewards)
-        frames += 1
 
     def _by_pool(self, pool_id: np.ndarray) -> list[tuple]:
         """``(pool, positions)`` for each pool that ``pool_id`` names."""
+        if not len(pool_id):
+            return []
         order = np.argsort(pool_id, kind="stable")
         ordered = pool_id[order]
         cuts = ((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()
@@ -501,14 +469,6 @@ class MamutBatch:
             (self.pools[pid], order[start:end])
             for pid, start, end in zip(firsts, bounds[:-1], bounds[1:])
         ]
-
-    def _minima(self, slots: np.ndarray, pool_ids: np.ndarray) -> np.ndarray:
-        """``min_a Num(a)`` of the agents at ``slots`` of ``pool_ids``."""
-        slot = slots.ravel()
-        minima = np.empty(len(slot), dtype=np.int64)
-        for pool, positions in self._by_pool(pool_ids.ravel()):
-            minima[positions] = pool.min_action_counts[slot[positions]]
-        return minima.reshape(slots.shape)
 
     def activate(
         self,
@@ -525,41 +485,53 @@ class MamutBatch:
         :meth:`MamutController.apply_external_activation` takes, per lane.
         """
         count = len(lanes)
-        lane_list = lanes.tolist()
         ids = agent_ids.tolist()
-        controllers = [self.controllers[j] for j in lane_list]
+        controllers = [self.controllers[j] for j in lanes.tolist()]
         slots = self.slots[lanes]
         pool_ids = self.pool_ids[lanes]
-        minima = self._minima(slots, pool_ids)
 
-        # 1. Pending updates, with the peer minima before them.
-        pending = [ctl._pending for ctl in controllers]
-        waiting = [k for k, update in enumerate(pending) if update is not None]
-        if waiting:
-            names, before, taken = zip(*[pending[k] for k in waiting])
-            rows = np.array(waiting, dtype=np.int64)
-            agent = np.array([_AGENT_IDS[name] for name in names], dtype=np.int64)
+        # What every agent's slot holds: min_a Num(a), the update it is owed
+        # and the action it applies.
+        slot = slots.ravel()
+        minima = np.empty(len(slot), dtype=np.int64)
+        owed = np.empty((len(slot), 2), dtype=np.int64)
+        applied = np.empty(len(slot), dtype=np.int64)
+        for pool, positions in self._by_pool(pool_ids.ravel()):
+            at = slot[positions]
+            minima[positions] = pool.min_action_counts[at]
+            owed[positions] = pool.pending[at]
+            applied[positions] = pool.current[at]
+        minima = minima.reshape(slots.shape)
+        owed = owed.reshape(*slots.shape, 2)
+        applied = applied.reshape(slots.shape)
+
+        # 1. Owed updates, with the peer minima before them.  A controller
+        # owes at most one: that of the agent that acted last.
+        owes = owed[:, :, 0] >= 0
+        rows, agent = np.nonzero(owes)
+        if len(rows):
             slot = slots[rows, agent]
             peer = minima[rows, 0] + minima[rows, 1] + minima[rows, 2] - minima[rows, agent]
-            state = np.array(before, dtype=np.int64)
-            action = np.array(taken, dtype=np.int64)
+            state, action = owed[rows, agent].T
             for pool, group in self._by_pool(pool_ids[rows, agent]):
                 lane_rows = rows[group]
+                at = slot[group]
                 pool.update_batch(
-                    slot[group],
+                    at,
                     state[group],
                     action[group],
                     reward_values[lane_rows],
                     current_states[lane_rows],
                     peer[group],
                 )
-                minima[lane_rows, agent[group]] = pool.min_action_counts[slot[group]]
+                minima[lane_rows, agent[group]] = pool.min_action_counts[at]
+                pool.pending[at] = -1
 
         # 2. Phases and candidate sets of the acting agents, after the updates.
         every = np.arange(count)
         slot = slots[every, agent_ids]
         peer = minima[:, 0] + minima[:, 1] + minima[:, 2] - minima[every, agent_ids]
-        current = self.indices[lanes, agent_ids]
+        current = applied[every, agent_ids]
         chosen = current.tolist()
         codes = np.empty(count, dtype=np.int8)
         names = [AGENT_NAMES[gid] for gid in ids]
@@ -567,7 +539,8 @@ class MamutBatch:
         explore, exploit = _EXPLORATION, _EXPLOITATION
         deferred = []
         acting_pool = pool_ids[every, agent_ids]
-        for pool, group in self._by_pool(acting_pool):
+        acting = self._by_pool(acting_pool)
+        for pool, group in acting:
             group_slot = slot[group]
             group_state = current_states[group]
             phase = pool.phase_batch(group_slot, group_state, peer[group])
@@ -597,11 +570,16 @@ class MamutBatch:
                 names[k], agents[k], states[k], Phase.EXPLOITATION, frame_indices[k]
             )
 
-        # 3c. What the controllers keep.
+        # 3c. What the acting agents' slots and the controllers keep.
+        picked = np.array(chosen, dtype=np.int64)
+        for pool, group in acting:
+            at = slot[group]
+            pool.current[at] = picked[group]
+            pool.pending[at, 0] = current_states[group]
+            pool.pending[at, 1] = picked[group]
+        rewarded = owes.any(axis=1).tolist()
         for k, (ctl, name, action) in enumerate(zip(controllers, names, chosen)):
             ctl.window.clear()
-            ctl._current_indices[name] = action
-            ctl._pending = (name, states[k], action)
             if ctl.config.record_history:
                 ctl.history.append(
                     AgentActivation(
@@ -611,11 +589,10 @@ class MamutBatch:
                         action_index=action,
                         action_value=agents[k].actions[action],
                         phase=PHASES[codes[k]],
-                        reward=None if pending[k] is None else float(reward_values[k]),
+                        reward=float(reward_values[k]) if rewarded[k] else None,
                     )
                 )
-        self.indices[lanes, agent_ids] = chosen
-        values = self._action_values[acting_pool, chosen]
+        values = self._action_values[acting_pool, picked]
         for gid in set(ids):
             acted = agent_ids == gid
             self.values[gid][lanes[acted]] = values[acted]

@@ -11,7 +11,8 @@ itself, i.e. NULL in the paper's terms).
 
 A schedule keeps its activation table over one hyper-period, which both
 lookups read: :meth:`AgentSchedule.agent_at` for one frame and
-:meth:`AgentSchedule.agent_at_batch` for an array of frames.
+:meth:`AgentSchedule.agent_at_batch` for an array of frames.  Beside it sits
+each acting frame's chain, which :meth:`AgentSchedule.chain_after` reads.
 """
 
 from __future__ import annotations
@@ -107,6 +108,18 @@ class AgentSchedule:
             table.append(active[0] if active else -1)
         self._table = np.array(table, dtype=np.int64)
         self._names = (*names, None)
+        # chain_after for each frame of a hyper-period (None on a NULL slot):
+        # the agents acting after it, each once, up to the first repeat.
+        self._chains: list[Optional[tuple[str, ...]]] = []
+        for frame, acting in enumerate(table):
+            chain: list[int] = []
+            for later in range(frame + 1, frame + hyper_period + 1):
+                agent = table[later % hyper_period]
+                if agent == acting or agent in chain:
+                    break
+                if agent >= 0:
+                    chain.append(agent)
+            self._chains.append(None if acting < 0 else tuple(names[a] for a in chain))
 
     @classmethod
     def mamut_default(
@@ -170,19 +183,12 @@ class AgentSchedule:
         ``["threads", "dvfs"]`` after a QP activation, ``["dvfs"]`` after a
         threads activation, and ``[]`` after a DVFS activation.
         """
-        current = self.agent_at(frame_index)
-        if current is None:
+        if frame_index < 0:
+            raise SchedulingError(f"frame_index must be >= 0, got {frame_index}")
+        chain = self._chains[frame_index % self.hyper_period]
+        if chain is None:
             raise SchedulingError(f"no agent acts at frame {frame_index}")
-        seen = {current}
-        chain: list[str] = []
-        frame = frame_index
-        for _ in range(self.hyper_period):
-            name, frame = self.next_activation(frame)
-            if name in seen:
-                break
-            chain.append(name)
-            seen.add(name)
-        return chain
+        return list(chain)
 
 
 def _lcm(a: int, b: int) -> int:

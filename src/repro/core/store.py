@@ -25,6 +25,11 @@ Algorithm 1 (:mod:`repro.core.exploitation`) and persistence read a slot
 through the pool's methods, and every method that takes a state or an
 action rejects one out of range with :class:`~repro.errors.LearningError`.
 
+A slot also holds :attr:`AgentPool.current`, the action index its agent
+applies, and :attr:`AgentPool.pending`, the (state, action) its controller's
+next activation credits (-1: none).  Its controller reads and writes them;
+they are not learned state, so clearing, copying and restoring leave them.
+
 Each learning step has a scalar form for one slot, which the scalar engine
 runs and which is the oracle, and a ``*_batch`` form over distinct slots of
 one pool, which the batch engine runs.  Both evaluate the same IEEE
@@ -113,6 +118,10 @@ class AgentPool:
         #: Num(a) per slot, and its running minimum.
         self.action_counts = np.zeros((1, self.num_actions), dtype=np.int64)
         self.min_action_counts = np.zeros(1, dtype=np.int64)
+        #: Per slot: the action index it applies, and the (state, action) its
+        #: controller's next activation credits, (-1, -1) when none.
+        self.current = np.zeros(1, dtype=np.int64)
+        self.pending = np.full((1, 2), -1, dtype=np.int64)
         # First log entry that may belong to each slot (add_slot, clear_slot).
         self._log_start = np.zeros(1, dtype=np.int64)
 
@@ -140,6 +149,8 @@ class AgentPool:
             self.row_of = _grown(self.row_of, length)
             self.action_counts = _grown(self.action_counts, length)
             self.min_action_counts = _grown(self.min_action_counts, length)
+            self.current = _grown(self.current, length)
+            self.pending = _grown(self.pending, length, fill=-1)
             self._log_start = _grown(self._log_start, length)
         # Slots are never reused, so no earlier log entry is this slot's.
         self._log_start[slot] = self._log_len

@@ -152,9 +152,14 @@ class TestMonoAgentController:
         for frame in range(1, 120):
             decide_after(controller, frame, obs())
         agent = controller.agent
+        decision = controller.decide(120)
         entries = agent.pool.stored_q(agent.slot)
+        assert agent.pool.pending[agent.slot].tolist() != [-1, -1]
         controller.reset()
         assert agent.pool.stored_q(agent.slot) == entries
+        # The owed update is dropped; the applied action is kept.
+        assert agent.pool.pending[agent.slot].tolist() == [-1, -1]
+        assert controller.decide(121) == decision
 
     def test_acts_only_every_period(self):
         controller = MonoAgentController(MonoAgentConfig(period=6))

@@ -915,11 +915,16 @@ def _replay(script, mode):
 
 
 def _controller_state(controller):
+    # Static and heuristic controllers have no agents; MAMUT's keep their
+    # applied actions and owed update in their pool slots.
+    agents = getattr(controller, "agents", {})
     return (
         snapshot_controller(controller),
         getattr(controller, "history", None),
-        getattr(controller, "_pending", None),
-        dict(getattr(controller, "_current_indices", {})),
+        [
+            (int(agent.pool.current[agent.slot]), agent.pool.pending[agent.slot].tolist())
+            for agent in agents.values()
+        ],
         controller.window.count,
     )
 
@@ -1011,7 +1016,7 @@ class TestRosterWork:
         count(MamutBatch, "__init__", "mamut_batches")
         count(FleetAllocator, "__init__", "allocators")
         count(TranscodingSession, "__init__", "sessions")
-        count(MamutBatch, "_row", "rows")
+        count(MamutBatch, "row", "rows")
         count(MamutController, "__init__", "controllers")
         count(FrameRecord, "__init__", "frame_records")
         _, result, _ = cluster_golden.run_scenario("chaos_drained", "batch")

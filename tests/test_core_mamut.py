@@ -94,6 +94,20 @@ class TestLearning:
         }
         assert entries_after == entries_before
 
+    def test_reset_clears_every_owed_update(self, mamut_controller):
+        """Each agent's slot holds the update it is owed; a reset drops them
+        all and keeps the actions the agents apply."""
+        drive(mamut_controller, 200)
+        agents = list(mamut_controller.agents.values())
+        owed = [agent.pool.pending[agent.slot].tolist() for agent in agents]
+        assert sum(pair != [-1, -1] for pair in owed) == 1  # the last actor's
+        for agent in agents:
+            agent.pool.pending[agent.slot] = 0, 0
+        decision = mamut_controller.current_decision()
+        mamut_controller.reset()
+        assert [agent.pool.pending[agent.slot].tolist() for agent in agents] == [[-1, -1]] * 3
+        assert mamut_controller.current_decision() == decision
+
 
 class TestHistory:
     def test_history_disabled_by_default(self, mamut_controller):

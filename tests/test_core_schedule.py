@@ -83,6 +83,39 @@ class TestChains:
         assert schedule.chain_after(14) == []
         assert schedule.chain_after(8) == ["threads"]
 
+    @pytest.mark.parametrize(
+        "slots, chains",
+        [
+            (
+                None,
+                {
+                    0: ["threads", "dvfs"], 1: ["dvfs"], 2: [], 8: ["threads"],
+                    13: ["dvfs"], 14: [], 20: ["qp", "threads"],
+                    24: ["threads", "dvfs"], 25: ["dvfs"], 26: [], 32: ["threads"],
+                    37: ["dvfs"], 38: [], 44: ["qp", "threads"],
+                },
+            ),
+            (
+                # Slot order unlike the default's, NULL slots at 4 and 5.
+                [AgentSlot("threads", 3, 0), AgentSlot("dvfs", 6, 1), AgentSlot("qp", 6, 2)],
+                {
+                    0: ["dvfs", "qp"], 1: ["qp", "threads"], 2: ["threads"], 3: [],
+                    6: ["dvfs", "qp"], 7: ["qp", "threads"], 8: ["threads"], 9: [],
+                },
+            ),
+        ],
+        ids=["paper", "custom"],
+    )
+    def test_chain_after_every_acting_frame(self, slots, chains):
+        """Every acting frame of two hyper-periods; the rest are NULL slots."""
+        schedule = AgentSchedule.mamut_default() if slots is None else AgentSchedule(slots)
+        frames = range(2 * schedule.hyper_period)
+        assert {f: schedule.chain_after(f) for f in frames if f in chains} == chains
+        for frame in frames:
+            if frame not in chains:
+                with pytest.raises(SchedulingError):
+                    schedule.chain_after(frame)
+
     def test_chain_at_null_frame_raises(self, schedule):
         with pytest.raises(SchedulingError):
             schedule.chain_after(3)

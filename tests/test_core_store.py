@@ -201,14 +201,36 @@ class TestSlots:
         assert dict(pool.next_counts(0, 7, 2)) == {8: 3}
         assert pool.max_state_count(0, 7) == 3
 
+    def test_learned_state_writes_leave_applied_and_owed_actions(self):
+        """Clearing, copying and loading replace what a slot learned, not the
+        action its agent applies or the update its controller owes it."""
+        agent = QLearningAgent("a", ActionSet("a", range(5)), state_space=SPACE)
+        pool, slot = agent.pool, agent.slot
+        pool.current[slot] = 3
+        pool.pending[slot] = 7, 2
+        source, _ = _trained_pool(6)
+        source.current[1] = 1
+        source.pending[1] = 4, 0
+        for write in (
+            lambda: pool.clear_slot(slot),
+            lambda: pool.copy_slot(slot, source, 1),
+            lambda: agent.load_learned_state({(4, 1): 0.5}, {(4, 1): {5: 2}}, [1, 0, 0, 0, 0]),
+        ):
+            write()
+            assert (int(pool.current[slot]), pool.pending[slot].tolist()) == (3, [7, 2])
+        assert pool.stored_q(slot) == {(4, 1): 0.5}
+
     def test_pools_grow_in_place(self):
         pool = AgentPool(range(3), SPACE.size)
         for _ in range(40):
             pool.add_slot()
         for slot in range(40):
+            pool.current[slot] = slot % 3
             for state in range(10):
                 pool.record(slot, state, slot % 3, state + 1)
         assert pool.rows == 1 + 40 * 10
+        assert pool.current[:40].tolist() == [slot % 3 for slot in range(40)]
+        assert (pool.pending[:40] == -1).all()
         assert all(pool.max_state_count(slot, 9) == 1 for slot in range(40))
         assert pool.next_counts(39, 9, 0) == {10: 1}
 
@@ -282,8 +304,10 @@ def _controller_state(ctl):
             )
             for name, agent in ctl.agents.items()
         },
-        "pending": ctl._pending,
-        "current": dict(ctl._current_indices),
+        "slots": [
+            (int(agent.pool.current[agent.slot]), agent.pool.pending[agent.slot].tolist())
+            for agent in ctl.agents.values()
+        ],
         "history": list(ctl.history),
         "window": ctl.window.count,
     }
@@ -294,7 +318,7 @@ class TestMamutBatch:
         scalar = _population(1)
         batch = _population(1)
         fleet = MamutBatch()
-        fleet.roster(batch, [0] * len(batch))
+        fleet.roster(batch, [fleet.row(ctl) for ctl in batch])
         rng = np.random.default_rng(11)
         states = rng.choice(SPACE.size, size=5, replace=False)
         schedule = scalar[0].schedule
@@ -327,20 +351,35 @@ class TestMamutBatch:
                 phases.update(entry.phase for entry in ctl.history)
         for mine, theirs in zip(batch, scalar):
             assert _controller_state(mine) == _controller_state(theirs)
-        for gid, name in enumerate(AGENT_NAMES):
-            assert fleet.values[gid].tolist() == [
-                ctl.agents[name].actions[ctl._current_indices[name]] for ctl in scalar
-            ]
+        _assert_values(fleet, [ctl.current_decision() for ctl in scalar])
         assert phases == set(PHASES)
 
     def test_builds_from_current_actions(self):
         controllers = _population(2)
         fleet = MamutBatch()
-        fleet.roster(controllers, range(len(controllers)))
-        decisions = [ctl.current_decision() for ctl in controllers]
-        assert fleet.values[0].tolist() == [d.qp for d in decisions]
-        assert fleet.values[1].tolist() == [d.threads for d in decisions]
-        assert fleet.values[2].tolist() == [d.frequency_ghz for d in decisions]
+        fleet.roster(controllers, [fleet.row(ctl) for ctl in controllers])
+        _assert_values(fleet, [ctl.current_decision() for ctl in controllers])
+
+    def test_row_is_fixed_for_the_controllers_life(self):
+        """A scalar decision moves a controller's actions, never its row."""
+        controllers = _population(5)
+        fleet = MamutBatch()
+        rows = [fleet.row(ctl) for ctl in controllers]
+        for ctl in controllers:
+            for frame in range(60):
+                ctl.window.add(20.0 + frame % 7, 35.0, 2.0, 40.0)
+                ctl.decide(frame)
+        assert [ctl.current_decision() for ctl in controllers] != [
+            ctl.current_decision() for ctl in _population(5)
+        ]
+        assert [fleet.row(ctl) for ctl in controllers] == rows
+
+
+def _assert_values(fleet, decisions):
+    """``fleet.values`` holds ``decisions``, one per roster position."""
+    assert fleet.values[0].tolist() == [d.qp for d in decisions]
+    assert fleet.values[1].tolist() == [d.threads for d in decisions]
+    assert fleet.values[2].tolist() == [d.frequency_ghz for d in decisions]
 
 
 def _decide_fleet(seed):
@@ -385,7 +424,7 @@ class TestMamutBatchDecide:
         rng = np.random.default_rng(5)
         starts = rng.integers(0, 40, size=len(scalar))
         fleet = MamutBatch()
-        fleet.roster(batch, starts.tolist())
+        fleet.roster(batch, [fleet.row(ctl) for ctl in batch])
         # A few distinct observations, so states repeat and phases advance.
         observations = [
             (25.0, 36.0, 1.5, 50.0),
@@ -406,11 +445,8 @@ class TestMamutBatchDecide:
             decisions = [
                 ctl.decide(int(start) + round_index) for ctl, start in zip(scalar, starts)
             ]
-            fleet.decide()
-            assert fleet.values[0].tolist() == [d.qp for d in decisions]
-            assert fleet.values[1].tolist() == [d.threads for d in decisions]
-            assert fleet.values[2].tolist() == [d.frequency_ghz for d in decisions]
-        assert fleet.frame_indices.tolist() == (starts + 400).tolist()
+            fleet.decide(starts + round_index)
+            _assert_values(fleet, decisions)
         for mine, theirs in zip(batch, scalar):
             assert _controller_state(mine) == _controller_state(theirs)
         phases = {entry.phase for ctl in scalar for entry in ctl.history}
@@ -422,9 +458,10 @@ class TestMamutBatchDecide:
         """One instance re-rostered over changing rosters.
 
         Every 20 rounds the roster changes (controllers leave, join and come
-        back, in a new order).  Before each change a few controllers outside
-        the roster decide frames on their own, on the scalar form, which
-        moves their frame counters and actions away from their last rows.
+        back, in a new order).  Before each change a few controllers, in the
+        roster or not, decide frames on their own, on the scalar form, which
+        moves their frame counters and actions.  Each controller's row is
+        read once, before any of that, and carried.
         """
         scalar = _decide_fleet(4)
         batch = _decide_fleet(4)
@@ -442,37 +479,30 @@ class TestMamutBatchDecide:
             batch[j].window.add(*observed)
 
         fleet = MamutBatch()
+        rows = np.array([fleet.row(ctl) for ctl in batch])
         members = np.empty(0, dtype=np.int64)
-        rejoined = 0
+        stayed = rejoined = 0
         for round_index in range(300):
             if round_index % 20 == 0:
-                outside = np.setdiff1d(np.arange(len(scalar)), members)
-                moved = rng.choice(outside, size=min(3, len(outside)), replace=False)
+                moved = rng.choice(len(scalar), size=3, replace=False)
                 for j in moved.tolist():
                     for _ in range(2):
                         observe(j)
                         assert batch[j].decide(frames[j]) == scalar[j].decide(frames[j])
                         frames[j] += 1
                 size = int(rng.integers(1, len(scalar) + 1))
-                members = rng.permutation(len(scalar))[:size]
-                rejoined += len(np.intersect1d(moved, members))
-                fleet.roster([batch[j] for j in members], frames[members])
-                current = [batch[j].current_decision() for j in members.tolist()]
-                assert fleet.values[0].tolist() == [d.qp for d in current]
-                assert fleet.values[1].tolist() == [d.threads for d in current]
-                assert fleet.values[2].tolist() == [d.frequency_ghz for d in current]
+                before, members = members, rng.permutation(len(scalar))[:size]
+                stayed += len(np.intersect1d(np.intersect1d(moved, before), members))
+                rejoined += len(np.intersect1d(np.setdiff1d(moved, before), members))
+                fleet.roster([batch[j] for j in members], rows[members])
+                _assert_values(fleet, [batch[j].current_decision() for j in members.tolist()])
             for j in members.tolist():
                 observe(j)
             decisions = [scalar[j].decide(frames[j]) for j in members.tolist()]
-            fleet.decide()
+            fleet.decide(frames[members])
             frames[members] += 1
-            assert fleet.values[0].tolist() == [d.qp for d in decisions]
-            assert fleet.values[1].tolist() == [d.threads for d in decisions]
-            assert fleet.values[2].tolist() == [d.frequency_ghz for d in decisions]
-            assert fleet.frame_indices.tolist() == frames[members].tolist()
+            _assert_values(fleet, decisions)
         for mine, theirs in zip(batch, scalar):
             assert _controller_state(mine) == _controller_state(theirs)
         assert {entry.phase for ctl in scalar for entry in ctl.history} == set(PHASES)
-        assert rejoined
-        # Rows of controllers that left are dropped.
-        assert set(fleet._row_of) == {batch[j] for j in members.tolist()}
+        assert stayed and rejoined
