@@ -45,12 +45,19 @@ the previous one instead of rebuilding it.  The fleet census (rosters and
 server counts by lifecycle and health) is taken once per membership or
 health change, and each live server's sessions are listed once per step.
 
-Every request outcome is counted once.  Each :class:`ClusterResult` count
-is bumped by one call that also bumps the Prometheus counter mirroring it,
-each fault is recorded by one call that appends its event, bumps its
-counter and emits its ``fault`` span, and one in-flight registry holds the
-running sessions in dispatch order — what crash recovery salvages and what
-the span stream reports progress for.
+Every request is one record (``_Request``) from its arrival to its
+terminal span: the admission queue, the retry queue and the in-flight
+registry (the running sessions in dispatch order — what crash recovery
+salvages and what the span stream reports progress for) hold that record
+while the request is theirs.  The :class:`ClusterResult` ledger and the
+fault-event list are the run's only counts.  Every terminal outcome goes
+through one method that bumps the ledger count of its name (all but
+``served``) and emits its span, so the ledger and the span stream agree by
+construction; each fault is recorded by one call that appends its event
+and emits its ``fault`` span.  The Prometheus counters mirroring the
+ledger and the fault kinds, the queue-wait histogram and the SLO engine
+read each step's change in the ledger when the step closes (the counters
+once more after the end-of-run outcomes).
 
 An optional seeded fault injector (:mod:`repro.cluster.faults`) exercises
 the recovery paths: abrupt server crashes (in-flight sessions salvaged —
@@ -79,7 +86,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from collections import deque
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.constants import DEFAULT_POWER_CAP_W
 from repro.errors import ClusterError
@@ -95,12 +102,11 @@ from repro.core.persistence import restore_session_state, snapshot_session
 from repro.manager.factories import ControllerFactory, mamut_factory
 from repro.manager.orchestrator import Orchestrator
 from repro.manager.session import TranscodingSession
-from repro.metrics.cluster import ClusterSummary, summarize_cluster
+from repro.metrics.cluster import ClusterResult
 from repro.metrics.records import (
     FaultEvent,
     FleetSample,
     FrameLedger,
-    FrameRecordView,
     PowerSample,
     ScalingEvent,
 )
@@ -108,6 +114,7 @@ from repro.numeric import ordered_sum
 from repro.platform.server import MulticoreServer
 from repro.telemetry.config import Telemetry, resolve_telemetry
 from repro.telemetry.metrics import QUEUE_WAIT_EDGES
+from repro.telemetry.slo import StepDeltas
 
 __all__ = ["ClusterResult", "ClusterOrchestrator"]
 
@@ -175,16 +182,18 @@ class _ServerSlot:
         self.up_since = commissioned_step
 
 
-class _InFlight:
-    """One admitted request, from its first dispatch to its terminal span.
+class _Request:
+    """One request, from its arrival to its terminal span.
 
-    ``event`` is the request — the original arrival, also on a crash
-    retry, so spans keep the request's user id — and ``attempt`` its crash
-    count.  While a session serves it, the record is in the in-flight
-    registry: ``session`` is that session and ``videos_done`` the videos
-    whose completion span has been emitted.  A crash moves the record to
-    the retry queue and sets what the retry needs: ``playlist`` (the
-    unfinished videos), ``salvage`` (the dying session's
+    Built at arrival and held, while the request is theirs, by the
+    admission queue, the retry queue and the in-flight registry.  ``event``
+    is the arrival — also on a crash retry, so spans keep the request's
+    user id — and ``attempt`` its crash count: a retry is a record with
+    ``attempt > 0``.  While a session serves it, the record is in the
+    in-flight registry: ``session`` is that session and ``videos_done`` the
+    videos whose completion span has been emitted.  A crash moves the
+    record to the retry queue and sets what the retry needs: ``playlist``
+    (the unfinished videos), ``salvage`` (the dying session's
     :func:`~repro.core.persistence.snapshot_session`), ``ready_step`` (the
     end of the exponential backoff) and ``from_zone`` (the failure domain
     it was lost in, for failure-aware dispatch).  The retry dispatch points
@@ -211,98 +220,6 @@ class _InFlight:
         self.salvage: Optional[dict] = None
         self.ready_step = 0
         self.from_zone: Optional[int] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class ClusterResult:
-    """Raw output of one cluster run.
-
-    Attributes
-    ----------
-    records_by_server:
-        One ``{session_id: records}`` mapping per server, in commissioning
-        order (decommissioned servers keep their entry).  Each ``records``
-        is a :class:`~repro.metrics.records.FrameRecordView` of the run's
-        frame ledger, fixed at the frames the session committed: a
-        read-only sequence of :class:`~repro.metrics.records.FrameRecord`
-        that builds each record when it is read, compares equal to another
-        view, tuple or list of the same records and has the ``repr`` of
-        their tuple.
-    samples_by_server:
-        One power trace per server; a server contributes one sample per
-        cluster step it was powered on (idle and warm-up steps included), so
-        traces of servers commissioned or decommissioned mid-run are shorter
-        than the run.
-    arrivals, admitted, rejected, abandoned:
-        The admission ledger; ``abandoned`` counts requests still queued
-        when the run ended.
-    dropped:
-        Queued requests that aged past their patience deadline and were
-        dropped before ever reaching a server — distinct from ``rejected``
-        (turned away on decision) and ``abandoned`` (still queued at the
-        end).  0 when the workload carries no patience stamps.
-    queue_waits:
-        Steps each admitted request spent queued (0 = admitted on arrival).
-        Dropped requests never appear here — they were never admitted.
-    steps:
-        Cluster steps executed, drain included.
-    scaling_events:
-        Fleet resizes executed by the autoscaling policy (empty without one).
-    fleet_trace:
-        One :class:`~repro.metrics.records.FleetSample` per cluster step —
-        the elasticity trace (fleet size, queue, per-step QoS).
-    degraded_sessions:
-        Sessions admitted while the fleet was browned out (served at
-        degraded quality instead of being shed).
-    brownout_steps:
-        Cluster steps spent at a brownout level above 0.
-    failed:
-        Admitted requests lost to server crashes whose retry budget ran out
-        (or whose retry was still pending when the run ended).  A session
-        salvaged and re-dispatched appears in ``records_by_server`` under a
-        ``<user>#r<attempt>`` key on its replacement server; the crashed
-        server keeps the partial records under the original key.
-    retried:
-        Successful crash-recovery re-dispatches (session migrations).
-    fault_events:
-        Every injected fault and recovery, in order (empty without a fault
-        injector).
-    recomputed_frames:
-        Frames crash retries had to re-transcode — the gap between the
-        last checkpoint (or video start) and the crash point, summed over
-        every dispatched retry.
-    checkpoint_writes:
-        Frame-level session checkpoints written (0 when checkpointing is
-        off).
-    checkpoint_energy_j:
-        Modeled bandwidth/IO energy of those writes, already included in
-        the per-server power traces.
-    """
-
-    records_by_server: tuple[Mapping[str, FrameRecordView], ...]
-    samples_by_server: tuple[tuple[PowerSample, ...], ...]
-    arrivals: int
-    admitted: int
-    rejected: int
-    abandoned: int
-    queue_waits: tuple[int, ...]
-    steps: int
-    scaling_events: tuple[ScalingEvent, ...] = ()
-    fleet_trace: tuple[FleetSample, ...] = ()
-    dropped: int = 0
-    degraded_sessions: int = 0
-    brownout_steps: int = 0
-    failed: int = 0
-    retried: int = 0
-    fault_events: tuple[FaultEvent, ...] = ()
-    recomputed_frames: int = 0
-    checkpoint_writes: int = 0
-    checkpoint_energy_j: float = 0.0
-
-    def summary(self) -> ClusterSummary:
-        """Aggregate the run into fleet-level metrics."""
-        fields = dataclasses.fields(self)
-        return summarize_cluster(**{f.name: getattr(self, f.name) for f in fields})
 
 
 class ClusterOrchestrator:
@@ -456,15 +373,16 @@ class ClusterOrchestrator:
         self._scaling_events: list[ScalingEvent] = []
         self._fleet_trace: list[FleetSample] = []
         self._ran = False
-        self._queue: deque[WorkloadEvent] = deque()
+        self._queue: deque[_Request] = deque()
         self._queue_class_counts: dict[str, int] = {}
-        # The counts of the ClusterResult ledger; _count is their only
-        # writer.  The queue waits and the fault events are the ledger's
-        # two lists.
+        # The counts of the ClusterResult ledger, written only by _count and
+        # _end.  The queue waits and the fault events are the ledger's two
+        # lists.
         self._ledger = dict(
             arrivals=0,
             admitted=0,
             rejected=0,
+            abandoned=0,
             dropped=0,
             degraded_sessions=0,
             brownout_steps=0,
@@ -500,10 +418,10 @@ class ClusterOrchestrator:
         self._live: list[_ServerSlot] = []
         self._refresh_fleet_views()
         # Crashed requests waiting for their retry, in crash order.
-        self._retry_queue: list[_InFlight] = []
+        self._retry_queue: list[_Request] = []
         # Running sessions by id(session), in dispatch order; a session
         # leaves when it ends or its server crashes.
-        self._inflight: dict[int, _InFlight] = {}
+        self._inflight: dict[int, _Request] = {}
         # Telemetry defaults to the shared all-null hub; run(telemetry=...)
         # rebinds before the first step.
         self._bind_telemetry(Telemetry.disabled())
@@ -535,9 +453,9 @@ class ClusterOrchestrator:
             slot.orchestrator.profiler = telemetry.profiler
         m = telemetry.metrics
         # Counters mirroring a ledger count or a fault kind are keyed by it
-        # (see _count and _fault), and gauges mirroring a FleetSample field
-        # by the field (see _record_fleet_sample).  Registration order is the
-        # order of the exported text, so the kinds stay interleaved.
+        # (see _publish_counts), and gauges mirroring a FleetSample field by
+        # the field (see _close_step).  Registration order is the order of
+        # the exported text, so the kinds stay interleaved.
         ledger = self._ledger_metrics = {}
         faults = self._fault_metrics = {}
         fleet = self._fleet_metrics = {}
@@ -623,21 +541,39 @@ class ClusterOrchestrator:
         )
 
     def _count(self, field: str, amount: float = 1) -> None:
-        """Bump one ledger count and the Prometheus counter mirroring it."""
+        """Bump one ledger count."""
         self._ledger[field] += amount
-        metric = self._ledger_metrics.get(field)
-        if metric is not None:
-            metric.inc(amount)
+
+    def _end(self, entry: _Request, kind: str, step: int, **span) -> None:
+        """End a request: count its outcome, then emit its terminal span.
+
+        Every terminal kind but ``served`` is the ledger count of the same
+        name, so the span stream and the ledger agree by construction.
+        """
+        if kind != "served":
+            self._ledger[kind] += 1
+        self._tracer.emit(kind, step, entry.event.request.user_id, **span)
 
     def _fault(self, event: FaultEvent, target: Optional[str] = None, **span) -> None:
-        """Record one fault or recovery: its event, its kind's counter and,
-        when it names a span ``target``, its ``fault`` span."""
+        """Record one fault or recovery: its event and, when it names a span
+        ``target``, its ``fault`` span."""
         self._fault_events.append(event)
-        metric = self._fault_metrics.get(event.kind)
-        if metric is not None:
-            metric.inc()
         if target is not None:
             self._tracer.emit("fault", event.step, target, fault=event.kind, **span)
+
+    def _publish_counts(self, before: dict, faults: int) -> None:
+        """Add each mirrored counter's change: its ledger count's since
+        ``before`` (a copy of the ledger), its fault kind's from the
+        ``faults``-th fault event on."""
+        ledger = self._ledger
+        for field, counter in self._ledger_metrics.items():
+            change = ledger[field] - before[field]
+            if change:
+                counter.inc(change)
+        for event in self._fault_events[faults:]:
+            counter = self._fault_metrics.get(event.kind)
+            if counter is not None:
+                counter.inc()
 
     def _count_verdict(self, verdict: AdmissionVerdict) -> None:
         if self._metrics.enabled:
@@ -675,13 +611,7 @@ class ClusterOrchestrator:
                     )
             if not session.active:
                 ended.append(key)
-                tracer.emit(
-                    "served",
-                    step,
-                    entry.event.request.user_id,
-                    frames=session.step,
-                    completed=True,
-                )
+                self._end(entry, "served", step, frames=session.step, completed=True)
         for key in ended:
             del self._inflight[key]
 
@@ -908,32 +838,20 @@ class ClusterOrchestrator:
         # Sessions cut off by the end of the run (drain disabled or bounded)
         # end ``served`` with ``completed: false``; requests still queued
         # end ``abandoned``.
-        tracer = self._tracer
+        before = dict(self._ledger)
         for entry in self._retry_queue:
-            self._count("failed")
-            tracer.emit(
-                "failed",
-                steps,
-                entry.event.request.user_id,
-                attempts=entry.attempt,
-                pending=True,
-            )
+            self._end(entry, "failed", steps, attempts=entry.attempt, pending=True)
         self._retry_queue = []
         for entry in self._inflight.values():
-            tracer.emit(
-                "served",
-                steps,
-                entry.event.request.user_id,
-                frames=entry.session.step,
-                completed=False,
+            self._end(
+                entry, "served", steps, frames=entry.session.step, completed=False
             )
-        for event in self._queue:
-            tracer.emit(
-                "abandoned",
-                steps,
-                event.request.user_id,
-                waited=steps - event.arrival_step,
+        for entry in self._queue:
+            self._end(
+                entry, "abandoned", steps, waited=steps - entry.event.arrival_step
             )
+        if self._metrics.enabled:
+            self._publish_counts(before, len(self._fault_events))
         self.telemetry.finalize()
 
         return ClusterResult(
@@ -945,7 +863,6 @@ class ClusterOrchestrator:
                 for slot in self._slots
             ),
             samples_by_server=tuple(tuple(slot.samples) for slot in self._slots),
-            abandoned=len(self._queue),
             queue_waits=tuple(self._queue_waits),
             steps=steps,
             scaling_events=tuple(self._scaling_events),
@@ -963,10 +880,15 @@ class ClusterOrchestrator:
         runs admission before the fleet steps.  A drain-tail step does none
         of these, and its autoscaler may only shrink the fleet.  A step
         builds at most one :class:`ClusterSnapshot`: the autoscaler derives
-        its own from the last one admission saw.
+        its own from the last one admission saw.  What the step counted is
+        its change in the ledger since the copy taken here: the autoscaler
+        reads the arrivals once admission is over, and :meth:`_close_step`
+        reads the rest.
         """
+        before = dict(self._ledger)
+        faults = len(self._fault_events)
+        waits = len(self._queue_waits)
         self._update_fleet(step)
-        arrivals = dropped = 0
         snapshot: Optional[ClusterSnapshot] = None
         if admitting:
             if self.faults is not None:
@@ -974,17 +896,18 @@ class ClusterOrchestrator:
             # Age the queue before anything gets a claim on capacity:
             # requests past their patience deadline are dropped, never
             # admitted, and never counted in the queue waits.
-            dropped = self._age_queue(step)
-            arrivals, snapshot = self._admit_step(step)
+            self._age_queue(step)
+            snapshot = self._admit_step(step)
         if self.autoscaler is not None:
+            arrivals = self._ledger["arrivals"] - before["arrivals"]
             self._autoscale(step, arrivals, admitting, snapshot)
         frames, violations = self._advance(step)
-        self._record_fleet_sample(step, arrivals, frames, violations, dropped)
+        self._close_step(step, before, faults, waits, frames, violations)
         self._walk_inflight(step)
 
-    def _admit_step(self, step: int) -> tuple[int, Optional[ClusterSnapshot]]:
+    def _admit_step(self, step: int) -> Optional[ClusterSnapshot]:
         """Brownout, then one admission decision per request; returns the
-        step's arrivals and its last snapshot.
+        step's last snapshot.
 
         Crash survivors whose backoff has elapsed get first claim on
         capacity — they were admitted before anyone queued — then queued
@@ -1014,12 +937,10 @@ class ClusterOrchestrator:
         # wait): a QUEUE or REJECT verdict leaves the retry pending for the
         # next step rather than consuming a retry attempt — attempts are
         # spent only on crashes.
-        pending: list[_InFlight] = []
+        pending: list[_Request] = []
         for entry in self._retry_queue:
             if step >= entry.ready_step:
-                verdict, snapshot = self._admit(
-                    step, entry.event, len(queue), snapshot, entry
-                )
+                verdict, snapshot = self._admit(step, entry, len(queue), snapshot)
                 if verdict is AdmissionVerdict.ADMIT:
                     continue
             pending.append(entry)
@@ -1030,14 +951,13 @@ class ClusterOrchestrator:
         # it back.
         while queue:
             head = queue[0]
-            self._queue_class_counts[head.service_class] -= 1
+            self._queue_class_counts[head.event.service_class] -= 1
             verdict, snapshot = self._admit(step, head, len(queue) - 1, snapshot)
             if verdict is AdmissionVerdict.QUEUE:
-                self._queue_class_counts[head.service_class] += 1
+                self._queue_class_counts[head.event.service_class] += 1
                 break
             queue.popleft()
 
-        arrivals = 0
         for event in self.workload.arrivals(step):
             if self.faults is not None and "#r" in event.request.user_id:
                 # Retry re-dispatches are recorded under synthesized
@@ -1050,7 +970,6 @@ class ClusterOrchestrator:
                     "reserved retry-key marker '#r'; rename the user — "
                     "crash retries are recorded under '<user>#r<n>' keys"
                 )
-            arrivals += 1
             self._count("arrivals")
             self._tracer.emit(
                 "arrival",
@@ -1060,9 +979,10 @@ class ClusterOrchestrator:
                 frames=event.total_frames,
                 patience=event.patience_steps,
             )
-            verdict, snapshot = self._admit(step, event, len(queue), snapshot)
+            entry = _Request(event)
+            verdict, snapshot = self._admit(step, entry, len(queue), snapshot)
             if verdict is AdmissionVerdict.QUEUE:
-                queue.append(event)
+                queue.append(entry)
                 self._queue_class_counts[event.service_class] = (
                     self._queue_class_counts.get(event.service_class, 0) + 1
                 )
@@ -1072,37 +992,36 @@ class ClusterOrchestrator:
                     event.request.user_id,
                     queue_length=len(queue),
                 )
-        return arrivals, snapshot
+        return snapshot
 
     def _admit(
         self,
         step: int,
-        event: WorkloadEvent,
+        entry: _Request,
         queue_length: int,
         snapshot: Optional[ClusterSnapshot],
-        retry: Optional[_InFlight] = None,
     ) -> tuple[AdmissionVerdict, ClusterSnapshot]:
         """Decide one request and carry the verdict out.
 
-        The one admission path of crash retries (``retry``), queued
-        requests and new arrivals.  The decision sees the snapshot derived
-        for ``queue_length``; an ADMIT dispatches and a REJECT ends the
-        request, except that a retry's REJECT, like every QUEUE, is left to
-        the caller.  Returns the verdict and the snapshot after it.
+        The one admission path of crash retries, queued requests and new
+        arrivals.  The decision sees the snapshot derived for
+        ``queue_length``; an ADMIT dispatches and a REJECT ends the request,
+        except that a retry's REJECT, like every QUEUE, is left to the
+        caller.  Returns the verdict and the snapshot after it.
         """
+        event = entry.event
         snapshot = self._derive_snapshot(step, queue_length, snapshot)
         verdict = self._resolve_verdict(
             self.admission.decide(event, snapshot), snapshot
         )
         self._count_verdict(verdict)
         if verdict is AdmissionVerdict.ADMIT:
-            snapshot = self._dispatch(event, snapshot, retry)
-        elif verdict is AdmissionVerdict.REJECT and retry is None:
-            self._count("rejected")
-            self._tracer.emit(
+            snapshot = self._dispatch(entry, snapshot)
+        elif verdict is AdmissionVerdict.REJECT and not entry.attempt:
+            self._end(
+                entry,
                 "rejected",
                 step,
-                event.request.user_id,
                 policy=self.admission.name,
                 waited=step - event.arrival_step,
             )
@@ -1124,41 +1043,29 @@ class ClusterOrchestrator:
             return AdmissionVerdict.QUEUE
         return verdict
 
-    def _age_queue(self, step: int) -> int:
-        """Drop queued requests past their patience deadline; returns the count."""
+    def _age_queue(self, step: int) -> None:
+        """Drop queued requests past their patience deadline."""
         queue = self._queue
         if not queue:
-            return 0
+            return
         kept = []
-        for event in queue:
+        for entry in queue:
+            event = entry.event
             if event.expired(step):
                 self._queue_class_counts[event.service_class] -= 1
-                self._tracer.emit(
-                    "dropped",
-                    step,
-                    event.request.user_id,
-                    waited=step - event.arrival_step,
-                )
+                self._end(entry, "dropped", step, waited=step - event.arrival_step)
             else:
-                kept.append(event)
-        expired = len(queue) - len(kept)
-        if expired:
-            self._count("dropped", expired)
+                kept.append(entry)
+        if len(kept) < len(queue):
             queue.clear()
             queue.extend(kept)
-        return expired
 
-    def _dispatch(
-        self,
-        event: WorkloadEvent,
-        snapshot: ClusterSnapshot,
-        retry: Optional[_InFlight] = None,
-    ) -> ClusterSnapshot:
-        """Route an admitted event using the snapshot its admission saw
+    def _dispatch(self, entry: _Request, snapshot: ClusterSnapshot) -> ClusterSnapshot:
+        """Route an admitted request using the snapshot its admission saw
         (cluster state cannot change between the two decisions); returns the
         snapshot after the dispatch.
 
-        With a ``retry`` record this is a crash-recovery re-dispatch: the
+        A retry (``entry.attempt > 0``) is a crash-recovery re-dispatch: the
         session is rebuilt from the record's remaining playlist under a
         ``<user>#r<attempt>`` record key (the crashed server keeps the
         partial records under the original key), resumes the interrupted
@@ -1173,10 +1080,12 @@ class ClusterOrchestrator:
         request was admitted once already), and its wait does not join the
         queue waits.
         """
+        event = entry.event
+        retry = entry.attempt > 0
         policy_view = snapshot
-        if retry is not None and retry.from_zone is not None:
+        if retry:
             policy_view = dataclasses.replace(
-                snapshot, retry_of_zone=retry.from_zone
+                snapshot, retry_of_zone=entry.from_zone
             )
         index = self.dispatcher.select(event, policy_view)
         if not 0 <= index < len(snapshot.servers):
@@ -1185,15 +1094,12 @@ class ClusterOrchestrator:
                 f"of a {len(snapshot.servers)}-server dispatchable fleet"
             )
         wait = snapshot.step - event.arrival_step
-        if retry is None:
-            entry = _InFlight(event)
-            request = event.request
-        else:
-            entry = retry
+        request = event.request
+        if retry:
             request = dataclasses.replace(
-                event.request,
-                user_id=f"{event.request.user_id}#r{retry.attempt}",
-                sequence=retry.playlist[0],
+                request,
+                user_id=f"{request.user_id}#r{entry.attempt}",
+                sequence=entry.playlist[0],
             )
         factory = self.controller_factory
         degraded = self._brownout_level > 0 and self.brownout is not None
@@ -1210,11 +1116,11 @@ class ClusterOrchestrator:
         controller = factory(request, self.seed + dispatches)
         start_frame = 0
         retry_fields = {}
-        if retry is not None:
-            salvage = retry.salvage
+        if retry:
+            salvage = entry.salvage
             restore_session_state(controller, salvage)
             start_frame = salvage["resume_frame"]
-            retry_fields = {"retry": retry.attempt, "resume_frame": start_frame}
+            retry_fields = {"retry": entry.attempt, "resume_frame": start_frame}
             # Recomputation is charged when the retry actually runs: the
             # frames between the resume point and the crash point are work
             # the fleet does twice.
@@ -1223,7 +1129,6 @@ class ClusterOrchestrator:
         else:
             self._count("admitted")
             self._queue_waits.append(wait)
-            self._m_wait.observe(wait)
         session = TranscodingSession(
             request=request,
             controller=controller,
@@ -1461,29 +1366,22 @@ class ClusterOrchestrator:
             sessions_lost=len(sessions),
             zone=slot.zone,
         )
-        tracer = self._tracer
         for session in sessions:
             entry = self._inflight.pop(id(session))
-            request_id = entry.event.request.user_id
             frames_done = session.step
             entry.attempt += 1
-            tracer.emit(
+            self._tracer.emit(
                 "interrupted",
                 step,
-                request_id,
+                entry.event.request.user_id,
                 server=slot.index,
                 frames=frames_done,
                 attempt=entry.attempt,
                 zone=slot.zone,
             )
             if entry.attempt > faults.config.max_retries:
-                self._count("failed")
-                tracer.emit(
-                    "failed",
-                    step,
-                    request_id,
-                    attempts=entry.attempt,
-                    frames=frames_done,
+                self._end(
+                    entry, "failed", step, attempts=entry.attempt, frames=frames_done
                 )
             else:
                 entry.playlist = tuple(session.playlist[session.video_index :])
@@ -1705,9 +1603,27 @@ class ClusterOrchestrator:
         )
         return frames, violations
 
-    def _record_fleet_sample(
-        self, step: int, arrivals: int, frames: int, violations: int, dropped: int
+    def _close_step(
+        self,
+        step: int,
+        before: dict,
+        faults: int,
+        waits: int,
+        frames: int,
+        violations: int,
     ) -> None:
+        """Record the step: its fleet sample, metrics and SLO observation.
+
+        The step's arrivals, drops, sheds and new queue waits are its change
+        in the ledger since ``before``, the copy taken when the step began
+        (``faults`` and ``waits`` are the fault-event and queue-wait counts
+        then); ``frames`` and ``violations`` are what :meth:`_advance`
+        stepped.
+        """
+        ledger = self._ledger
+        arrivals = ledger["arrivals"] - before["arrivals"]
+        dropped = ledger["dropped"] - before["dropped"]
+        new_waits = self._queue_waits[waits:]
         sample = FleetSample(
             step=step,
             live_servers=len(self._live),
@@ -1730,16 +1646,23 @@ class ClusterOrchestrator:
             self._m_power.set(ordered_sum(slot.last_power_w for slot in self._live))
             self._m_frames.inc(frames)
             self._m_violations.inc(violations)
+            self._publish_counts(before, faults)
+            for wait in new_waits:
+                self._m_wait.observe(wait)
         # SLO evaluation precedes the recorder snapshot so each step's row
         # already reflects this step's repro_slo_* gauge values.
         self.telemetry.observe_slo(
             step,
-            queue_waits=self._queue_waits,
-            arrivals=arrivals,
-            rejected_total=self._ledger["rejected"],
-            dropped=dropped,
-            failed_total=self._ledger["failed"],
-            frames=frames,
-            violations=violations,
+            StepDeltas(
+                new_waits=tuple(new_waits),
+                arrivals=arrivals,
+                shed=(
+                    (ledger["rejected"] - before["rejected"])
+                    + dropped
+                    + (ledger["failed"] - before["failed"])
+                ),
+                frames=frames,
+                violations=violations,
+            ),
         )
         self.telemetry.record_step(step)

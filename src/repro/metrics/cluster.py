@@ -5,7 +5,8 @@ The single-server :class:`~repro.metrics.aggregate.ExperimentSummary` answers
 "how well was the *traffic* served?" — how many requests got in, how long
 they queued, how busy each server was, and what the fleet paid in power for
 every concurrent session.  This module aggregates the per-server record/power
-traces plus the admission ledger into a :class:`ClusterSummary`.
+traces plus the admission ledger — together a :class:`ClusterResult`, the raw
+output of one cluster run — into a :class:`ClusterSummary`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,98 @@ from repro.metrics.records import (
 )
 from repro.numeric import ordered_sum
 
-__all__ = ["ServerSummary", "ClusterSummary", "summarize_cluster"]
+__all__ = ["ClusterResult", "ServerSummary", "ClusterSummary", "summarize_cluster"]
+
+
+@dataclasses.dataclass(frozen=True)
+class ClusterResult:
+    """Raw output of one cluster run.
+
+    Attributes
+    ----------
+    records_by_server:
+        One ``{session_id: records}`` mapping per server, in commissioning
+        order (decommissioned servers keep their entry).  Each ``records``
+        is a :class:`~repro.metrics.records.FrameRecordView` of the run's
+        frame ledger, fixed at the frames the session committed: a
+        read-only sequence of :class:`~repro.metrics.records.FrameRecord`
+        that builds each record when it is read, compares equal to another
+        view, tuple or list of the same records and has the ``repr`` of
+        their tuple.
+    samples_by_server:
+        One power trace per server; a server contributes one sample per
+        cluster step it was powered on (idle and warm-up steps included), so
+        traces of servers commissioned or decommissioned mid-run are shorter
+        than the run.
+    arrivals, admitted, rejected, abandoned:
+        The admission ledger; ``abandoned`` counts requests still queued
+        when the run ended.
+    dropped:
+        Queued requests that aged past their patience deadline and were
+        dropped before ever reaching a server — distinct from ``rejected``
+        (turned away on decision) and ``abandoned`` (still queued at the
+        end).  0 when the workload carries no patience stamps.
+    queue_waits:
+        Steps each admitted request spent queued (0 = admitted on arrival).
+        Dropped requests never appear here — they were never admitted.
+    steps:
+        Cluster steps executed, drain included.
+    scaling_events:
+        Fleet resizes executed by the autoscaling policy (empty without one).
+    fleet_trace:
+        One :class:`~repro.metrics.records.FleetSample` per cluster step —
+        the elasticity trace (fleet size, queue, per-step QoS).
+    degraded_sessions:
+        Sessions admitted while the fleet was browned out (served at
+        degraded quality instead of being shed).
+    brownout_steps:
+        Cluster steps spent at a brownout level above 0.
+    failed:
+        Admitted requests lost to server crashes whose retry budget ran out
+        (or whose retry was still pending when the run ended).  A session
+        salvaged and re-dispatched appears in ``records_by_server`` under a
+        ``<user>#r<attempt>`` key on its replacement server; the crashed
+        server keeps the partial records under the original key.
+    retried:
+        Successful crash-recovery re-dispatches (session migrations).
+    fault_events:
+        Every injected fault and recovery, in order (empty without a fault
+        injector).
+    recomputed_frames:
+        Frames crash retries had to re-transcode — the gap between the
+        last checkpoint (or video start) and the crash point, summed over
+        every dispatched retry.
+    checkpoint_writes:
+        Frame-level session checkpoints written (0 when checkpointing is
+        off).
+    checkpoint_energy_j:
+        Modeled bandwidth/IO energy of those writes, already included in
+        the per-server power traces.
+    """
+
+    records_by_server: tuple[Mapping[str, FrameRecordView], ...]
+    samples_by_server: tuple[tuple[PowerSample, ...], ...]
+    arrivals: int
+    admitted: int
+    rejected: int
+    abandoned: int
+    queue_waits: tuple[int, ...]
+    steps: int
+    scaling_events: tuple[ScalingEvent, ...] = ()
+    fleet_trace: tuple[FleetSample, ...] = ()
+    dropped: int = 0
+    degraded_sessions: int = 0
+    brownout_steps: int = 0
+    failed: int = 0
+    retried: int = 0
+    fault_events: tuple[FaultEvent, ...] = ()
+    recomputed_frames: int = 0
+    checkpoint_writes: int = 0
+    checkpoint_energy_j: float = 0.0
+
+    def summary(self) -> ClusterSummary:
+        """Aggregate the run into fleet-level metrics."""
+        return summarize_cluster(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -309,28 +401,7 @@ def _summarize_server(
     )
 
 
-def summarize_cluster(
-    records_by_server: Sequence[Mapping[str, Sequence[FrameRecord]]],
-    samples_by_server: Sequence[Sequence[PowerSample]],
-    *,
-    arrivals: int,
-    admitted: int,
-    rejected: int,
-    abandoned: int,
-    queue_waits: Sequence[int],
-    steps: int,
-    scaling_events: Sequence[ScalingEvent] = (),
-    fleet_trace: Sequence[FleetSample] = (),
-    dropped: int = 0,
-    degraded_sessions: int = 0,
-    brownout_steps: int = 0,
-    failed: int = 0,
-    retried: int = 0,
-    fault_events: Sequence[FaultEvent] = (),
-    recomputed_frames: int = 0,
-    checkpoint_writes: int = 0,
-    checkpoint_energy_j: float = 0.0,
-) -> ClusterSummary:
+def summarize_cluster(result: ClusterResult) -> ClusterSummary:
     """Aggregate a cluster run into fleet-level metrics.
 
     ``records_by_server`` and ``samples_by_server`` are parallel sequences,
@@ -341,10 +412,13 @@ def summarize_cluster(
     actually ran.
 
     Each session's records are read once, as FPS values and a violation
-    count (ledger views read their columns), and every frame figure is
-    folded from those in the servers', sessions' and frames' order, left to
-    right.
+    count (ledger views read their columns; any other sequence of
+    :class:`~repro.metrics.records.FrameRecord` record by record), and every
+    frame figure is folded from those in the servers', sessions' and
+    frames' order, left to right.
     """
+    records_by_server = result.records_by_server
+    samples_by_server = result.samples_by_server
     if len(records_by_server) != len(samples_by_server):
         raise ValueError(
             "records_by_server and samples_by_server must have one entry per server"
@@ -377,45 +451,44 @@ def summarize_cluster(
     )
     mean_active = ordered_sum(active_by_step.values()) / num_steps if num_steps > 0 else 0.0
 
-    scale_ups = [e for e in scaling_events if e.direction == "up"]
-    scale_downs = [e for e in scaling_events if e.direction == "down"]
+    fleet_trace = result.fleet_trace
+    queue_waits = result.queue_waits
+    scale_ups = [e for e in result.scaling_events if e.direction == "up"]
+    scale_downs = [e for e in result.scaling_events if e.direction == "down"]
     transients = [
         s for s in fleet_trace if s.warming_servers > 0 or s.draining_servers > 0
     ]
     transient_frames = ordered_sum(s.frames for s in transients)
+    fault_kinds = [e.kind for e in result.fault_events]
+    arrivals = result.arrivals
+    shed = result.rejected + result.dropped + result.abandoned + result.failed
 
     return ClusterSummary(
         servers=servers,
-        steps=steps,
+        steps=result.steps,
         arrivals=arrivals,
-        admitted=admitted,
-        rejected=rejected,
-        abandoned=abandoned,
-        rejection_rate=rejected / arrivals if arrivals > 0 else 0.0,
-        dropped=dropped,
-        shed_rate=(
-            (rejected + dropped + abandoned + failed) / arrivals
-            if arrivals > 0
-            else 0.0
-        ),
-        degraded_sessions=degraded_sessions,
-        brownout_steps=brownout_steps,
-        failed=failed,
-        retried=retried,
-        server_crashes=ordered_sum(1 for e in fault_events if e.kind == "crash"),
-        stragglers=ordered_sum(1 for e in fault_events if e.kind == "straggler"),
-        warmup_failures=ordered_sum(
-            1 for e in fault_events if e.kind == "warmup_failure"
-        ),
+        admitted=result.admitted,
+        rejected=result.rejected,
+        abandoned=result.abandoned,
+        rejection_rate=result.rejected / arrivals if arrivals > 0 else 0.0,
+        dropped=result.dropped,
+        shed_rate=shed / arrivals if arrivals > 0 else 0.0,
+        degraded_sessions=result.degraded_sessions,
+        brownout_steps=result.brownout_steps,
+        failed=result.failed,
+        retried=result.retried,
+        server_crashes=fault_kinds.count("crash"),
+        stragglers=fault_kinds.count("straggler"),
+        warmup_failures=fault_kinds.count("warmup_failure"),
         mean_healthy_servers=(
             ordered_sum(s.healthy_servers for s in fleet_trace) / len(fleet_trace)
             if fleet_trace
             else 0.0
         ),
-        failed_domains=ordered_sum(1 for e in fault_events if e.kind == "zone_outage"),
-        recomputed_frames=recomputed_frames,
-        checkpoint_writes=checkpoint_writes,
-        checkpoint_energy_j=checkpoint_energy_j,
+        failed_domains=fault_kinds.count("zone_outage"),
+        recomputed_frames=result.recomputed_frames,
+        checkpoint_writes=result.checkpoint_writes,
+        checkpoint_energy_j=result.checkpoint_energy_j,
         mean_available_domains=(
             ordered_sum(s.available_domains for s in fleet_trace) / len(fleet_trace)
             if fleet_trace

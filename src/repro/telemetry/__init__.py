@@ -60,6 +60,7 @@ from repro.telemetry.slo import (
     ShedRateObjective,
     SloEngine,
     SloObjective,
+    StepDeltas,
     ViolationRateObjective,
 )
 from repro.telemetry.trace import (
@@ -103,6 +104,7 @@ __all__ = [
     "ShedRateObjective",
     "ViolationRateObjective",
     "SloEngine",
+    "StepDeltas",
     "SCHEMA_VERSION",
     "stamp_provenance",
     "provenance_of",

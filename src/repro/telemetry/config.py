@@ -26,7 +26,7 @@ from repro.telemetry.metrics import (
     TimeSeriesRecorder,
 )
 from repro.telemetry.profiler import NULL_PROFILER, StepProfiler
-from repro.telemetry.slo import SloEngine, SloObjective
+from repro.telemetry.slo import SloEngine, SloObjective, StepDeltas
 from repro.telemetry.trace import (
     NULL_TRACER,
     JsonlTraceSink,
@@ -211,14 +211,14 @@ class Telemetry:
         if self.recorder is not None:
             self.recorder.record(step)
 
-    def observe_slo(self, step: int, **observations) -> None:
-        """Feed the SLO engine one step's observations (no-op without one).
+    def observe_slo(self, step: int, deltas: StepDeltas) -> None:
+        """Feed the SLO engine one step's changes (no-op without one).
 
         Call *before* :meth:`record_step` so the recorder's snapshot for
         the step already includes the ``repro_slo_*`` gauge updates.
         """
         if self.slo is not None:
-            self.slo.observe_step(step, **observations)
+            self.slo.observe_step(step, deltas)
 
     def finalize(self) -> None:
         """Flush exports: close the trace sink, write the metrics file."""

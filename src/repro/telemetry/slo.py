@@ -264,10 +264,10 @@ class _ObjectiveState:
 class SloEngine:
     """Evaluates a set of objectives once per step; observe-only.
 
-    Feed it the orchestrator's running totals via :meth:`observe_step`
-    (the engine differences them itself, so call sites pass what they
-    already have) and read the verdicts back as ``repro_slo_*`` gauges,
-    breach-entry trace spans, and the end-of-run :meth:`report`.
+    Feed it each step's :class:`StepDeltas` via :meth:`observe_step` (the
+    orchestrator reads them off its ledger when the step closes) and read
+    the verdicts back as ``repro_slo_*`` gauges, breach-entry trace spans,
+    and the end-of-run :meth:`report`.
     """
 
     def __init__(
@@ -281,49 +281,13 @@ class SloEngine:
             raise ConfigurationError(f"duplicate SLO objective names: {names}")
         self.tracer = tracer
         self._states = [_ObjectiveState(obj, metrics) for obj in objectives]
-        self._seen_waits = 0
-        self._last_rejected = 0
-        self._last_failed = 0
 
     @property
     def objectives(self) -> list[SloObjective]:
         return [state.objective for state in self._states]
 
-    def observe_step(
-        self,
-        step: int,
-        *,
-        queue_waits: Sequence[int],
-        arrivals: int,
-        rejected_total: int,
-        dropped: int,
-        failed_total: int,
-        frames: int,
-        violations: int,
-    ) -> None:
-        """Judge every objective against this step's observations.
-
-        ``queue_waits`` is the run's growing wait list and ``rejected_total``
-        / ``failed_total`` are running totals (the engine differences them);
-        ``arrivals``, ``dropped``, ``frames`` and ``violations`` are this
-        step's increments, matching what the fleet sample already carries.
-        """
-        new_waits = tuple(queue_waits[self._seen_waits:])
-        self._seen_waits = len(queue_waits)
-        shed = (
-            (rejected_total - self._last_rejected)
-            + dropped
-            + (failed_total - self._last_failed)
-        )
-        self._last_rejected = rejected_total
-        self._last_failed = failed_total
-        deltas = StepDeltas(
-            new_waits=new_waits,
-            arrivals=arrivals,
-            shed=shed,
-            frames=frames,
-            violations=violations,
-        )
+    def observe_step(self, step: int, deltas: StepDeltas) -> None:
+        """Judge every objective against what step ``step`` contributed."""
         for state in self._states:
             objective = state.objective
             state.window.append(objective.sample(deltas))

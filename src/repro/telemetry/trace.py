@@ -9,7 +9,8 @@ span through a pluggable sink.  Span kinds and their extra fields:
 ``queued``
     The admission policy parked the request (``queue_length`` after).
 ``rejected`` *(terminal)*
-    Turned away at arrival (``policy`` label).
+    Turned away by an admission decision, at arrival or from the queue
+    (``policy`` label, ``waited`` steps).
 ``dispatched``
     Sent to a server: ``server`` (global slot index), ``wait_steps``
     (queue steps; 0 = admitted on arrival), ``degraded`` (brownout),
@@ -35,10 +36,11 @@ span through a pluggable sink.  Span kinds and their extra fields:
     Lost to crashes: the retry budget ran out (``attempts``, ``frames``)
     or the retry was still pending when the run ended (``pending``).
 ``fault``
-    Fleet-level fault marker, keyed by server (``request`` is
-    ``server-<index>``, not a user id — excluded from the per-request
-    lifecycle invariant): ``fault`` of ``crash``/``straggler``/
-    ``warmup_failure`` plus fault-specific fields.
+    Fleet-level fault marker, keyed by server or by zone (``request`` is
+    ``server-<index>``, or ``zone-<index>`` for a zone outage, not a user
+    id — excluded from the per-request lifecycle invariant): ``fault`` of
+    ``crash``/``straggler``/``warmup_failure``/``zone_outage`` plus
+    fault-specific fields.
 ``slo_breach``
     SLO marker, keyed by objective (``request`` is ``slo-<name>``, not a
     user id — excluded from the lifecycle invariant like ``fault``):
@@ -82,7 +84,8 @@ __all__ = [
 TERMINAL_KINDS = frozenset({"served", "rejected", "dropped", "abandoned", "failed"})
 
 #: Fleet-level marker kinds whose ``request`` is NOT a user id (``server-<i>``
-#: for faults, ``slo-<name>`` for SLO breaches) — excluded from lifecycles.
+#: or ``zone-<i>`` for faults, ``slo-<name>`` for SLO breaches) — excluded
+#: from lifecycles.
 MARKER_KINDS = frozenset({"fault", "slo_breach"})
 
 

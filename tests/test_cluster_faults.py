@@ -29,6 +29,11 @@ Covers the contracts of the fault subsystem:
   as a recount over the slots does, on both engines; a step builds at most
   one snapshot, and the autoscaler's, derived from admission's last one,
   equals a fresh one.
+* **Request ledger** — under the same drawn fleets, with the drain tail
+  whole, cut or skipped, every arrival ends in exactly one terminal span,
+  and the span stream, the Prometheus counters mirroring the ledger and
+  the fault kinds, the queue-wait histogram and the fleet trace all agree
+  with the ledger, on both engines, whose span streams are equal.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_cluster_golden as cluster_golden
+import test_telemetry
 from engine_fixtures import compensated_sum
 from repro.cluster import (
     AutoscaleSignals,
@@ -70,7 +76,13 @@ from repro.manager.factories import static_factory
 from repro.manager.pretrain import pretrain_mamut, pretrained_mamut_factory
 from repro.metrics.cluster import ClusterSummary
 from repro.numeric import ordered_sum
-from repro.telemetry import QueueWaitObjective, Telemetry, TelemetryConfig
+from repro.telemetry import (
+    QueueWaitObjective,
+    ShedRateObjective,
+    Telemetry,
+    TelemetryConfig,
+    analyze_trace,
+)
 from repro.telemetry.trace import TERMINAL_KINDS, ListTraceSink
 from repro.video.sequence import ResolutionClass
 
@@ -884,13 +896,8 @@ def chaos_fleets(draw):
     }
 
 
-def run_census_checked(engine, fleet):
-    """Run ``fleet`` on ``engine``, checking every count against a recount.
-
-    Each snapshot admission decides on and each autoscaling signal is
-    checked when the policy sees it; each step's fleet sample is checked
-    against the recount taken when the step ends.
-    """
+def build_chaos_fleet(engine, fleet):
+    """The cluster a :func:`chaos_fleets` draw describes, on ``engine``."""
     workload = WorkloadGenerator(
         FlashCrowdTraffic(0.6, peak_multiplier=5.0, start=4, duration=8),
         seed=fleet["seed"],
@@ -904,7 +911,7 @@ def run_census_checked(engine, fleet):
         autoscaler = PredictiveScaling(
             sessions_per_server=3, service_steps=12, scale_down_cooldown_steps=2
         )
-    cluster = ClusterOrchestrator(
+    return ClusterOrchestrator(
         fleet["servers"],
         workload,
         admission=CapacityThreshold(
@@ -923,6 +930,16 @@ def run_census_checked(engine, fleet):
         ),
         faults=fleet["faults"],
     )
+
+
+def run_census_checked(engine, fleet):
+    """Run ``fleet`` on ``engine``, checking every count against a recount.
+
+    Each snapshot admission decides on and each autoscaling signal is
+    checked when the policy sees it; each step's fleet sample is checked
+    against the recount taken when the step ends.
+    """
+    cluster = build_chaos_fleet(engine, fleet)
 
     def check_snapshot(snapshot):
         expected = recount(cluster, snapshot.step)
@@ -1026,3 +1043,54 @@ class TestFleetCensus:
         result = cluster.run(60)
         assert max(built.values()) == 1
         assert len(compared) == result.steps and all(compared)
+
+
+def run_ledger_checked(engine, fleet, max_drain_steps):
+    """Run ``fleet`` on ``engine`` with tracing, metrics and an SLO; check
+    that the span stream, the mirrored counters and the fleet trace agree
+    with the request ledger, and return the spans."""
+    cluster = build_chaos_fleet(engine, fleet)
+    sink = ListTraceSink()
+    telemetry = TelemetryConfig(
+        trace_sink=sink, metrics=True, slo=(ShedRateObjective(name="shed"),)
+    )
+    result = cluster.run(24, max_drain_steps=max_drain_steps, telemetry=telemetry)
+    summary = result.summary()
+    assert analyze_trace(sink).reconcile(summary) == []
+    arrivals = collections.Counter(
+        span["request"] for span in sink.spans if span["kind"] == "arrival"
+    )
+    terminals = collections.Counter(
+        span["request"] for span in sink.spans if span["kind"] in TERMINAL_KINDS
+    )
+    assert terminals == arrivals and set(arrivals.values()) <= {1}
+    kinds = collections.Counter(span["kind"] for span in sink.spans)
+    for kind in ("rejected", "dropped", "failed", "abandoned"):
+        assert kinds[kind] == getattr(result, kind), kind
+    metrics = cluster.telemetry.metrics
+    published = metrics.scalar_snapshot()
+    for name, field in test_telemetry.TestMetrics.LEDGER_COUNTERS.items():
+        assert published[name] == getattr(result, field), name
+    for name, field in test_telemetry.TestMetrics.FAULT_COUNTERS.items():
+        assert published[name] == getattr(summary, field), name
+    waits = next(m for m in metrics.collect() if m.name == "repro_queue_wait_steps")
+    assert waits.count == result.admitted
+    assert sum(sample.arrivals for sample in result.fleet_trace) == result.arrivals
+    assert sum(sample.dropped for sample in result.fleet_trace) == result.dropped
+    return sink.spans
+
+
+class TestRequestLedger:
+    """Each request has one terminal span, counted once: the span stream,
+    the Prometheus counters and the fleet trace agree with the ledger."""
+
+    @given(
+        fleet=chaos_fleets(), max_drain_steps=st.sampled_from([None, 0, 2])
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_spans_and_counters_match_the_ledger_on_both_engines(
+        self, fleet, max_drain_steps
+    ):
+        batch = run_ledger_checked("batch", fleet, max_drain_steps)
+        scalar = run_ledger_checked("scalar", fleet, max_drain_steps)
+        assert batch == scalar

@@ -25,7 +25,7 @@ from repro.baselines.static import StaticController
 from repro.cluster import ClusterOrchestrator, PoissonTraffic, WorkloadGenerator
 from repro.errors import ScenarioError
 from repro.manager.session import TranscodingSession
-from repro.metrics.cluster import summarize_cluster
+from repro.metrics.cluster import ClusterResult, summarize_cluster
 from repro.metrics.records import FrameLedger, FrameRecord, FrameRecordView, PowerSample
 from repro.numeric import ordered_sum
 from repro.video.catalog import make_sequence
@@ -373,8 +373,12 @@ class TestSummaryOverViews:
 
         def summaries():
             return (
-                summarize_cluster(records_by_server, samples_by_server, **ledger_args),
-                summarize_cluster(as_tuples, samples_by_server, **ledger_args),
+                summarize_cluster(
+                    ClusterResult(records_by_server, samples_by_server, **ledger_args)
+                ),
+                summarize_cluster(
+                    ClusterResult(as_tuples, samples_by_server, **ledger_args)
+                ),
             )
 
         views, tuples = summaries()

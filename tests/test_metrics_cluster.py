@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics.cluster import ClusterSummary, summarize_cluster
+from repro.metrics.cluster import ClusterResult, ClusterSummary, summarize_cluster
 from repro.metrics.records import FleetSample, FrameRecord, PowerSample, ScalingEvent
 from repro.video.sequence import ResolutionClass
 
@@ -67,14 +67,16 @@ class TestSummarizeCluster:
         samples_b = [sample(0, 20.0, 0), sample(1, 20.0, 0)]
 
         summary = summarize_cluster(
-            [records_a, records_b],
-            [samples_a, samples_b],
-            arrivals=4,
-            admitted=1,
-            rejected=2,
-            abandoned=1,
-            queue_waits=[0],
-            steps=2,
+            ClusterResult(
+                [records_a, records_b],
+                [samples_a, samples_b],
+                arrivals=4,
+                admitted=1,
+                rejected=2,
+                abandoned=1,
+                queue_waits=[0],
+                steps=2,
+            )
         )
 
         assert summary.num_servers == 2
@@ -95,28 +97,32 @@ class TestSummarizeCluster:
 
     def test_queue_wait_statistics(self):
         summary = summarize_cluster(
-            [{}],
-            [[sample(0, 10.0, 0)]],
-            arrivals=3,
-            admitted=3,
-            rejected=0,
-            abandoned=0,
-            queue_waits=[0, 2, 4],
-            steps=1,
+            ClusterResult(
+                [{}],
+                [[sample(0, 10.0, 0)]],
+                arrivals=3,
+                admitted=3,
+                rejected=0,
+                abandoned=0,
+                queue_waits=[0, 2, 4],
+                steps=1,
+            )
         )
         assert summary.mean_queue_wait_steps == pytest.approx(2.0)
         assert summary.max_queue_wait_steps == 4
 
     def test_empty_run(self):
         summary = summarize_cluster(
-            [{}, {}],
-            [[], []],
-            arrivals=0,
-            admitted=0,
-            rejected=0,
-            abandoned=0,
-            queue_waits=[],
-            steps=0,
+            ClusterResult(
+                [{}, {}],
+                [[], []],
+                arrivals=0,
+                admitted=0,
+                rejected=0,
+                abandoned=0,
+                queue_waits=[],
+                steps=0,
+            )
         )
         assert summary.rejection_rate == 0.0
         assert summary.fleet_mean_power_w == 0.0
@@ -126,14 +132,16 @@ class TestSummarizeCluster:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             summarize_cluster(
-                [{}],
-                [[], []],
-                arrivals=0,
-                admitted=0,
-                rejected=0,
-                abandoned=0,
-                queue_waits=[],
-                steps=0,
+                ClusterResult(
+                    [{}],
+                    [[], []],
+                    arrivals=0,
+                    admitted=0,
+                    rejected=0,
+                    abandoned=0,
+                    queue_waits=[],
+                    steps=0,
+                )
             )
 
     def test_late_commissioned_server_aligns_by_sample_step(self):
@@ -142,14 +150,16 @@ class TestSummarizeCluster:
         samples_a = [sample(0, 100.0, 1), sample(1, 100.0, 1)]
         samples_b = [sample(1, 20.0, 0)]
         summary = summarize_cluster(
-            [{}, {}],
-            [samples_a, samples_b],
-            arrivals=0,
-            admitted=0,
-            rejected=0,
-            abandoned=0,
-            queue_waits=[],
-            steps=2,
+            ClusterResult(
+                [{}, {}],
+                [samples_a, samples_b],
+                arrivals=0,
+                admitted=0,
+                rejected=0,
+                abandoned=0,
+                queue_waits=[],
+                steps=2,
+            )
         )
         # Step 0: 100 W; step 1: 120 W.
         assert summary.fleet_mean_power_w == pytest.approx(110.0)
@@ -158,15 +168,17 @@ class TestSummarizeCluster:
 class TestElasticityMetrics:
     def summarize(self, **kwargs):
         return summarize_cluster(
-            [{}],
-            [[sample(0, 10.0, 0)]],
-            arrivals=0,
-            admitted=0,
-            rejected=0,
-            abandoned=0,
-            queue_waits=[],
-            steps=4,
-            **kwargs,
+            ClusterResult(
+                [{}],
+                [[sample(0, 10.0, 0)]],
+                arrivals=0,
+                admitted=0,
+                rejected=0,
+                abandoned=0,
+                queue_waits=[],
+                steps=4,
+                **kwargs,
+            )
         )
 
     def test_defaults_without_a_trace(self):
@@ -207,19 +219,21 @@ class TestElasticityMetrics:
 class TestSummarySerialization:
     def summarize(self):
         return summarize_cluster(
-            [{"u0": [record("u0", s, 25.0) for s in range(4)]}, {}],
-            [[sample(s, 80.0, 1) for s in range(4)], [sample(s, 20.0, 0) for s in range(4)]],
-            arrivals=5,
-            admitted=1,
-            rejected=2,
-            abandoned=1,
-            dropped=1,
-            queue_waits=[0, 3],
-            steps=4,
-            scaling_events=[ScalingEvent(2, "up", 1, 1, 2, "ReactiveThreshold", "queue")],
-            fleet_trace=[fleet_sample(s, 2, queue=s % 2, frames=1) for s in range(4)],
-            degraded_sessions=1,
-            brownout_steps=2,
+            ClusterResult(
+                [{"u0": [record("u0", s, 25.0) for s in range(4)]}, {}],
+                [[sample(s, 80.0, 1) for s in range(4)], [sample(s, 20.0, 0) for s in range(4)]],
+                arrivals=5,
+                admitted=1,
+                rejected=2,
+                abandoned=1,
+                dropped=1,
+                queue_waits=[0, 3],
+                steps=4,
+                scaling_events=[ScalingEvent(2, "up", 1, 1, 2, "ReactiveThreshold", "queue")],
+                fleet_trace=[fleet_sample(s, 2, queue=s % 2, frames=1) for s in range(4)],
+                degraded_sessions=1,
+                brownout_steps=2,
+            )
         )
 
     def test_to_dict_is_json_ready(self):

@@ -26,6 +26,7 @@ from repro.telemetry import (
     RequestTracer,
     ShedRateObjective,
     SloEngine,
+    StepDeltas,
     TelemetryConfig,
     ViolationRateObjective,
 )
@@ -41,18 +42,17 @@ def make_engine(objective, registry=None, tracer=None):
     )
 
 
-def feed(engine, step, *, waits=(), arrivals=0, rejected=0, dropped=0,
-         failed=0, frames=0, violations=0, all_waits=None):
-    """One observe_step call with cumulative bookkeeping handled for tests."""
+def feed(engine, step, *, waits=(), arrivals=0, shed=0, frames=0, violations=0):
+    """One observe_step call with one step's deltas."""
     engine.observe_step(
         step,
-        queue_waits=all_waits if all_waits is not None else list(waits),
-        arrivals=arrivals,
-        rejected_total=rejected,
-        dropped=dropped,
-        failed_total=failed,
-        frames=frames,
-        violations=violations,
+        StepDeltas(
+            new_waits=tuple(waits),
+            arrivals=arrivals,
+            shed=shed,
+            frames=frames,
+            violations=violations,
+        ),
     )
 
 
@@ -84,14 +84,14 @@ class TestObjectiveMath:
             name="shed", max_pct=25.0, window_steps=2, error_budget_pct=50.0
         )
         engine = make_engine(objective)
-        feed(engine, 0, arrivals=4, rejected=1)  # 25% — at threshold, healthy
+        feed(engine, 0, arrivals=4, shed=1)  # 25% — at threshold, healthy
         assert engine.report()[0]["last_value"] == 25.0
         assert engine.report()[0]["breach_steps"] == 0
-        feed(engine, 1, arrivals=4, rejected=4)  # window: 4 shed / 8 arrivals
+        feed(engine, 1, arrivals=4, shed=3)  # window: 4 shed / 8 arrivals
         assert engine.report()[0]["last_value"] == 50.0
         assert engine.report()[0]["breach_steps"] == 1
         # Window slides: the old healthy step falls out.
-        feed(engine, 2, arrivals=4, rejected=4)
+        feed(engine, 2, arrivals=4, shed=0)
         assert engine.report()[0]["last_value"] == pytest.approx(37.5)
 
     def test_shed_rate_idle_window_reads_zero(self):
@@ -118,11 +118,9 @@ class TestObjectiveMath:
             error_budget_pct=50.0,
         )
         engine = make_engine(objective)
-        waits = [0, 0, 0, 0]
-        feed(engine, 0, all_waits=waits)
+        feed(engine, 0, waits=[0, 0, 0, 0])
         assert engine.report()[0]["last_value"] == 0.0
-        waits += [8, 8, 8, 8, 8]
-        feed(engine, 1, all_waits=waits)
+        feed(engine, 1, waits=[8, 8, 8, 8, 8])
         # Median of {0 x4, 8 x5} interpolates into the (4, 8] bucket.
         report = engine.report()[0]
         assert report["last_value"] > 2.0
@@ -130,7 +128,7 @@ class TestObjectiveMath:
 
     def test_queue_wait_empty_window_is_healthy(self):
         engine = make_engine(QueueWaitObjective(name="wait", max_steps=0.5))
-        feed(engine, 0, all_waits=[])
+        feed(engine, 0, waits=[])
         assert engine.report()[0]["breach_steps"] == 0
 
 
@@ -144,7 +142,7 @@ class TestBudgetAndBurn:
     def test_budget_consumption_and_health(self):
         engine = make_engine(self.objective())
         for step in range(4):  # shed 100% of arrivals every step
-            feed(engine, step, arrivals=2, rejected=2 * (step + 1))
+            feed(engine, step, arrivals=2, shed=2)
         report = engine.report()[0]
         assert report["steps"] == 4
         assert report["breach_steps"] == 4
@@ -155,12 +153,12 @@ class TestBudgetAndBurn:
 
     def test_within_budget_is_healthy(self):
         engine = make_engine(self.objective())
-        feed(engine, 0, arrivals=2, rejected=2)   # breach
+        feed(engine, 0, arrivals=2, shed=2)   # breach
         # Step 1 sheds nothing new, but the window still sees step 0's
         # shed (2/4 = 50%): sustained-pressure smoothing works both ways.
-        feed(engine, 1, arrivals=2, rejected=2)
-        feed(engine, 2, arrivals=2, rejected=2)   # window clear: healthy
-        feed(engine, 3, arrivals=2, rejected=2)   # healthy
+        feed(engine, 1, arrivals=2)
+        feed(engine, 2, arrivals=2)   # window clear: healthy
+        feed(engine, 3, arrivals=2)   # healthy
         report = engine.report()[0]
         assert report["breach_steps"] == 2
         assert report["budget_consumed_pct"] == 100.0
@@ -173,7 +171,7 @@ class TestSurfaces:
         engine = make_engine(
             ShedRateObjective(name="shed", max_pct=10.0), registry=registry
         )
-        feed(engine, 0, arrivals=1, rejected=1)
+        feed(engine, 0, arrivals=1, shed=1)
         snapshot = registry.scalar_snapshot()
         for gauge in ("repro_slo_value", "repro_slo_breached",
                       "repro_slo_burn_rate", "repro_slo_budget_consumed_pct"):
@@ -187,10 +185,10 @@ class TestSurfaces:
             ShedRateObjective(name="shed", max_pct=10.0, window_steps=1),
             tracer=RequestTracer(sink),
         )
-        feed(engine, 0, arrivals=1, rejected=1)   # enter breach
-        feed(engine, 1, arrivals=1, rejected=2)   # still breached: no new span
-        feed(engine, 2, arrivals=1, rejected=2)   # recover
-        feed(engine, 3, arrivals=1, rejected=3)   # re-enter breach
+        feed(engine, 0, arrivals=1, shed=1)   # enter breach
+        feed(engine, 1, arrivals=1, shed=1)   # still breached: no new span
+        feed(engine, 2, arrivals=1)           # recover
+        feed(engine, 3, arrivals=1, shed=1)   # re-enter breach
         breaches = sink.by_kind("slo_breach")
         assert [span["step"] for span in breaches] == [0, 3]
         span = breaches[0]
