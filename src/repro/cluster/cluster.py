@@ -84,6 +84,7 @@ the identical :class:`ClusterResult` on either engine.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 from collections import deque
 from typing import Optional
@@ -1533,14 +1534,16 @@ class ClusterOrchestrator:
 
         Idle and warming servers sample their idle power.  The per-slot
         active counts are refreshed here — the once-per-step walk that keeps
-        every scheduling decision O(servers) — from the session lists the
-        engine stepped (on the batch engine, the stepper's).
+        every scheduling decision O(servers) — from the engine's per-server
+        counts of sessions still active (on the batch engine, the
+        stepper's, taken from its arrays).
         """
         live = self._live
         if not live:
             # Every server down at once (a fault schedule can do what
             # autoscaling never would); nothing to step or sample.
             return 0, 0
+        interval = self._ckpt_interval
         if self.engine == "batch":
             if self._stepper is None or self._fleet_changed:
                 self._stepper = BatchStepper(
@@ -1549,8 +1552,11 @@ class ClusterOrchestrator:
                     previous=self._stepper,
                 )
                 self._fleet_changed = False
-            step_samples = self._stepper.step(step)
-            stepped = self._stepper.stepped
+            stepper = self._stepper
+            step_samples = stepper.step(step)
+            still_active = stepper.still_active
+            writes = stepper.checkpoint_writes(interval) if interval is not None else None
+            violations = stepper.violations
         else:
             stepped = [slot.orchestrator.active_sessions() for slot in live]
             step_samples = []
@@ -1559,48 +1565,53 @@ class ClusterOrchestrator:
                 if sample is None:
                     sample = slot.orchestrator.idle_step(step)
                 step_samples.append(sample)
+            still_active = [
+                len([session for session in sessions if session.active]) for sessions in stepped
+            ]
+            writes = None
+            if interval is not None:
+                # A session checkpoints when the step completed a multiple
+                # of the interval within its current video; video
+                # boundaries are natural durable points and cost nothing
+                # (frame_index resets to 0 there).
+                writes = [
+                    len(
+                        [
+                            session
+                            for session in sessions
+                            if session.active
+                            and session.frame_index > 0
+                            and session.frame_index % interval == 0
+                        ]
+                    )
+                    for sessions in stepped
+                ]
+            violations = TranscodingSession.last_frame_violations(
+                [session for sessions in stepped for session in sessions]
+            )
 
         frames = 0
-        ckpt_interval = self._ckpt_interval
-        for slot, sample, sessions in zip(live, step_samples, stepped):
-            if ckpt_interval is not None:
+        for slot, sample, active, written in zip(
+            live, step_samples, still_active, writes or itertools.repeat(0)
+        ):
+            if written:
                 # Checkpoint metering runs here — shared verbatim by both
                 # engines, after they produced the step's sample — so the
-                # modeled bandwidth cost lands identically on either.  A
-                # session checkpoints when the step completed a multiple of
-                # the interval within its current video; video boundaries
-                # are natural durable points and cost nothing (frame_index
-                # resets to 0 there).
-                writes = 0
-                for session in sessions:
-                    if (
-                        session.active
-                        and session.frame_index > 0
-                        and session.frame_index % ckpt_interval == 0
-                    ):
-                        writes += 1
-                if writes:
-                    extra_w = writes * self._ckpt_power
-                    sample = PowerSample(
-                        sample.step,
-                        sample.power_w + extra_w,
-                        sample.duration_s,
-                        sample.active_sessions,
-                    )
-                    self._count("checkpoint_writes", writes)
-                    self._count("checkpoint_energy_j", extra_w * sample.duration_s)
+                # modeled bandwidth cost lands identically on either.
+                extra_w = written * self._ckpt_power
+                sample = PowerSample(
+                    sample.step,
+                    sample.power_w + extra_w,
+                    sample.duration_s,
+                    sample.active_sessions,
+                )
+                self._count("checkpoint_writes", written)
+                self._count("checkpoint_energy_j", extra_w * sample.duration_s)
             slot.samples.append(sample)
             slot.last_power_w = sample.power_w
             slot.last_active = sample.active_sessions
-            frames += len(sessions)
-            still_active = 0
-            for session in sessions:
-                if session.active:
-                    still_active += 1
-            slot.active_count = still_active
-        violations = TranscodingSession.last_frame_violations(
-            [session for sessions in stepped for session in sessions]
-        )
+            frames += sample.active_sessions
+            slot.active_count = active
         return frames, violations
 
     def _close_step(

@@ -18,7 +18,7 @@ This package implements the paper's contribution:
   multi-user orchestrator.
 """
 
-from repro.core.observation import Observation, ObservationWindow
+from repro.core.observation import Observation, ObservationWindow, WindowTable
 from repro.core.states import StateSpace, SystemState
 from repro.core.actions import (
     ActionSet,
@@ -46,6 +46,7 @@ from repro.core.persistence import (
 __all__ = [
     "Observation",
     "ObservationWindow",
+    "WindowTable",
     "StateSpace",
     "SystemState",
     "ActionSet",

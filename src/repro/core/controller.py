@@ -58,10 +58,11 @@ class Controller(abc.ABC):
     #: its frequency chip-wide (see repro.platform.dvfs.DvfsPolicy).
     dvfs_policy: DvfsPolicy = DvfsPolicy.PER_CORE
 
-    def __init__(self) -> None:
+    def __init__(self, window: ObservationWindow | None = None) -> None:
         #: Frames observed since the controller last acted; the session adds
-        #: each committed frame, the controller averages and clears it.
-        self.window = ObservationWindow()
+        #: each committed frame, the controller averages and clears it.  A
+        #: controller built without one gets a window of its own.
+        self.window = window if window is not None else ObservationWindow()
 
     @abc.abstractmethod
     def decide(self, frame_index: int) -> Decision:

@@ -5,7 +5,8 @@ The controller owns three :class:`~repro.core.agent.QLearningAgent` instances
 per-frame operation is:
 
 1. the session adds every committed frame's observation to the controller's
-   :class:`~repro.core.observation.ObservationWindow`;
+   :class:`~repro.core.observation.ObservationWindow`, a row of its learning
+   store's window table;
 2. when an agent is scheduled, average the window (this covers the NULL
    slots of Fig. 3), discretise it into the next state, compute the reward,
    and apply the pending Q update of the *previously* acting agent;
@@ -18,12 +19,12 @@ per-frame operation is:
 
 Everything the agents learn lives in a
 :class:`~repro.core.store.LearningStore`, shared by every controller a
-factory builds, and so do the action each applies and the update each is
-owed.  The step has two forms side by side:
-:meth:`MamutController.decide` for one controller (the scalar engine) and
-:meth:`MamutBatch.decide` for a fleet (the batch engine).  Each piece of the
-batch form sits beside its scalar form in that form's module, and
-``tests/test_core_store.py`` pins the whole step.
+factory builds, and so do the action each applies, the update each is
+owed and each controller's observation window.  The step has two forms
+side by side: :meth:`MamutController.decide` for one controller (the
+scalar engine) and :meth:`MamutBatch.decide` for a fleet (the batch
+engine).  Each piece of the batch form sits beside its scalar form in that
+form's module, and ``tests/test_core_store.py`` pins the whole step.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.core.agent import QLearningAgent
 from repro.core.config import MamutConfig
 from repro.core.controller import Controller, Decision
 from repro.core.exploitation import expected_q_action
-from repro.core.observation import ObservationWindow
 from repro.core.phases import Phase
 from repro.core.rewards import RewardFunction
 from repro.core.states import SystemState
@@ -97,9 +97,10 @@ class MamutController(Controller):
         activation schedule.  Use :meth:`MamutConfig.for_request` to derive a
         configuration from a :class:`~repro.video.request.TranscodingRequest`.
     store:
-        Where the three agents keep what they learn, apply and are owed; a
-        controller factory passes the store it shares between all its
-        controllers.  ``None`` gives each agent a private one.
+        Where the three agents keep what they learn, apply and are owed, and
+        where the controller's observation window is a row; a controller
+        factory passes the store it shares between all its controllers.
+        ``None`` gives the controller a private one.
     """
 
     dvfs_policy = DvfsPolicy.PER_CORE
@@ -107,7 +108,8 @@ class MamutController(Controller):
     def __init__(
         self, config: MamutConfig | None = None, store: LearningStore | None = None
     ) -> None:
-        super().__init__()
+        store = store if store is not None else LearningStore()
+        super().__init__(store.windows.window())
         self.config = config if config is not None else MamutConfig()
         self.state_space = self.config.state_space
         self.reward_function = RewardFunction(self.config.reward)
@@ -328,9 +330,10 @@ class MamutBatch:
 
     Built empty, it is laid out by :meth:`roster` over controllers and their
     rows.  :meth:`decide` looks up every schedule at each controller's frame
-    (:meth:`~repro.core.schedule.AgentSchedule.agent_at_batch`), averages
-    the windows of the controllers whose agent acts
-    (:meth:`~repro.core.observation.ObservationWindow.average_batch`),
+    (:meth:`~repro.core.schedule.AgentSchedule.agent_at_batch`), tests and
+    averages the windows of the controllers whose agent acts by row, once
+    per window table
+    (:meth:`~repro.core.observation.WindowTable.average_batch`),
     discretises and rewards them once per (state space, reward) group, and
     runs :meth:`activate`, the batch form of
     :meth:`MamutController.apply_external_activation`: the owed updates
@@ -339,25 +342,28 @@ class MamutBatch:
     least-tried sets, each as array operations per pool.  Only each agent's
     own ``random()``/``integers()`` draws, where the scalar path draws, and
     Algorithm 1 for an agent in exploitation, after every array write, stay
-    per session.
+    per session; :meth:`activate` clears the acting controllers' windows by
+    row.
 
     One instance serves a run's rosters one after another.  A controller's
-    :meth:`row` (its schedule group, its (state space, reward) group and its
-    agents' pool ids and slots) is fixed for its life, so the caller reads
-    it once and carries it.  What the agents apply and are owed lives in
-    their slots (``current``, ``pending``), which both forms read and write:
+    :meth:`row` (its schedule group, its (state space, reward) group, its
+    agents' pool ids and slots, and its window's table and row) is fixed
+    for its life, so the caller reads it once and carries it.  What the
+    agents apply and are owed lives in their slots (``current``,
+    ``pending``), which both forms read and write:
     a controller may decide on the scalar form in or out of a roster, and
     only its entry of :attr:`values` is stale until the next :meth:`roster`.
 
-    Sessions only touch their own agents and generators, so the result is
-    bitwise that of the scalar calls per controller, in any order.  Besides
-    the controllers the instance keeps only caches: the grouping tables,
-    the roster's pool ids and slots and the current decisions
-    (:attr:`values`, one float array per agent of :data:`AGENT_NAMES`).
+    Sessions only touch their own agents, generators and windows, so the
+    result is bitwise that of the scalar calls per controller, in any order.
+    Besides the controllers the instance keeps only caches: the grouping
+    tables, the roster's pool ids, slots and window rows and the current
+    decisions (:attr:`values`, one float array per agent of
+    :data:`AGENT_NAMES`).
     """
 
     #: Entries of a :meth:`row`.
-    ROW_WIDTH = 2 + 2 * len(AGENT_NAMES)
+    ROW_WIDTH = 4 + 2 * len(AGENT_NAMES)
 
     def __init__(self) -> None:
         # Grouping tables, one entry per distinct key, in first-seen order.
@@ -367,12 +373,17 @@ class MamutBatch:
         self._models: list[tuple] = []
         self._pool_index: dict = {}
         self.pools: list = []
+        self._table_index: dict = {}
+        #: The window tables the rows name.
+        self.tables: list = []
         self._action_values = np.zeros((0, 0))
         self.roster([], [])
 
     def row(self, ctl: MamutController) -> list[int]:
         """``ctl``'s row: its schedule group, its (state space, reward) group,
-        then its agents' pool ids and slots, in :data:`AGENT_NAMES` order."""
+        its agents' pool ids and slots, in :data:`AGENT_NAMES` order, then its
+        window's table (an index into :attr:`tables`) and row."""
+        window = ctl.window
         return [
             _intern(self._schedule_ids, self._schedule_table, ctl.schedule.key, ctl.schedule),
             _intern(
@@ -383,6 +394,8 @@ class MamutBatch:
             ),
             *[_intern(self._pool_index, self.pools, pool, pool) for pool in ctl.agent_pools],
             *ctl.agent_slots,
+            _intern(self._table_index, self.tables, window.table, window.table),
+            window.row,
         ]
 
     def roster(self, controllers: Sequence[MamutController], rows: np.ndarray) -> None:
@@ -413,7 +426,8 @@ class MamutBatch:
         # together.
         self._model_of = rows[:, 1]
         self.pool_ids = rows[:, 2 : 2 + width]
-        self.slots = rows[:, 2 + width :]
+        self.slots = rows[:, 2 + width : 2 + 2 * width]
+        self._window_of, self._window_rows = rows[:, 2 + 2 * width :].T
         slot = self.slots.ravel()
         current = np.empty(len(slot), dtype=np.int64)
         for pool, positions in self._by_pool(self.pool_ids.ravel()):
@@ -422,6 +436,15 @@ class MamutBatch:
         self.values = [
             self._action_values[self.pool_ids[:, gid], current[:, gid]]
             for gid in range(width)
+        ]
+
+    def windows(self, lanes=slice(None)) -> list[tuple]:
+        """``(table, positions, rows)`` per window table of the controllers at
+        ``lanes``: ``positions`` index ``lanes``, ``rows`` are their windows'."""
+        rows = self._window_rows[lanes]
+        return [
+            (self.tables[tid], members, rows[members])
+            for tid, members in _members(self._window_of[lanes])
         ]
 
     def decide(self, frame_indices: np.ndarray) -> None:
@@ -435,15 +458,15 @@ class MamutBatch:
         for schedule, ids, members in self._schedules:
             agent_ids[members] = ids[schedule.agent_at_batch(frames[members])]
         # A scheduled agent acts only on a non-empty window.
-        controllers = self.controllers
-        acting = [
-            j for j in np.flatnonzero(agent_ids >= 0).tolist() if controllers[j].window.count
-        ]
-        if acting:
-            lanes = np.array(acting, dtype=np.int64)
-            averaged = ObservationWindow.average_batch(
-                [controllers[j].window for j in acting]
-            )
+        scheduled = np.flatnonzero(agent_ids >= 0)
+        counts = np.empty(len(scheduled), dtype=np.int64)
+        for table, members, rows in self.windows(scheduled):
+            counts[members] = table.counts[rows]
+        lanes = scheduled[counts > 0]
+        if len(lanes):
+            averaged = np.empty((4, len(lanes)))
+            for table, members, rows in self.windows(lanes):
+                averaged[:, members] = table.average_batch(rows)
             states = np.empty(len(lanes), dtype=np.int64)
             rewards = np.empty(len(lanes))
             model_of = self._model_of[lanes]
@@ -570,16 +593,17 @@ class MamutBatch:
                 names[k], agents[k], states[k], Phase.EXPLOITATION, frame_indices[k]
             )
 
-        # 3c. What the acting agents' slots and the controllers keep.
+        # 3c. What the acting agents' slots, windows and controllers keep.
         picked = np.array(chosen, dtype=np.int64)
         for pool, group in acting:
             at = slot[group]
             pool.current[at] = picked[group]
             pool.pending[at, 0] = current_states[group]
             pool.pending[at, 1] = picked[group]
+        for table, _, rows in self.windows(lanes):
+            table.clear_batch(rows)
         rewarded = owes.any(axis=1).tolist()
         for k, (ctl, name, action) in enumerate(zip(controllers, names, chosen)):
-            ctl.window.clear()
             if ctl.config.record_history:
                 ctl.history.append(
                     AgentActivation(

@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_GAMMA
 from repro.core.learning_rate import LearningRateFunction, LearningRateParameters
+from repro.core.observation import WindowTable
 from repro.core.phases import Phase
 from repro.errors import LearningError
 
@@ -554,16 +555,23 @@ def _check_distinct(slot: np.ndarray) -> None:
 
 
 class LearningStore:
-    """The pools of every agent built against one store.
+    """The pools of every agent built against one store, and their windows.
 
     A controller factory owns one store, so every controller it builds
     keeps its agents' learned state here; an agent built without a store
-    gets a private one.  Slots are never freed: a store lives as long as
-    whoever owns it, and so does everything its agents learned.
+    gets a private one.  The store also holds :attr:`windows`, the
+    observation window of each MAMUT controller built against it, so the
+    batch engine adds a fleet's frames to their windows, and averages and
+    clears them, as array operations.  Windows are not learned state: they
+    hold the frames a controller saw since it last acted.  Slots and rows
+    are never freed: a store lives as long as whoever owns it, and so does
+    everything its agents learned.
     """
 
     def __init__(self) -> None:
         self._pools: dict[tuple, AgentPool] = {}
+        #: One row per MAMUT controller built against the store.
+        self.windows = WindowTable()
 
     def pool(
         self,

@@ -5,14 +5,22 @@ calls per session and step:
 
 1. :meth:`TranscodingSession.decide` runs the controller for the next frame
    and remembers its decision;
-2. :meth:`TranscodingSession.commit` stores the frame's record in the
-   session's block of its :class:`~repro.metrics.records.FrameLedger`,
-   advances to the next frame (or the next video of the playlist) and,
-   while the session is still active, adds the frame's measurements to the
-   controller's observation window.  :meth:`TranscodingSession.commit_batch`
-   is its batch form, for many sessions at once.  These are the only places
-   a frame is observed, so the window a controller averages is the same on
-   either engine.
+2. :meth:`TranscodingSession.commit` stores the frame's record at the
+   cursor of the session's block of its
+   :class:`~repro.metrics.records.FrameLedger`, advances the cursor (moving
+   to the next video of the playlist when the frame was its video's last)
+   and, while the session is still active, adds the frame's measurements
+   to the controller's observation window.
+   :meth:`TranscodingSession.commit_batch` is its batch form, for many
+   sessions at once: a few array operations per ledger and per window
+   table, and per-session Python only for sessions whose video ended and
+   for controllers whose windows are not batched.  These are the only
+   places a frame is observed, so the window a controller averages is the
+   same on either engine.
+
+A session's progress is its ledger cursor: :attr:`TranscodingSession.step`
+counts the rows it wrote, and :attr:`TranscodingSession.frame_index` is the
+cursor's distance from the row of the current video's frame 0.
 
 The scalar engine wraps the pair: :meth:`TranscodingSession.prepare` decides
 and returns the resource demand the server needs for its allocation, and
@@ -23,7 +31,7 @@ math fleet-wide in one NumPy batch and commits every session's results
 with one ``commit_batch`` call.
 Sessions running a stock MAMUT controller skip ``decide`` and only commit:
 the engine decides for all of them at once
-(:meth:`~repro.core.mamut.MamutBatch.decide`), reading their windows itself.
+(:meth:`~repro.core.mamut.MamutBatch.decide`), reading their windows by row.
 """
 
 from __future__ import annotations
@@ -74,8 +82,8 @@ class TranscodingSession:
         instead of replaying it from the start.
     ledger:
         The run's frame ledger, in which the session reserves one block of
-        rows, one per frame left in its playlist; a private ledger is made
-        when omitted.
+        rows, one per frame left in its playlist, and keeps its cursor; a
+        private ledger is made when omitted.
 
     ``records`` is a live, read-only view of the committed frames: it
     grows with every commit and builds a
@@ -113,15 +121,16 @@ class TranscodingSession:
         #: True while there are frames left to transcode.  Kept beside
         #: ``_video_index``, which only ``_next_video`` and ``terminate`` move.
         self.active = True
-        self._frame_index = start_frame_index
-        self._video_frames = len(self.playlist[0])
         self._pending: Optional[Decision] = None
-        # The session's block of the ledger: rows _first_row to _end_row,
-        # the next frame going to _row.
-        self._ledger = ledger if ledger is not None else FrameLedger()
-        frames = self.total_frames - start_frame_index
-        self._first_row = self._row = self._ledger.reserve(frames)
-        self._end_row = self._first_row + frames
+        #: The session's ledger and its block there, whose cursor is the row
+        #: the next frame goes to.
+        self.ledger = ledger if ledger is not None else FrameLedger()
+        self.block = self.ledger.reserve(self.total_frames - start_frame_index)
+        #: The block's first row: the cursor minus :attr:`step`.
+        self.first_row = int(self.ledger.cursors[self.block])
+        # The row of the current video's frame 0 (before the block for a
+        # resumed start); only _next_video and terminate move it.
+        self._base = self.first_row - start_frame_index
 
     # -- identity / progress --------------------------------------------------------
 
@@ -140,12 +149,12 @@ class TranscodingSession:
     @property
     def step(self) -> int:
         """Number of frames transcoded so far (across the whole playlist)."""
-        return self._row - self._first_row
+        return int(self.ledger.cursors[self.block]) - self.first_row
 
     @property
     def records(self) -> FrameRecordView:
         """The committed frames' records, in step order (a live view)."""
-        return FrameRecordView(self._ledger, self, self._first_row)
+        return FrameRecordView(self.ledger, self, self.first_row)
 
     @property
     def video_index(self) -> int:
@@ -155,7 +164,12 @@ class TranscodingSession:
     @property
     def frame_index(self) -> int:
         """Index of the next frame within the current video."""
-        return self._frame_index
+        return int(self.ledger.cursors[self.block]) - self._base
+
+    @property
+    def video_base(self) -> int:
+        """Ledger row of the current video's frame 0: the cursor minus :attr:`frame_index`."""
+        return self._base
 
     @property
     def total_frames(self) -> int:
@@ -175,10 +189,11 @@ class TranscodingSession:
         """
         self._video_index = len(self.playlist)
         self.active = False
-        self._frame_index = 0
         self._pending = None
-        # Close the ledger block, so no later commit can write to it.
-        self._end_row = self._row
+        # Close the ledger block at the cursor, so no later commit can write
+        # to it; the frame index reads 0.
+        ledger = self.ledger
+        self._base = ledger.ends[self.block] = int(ledger.cursors[self.block])
 
     def preset_for(self, video: VideoSequence) -> Preset:
         """Encoder preset used for a given video."""
@@ -207,22 +222,23 @@ class TranscodingSession:
     def commit(self, record: FrameRecord) -> None:
         """Close the step: record the frame and advance the playlist.
 
-        The record's per-frame fields go to the session's next ledger row;
-        its session id, step, video name, resolution class and target FPS
-        are the session's own.  The frame's fps, PSNR, bitrate and server
-        power join the controller's observation window, after a video change
-        has reset the controller, so the next decision of a still-active
-        session sees them.  Sessions whose controller decides out-of-band
-        (the batch engine's :class:`~repro.core.mamut.MamutBatch`) commit
-        without a preceding :meth:`decide`.
+        The record's per-frame fields go to the ledger row at the session's
+        cursor, and the cursor moves to the next row; the record's session
+        id, step, video name, resolution class and target FPS are the
+        session's own.  The frame's fps, PSNR, bitrate and server power join
+        the controller's observation window, after a video change has reset
+        the controller, so the next decision of a still-active session sees
+        them.  Sessions whose controller decides out-of-band (the batch
+        engine's :class:`~repro.core.mamut.MamutBatch`) commit without a
+        preceding :meth:`decide`.
         """
         if not self.active:
             raise ScenarioError(f"session {self.session_id!r} has finished")
-        row = self._row
-        if row >= self._end_row:
+        ledger, block = self.ledger, self.block
+        row = int(ledger.cursors[block])
+        if row >= ledger.ends[block]:
             raise ScenarioError(self._past_block())
         self._pending = None
-        ledger = self._ledger
         ledger.ints[row] = (record.frame_index, record.qp, record.threads, self._video_index)
         ledger.floats[row] = (
             record.frequency_ghz,
@@ -232,11 +248,10 @@ class TranscodingSession:
             record.encode_time_s,
             record.power_w,
         )
-        self._row = row + 1
-        frame = self._frame_index + 1
-        if frame < self._video_frames:
-            self._frame_index = frame
-        elif not self._next_video():
+        ledger.cursors[block] = row = row + 1
+        if row - self._base >= len(self.playlist[self._video_index]) and not self._next_video(
+            row
+        ):
             return
         self.controller.window.add(
             record.fps, record.psnr_db, record.bitrate_mbps, record.power_w
@@ -245,7 +260,12 @@ class TranscodingSession:
     @staticmethod
     def commit_batch(
         sessions: Sequence["TranscodingSession"],
-        frame_index: Sequence[int],
+        ledgers: Sequence[tuple],
+        windows: Sequence[tuple],
+        per_session: Sequence[int],
+        video_index: np.ndarray,
+        frame_index: np.ndarray,
+        video_frames: np.ndarray,
         qp: np.ndarray,
         threads: np.ndarray,
         frequency_ghz: np.ndarray,
@@ -254,52 +274,70 @@ class TranscodingSession:
         bitrate_mbps: np.ndarray,
         encode_time_s: np.ndarray,
         power_w: np.ndarray,
-    ) -> list[int]:
+    ) -> tuple[list[int], list[int]]:
         """:meth:`commit` for many sessions at once (the batch engine's scatter).
 
-        Every argument after ``sessions`` holds one value per session, the
-        fields of the frame :meth:`commit` would take.  The frames go to
-        their sessions' ledgers as one block write per ledger, then one
-        loop moves each session's counters and observation window forward
-        exactly as :meth:`commit` does.  Nothing is written or moved when
-        any session has no row left in its block (it finished, or its
-        playlist grew).  Returns the positions of the sessions that started
-        a new video and are still active.
-        """
-        rows = np.array([session._row for session in sessions])
-        past = np.flatnonzero(rows >= [session._end_row for session in sessions])
-        if len(past):
-            raise ScenarioError(sessions[past[0]]._past_block())
-        ints = np.array(
-            (frame_index, qp, threads, [session._video_index for session in sessions])
-        ).T
-        floats = np.array(
-            (frequency_ghz, fps, psnr_db, bitrate_mbps, encode_time_s, power_w)
-        ).T
-        for ledger, positions in _ledger_groups(sessions):
-            ledger.ints[rows[positions]] = ints[positions]
-            ledger.floats[rows[positions]] = floats[positions]
+        Every array holds one value per session: its current video's index,
+        the frame's index and the video's length, then the fields of the
+        frame :meth:`commit` would take.  ``ledgers`` holds ``(ledger,
+        positions, blocks)`` for each ledger the sessions write to: the
+        sessions at ``positions`` and their blocks there.  ``windows`` holds
+        ``(table, positions, rows)`` for each window table whose rows are
+        the windows of the sessions' controllers; the frames of the sessions
+        at ``per_session`` go to their controllers' windows one at a time,
+        and their pending decisions are dropped (the sessions whose
+        controllers decide one at a time).
 
-        moved = []
-        for position, session, fps_, psnr_, bitrate_, power_ in zip(
-            range(len(sessions)),
-            sessions,
-            fps.tolist(),
-            psnr_db.tolist(),
-            bitrate_mbps.tolist(),
-            power_w.tolist(),
-        ):
-            session._pending = None
-            session._row += 1
-            frame = session._frame_index + 1
-            if frame < session._video_frames:
-                session._frame_index = frame
-            elif session._next_video():
-                moved.append(position)
-            else:
-                continue
-            session.controller.window.add(fps_, psnr_, bitrate_, power_)
-        return moved
+        Per ledger, one block write stores the frames at the cursors and
+        one more advances them; per window table, one addition adds the
+        frames of the sessions still active.  Only the sessions whose video
+        ended move on one at a time, before any window is added to.
+        Nothing is written or moved when any session has no row left in its
+        block (it finished, or its playlist grew).  Returns the positions of
+        the sessions that started a new video and are still active, and of
+        those that finished.
+        """
+        rows = np.empty(len(sessions), dtype=np.int64)
+        for ledger, positions, blocks in ledgers:
+            at = rows[positions] = ledger.cursors[blocks]
+            past = np.flatnonzero(at >= ledger.ends[blocks])
+            if len(past):
+                lane = np.arange(len(sessions))[positions][past[0]]
+                raise ScenarioError(sessions[lane]._past_block())
+        ints = np.stack((frame_index, qp, threads, video_index), axis=1)
+        floats = np.stack(
+            (frequency_ghz, fps, psnr_db, bitrate_mbps, encode_time_s, power_w), axis=1
+        )
+        for ledger, positions, blocks in ledgers:
+            at = rows[positions]
+            ledger.ints[at] = ints[positions]
+            ledger.floats[at] = floats[positions]
+            ledger.cursors[blocks] = at + 1
+
+        moved, finished = [], []
+        for lane in np.flatnonzero(frame_index + 1 >= video_frames).tolist():
+            session = sessions[lane]
+            (moved if session._next_video(int(rows[lane]) + 1) else finished).append(lane)
+        observed = (fps, psnr_db, bitrate_mbps, power_w)
+        active = None
+        if finished:
+            active = np.ones(len(sessions), dtype=bool)
+            active[finished] = False
+        for table, positions, window_rows in windows:
+            frames = [column[positions] for column in observed]
+            if active is not None:
+                keep = active[positions]
+                window_rows = window_rows[keep]
+                frames = [column[keep] for column in frames]
+            table.add_batch(window_rows, *frames)
+        if per_session:
+            values = [column.tolist() for column in observed]
+            for lane in per_session:
+                session = sessions[lane]
+                session._pending = None
+                if session.active:
+                    session.controller.window.add(*(column[lane] for column in values))
+        return moved, finished
 
     @staticmethod
     def last_frame_violations(sessions: Sequence["TranscodingSession"]) -> int:
@@ -309,30 +347,35 @@ class TranscodingSession:
         """
         if not sessions:
             return 0
-        rows = np.array([session._row - 1 for session in sessions])
+        blocks = np.array([session.block for session in sessions])
         targets = np.array([session.request.target_fps for session in sessions])
         return ordered_sum(
-            ledger.violations(rows[positions], targets[positions])
+            ledger.violations(ledger.cursors[blocks[positions]] - 1, targets[positions])
             for ledger, positions in _ledger_groups(sessions)
         )
 
-    def _next_video(self) -> bool:
-        """Move to the next video of the playlist; False when none is left."""
-        self._frame_index = 0
+    def _next_video(self, base: int) -> bool:
+        """Move to the next video of the playlist, whose frame 0 goes to row
+        ``base``; False when none is left.
+
+        The video left behind is released: nothing reads its content again.
+        """
+        self.playlist[self._video_index].release()
+        self._base = base
         self._video_index += 1
         self.active = self._video_index < len(self.playlist)
         if not self.active:
             return False
         # A new video starts: clear the controller's per-video transient
         # state while keeping its learned knowledge (Scenario II).
-        self._video_frames = len(self.playlist[self._video_index])
         self.controller.reset()
         return True
 
     def _past_block(self) -> str:
+        frames = int(self.ledger.ends[self.block]) - self.first_row
         return (
             f"session {self.session_id!r} has no row left in its frame ledger "
-            f"block of {self._end_row - self._first_row} frames (it finished, "
+            f"block of {frames} frames (it finished, "
             "or its playlist grew after it was built)"
         )
 
@@ -352,7 +395,7 @@ class TranscodingSession:
         decision = self.decide()
         video = self.current_video
         activity = self.transcoder.activity_factor(
-            video[self._frame_index], self._encoder_config(decision, video)
+            video[self.frame_index], self._encoder_config(decision, video)
         )
         return SessionDemand(
             session_id=self.session_id,
@@ -367,7 +410,7 @@ class TranscodingSession:
         if decision is None:
             raise ScenarioError("execute() called without a preceding prepare()")
         video = self.current_video
-        frame = video[self._frame_index]
+        frame = video[self.frame_index]
         result = self.transcoder.transcode_frame(
             frame,
             self._encoder_config(decision, video),
@@ -401,7 +444,7 @@ def _ledger_groups(sessions: Sequence[TranscodingSession]) -> list[tuple]:
     A run's sessions share one ledger, whose positions are a basic slice;
     sessions built by hand each have their own.
     """
-    ledgers = [session._ledger for session in sessions]
+    ledgers = [session.ledger for session in sessions]
     if ledgers.count(ledgers[0]) == len(ledgers):
         return [(ledgers[0], slice(None))]
     groups: dict[int, tuple] = {}

@@ -1,7 +1,8 @@
 """Per-frame and per-step measurement records.
 
 Committed frames are stored as columns in a :class:`FrameLedger`, one per
-run; a :class:`FrameRecordView` reads a session's block of it and builds a
+run, which also keeps each session's cursor into its block of rows; a
+:class:`FrameRecordView` reads a session's block and builds a
 :class:`FrameRecord` only when one is read.
 """
 
@@ -80,11 +81,17 @@ class FrameRecord:
 
 
 class FrameLedger:
-    """The frames of one run, stored as columns.
+    """The frames of one run, stored as columns, and a cursor per session.
 
     Each session reserves one contiguous block of rows when it is built,
     sized to the frames left in its playlist, and writes its ``k``-th
-    committed frame to the block's ``k``-th row.  A row holds only what
+    committed frame to the block's ``k``-th row.  ``cursors[block]`` is the
+    row the block's session writes its next frame to (it starts at the
+    block's first row), and ``ends[block]`` the row past the last one it
+    may write; the session's step and frame index are read from its
+    cursor, so the cursors are the engines' only frame counters.  Both
+    forms of a commit advance the cursors, the batch form for many blocks
+    with one array operation.  A row holds only what
     varies from frame to frame: four ints in ``ints`` (frame index, QP,
     threads and the frame's video index within the playlist) and six floats
     in ``floats`` (frequency, FPS, PSNR, bitrate, encode time and server
@@ -106,15 +113,22 @@ class FrameLedger:
         "power_w",
     )
 
-    __slots__ = ("ints", "floats", "reserved")
+    __slots__ = ("ints", "floats", "reserved", "cursors", "ends", "blocks")
 
     def __init__(self) -> None:
         self.ints = np.empty((0, 4), dtype=np.int64)
         self.floats = np.empty((0, len(self.FLOAT_COLUMNS)))
         self.reserved = 0
+        self.cursors = np.empty(1, dtype=np.int64)
+        self.ends = np.empty(1, dtype=np.int64)
+        #: Blocks reserved so far.
+        self.blocks = 0
 
     def reserve(self, rows: int) -> int:
-        """Reserve a block of ``rows`` rows; returns its first row."""
+        """Reserve a block of ``rows`` rows; returns the block.
+
+        The block's cursor starts at its first row.
+        """
         first = self.reserved
         self.reserved = end = first + rows
         capacity = len(self.ints)
@@ -125,7 +139,14 @@ class FrameLedger:
             ints[:first] = self.ints[:first]
             floats[:first] = self.floats[:first]
             self.ints, self.floats = ints, floats
-        return first
+        block = self.blocks
+        if block == len(self.cursors):
+            self.cursors = np.concatenate([self.cursors, np.empty(block, dtype=np.int64)])
+            self.ends = np.concatenate([self.ends, np.empty(block, dtype=np.int64)])
+        self.cursors[block] = first
+        self.ends[block] = end
+        self.blocks = block + 1
+        return block
 
     def violations(self, rows, targets) -> int:
         """How many of ``rows`` hold an FPS below the matching ``targets``."""

@@ -155,6 +155,7 @@ class TraceAnalysis:
         errors: list[str],
         steps: int,
         span_count: int,
+        degraded_dispatches: int = 0,
     ) -> None:
         self.lifecycles = lifecycles
         self.fault_events = fault_events
@@ -164,6 +165,9 @@ class TraceAnalysis:
         self.errors = errors
         self.steps = steps
         self.span_count = span_count
+        #: ``dispatched`` spans marked degraded, retries included (a
+        #: request's lifecycle keeps only whether any of its was).
+        self.degraded_dispatches = degraded_dispatches
 
     # -- ledger ------------------------------------------------------------------------
 
@@ -262,7 +266,11 @@ class TraceAnalysis:
         exactly one ``served`` or ``failed`` span, so ``served`` must equal
         ``admitted - failed``; the queue-wait population must match the
         ledger's in count, mean, max and percentiles (same percentile
-        arithmetic on both sides, so equality is exact).  Frames are only
+        arithmetic on both sides, so equality is exact).  Each fault kind
+        the summary counts (crashes, stragglers, warm-up failures, zone
+        outages) must match its ``fault`` spans, and the degraded
+        dispatches, retries included, the summary's degraded sessions.
+        Frames are only
         reconciled on crash-free traces: a migrated session's partial
         records live under the crashed server's original key, which the
         terminal span does not see.
@@ -302,6 +310,8 @@ class TraceAnalysis:
             crash_faults.get("warmup_failure", 0),
             summary.warmup_failures,
         )
+        check("failed domains", crash_faults.get("zone_outage", 0), summary.failed_domains)
+        check("degraded sessions", self.degraded_dispatches, summary.degraded_sessions)
         if self.interrupted == 0:
             check(
                 "frames",
@@ -347,6 +357,7 @@ def analyze_trace(source) -> TraceAnalysis:
     slo_breaches: list[dict] = []
     errors: list[str] = []
     steps = 0
+    degraded_dispatches = 0
 
     for span in spans:
         kind = span.get("kind")
@@ -390,6 +401,7 @@ def analyze_trace(source) -> TraceAnalysis:
             lifecycle.servers = lifecycle.servers + (span.get("server"),)
             if span.get("degraded"):
                 lifecycle.degraded = True
+                degraded_dispatches += 1
             if "retry" in span:
                 lifecycle.retries += 1
                 # The gap since the interruption is the retry's latency bill.
@@ -425,4 +437,5 @@ def analyze_trace(source) -> TraceAnalysis:
         errors=errors,
         steps=steps,
         span_count=len(spans),
+        degraded_dispatches=degraded_dispatches,
     )

@@ -106,7 +106,8 @@ class VideoSequence:
 
     The content is drawn from ``ContentModel(profile, seed)`` on its first
     read (the columns, indexing, iteration, :attr:`frames`,
-    :attr:`mean_complexity` or :attr:`mean_motion`) and kept.  Each
+    :attr:`mean_complexity` or :attr:`mean_motion`) and kept until
+    :meth:`release`.  Each
     sequence owns its seed, so the order in which sequences are first read
     moves no stream.  ``len``, the name, the resolution and the other
     static attributes never draw.
@@ -146,6 +147,14 @@ class VideoSequence:
     def _columns(self) -> tuple:
         """(complexity, motion, scene change), drawn on the first read."""
         return ContentModel(self.profile, seed=self.seed).columns(self._num_frames)
+
+    def release(self) -> None:
+        """Drop the drawn content; the next read draws it again, from the same seed.
+
+        A session releases each video it has finished, so a long run does
+        not keep the content of every video it served.
+        """
+        self.__dict__.pop("_columns", None)
 
     # -- container protocol -------------------------------------------------
 

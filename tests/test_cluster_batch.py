@@ -985,6 +985,101 @@ class TestCarriedRoster:
             BatchStepper([orchestrator], previous=carried)
 
 
+class _ReadingStepper(BatchStepper):
+    """A stepper that re-reads every orchestrator's roster on every step."""
+
+    def step(self, step):
+        self._stale = True
+        return super().step(step)
+
+
+#: One round of roster edits, then steps: sessions that join (server,
+#: controller, videos, frames per video, start frame), a running session
+#: killed in place, and the steps to take.
+_EDITS = st.tuples(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(["eager", "static"]),
+            st.integers(1, 2),
+            st.integers(1, 4),
+            st.integers(0, 3),
+        ),
+        max_size=3,
+    ),
+    st.one_of(st.none(), st.integers(0, 63)),
+    st.integers(1, 5),
+)
+
+
+class TestLazyRosterReads:
+    """A stepper re-reads rosters only after a join, a finish or a kill.
+
+    Random ``add_session`` edits, videos that end, sessions that finish and
+    sessions killed in place (``terminate``) between steps: the stepper
+    must step the same sessions, to the same records, samples and
+    controller states, as one that re-reads every roster on every step,
+    and read fewer rosters.
+    """
+
+    @staticmethod
+    def replay(script, stepper_type):
+        factories = {
+            "eager": _eager_mamut_factory(),
+            "static": static_factory(qp=32, threads=4, frequency_ghz=2.4),
+        }
+        orchestrators = [Orchestrator() for _ in range(3)]
+        reads = collections.Counter()
+        for orch in orchestrators:
+            read = orch.active_sessions
+
+            def counted(read=read):
+                reads["rosters"] += 1
+                return read()
+
+            orch.active_sessions = counted
+        stepper = stepper_type(orchestrators)
+        sessions, trace = [], []
+        for joins, kill, steps in script:
+            for server, controller, videos, frames, start in joins:
+                n = len(sessions)
+                playlist = [
+                    random_sequence(ResolutionClass.LR, rng=5 * n + v, num_frames=frames)
+                    for v in range(videos)
+                ]
+                request = TranscodingRequest(user_id=f"user-{n}", sequence=playlist[0])
+                session = TranscodingSession(
+                    request,
+                    factories[controller](request, n),
+                    playlist=playlist,
+                    start_frame_index=start % frames,
+                )
+                orchestrators[server].add_session(session)
+                sessions.append(session)
+            running = [session for session in sessions if session.active]
+            if kill is not None and running:
+                running[kill % len(running)].terminate()
+            for _ in range(steps):
+                before = [session.step for session in sessions]
+                samples = stepper.step(len(trace))
+                stepped = [
+                    k for k, session in enumerate(sessions) if session.step != before[k]
+                ]
+                trace.append((stepped, samples, stepper.violations, list(stepper.still_active)))
+        states = [
+            (session.records, _controller_state(session.controller)) for session in sessions
+        ]
+        return trace, states, reads["rosters"]
+
+    @given(script=st.lists(_EDITS, min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_and_eager_reads_step_the_same_sessions(self, script):
+        trace, states, reads = self.replay(script, BatchStepper)
+        eager_trace, eager_states, eager_reads = self.replay(script, _ReadingStepper)
+        assert trace == eager_trace
+        assert states == eager_states
+        assert reads <= eager_reads
+
 class TestRosterWork:
     """A roster change reads only the sessions and controllers that joined.
 

@@ -1080,6 +1080,51 @@ def run_ledger_checked(engine, fleet, max_drain_steps):
     return sink.spans
 
 
+class TestReconcileFaultFields:
+    """``reconcile`` checks the zone outages and degraded dispatches too."""
+
+    #: 4 servers in 3 zones under crash and zone MTBFs, one scheduled zone
+    #: kill and brownout: zone outages and degraded dispatches (retries
+    #: included) both happen within 24 steps.
+    FLEET = {
+        "servers": 4,
+        "autoscaler": "reactive",
+        "warmup": 1,
+        "brownout": True,
+        "seed": 11,
+        "faults": FaultConfig(
+            crash_mtbf_steps=12.0,
+            crash_mttr_steps=2.0,
+            straggler_mtbf_steps=None,
+            warmup_failure_rate=0.0,
+            max_retries=2,
+            retry_backoff_steps=1,
+            seed=5,
+            topology=FailureTopology(zones=3, seed=3),
+            zone_mtbf_steps=15.0,
+            zone_mttr_steps=4.0,
+            kill_schedule=KillSchedule((KillEntry(zone=1, step=6, duration=3),)),
+        ),
+    }
+
+    def test_a_summary_the_trace_contradicts_is_named(self):
+        sink = ListTraceSink()
+        cluster = build_chaos_fleet("batch", self.FLEET)
+        summary = cluster.run(24, telemetry=TelemetryConfig(trace_sink=sink)).summary()
+        analysis = analyze_trace(sink)
+        assert summary.failed_domains > 0
+        degraded_requests = sum(lc.degraded for lc in analysis.lifecycles.values())
+        assert summary.degraded_sessions > degraded_requests  # retries re-degrade
+        assert analysis.reconcile(summary) == []
+        for field, label in (
+            ("failed_domains", "failed domains"),
+            ("degraded_sessions", "degraded sessions"),
+        ):
+            raised = dataclasses.replace(summary, **{field: getattr(summary, field) + 1})
+            mismatches = analysis.reconcile(raised)
+            assert len(mismatches) == 1 and mismatches[0].startswith(f"{label}:")
+
+
 class TestRequestLedger:
     """Each request has one terminal span, counted once: the span stream,
     the Prometheus counters and the fleet trace agree with the ledger."""

@@ -6,8 +6,9 @@ result's ``records_by_server`` are
 :class:`~repro.metrics.records.FrameRecordView` objects over it.  These
 tests pin the views' sequence semantics against the tuples they replace,
 the scalar ``commit`` against its batch form ``commit_batch`` (bitwise, on
-every field the two forms move), and the cluster summary over views against
-the same records as plain tuples.
+every field the two forms move: ledger rows and cursors, progress and
+observation windows), and the cluster summary over views against the same
+records as plain tuples.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from hypothesis import strategies as st
 from engine_fixtures import compensated_sum
 from repro.baselines.static import StaticController
 from repro.cluster import ClusterOrchestrator, PoissonTraffic, WorkloadGenerator
+from repro.core.mamut import MamutController
+from repro.core.store import LearningStore
 from repro.errors import ScenarioError
 from repro.manager.session import TranscodingSession
 from repro.metrics.cluster import ClusterResult, summarize_cluster
@@ -44,8 +47,27 @@ class _CountingController(StaticController):
         self.resets += 1
 
 
+class _CountingMamut(MamutController):
+    """A MAMUT controller that counts its per-video resets; its window is a
+    row of its store's window table."""
+
+    def __init__(self, store: LearningStore) -> None:
+        super().__init__(store=store)
+        self.resets = 0
+
+    def reset(self) -> None:
+        super().reset()
+        self.resets += 1
+
+
 def make_session(
-    name="u0", lengths=(6,), start_frame_index=0, ledger=None, target_fps=24.0, seed=0
+    name="u0",
+    lengths=(6,),
+    start_frame_index=0,
+    ledger=None,
+    target_fps=24.0,
+    seed=0,
+    controller=None,
 ) -> TranscodingSession:
     videos = [
         make_sequence("Kimono", num_frames=n, seed=seed + i) for i, n in enumerate(lengths)
@@ -53,7 +75,7 @@ def make_session(
     request = TranscodingRequest(user_id=name, sequence=videos[0], target_fps=target_fps)
     return TranscodingSession(
         request,
-        _CountingController(),
+        controller if controller is not None else _CountingController(),
         playlist=videos,
         start_frame_index=start_frame_index,
         ledger=ledger,
@@ -67,6 +89,38 @@ def run_scalar(session: TranscodingSession, frames: int) -> list[FrameRecord]:
         session.prepare()
         records.append(session.execute(1.0 / (1.0 + k), 80.0 + k))
     return records
+
+
+def commit_all(sessions, fields: dict, per_session=None) -> tuple[list[int], list[int]]:
+    """``commit_batch`` over ``sessions``, laid out as the batch engine lays
+    them out: one group per ledger and per window table.  The sessions at
+    ``per_session`` (by default those whose controller is not a MAMUT one)
+    add to their windows one at a time."""
+    if per_session is None:
+        per_session = [
+            k for k, session in enumerate(sessions)
+            if not isinstance(session.controller, MamutController)
+        ]
+    ledgers, windows = {}, {}
+    for k, session in enumerate(sessions):
+        group = ledgers.setdefault(id(session.ledger), (session.ledger, [], []))
+        group[1].append(k)
+        group[2].append(session.block)
+        if k not in per_session:
+            window = session.controller.window
+            group = windows.setdefault(id(window.table), (window.table, [], []))
+            group[1].append(k)
+            group[2].append(window.row)
+    return TranscodingSession.commit_batch(
+        sessions,
+        [(ledger, np.array(at), np.array(blocks)) for ledger, at, blocks in ledgers.values()],
+        [(table, np.array(at), np.array(rows)) for table, at, rows in windows.values()],
+        per_session,
+        np.array([session.video_index for session in sessions]),
+        np.array([session.frame_index for session in sessions]),
+        np.array([len(session.current_video) for session in sessions]),
+        **fields,
+    )
 
 
 def frame_fields(rng: np.random.Generator, n: int) -> dict:
@@ -206,9 +260,7 @@ class TestBlockBounds:
         before = ledger.floats.copy(), ledger.ints.copy()
         fields = frame_fields(np.random.default_rng(0), 2)
         with pytest.raises(ScenarioError, match="grown"):
-            TranscodingSession.commit_batch(
-                [neighbour, session], [neighbour.frame_index, session.frame_index], **fields
-            )
+            commit_all([neighbour, session], fields)
         assert (neighbour.step, session.step) == (1, 2)
         assert neighbour.controller.window.count == 1
         assert ledger.floats.tobytes() == before[0].tobytes()
@@ -218,10 +270,19 @@ class TestBlockBounds:
     def test_terminated_session_takes_no_commit(self):
         session = make_session(lengths=(4,))
         run_scalar(session, 1)
-        session.terminate()
         fields = frame_fields(np.random.default_rng(0), 1)
-        with pytest.raises(ScenarioError):
-            TranscodingSession.commit_batch([session], [0], **fields)
+        layout = (
+            [(session.ledger, np.array([0]), np.array([session.block]))],
+            [],
+            [0],
+            np.array([0]),
+            np.array([session.frame_index]),
+            np.array([4]),
+        )
+        session.terminate()
+        assert session.frame_index == 0
+        with pytest.raises(ScenarioError, match="no row left"):
+            TranscodingSession.commit_batch([session], *layout, **fields)
         assert len(session.records) == 1
 
 
@@ -230,9 +291,10 @@ _SESSION_SPECS = st.lists(
         st.lists(st.integers(1, 4), min_size=1, max_size=3),  # video lengths
         st.integers(0, 3),  # start frame (clipped to the first video)
         st.integers(0, 1),  # ledger
+        st.integers(0, 2),  # controller: MAMUT of store 0 or 1, or static
     ),
     min_size=1,
-    max_size=5,
+    max_size=6,
 )
 
 
@@ -254,6 +316,7 @@ class TestCommitBatchPairsCommit:
     @staticmethod
     def build(specs):
         ledgers = [FrameLedger(), FrameLedger()]
+        stores = [LearningStore(), LearningStore()]
         sessions = [
             make_session(
                 name=f"u{k}",
@@ -262,10 +325,23 @@ class TestCommitBatchPairsCommit:
                 ledger=ledgers[which],
                 target_fps=20.0 + k,
                 seed=10 * k,
+                controller=_CountingMamut(stores[kind]) if kind < 2 else None,
             )
-            for k, (lengths, start, which) in enumerate(specs)
+            for k, (lengths, start, which, kind) in enumerate(specs)
         ]
         return sessions, ledgers
+
+    @staticmethod
+    def ledger_state(ledger: FrameLedger) -> tuple:
+        written = slice(0, ledger.reserved)
+        blocks = slice(0, ledger.blocks)
+        return (
+            ledger.reserved,
+            ledger.ints[written].tobytes(),
+            ledger.floats[written].tobytes(),
+            ledger.cursors[blocks].tolist(),
+            ledger.ends[blocks].tolist(),
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(specs=_SESSION_SPECS, seed=st.integers(0, 2**16))
@@ -280,14 +356,13 @@ class TestCommitBatchPairsCommit:
                 scalar[k].commit(record_of(scalar[k], fields, i))
             sessions = [batch[k] for k in lanes]
             videos = [session.video_index for session in sessions]
-            moved = TranscodingSession.commit_batch(
-                sessions, [session.frame_index for session in sessions], **fields
-            )
+            moved, finished = commit_all(sessions, fields)
             assert moved == [
                 i
                 for i, session in enumerate(sessions)
                 if session.active and session.video_index != videos[i]
             ]
+            assert finished == [i for i, session in enumerate(sessions) if not session.active]
             assert [_progress(batch[k]) for k in lanes] == [
                 _progress(scalar[k]) for k in lanes
             ]
@@ -295,27 +370,34 @@ class TestCommitBatchPairsCommit:
             assert repr(a.records) == repr(b.records)
             assert a.records == b.records
         for a, b in zip(scalar_ledgers, batch_ledgers):
-            assert a.reserved == b.reserved
-            written = slice(0, a.reserved)
-            assert a.ints[written].tobytes() == b.ints[written].tobytes()
-            assert a.floats[written].tobytes() == b.floats[written].tobytes()
+            assert self.ledger_state(a) == self.ledger_state(b)
 
     def test_cases_cover_boundaries_resumes_and_two_ledgers(self):
         # The cases the fuzz must reach, spelled out: a video boundary, a
-        # playlist end mid-run, a resumed session, and two ledgers in one call.
-        specs = [((2, 3), 1, 0), ((1,), 0, 1), ((3, 1, 2), 2, 0), ((4,), 0, 1)]
+        # playlist end mid-run, a resumed session, two ledgers and two window
+        # tables in one call, and a controller whose window is added to one
+        # at a time.
+        specs = [
+            ((2, 3), 1, 0, 0),
+            ((1,), 0, 1, 1),
+            ((3, 1, 2), 2, 0, 2),
+            ((4,), 0, 1, 0),
+            ((2,), 0, 0, 1),
+        ]
         batch, ledgers = self.build(specs)
         assert batch[2].frame_index == 2
-        fields = frame_fields(np.random.default_rng(0), 4)
-        moved = TranscodingSession.commit_batch(
-            batch, [session.frame_index for session in batch], **fields
-        )
+        tables = {id(session.controller.window.table) for session in batch}
+        assert len(tables) == 3
+        fields = frame_fields(np.random.default_rng(0), 5)
+        moved, finished = commit_all(batch, fields)
         # u0 moved from frame 1 of its first video to its second; u1 ended.
-        assert moved == [0, 2]
+        assert (moved, finished) == ([0, 2], [1])
         assert not batch[1].active
-        assert [session.controller.resets for session in batch] == [1, 0, 1, 0]
-        assert [len(session.records) for session in batch] == [1, 1, 1, 1]
-        assert [ledger.reserved for ledger in ledgers] == [4 + 4, 1 + 4]
+        assert [session.controller.resets for session in batch] == [1, 0, 1, 0, 0]
+        assert [session.controller.window.count for session in batch] == [1, 0, 1, 1, 1]
+        assert [len(session.records) for session in batch] == [1] * 5
+        assert [ledger.reserved for ledger in ledgers] == [4 + 4 + 2, 1 + 4]
+        assert [session.frame_index for session in batch] == [0, 0, 0, 1, 1]
         first = batch[0].playlist[0]
         assert batch[0].records[0] == FrameRecord(
             "u0",

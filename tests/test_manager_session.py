@@ -272,3 +272,43 @@ class TestDrivenStepProtocol:
         assert not session.active
         with pytest.raises(ScenarioError):
             session.commit(record)
+
+
+class TestReleasedVideos:
+    """A session releases each video it finishes, never one a retry resumes."""
+
+    @staticmethod
+    def drawn(video) -> bool:
+        return "_columns" in vars(video)
+
+    def test_finished_videos_are_released(self):
+        session = make_session(num_frames=3, playlist_videos=2)
+        first, second = session.playlist
+        for _ in range(3):
+            session.prepare()
+            session.execute(1.0, 80.0)
+        assert session.video_index == 1
+        assert not self.drawn(first)
+        for _ in range(3):
+            session.prepare()
+            assert self.drawn(second)
+            session.execute(1.0, 80.0)
+        assert not session.active
+        assert not self.drawn(second)
+
+    def test_an_interrupted_video_is_kept_for_its_retry(self):
+        session = make_session(num_frames=6, playlist_videos=2)
+        for _ in range(4):
+            session.prepare()
+            session.execute(1.0, 80.0)
+        interrupted = session.current_video
+        columns = interrupted.complexity_column
+        session.terminate()
+        assert self.drawn(interrupted)
+        retry = TranscodingSession(
+            TranscodingRequest(user_id="u0#r1", sequence=interrupted),
+            StaticController(32, 4, 3.2),
+            playlist=session.playlist,
+            start_frame_index=4,
+        )
+        assert retry.current_video.complexity_column is columns

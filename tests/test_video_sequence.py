@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 import repro.video.sequence as sequence_module
 from repro.constants import HR_RESOLUTION, LR_RESOLUTION
 from repro.errors import VideoError
-from repro.video.content import ContentModel, ContentProfile
+from repro.video.content import ContentModel, ContentProfile, FrameContent
 from repro.video.sequence import Frame, ResolutionClass, VideoSequence
-from repro.video.content import FrameContent
 
 
 class TestResolutionClass:
@@ -232,3 +231,29 @@ class TestContentDrawnOnFirstRead:
                 video.motion_column,
                 video.scene_change_column,
             ) == eager
+
+
+class TestRelease:
+    """A released video drops its content and draws it again, unchanged."""
+
+    def test_a_released_video_reads_its_first_draw(self, models_built):
+        video = lazy_sequence(seed=3)
+        first = (video.complexity_column, video.motion_column, video.scene_change_column)
+        video.release()
+        assert len(models_built) == 1
+        frames = list(video)
+        assert len(models_built) == 2
+        assert (
+            video.complexity_column,
+            video.motion_column,
+            video.scene_change_column,
+        ) == first
+        assert [frame.content for frame in frames] == [
+            FrameContent(*values) for values in zip(*first)
+        ]
+
+    def test_releasing_an_undrawn_video_draws_nothing(self, models_built):
+        video = lazy_sequence()
+        video.release()
+        assert len(video) == 30
+        assert models_built == []

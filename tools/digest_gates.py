@@ -35,7 +35,18 @@ Usage::
       ``ClusterOrchestrator.snapshot`` and ``ClusterOrchestrator._step``);
     - read exactly one ``MamutBatch.row`` per ``MamutController`` built (a
       controller's row is fixed for its life and carried from roster to
-      roster and from stepper to stepper).
+      roster and from stepper to stepper);
+    - add no more frames to observation windows one at a time
+      (``ObservationWindow.add``) than it has video changes that leave a
+      session active (``TranscodingSession._next_video`` returning True):
+      the batch commit adds to MAMUT windows by row, so only a controller
+      of another kind would add one at a time;
+    - on ``saturated_long``, whose sessions all join at its first step and
+      finish at its last, read no more rosters
+      (``Orchestrator.active_sessions``) than it has servers: the stepper
+      re-reads rosters only after a join or a finish.
+
+    Each round also prints its scalar ``ObservationWindow.clear`` calls.
 
     It takes about three minutes.
 
@@ -98,6 +109,9 @@ def sweep_gate() -> bool:
     from perfbench.rounds import plain_round
     from repro.cluster.cluster import ClusterOrchestrator
     from repro.core.mamut import MamutBatch, MamutController
+    from repro.core.observation import ObservationWindow
+    from repro.manager.orchestrator import Orchestrator
+    from repro.manager.session import TranscodingSession
     from repro.metrics.records import FrameRecord
     from repro.video.content import ContentModel
 
@@ -107,6 +121,18 @@ def sweep_gate() -> bool:
     _count_calls(counts, ClusterOrchestrator, "snapshot", "snapshots")
     _count_calls(counts, MamutBatch, "row", "rows")
     _count_calls(counts, MamutController, "__init__", "controllers")
+    _count_calls(counts, ObservationWindow, "add", "window adds")
+    _count_calls(counts, ObservationWindow, "clear", "window clears")
+    _count_calls(counts, Orchestrator, "active_sessions", "roster reads")
+    _count_calls(counts, Orchestrator, "__init__", "servers")
+    next_video = TranscodingSession._next_video
+
+    def counted_next_video(session, *args, **kwargs):
+        moved = next_video(session, *args, **kwargs)
+        counts["video changes"] += moved
+        return moved
+
+    TranscodingSession._next_video = counted_next_video
     step = ClusterOrchestrator._step
 
     def counted_step(cluster, *args, **kwargs):
@@ -131,7 +157,10 @@ def sweep_gate() -> bool:
                 f"content frames drawn {counts['drawn']}, served {outcome['frames']}, "
                 f"steps building more than one snapshot {counts['crowded']}, "
                 f"MamutBatch rows read {counts['rows']} for "
-                f"{counts['controllers']} MamutControllers built"
+                f"{counts['controllers']} MamutControllers built, "
+                f"scalar window adds {counts['window adds']} and clears "
+                f"{counts['window clears']} for {counts['video changes']} video changes, "
+                f"rosters read {counts['roster reads']} on {counts['servers']} servers"
             )
             round_id = (workload, seed)
             if not ok:
@@ -144,6 +173,10 @@ def sweep_gate() -> bool:
                 failures["two snapshots in a step"].append(round_id)
             if counts["rows"] != counts["controllers"]:
                 failures["rows read unlike controllers built"].append(round_id)
+            if counts["window adds"] > counts["video changes"]:
+                failures["frames added to windows one at a time"].append(round_id)
+            if workload == "saturated_long" and counts["roster reads"] > counts["servers"]:
+                failures["rosters read without a join or a finish"].append(round_id)
     print(f"failed rounds: {dict(failures)}")
     return not failures
 
